@@ -61,6 +61,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo test -q
 cargo test --workspace -q
 
+# The benchmark harness (its own workspace) builds against crates/ by
+# path: removing an Engine or profiler item it uses must fail here, not
+# first when the benchmark runs.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 # Workspace builds unify features (pim-sim default-enables pim-runtime's
 # `trace`); make sure the feature-off hot path still compiles on its own.
 cargo check -q -p pim-runtime

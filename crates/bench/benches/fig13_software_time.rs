@@ -3,7 +3,7 @@
 use bench::paper_model;
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_models::ModelKind;
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use std::time::Duration;
 
 fn fig13(c: &mut Criterion) {
@@ -22,12 +22,13 @@ fn fig13(c: &mut Criterion) {
             group.bench_function(label, |b| {
                 b.iter(|| {
                     Engine::new(cfg.clone())
-                        .run(&[WorkloadSpec {
+                        .execute(&RunRequest::new(&[WorkloadSpec {
                             graph: model.graph(),
                             steps: 2,
                             cpu_progr_only: false,
-                        }])
+                        }]))
                         .unwrap()
+                        .into_report()
                         .makespan
                 });
             });

@@ -3,7 +3,7 @@
 use bench::paper_model;
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_models::ModelKind;
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use std::time::Duration;
 
 fn fig14(c: &mut Criterion) {
@@ -19,8 +19,9 @@ fn fig14(c: &mut Criterion) {
             cpu_progr_only: false,
         };
         let full = Engine::new(EngineConfig::preset(SystemPreset::Hetero))
-            .run(&[workload])
-            .unwrap();
+            .execute(&RunRequest::new(&[workload]))
+            .unwrap()
+            .into_report();
         for cfg in [
             EngineConfig::preset(SystemPreset::HeteroBare),
             EngineConfig::preset(SystemPreset::HeteroRc),
@@ -28,7 +29,10 @@ fn fig14(c: &mut Criterion) {
             let label = format!("{}/{}", kind.name(), cfg.name);
             group.bench_function(label, |b| {
                 b.iter(|| {
-                    let r = Engine::new(cfg.clone()).run(&[workload]).unwrap();
+                    let r = Engine::new(cfg.clone())
+                        .execute(&RunRequest::new(&[workload]))
+                        .unwrap()
+                        .into_report();
                     r.dynamic_energy / full.dynamic_energy
                 });
             });

@@ -1,6 +1,6 @@
 use pim_hw::cpu::CpuDevice;
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use pim_runtime::profiler::profile_step;
 
 fn main() {
@@ -60,7 +60,10 @@ fn main() {
         EngineConfig::preset(SystemPreset::Hetero),
     ] {
         let name = cfg.name.clone();
-        let r = Engine::new(cfg).run(&[wl]).unwrap();
+        let r = Engine::new(cfg)
+            .execute(&RunRequest::new(&[wl]))
+            .unwrap()
+            .into_report();
         println!(
             "{:22} makespan={:>9.4}s op={:.3} dm={:.3} sync={:.3} E={:>8.2}J util={:.2}",
             name,

@@ -155,9 +155,8 @@ pub const PROGR_KERNEL_SLOTS: usize = 2;
 
 /// One dispatched attempt occupying resources until its completion event.
 ///
-/// Shared by the zero-fault and faulted drivers: fault-free dispatches
-/// simply carry `attempt == 0`, `outcome == Completed`, and stay `live`
-/// until retirement.
+/// Fault-free dispatches simply carry `attempt == 0`,
+/// `outcome == Completed`, and stay `live` until retirement.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     pub wl: usize,

@@ -146,6 +146,81 @@ pub(crate) fn extend_timeout(p: &PlannedOp) -> PlannedOp {
     }
 }
 
+/// The charge of an attempt started at `start` and killed at `at`: the
+/// fraction of the work the device performed before the strike.
+pub(crate) fn charge_until(p: &PlannedOp, start: Seconds, at: Seconds) -> PlannedOp {
+    let dur = p.duration.seconds();
+    let frac = if dur > 0.0 {
+        ((at - start).seconds() / dur).clamp(0.0, 1.0)
+    } else {
+        0.0
+    };
+    scale_planned(p, frac)
+}
+
+/// What the execution drivers ask about faults. Each driver is generic
+/// over it, with two implementations: the zero-sized [`NoFaults`], whose
+/// hooks compile away, and [`FaultContext`].
+pub(crate) trait FaultPolicy {
+    /// Whether attempts can fail. A fault-free attempt always completes
+    /// as planned, so the drivers charge the accumulator and record the
+    /// timeline and observer when it is dispatched. A faulted attempt is
+    /// charged and recorded when it retires, once its outcome — and, for a
+    /// killed attempt, the work actually done — is known. Either order is
+    /// part of the output bytes (f64 sums, timeline order, trace order).
+    const FAULTY: bool;
+
+    /// Fixed-function units quarantined before the run starts.
+    fn initial_ff(&self) -> usize;
+
+    /// Whether the programmable PIM is quarantined before the run starts.
+    fn initial_progr_dead(&self) -> bool;
+
+    /// Mid-run fail-stop faults, in strike order.
+    fn strikes(&self) -> &[PermanentFault];
+
+    /// The fate of attempt `attempt` of `(wl, step, op)` dispatched at
+    /// `now` with planned charge `charge`: the fate-adjusted charge and
+    /// how the attempt ends.
+    fn attempt(
+        &self,
+        charge: PlannedOp,
+        coords: (usize, usize, usize),
+        attempt: u32,
+        now: Seconds,
+    ) -> (PlannedOp, AttemptOutcome);
+}
+
+/// The fault-free policy: nothing is quarantined, nothing strikes, and
+/// every attempt completes as planned.
+pub(crate) struct NoFaults;
+
+impl FaultPolicy for NoFaults {
+    const FAULTY: bool = false;
+
+    fn initial_ff(&self) -> usize {
+        0
+    }
+
+    fn initial_progr_dead(&self) -> bool {
+        false
+    }
+
+    fn strikes(&self) -> &[PermanentFault] {
+        &[]
+    }
+
+    fn attempt(
+        &self,
+        charge: PlannedOp,
+        _coords: (usize, usize, usize),
+        _attempt: u32,
+        _now: Seconds,
+    ) -> (PlannedOp, AttemptOutcome) {
+        (charge, AttemptOutcome::Completed)
+    }
+}
+
 /// The fault state one driver run executes against: the effective plan
 /// plus its strike schedule split into before-run and mid-run parts.
 pub(crate) struct FaultContext {
@@ -184,6 +259,45 @@ impl FaultContext {
         match target {
             FaultTarget::FixedUnits(n) => ff_units > 0 && n > idle_ff,
             FaultTarget::ProgrPim => uses_progr,
+        }
+    }
+}
+
+impl FaultPolicy for FaultContext {
+    const FAULTY: bool = true;
+
+    fn initial_ff(&self) -> usize {
+        self.initial_ff
+    }
+
+    fn initial_progr_dead(&self) -> bool {
+        self.initial_progr_dead
+    }
+
+    fn strikes(&self) -> &[PermanentFault] {
+        &self.strikes
+    }
+
+    /// Stretches the charge by any straggler window open at `now`, then
+    /// applies the attempt's fate.
+    fn attempt(
+        &self,
+        mut charge: PlannedOp,
+        (wl, step, op): (usize, usize, usize),
+        attempt: u32,
+        now: Seconds,
+    ) -> (PlannedOp, AttemptOutcome) {
+        let lane = lane_for(charge.ff_units, charge.uses_progr);
+        if let Some(l) = lane {
+            let m = self.plan.latency_multiplier(l, now);
+            if m > 1.0 {
+                charge = stretch_planned(&charge, m);
+            }
+        }
+        match decide(&self.plan, lane, wl, step, op, attempt) {
+            Fate::Complete => (charge, AttemptOutcome::Completed),
+            Fate::Transient(frac) => (scale_planned(&charge, frac), AttemptOutcome::Transient),
+            Fate::TimedOut => (extend_timeout(&charge), AttemptOutcome::TimedOut),
         }
     }
 }

@@ -14,7 +14,7 @@
 //! ([`FixedFunctionPool::estimate_ma`]), which needs the granted unit
 //! count.
 
-use super::events::ResourceClass;
+use super::observe::ResourceClass;
 use super::{EngineConfig, ProgrBackend, SystemMode};
 use crate::stats::normalized_parts;
 use crate::sync::{

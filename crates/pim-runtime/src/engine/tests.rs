@@ -8,12 +8,13 @@ fn run(cfg: EngineConfig, kind: ModelKind, steps: usize) -> ExecutionReport {
     let model = Model::build_with_batch(kind, 16).unwrap();
     let engine = Engine::new(cfg);
     engine
-        .run(&[WorkloadSpec {
+        .execute(&RunRequest::new(&[WorkloadSpec {
             graph: model.graph(),
             steps,
             cpu_progr_only: false,
-        }])
+        }]))
         .unwrap()
+        .into_report()
 }
 
 #[test]
@@ -62,12 +63,13 @@ fn rc_and_op_improve_over_bare_hetero() {
     let model = Model::build(ModelKind::AlexNet).unwrap();
     let run_cfg = |cfg: EngineConfig| {
         Engine::new(cfg)
-            .run(&[WorkloadSpec {
+            .execute(&RunRequest::new(&[WorkloadSpec {
                 graph: model.graph(),
                 steps: 3,
                 cpu_progr_only: false,
-            }])
+            }]))
             .unwrap()
+            .into_report()
     };
     let bare = run_cfg(EngineConfig::preset(SystemPreset::HeteroBare));
     let rc = run_cfg(EngineConfig::preset(SystemPreset::HeteroRc));
@@ -120,12 +122,13 @@ fn mixed_restricted_workload_avoids_fixed_pim() {
     let model = Model::build_with_batch(ModelKind::Word2vec, 8).unwrap();
     let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
     let r = engine
-        .run(&[WorkloadSpec {
+        .execute(&RunRequest::new(&[WorkloadSpec {
             graph: model.graph(),
             steps: 2,
             cpu_progr_only: true,
-        }])
-        .unwrap();
+        }]))
+        .unwrap()
+        .into_report();
     assert_eq!(r.ff_utilization, 0.0);
     assert!(r.is_well_formed());
 }
@@ -147,10 +150,16 @@ fn run_many_matches_individual_runs() {
             cpu_progr_only: false,
         },
     ];
-    let many = engine.run_many(&specs).unwrap();
+    let many = engine
+        .execute(&RunRequest::new(&specs).partitioned())
+        .unwrap()
+        .reports;
     assert_eq!(many.len(), 2);
     for (spec, report) in specs.iter().zip(&many) {
-        let single = engine.run(&[*spec]).unwrap();
+        let single = engine
+            .execute(&RunRequest::new(&[*spec]))
+            .unwrap()
+            .into_report();
         assert_eq!(report.makespan, single.makespan);
         assert_eq!(report.dynamic_energy, single.dynamic_energy);
     }
@@ -204,25 +213,6 @@ mod fault_tests {
     }
 
     #[test]
-    fn none_plan_is_byte_identical_to_the_fault_free_path() {
-        let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
-        for preset in SystemPreset::ALL {
-            let engine = Engine::new(EngineConfig::preset(preset));
-            let opts = RunOptions {
-                timeline: true,
-                ..RunOptions::default()
-            };
-            let plain = engine.run_with(&[spec(&model, 2)], &opts).unwrap();
-            let faulted = engine
-                .run_with_faults(&[spec(&model, 2)], &opts, &FaultPlan::none())
-                .unwrap();
-            assert_eq!(plain.report(), faulted.report(), "{preset:?}");
-            assert_eq!(plain.timeline, faulted.timeline, "{preset:?}");
-            assert!(faulted.degraded.is_none());
-        }
-    }
-
-    #[test]
     fn seeded_runs_are_deterministic_and_recover() {
         // Every run here passes the debug-build self-verification, so the
         // fault-aware legality checker vets each timeline implicitly.
@@ -233,18 +223,20 @@ mod fault_tests {
             SystemPreset::HeteroRc,
         ] {
             let engine = Engine::new(EngineConfig::preset(preset));
-            let horizon = engine.run(&[spec(&model, 2)]).unwrap().makespan;
+            let horizon = engine
+                .execute(&RunRequest::new(&[spec(&model, 2)]))
+                .unwrap()
+                .into_report()
+                .makespan;
             let plan = FaultPlan::seeded(7, 0.2, horizon, engine.config().ff_units);
-            let opts = RunOptions {
-                timeline: true,
-                ..RunOptions::default()
-            };
-            let a = engine
-                .run_with_faults(&[spec(&model, 2)], &opts, &plan)
-                .unwrap();
-            let b = engine
-                .run_with_faults(&[spec(&model, 2)], &opts, &plan)
-                .unwrap();
+            let request = RunRequest::new(&[spec(&model, 2)])
+                .with_options(RunOptions {
+                    timeline: true,
+                    ..RunOptions::default()
+                })
+                .with_faults(plan);
+            let a = engine.execute(&request).unwrap();
+            let b = engine.execute(&request).unwrap();
             assert_eq!(a.report(), b.report(), "{preset:?}");
             assert_eq!(a.timeline, b.timeline, "{preset:?}");
             assert!(
@@ -261,12 +253,13 @@ mod fault_tests {
         let hetero = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
         let plan = FaultPlan::quarantine_ff_at_start(hetero.config().ff_units);
         let degraded = hetero
-            .run_with_faults(&[spec(&model, 2)], &RunOptions::default(), &plan)
+            .execute(&RunRequest::new(&[spec(&model, 2)]).with_faults(plan))
             .unwrap();
         assert_eq!(degraded.degraded, Some("Progr PIM"));
         let progr = Engine::new(EngineConfig::preset(SystemPreset::ProgrOnly))
-            .run(&[spec(&model, 2)])
-            .unwrap();
+            .execute(&RunRequest::new(&[spec(&model, 2)]))
+            .unwrap()
+            .into_report();
         assert_eq!(*degraded.report(), progr);
     }
 
@@ -277,12 +270,13 @@ mod fault_tests {
         let plan = FaultPlan::quarantine_ff_at_start(hetero.config().ff_units)
             .with_permanent(Seconds::ZERO, FaultTarget::ProgrPim);
         let degraded = hetero
-            .run_with_faults(&[spec(&model, 2)], &RunOptions::default(), &plan)
+            .execute(&RunRequest::new(&[spec(&model, 2)]).with_faults(plan))
             .unwrap();
         assert_eq!(degraded.degraded, Some("CPU"));
         let cpu = Engine::new(EngineConfig::preset(SystemPreset::CpuOnly))
-            .run(&[spec(&model, 2)])
-            .unwrap();
+            .execute(&RunRequest::new(&[spec(&model, 2)]))
+            .unwrap()
+            .into_report();
         assert_eq!(degraded.report().makespan, cpu.makespan);
         assert_eq!(degraded.report().dynamic_energy, cpu.dynamic_energy);
     }
@@ -294,7 +288,11 @@ mod fault_tests {
         // Anchor the strike inside the busy part of the schedule (the
         // makespan itself ends with barrier/decision accounting no event
         // reaches).
-        let (_, timeline) = engine.run_detailed(&[spec(&model, 2)]).unwrap();
+        let request = RunRequest::new(&[spec(&model, 2)]).with_options(RunOptions {
+            timeline: true,
+            ..RunOptions::default()
+        });
+        let timeline = engine.execute(&request).unwrap().timeline.unwrap();
         let last_end =
             timeline
                 .iter()
@@ -302,7 +300,7 @@ mod fault_tests {
                 .fold(Seconds::ZERO, |a, b| if b > a { b } else { a });
         let plan = FaultPlan::none().with_permanent(last_end * 0.5, FaultTarget::ProgrPim);
         let out = engine
-            .run_with_faults(&[spec(&model, 2)], &RunOptions::default(), &plan)
+            .execute(&RunRequest::new(&[spec(&model, 2)]).with_faults(plan))
             .unwrap();
         assert!(out.degraded.is_none());
         assert!(out.report().is_well_formed());
@@ -394,7 +392,11 @@ mod limit_tests {
     fn simulated_deadline_cuts_a_run_short() {
         let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
         let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-        let full = engine.run(&[spec(&model, 2)]).unwrap().makespan;
+        let full = engine
+            .execute(&RunRequest::new(&[spec(&model, 2)]))
+            .unwrap()
+            .into_report()
+            .makespan;
         let err = engine
             .execute(
                 &RunRequest::new(&[spec(&model, 2)])
@@ -442,7 +444,11 @@ mod limit_tests {
         let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
         for preset in [SystemPreset::Hetero, SystemPreset::FixedHost] {
             let engine = Engine::new(EngineConfig::preset(preset));
-            let horizon = engine.run(&[spec(&model, 2)]).unwrap().makespan;
+            let horizon = engine
+                .execute(&RunRequest::new(&[spec(&model, 2)]))
+                .unwrap()
+                .into_report()
+                .makespan;
             let plan = FaultPlan::seeded(7, 0.2, horizon, engine.config().ff_units);
             let err = engine
                 .execute(

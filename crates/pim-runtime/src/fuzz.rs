@@ -37,7 +37,7 @@
 //!   machinery must produce a divergence diagnostic, which is exactly
 //!   how a reintroduced HashMap-tie class of bug would surface.
 
-use crate::engine::{Engine, RunOptions, TimelineEntry, WorkloadSpec};
+use crate::engine::{Engine, RunOptions, RunRequest, TimelineEntry, WorkloadSpec};
 use pim_common::diag::Diagnostics;
 use pim_common::Result;
 
@@ -215,7 +215,7 @@ pub fn check_order_invariance(
         timeline: true,
         ..RunOptions::default()
     };
-    let base = engine.run_with(workloads, &base_opts)?;
+    let base = engine.execute(&RunRequest::new(workloads).with_options(base_opts))?;
     let base_timeline = base.timeline.as_deref().unwrap_or(&[]);
 
     let mut diags = Diagnostics::new();
@@ -224,7 +224,7 @@ pub fn check_order_invariance(
     // Determinism tripwire: the pinned orders cannot be permuted without
     // changing the schedule, so they are audited by reproduction — the
     // stable order must equal itself across independent runs.
-    let rerun = engine.run_with(workloads, &base_opts)?;
+    let rerun = engine.execute(&RunRequest::new(workloads).with_options(base_opts))?;
     if rerun.report() != base.report()
         || rerun.counters != base.counters
         || rerun.timeline.as_deref().unwrap_or(&[]) != base_timeline
@@ -250,7 +250,8 @@ pub fn check_order_invariance(
             tie,
             ..RunOptions::default()
         };
-        let out = engine.run_with(workloads, &opts)?;
+        let request = RunRequest::new(workloads).with_options(opts);
+        let out = engine.execute(&request)?;
         let timeline = out.timeline.as_deref().unwrap_or(&[]);
         let label = format!("{subject} order={}", tie.describe());
 
@@ -286,7 +287,7 @@ pub fn check_order_invariance(
         // Legality replay is tie-independent: the facts (dependencies,
         // costs, windows, capabilities, exclusivity) never mention the
         // tie policy, so every order must replay clean.
-        let replay = engine.verify_timeline(workloads, timeline)?;
+        let replay = engine.verify(&request, timeline)?;
         if !replay.is_clean() {
             this_diverged = true;
             diags.error(

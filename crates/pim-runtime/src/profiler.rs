@@ -162,6 +162,10 @@ fn profile_memo() -> &'static Mutex<HashMap<ProfileKey, Arc<StepProfile>>> {
 /// returned profile is always equal to what a fresh [`profile_step`] would
 /// produce (a property-tested invariant).
 ///
+/// Nothing on the simulation path calls it: the memo key hashes the whole
+/// graph's `Debug` rendering, so a warm hit costs more than the profiling
+/// pass it saves. It stays as a timed layer of the benchmark harness.
+///
 /// # Errors
 ///
 /// Propagates cost-model failures for malformed graphs (never cached).
@@ -218,23 +222,6 @@ pub fn profile_step_traced(
     tracer: &mut dyn pim_common::trace::TraceSink,
 ) -> Result<StepProfile> {
     let profile = profile_step(graph, cpu)?;
-    trace_profile_instant(&profile, tracer);
-    Ok(profile)
-}
-
-/// [`profile_step_cached`] plus the same trace instant
-/// [`profile_step_traced`] emits — memo hits still record it, so traced
-/// output is byte-identical whether or not the cache was warm.
-///
-/// # Errors
-///
-/// Propagates cost-model failures for malformed graphs.
-pub fn profile_step_cached_traced(
-    graph: &Graph,
-    cpu: &CpuDevice,
-    tracer: &mut dyn pim_common::trace::TraceSink,
-) -> Result<Arc<StepProfile>> {
-    let profile = profile_step_cached(graph, cpu)?;
     trace_profile_instant(&profile, tracer);
     Ok(profile)
 }

@@ -16,7 +16,7 @@
 //! best-found timeline must still pass the `pim-verify` legality
 //! replay.
 
-use crate::engine::{Engine, RunOptions, TimelineEntry, WorkloadSpec};
+use crate::engine::{Engine, RunOptions, RunRequest, TimelineEntry, WorkloadSpec};
 use crate::fuzz::{splitmix, TieBreak};
 use pim_common::units::Seconds;
 use pim_common::{PimError, Result};
@@ -84,9 +84,7 @@ pub fn beam_search(
     workloads: &[WorkloadSpec<'_>],
     cfg: &SearchConfig,
 ) -> Result<SearchOutcome> {
-    let stable = engine
-        .run_with(workloads, &RunOptions::default())?
-        .into_report();
+    let stable = engine.execute(&RunRequest::new(workloads))?.into_report();
     let stable_makespan = stable.makespan;
 
     let mut seen = std::collections::HashSet::new();
@@ -104,7 +102,9 @@ pub fn beam_search(
                 tie: TieBreak::Priority(seed),
                 ..RunOptions::default()
             };
-            let report = engine.run_with(workloads, &opts)?.into_report();
+            let report = engine
+                .execute(&RunRequest::new(workloads).with_options(opts))?
+                .into_report();
             // Quantize exactly like the event clock so ordering is
             // platform-stable.
             Ok(((report.makespan.seconds() * 1e15) as u64, seed))
@@ -143,7 +143,7 @@ pub fn beam_search(
         tie: best_order,
         ..RunOptions::default()
     };
-    let mut out = engine.run_with(workloads, &opts)?;
+    let mut out = engine.execute(&RunRequest::new(workloads).with_options(opts))?;
     let best_timeline = out
         .timeline
         .take()

@@ -6,7 +6,7 @@
 //! operations across CPU, programmable PIM, and fixed-function PIMs in the
 //! rest of the training steps."
 
-use crate::engine::{Engine, EngineConfig, WorkloadSpec};
+use crate::engine::{Engine, EngineConfig, RunRequest, WorkloadSpec};
 use crate::profiler::{profile_step, StepProfile};
 use crate::select::{select_candidates, CandidateSet};
 use crate::stats::ExecutionReport;
@@ -79,11 +79,14 @@ impl<'g> TrainingSession<'g> {
     ///
     /// Propagates engine failures.
     pub fn train(&self, steps: usize) -> Result<ExecutionReport> {
-        self.engine.run(&[WorkloadSpec {
-            graph: self.graph,
-            steps,
-            cpu_progr_only: false,
-        }])
+        Ok(self
+            .engine
+            .execute(&RunRequest::new(&[WorkloadSpec {
+                graph: self.graph,
+                steps,
+                cpu_progr_only: false,
+            }]))?
+            .into_report())
     }
 }
 

@@ -323,7 +323,8 @@ pub fn cross_check_counters(report: &ExecutionReport, counters: &Counters) -> Di
 }
 
 /// [`cross_check_counters`] for a partitioned run: validates the merged
-/// counter registry of [`crate::engine::Engine::run_many_with`] against
+/// counter registry of a [`crate::engine::Partitioning::Partitioned`] run
+/// against
 /// the *sum* of the per-partition reports.
 ///
 /// Partition merge is plain addition for every counter the cross-check

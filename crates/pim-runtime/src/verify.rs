@@ -7,11 +7,11 @@
 //! [`Diagnostic`](pim_common::Diagnostic). It backs two consumers:
 //!
 //! * the engine's own run-time assertions (default-on in debug builds, or
-//!   with the `verify` feature) through [`Engine::verify_timeline`],
+//!   with the `verify` feature) and [`Engine::verify`],
 //! * the `pim-verify` static-analysis CLI, which replays every model under
 //!   every configuration.
 //!
-//! [`Engine::verify_timeline`]: crate::engine::Engine::verify_timeline
+//! [`Engine::verify`]: crate::engine::Engine::verify
 
 use crate::engine::{backoff_after, AttemptOutcome, ResourceClass, TimelineEntry, MAX_ATTEMPTS};
 use pim_common::Diagnostics;
@@ -95,9 +95,9 @@ fn needs_fixed_part(class: ResourceClass) -> bool {
     )
 }
 
-/// Splits a merged multi-partition timeline (the
-/// [`Engine::run_many_with`](crate::engine::Engine::run_many_with) output)
-/// back into per-partition streams by its workload tags.
+/// Splits a merged multi-partition timeline (the timeline of a
+/// [`Partitioning::Partitioned`](crate::engine::Partitioning::Partitioned)
+/// run) back into per-partition streams by its workload tags.
 ///
 /// Entry order within each partition is preserved — the merge is stable —
 /// so each returned stream is exactly the timeline that partition's

@@ -6,7 +6,11 @@
 use pim_common::units::Seconds;
 use pim_graph::gen::{self, GenSpec};
 use pim_graph::graph::Graph;
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use pim_hw::faults::FaultPlan;
+use pim_models::{Model, ModelKind};
+use pim_runtime::engine::{
+    Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, TimelineEntry, WorkloadSpec,
+};
 use proptest::prelude::*;
 
 /// Builds a random layered DAG through the shared seeded generator
@@ -22,13 +26,30 @@ fn random_dag(layers: usize, width: usize, seed: u64) -> Graph {
 }
 
 fn run(graph: &Graph, cfg: EngineConfig, steps: usize) -> pim_runtime::ExecutionReport {
-    Engine::new(cfg)
-        .run(&[WorkloadSpec {
-            graph,
-            steps,
-            cpu_progr_only: false,
-        }])
-        .unwrap()
+    run_with_timeline(graph, cfg, steps).0
+}
+
+fn run_with_timeline(
+    graph: &Graph,
+    cfg: EngineConfig,
+    steps: usize,
+) -> (pim_runtime::ExecutionReport, Vec<TimelineEntry>) {
+    let request = RunRequest::new(&[WorkloadSpec {
+        graph,
+        steps,
+        cpu_progr_only: false,
+    }])
+    .with_options(timeline_opts());
+    let mut out = Engine::new(cfg).execute(&request).unwrap();
+    let timeline = out.timeline.take().unwrap();
+    (out.into_report(), timeline)
+}
+
+fn timeline_opts() -> RunOptions {
+    RunOptions {
+        timeline: true,
+        ..RunOptions::default()
+    }
 }
 
 proptest! {
@@ -104,8 +125,9 @@ proptest! {
     ) {
         let graph = random_dag(layers, 2, seed);
         let r = Engine::new(EngineConfig::preset(SystemPreset::Hetero))
-            .run(&[WorkloadSpec { graph: &graph, steps: 2, cpu_progr_only: true }])
-            .unwrap();
+            .execute(&RunRequest::new(&[WorkloadSpec { graph: &graph, steps: 2, cpu_progr_only: true }]))
+            .unwrap()
+            .into_report();
         prop_assert_eq!(r.ff_utilization, 0.0);
     }
 }
@@ -127,14 +149,8 @@ fn dependency_chains_bound_the_pipeline() {
 fn timeline_respects_resource_exclusivity() {
     use pim_runtime::engine::ResourceClass;
     let graph = random_dag(6, 3, 42);
-    let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-    let (report, timeline) = engine
-        .run_detailed(&[WorkloadSpec {
-            graph: &graph,
-            steps: 3,
-            cpu_progr_only: false,
-        }])
-        .unwrap();
+    let (report, timeline) =
+        run_with_timeline(&graph, EngineConfig::preset(SystemPreset::Hetero), 3);
     assert!(!timeline.is_empty());
     assert!(timeline.iter().all(|e| e.end >= e.start));
     assert!(timeline
@@ -173,14 +189,7 @@ fn timeline_respects_resource_exclusivity() {
 #[test]
 fn serialized_timeline_is_sequential() {
     let graph = random_dag(5, 2, 9);
-    let engine = Engine::new(EngineConfig::preset(SystemPreset::HeteroRc));
-    let (_, timeline) = engine
-        .run_detailed(&[WorkloadSpec {
-            graph: &graph,
-            steps: 2,
-            cpu_progr_only: false,
-        }])
-        .unwrap();
+    let (_, timeline) = run_with_timeline(&graph, EngineConfig::preset(SystemPreset::HeteroRc), 2);
     for pair in timeline.windows(2) {
         assert!(pair[1].start.seconds() >= pair[0].end.seconds() - 1e-12);
     }
@@ -189,7 +198,7 @@ fn serialized_timeline_is_sequential() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Partitioned multi-workload execution (`run_many_with`) produces
+    /// Partitioned multi-workload execution produces
     /// exactly the artifacts of running each workload alone in input
     /// order, for any DAG mix: identical `ExecutionReport`s, a merged
     /// timeline equal to the deterministic `(start, partition)` merge of
@@ -203,7 +212,6 @@ proptest! {
         seed in 0u64..500,
     ) {
         use pim_common::trace::Counters;
-        use pim_runtime::engine::RunOptions;
 
         let g1 = random_dag(layers, width, seed);
         let g2 = random_dag(layers.max(2) - 1, width, seed.wrapping_add(1));
@@ -213,15 +221,15 @@ proptest! {
             WorkloadSpec { graph: &g1, steps: 1, cpu_progr_only: true },
         ];
         let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-        let opts = RunOptions { timeline: true, ..RunOptions::default() };
+        let opts = timeline_opts();
 
-        let many = engine.run_many_with(&wls, &opts).unwrap();
+        let many = engine.execute(&RunRequest::new(&wls).with_options(opts).partitioned()).unwrap();
 
         let mut solo_reports = Vec::new();
         let mut solo_counters = Counters::new();
         let mut solo_parts = Vec::new();
         for wl in &wls {
-            let mut out = engine.run_with(&[*wl], &opts).unwrap();
+            let mut out = engine.execute(&RunRequest::new(&[*wl]).with_options(opts)).unwrap();
             solo_counters.merge(&out.counters);
             solo_parts.push(out.timeline.take().unwrap());
             solo_reports.push(out.into_report());
@@ -260,7 +268,56 @@ proptest! {
         }
 
         // The merged timeline splits back into verifiable partitions.
-        let diags = engine.verify_many_timeline(&wls, merged).unwrap();
+        let diags = engine.verify(&RunRequest::new(&wls).partitioned(), merged).unwrap();
         prop_assert!(diags.is_clean(), "{}", diags.render_text());
     }
+}
+
+/// A partitioned run under a fault plan replays clean through
+/// `Engine::verify`, which checks every partition against the plan, and
+/// a timeline entry moved off its recorded start is flagged.
+#[test]
+fn partitioned_faulted_runs_verify_and_flag_a_shifted_entry() {
+    let models = [
+        Model::build_with_batch(ModelKind::AlexNet, 16).unwrap(),
+        Model::build_with_batch(ModelKind::Dcgan, 8).unwrap(),
+        Model::build_with_batch(ModelKind::Lstm, 16).unwrap(),
+    ];
+    let wls: Vec<WorkloadSpec<'_>> = models
+        .iter()
+        .map(|model| WorkloadSpec {
+            graph: model.graph(),
+            steps: 2,
+            cpu_progr_only: false,
+        })
+        .collect();
+    let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
+    let base = engine
+        .execute(&RunRequest::new(&wls).partitioned())
+        .unwrap();
+    let horizon = base
+        .reports
+        .iter()
+        .map(|r| r.makespan)
+        .fold(Seconds::ZERO, Seconds::max);
+    let plan = FaultPlan::seeded(1, 0.2, horizon, engine.config().ff_units);
+    let request = RunRequest::new(&wls)
+        .with_options(timeline_opts())
+        .with_faults(plan)
+        .partitioned();
+    let out = engine.execute(&request).unwrap();
+    assert!(
+        out.counters.get("faults/retries") > 0.0,
+        "the plan injected nothing"
+    );
+    let mut timeline = out.timeline.unwrap();
+    let clean = engine.verify(&request, &timeline).unwrap();
+    assert!(clean.is_clean(), "{}", clean.render_text());
+
+    // Move partition 1's last-starting entry back to t = 0, ahead of the
+    // instances it depends on.
+    let last = timeline.iter().rposition(|e| e.workload == 1).unwrap();
+    timeline[last].start = Seconds::ZERO;
+    let diags = engine.verify(&request, &timeline).unwrap();
+    assert!(!diags.is_clean(), "a shifted entry passed verification");
 }

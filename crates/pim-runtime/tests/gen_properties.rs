@@ -4,19 +4,22 @@
 
 use pim_graph::gen::{random_dag, GenSpec};
 use pim_hw::cpu::CpuDevice;
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec, PROGR_KERNEL_SLOTS};
+use pim_runtime::engine::{
+    Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec, PROGR_KERNEL_SLOTS,
+};
 use pim_runtime::profiler::{profile_step, profile_step_cached};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 fn run(graph: &pim_graph::Graph, preset: SystemPreset) -> pim_runtime::ExecutionReport {
     Engine::new(EngineConfig::preset(preset))
-        .run(&[WorkloadSpec {
+        .execute(&RunRequest::new(&[WorkloadSpec {
             graph,
             steps: 2,
             cpu_progr_only: false,
-        }])
+        }]))
         .unwrap()
+        .into_report()
 }
 
 proptest! {

@@ -8,7 +8,9 @@
 
 use pim_common::{PimError, Result};
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
 
 /// Simulates `steps` training steps of `kind` at `batch` under `preset`
 /// and returns the run's Chrome trace-event JSON.
@@ -42,13 +44,13 @@ pub fn chrome_trace(
         trace: true,
         ..RunOptions::default()
     };
-    let out = engine.run_with(
-        &[WorkloadSpec {
+    let out = engine.execute(
+        &RunRequest::new(&[WorkloadSpec {
             graph: model.graph(),
             steps,
             cpu_progr_only: false,
-        }],
-        &opts,
+        }])
+        .with_options(opts),
     )?;
     let recording = out.trace.ok_or_else(|| {
         PimError::invalid(

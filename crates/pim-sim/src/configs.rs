@@ -5,7 +5,7 @@ use pim_common::Result;
 use pim_hw::gpu::GpuDevice;
 use pim_mem::stack::StackConfig;
 use pim_models::Model;
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use pim_runtime::stats::ExecutionReport;
 use serde::Serialize;
 
@@ -95,11 +95,12 @@ pub fn simulate(model: &Model, config: &SystemConfig, steps: usize) -> Result<Ex
         SystemConfig::FixedPim => EngineConfig::preset(SystemPreset::FixedHost),
         SystemConfig::HeteroPim(cfg) => cfg.clone(),
     };
-    Engine::new(engine_cfg).run(&[WorkloadSpec {
+    let request = RunRequest::new(&[WorkloadSpec {
         graph: model.graph(),
         steps,
         cpu_progr_only: false,
-    }])
+    }]);
+    Ok(Engine::new(engine_cfg).execute(&request)?.into_report())
 }
 
 /// Simulates a raw training-step graph (not a zoo model) on the full
@@ -109,11 +110,14 @@ pub fn simulate(model: &Model, config: &SystemConfig, steps: usize) -> Result<Ex
 ///
 /// Propagates engine failures.
 pub fn simulate_graph_hetero(graph: &pim_graph::Graph, steps: usize) -> Result<ExecutionReport> {
-    Engine::new(EngineConfig::preset(SystemPreset::Hetero)).run(&[WorkloadSpec {
+    let request = RunRequest::new(&[WorkloadSpec {
         graph,
         steps,
         cpu_progr_only: false,
-    }])
+    }]);
+    Ok(Engine::new(EngineConfig::preset(SystemPreset::Hetero))
+        .execute(&request)?
+        .into_report())
 }
 
 /// The Table IV host/GPU configuration summary rows.

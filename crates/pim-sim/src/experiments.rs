@@ -18,7 +18,7 @@ use pim_hw::power::{progr_scaling_points, LogicDieBudget};
 use pim_models::ModelKind;
 use pim_runtime::engine::{EngineConfig, SystemPreset};
 use pim_runtime::par::par_map;
-use pim_runtime::profiler::profile_step_cached;
+use pim_runtime::profiler::profile_step;
 use pim_runtime::select::{classify, OpClass};
 use pim_runtime::stats::ExecutionReport;
 use serde::Serialize;
@@ -106,8 +106,7 @@ pub fn table1_data() -> Result<Vec<Table1Model>> {
     let mut models = Vec::new();
     for kind in [ModelKind::Vgg19, ModelKind::AlexNet, ModelKind::Dcgan] {
         let model = cache::model(kind)?;
-        let profile =
-            profile_step_cached(model.graph(), &pim_hw::cpu::CpuDevice::xeon_e5_2630_v3())?;
+        let profile = profile_step(model.graph(), &pim_hw::cpu::CpuDevice::xeon_e5_2630_v3())?;
         let total_t = profile.total_time();
         let total_m = profile.total_memory_accesses() as f64;
         let rows = profile.by_name();
@@ -187,8 +186,7 @@ pub fn fig2_data() -> Result<Vec<ClassCensus>> {
     let mut census = Vec::new();
     for kind in ModelKind::CNNS {
         let model = cache::model(kind)?;
-        let profile =
-            profile_step_cached(model.graph(), &pim_hw::cpu::CpuDevice::xeon_e5_2630_v3())?;
+        let profile = profile_step(model.graph(), &pim_hw::cpu::CpuDevice::xeon_e5_2630_v3())?;
         let classes = classify(&profile);
         let count = |c: OpClass| classes.iter().filter(|(_, x)| *x == c).count();
         census.push(ClassCensus {

@@ -12,7 +12,7 @@ use crate::cache;
 use pim_common::Result;
 use pim_hw::faults::FaultPlan;
 use pim_models::ModelKind;
-use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -74,14 +74,14 @@ pub fn degradation_data(
         }];
         for preset in SystemPreset::ALL {
             let engine = Engine::new(EngineConfig::preset(preset));
-            let baseline = engine.run(&spec)?;
+            let baseline = engine.execute(&RunRequest::new(&spec))?.into_report();
             for &rate in rates {
                 let plan = if rate == 0.0 {
                     FaultPlan::none()
                 } else {
                     FaultPlan::seeded(seed, rate, baseline.makespan, engine.config().ff_units)
                 };
-                let out = engine.run_with_faults(&spec, &RunOptions::default(), &plan)?;
+                let out = engine.execute(&RunRequest::new(&spec).with_faults(plan))?;
                 cells.push(DegradationCell {
                     model: kind,
                     preset,

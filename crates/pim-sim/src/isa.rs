@@ -16,7 +16,9 @@
 use crate::cache;
 use pim_common::Result;
 use pim_models::ModelKind;
-use pim_runtime::engine::{Engine, EngineConfig, ProgrBackend, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, ProgrBackend, RunRequest, SystemPreset, WorkloadSpec,
+};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -72,11 +74,14 @@ pub fn isa_delta_data(kinds: &[ModelKind], steps: usize) -> Result<Vec<IsaCell>>
             steps,
             cpu_progr_only: false,
         }];
-        let analytic = Engine::new(EngineConfig::preset(SystemPreset::Hetero)).run(&spec)?;
+        let analytic = Engine::new(EngineConfig::preset(SystemPreset::Hetero))
+            .execute(&RunRequest::new(&spec))?
+            .into_report();
         let interpreted = Engine::new(
             EngineConfig::preset(SystemPreset::Hetero).with_progr_backend(ProgrBackend::Isa),
         )
-        .run(&spec)?;
+        .execute(&RunRequest::new(&spec))?
+        .into_report();
         cells.push(IsaCell {
             model: kind,
             analytic_s: analytic.makespan.seconds(),

@@ -6,9 +6,10 @@
 //! normal scheduling, the non-CNN restricted to CPU and the programmable
 //! PIM when they are idle.
 
+use pim_common::units::Seconds;
 use pim_common::Result;
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use serde::Serialize;
 
 /// Result of one co-run case.
@@ -42,49 +43,39 @@ pub fn corun(cnn: ModelKind, other: ModelKind, cnn_steps: usize) -> Result<CoRun
     let cnn_model = Model::build_with_batch(cnn, cnn.paper_batch_size().min(32))?;
     let other_model = Model::build(other)?;
     let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-
-    // Size the non-CNN run to a comparable duration (its steps are much
-    // shorter than CNN steps).
-    let cnn_alone = engine.run(&[WorkloadSpec {
+    let makespan = |workloads: &[WorkloadSpec<'_>]| -> Result<Seconds> {
+        Ok(engine
+            .execute(&RunRequest::new(workloads))?
+            .report()
+            .makespan)
+    };
+    let cnn_spec = WorkloadSpec {
         graph: cnn_model.graph(),
         steps: cnn_steps,
         cpu_progr_only: false,
-    }])?;
-    let other_probe = engine.run(&[WorkloadSpec {
+    };
+    let other_spec = |steps| WorkloadSpec {
         graph: other_model.graph(),
-        steps: 1,
+        steps,
         cpu_progr_only: true,
-    }])?;
-    let other_steps = ((cnn_alone.makespan.seconds() * 0.8)
-        / other_probe.makespan.seconds().max(1e-9))
-    .ceil()
-    .max(1.0) as usize;
+    };
 
-    let other_alone = engine.run(&[WorkloadSpec {
-        graph: other_model.graph(),
-        steps: other_steps,
-        cpu_progr_only: true,
-    }])?;
-    let sequential = cnn_alone.makespan + other_alone.makespan;
+    // Size the non-CNN run to a comparable duration (its steps are much
+    // shorter than CNN steps).
+    let cnn_alone = makespan(&[cnn_spec])?;
+    let other_probe = makespan(&[other_spec(1)])?;
+    let other_steps = ((cnn_alone.seconds() * 0.8) / other_probe.seconds().max(1e-9))
+        .ceil()
+        .max(1.0) as usize;
 
-    let corun = engine.run(&[
-        WorkloadSpec {
-            graph: cnn_model.graph(),
-            steps: cnn_steps,
-            cpu_progr_only: false,
-        },
-        WorkloadSpec {
-            graph: other_model.graph(),
-            steps: other_steps,
-            cpu_progr_only: true,
-        },
-    ])?;
+    let sequential = cnn_alone + makespan(&[other_spec(other_steps)])?;
+    let corun = makespan(&[cnn_spec, other_spec(other_steps)])?;
 
     Ok(CoRunResult {
         cnn,
         other,
         sequential_seconds: sequential.seconds(),
-        corun_seconds: corun.makespan.seconds(),
+        corun_seconds: corun.seconds(),
     })
 }
 

@@ -15,7 +15,7 @@ use crate::cache;
 use pim_common::diag::Diagnostics;
 use pim_common::Result;
 use pim_models::ModelKind;
-use pim_runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use pim_runtime::fuzz::{fuzz_orders, TieBreak};
 use pim_runtime::search::{beam_search, SearchConfig};
 use serde::Serialize;
@@ -205,7 +205,7 @@ pub fn oracle_gap_data(
         }];
         let engine = Engine::new(EngineConfig::preset(preset));
         let outcome = beam_search(&engine, &spec, cfg)?;
-        let replay = engine.verify_timeline(&spec, &outcome.best_timeline)?;
+        let replay = engine.verify(&RunRequest::new(&spec), &outcome.best_timeline)?;
         cells.push(GapCell {
             model: kind,
             preset,

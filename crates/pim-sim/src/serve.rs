@@ -329,7 +329,7 @@ mod tests {
             cpu_progr_only: false,
         };
         let direct = Engine::new(EngineConfig::preset(pim_runtime::SystemPreset::Hetero))
-            .run_with(&[spec], &RunOptions::default())
+            .execute(&RunRequest::new(&[spec]))
             .unwrap();
         assert_eq!(served.reports, direct.reports);
         assert_eq!(

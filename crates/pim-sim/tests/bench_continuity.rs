@@ -1,22 +1,16 @@
 //! Bench continuity across PRs: each checked-in `BENCH_pr*.json` must be
-//! a valid, full-grid successor to its predecessor, and the fault
-//! subsystem must keep its bookkeeping off the zero-fault hot path.
+//! a valid, full-grid successor to its predecessor.
 //!
 //! Absolute milliseconds in the checked-in files were recorded under
-//! different machine load, so the <5% regression budget is asserted
-//! like-for-like instead: the faulted entry point with `FaultPlan::none`
-//! is timed against the plain entry point in the same process, same
-//! moment, interleaved. An interleaved A/B of the pre-/post-change
-//! release binaries over the full grid measured a 0.99x sum-of-medians
-//! ratio at the time pr5 was recorded; the pr6 component-core refactor
-//! recorded a 7.76x `repro all` speedup (its `repro_all` block), driven
-//! by the linear-time dependency expansion in `pim_graph`.
+//! different machine load, so they are compared only through the
+//! same-machine comparison path (`repro bench --compare`). An interleaved
+//! A/B of the pre-/post-change release binaries over the full grid
+//! measured a 0.99x sum-of-medians ratio at the time pr5 was recorded;
+//! the pr6 component-core refactor recorded a 7.76x `repro all` speedup
+//! (its `repro_all` block), driven by the linear-time dependency
+//! expansion in `pim_graph`.
 
-use pim_hw::faults::FaultPlan;
-use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
 use pim_sim::bench::validate_bench_json;
-use std::time::Instant;
 
 fn repo_file(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string() + "/" + name;
@@ -87,45 +81,5 @@ fn pr6_records_the_component_core_speedup() {
     assert!(
         table.contains("geomean speedup over 42 matched cells"),
         "{table}"
-    );
-}
-
-#[test]
-fn none_plan_entry_point_stays_within_the_hot_path_budget() {
-    // Interleave the two entry points so load drift hits both equally,
-    // then compare medians. The none-plan entry resolves to the very
-    // same run path after one `is_none` check, so the 5% budget is
-    // generous — it exists to catch fault bookkeeping leaking into the
-    // zero-fault engine, not scheduling noise.
-    let model = Model::build(ModelKind::AlexNet).unwrap();
-    let spec = [WorkloadSpec {
-        graph: model.graph(),
-        steps: 3,
-        cpu_progr_only: false,
-    }];
-    let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-    let none = FaultPlan::none();
-    let opts = RunOptions::default();
-    // Warm both paths (profile memo, allocator).
-    engine.run(&spec).unwrap();
-    engine.run_with_faults(&spec, &opts, &none).unwrap();
-    let mut plain_ms = Vec::new();
-    let mut faulted_ms = Vec::new();
-    for _ in 0..15 {
-        let t = Instant::now();
-        engine.run(&spec).unwrap();
-        plain_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        engine.run_with_faults(&spec, &opts, &none).unwrap();
-        faulted_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let (plain, faulted) = (median(plain_ms), median(faulted_ms));
-    assert!(
-        faulted <= plain * 1.05,
-        "none-plan entry regressed the hot path: {faulted:.3} ms vs {plain:.3} ms"
     );
 }

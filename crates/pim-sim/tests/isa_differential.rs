@@ -19,7 +19,9 @@ use pim_isa::{lower_binary, lower_kernel, validate, Machine};
 use pim_models::ModelKind;
 use pim_opencl::binary::BinarySet;
 use pim_opencl::kir::KernelSource;
-use pim_runtime::engine::{Engine, EngineConfig, ProgrBackend, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, ProgrBackend, RunRequest, SystemPreset, WorkloadSpec,
+};
 use pim_sim::cache;
 use pim_sim::isa::{isa_delta_table, MAKESPAN_DELTA_BOUND};
 
@@ -113,12 +115,14 @@ fn makespan_deltas_within_documented_bound() {
         }];
         for preset in HETERO_PRESETS {
             let analytic = Engine::new(EngineConfig::preset(preset))
-                .run(&spec)
-                .unwrap();
+                .execute(&RunRequest::new(&spec))
+                .unwrap()
+                .into_report();
             let interpreted =
                 Engine::new(EngineConfig::preset(preset).with_progr_backend(ProgrBackend::Isa))
-                    .run(&spec)
-                    .unwrap();
+                    .execute(&RunRequest::new(&spec))
+                    .unwrap()
+                    .into_report();
             let delta = (interpreted.makespan.seconds() - analytic.makespan.seconds()).abs()
                 / analytic.makespan.seconds();
             assert!(

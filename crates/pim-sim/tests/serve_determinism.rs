@@ -1,10 +1,10 @@
 //! Service determinism: a report served by the daemon is byte-identical
-//! to the report a direct `Engine::run_with` call produces — with a
+//! to the report a direct `Engine::execute` call produces — with a
 //! cold private store, with the warm process-wide shared store, and
 //! across repeated replays of a generated load trace.
 
 use pim_models::ModelKind;
-use pim_runtime::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
+use pim_runtime::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use pim_serve::{loadgen, serve_lines, JobRunner, MemStore, ServeConfig};
 use pim_sim::cache::SharedStore;
 use pim_sim::serve::{render_reports, verify_samples, SimRunner};
@@ -34,21 +34,18 @@ fn reports_payload(line: &str) -> &str {
 }
 
 #[test]
-fn daemon_report_is_byte_identical_to_direct_run_with() {
+fn daemon_report_is_byte_identical_to_direct_execute() {
     let trace = "{\"id\":\"d1\",\"model\":\"dcgan\",\"preset\":\"hetero\",\"steps\":2}\n";
     let lines = serve(&MemStore::default(), trace);
     assert!(lines[0].contains("\"status\":\"ok\""), "{}", lines[0]);
 
     let model = pim_sim::cache::model(ModelKind::Dcgan).unwrap();
     let direct = Engine::new(EngineConfig::preset(SystemPreset::Hetero))
-        .run_with(
-            &[WorkloadSpec {
-                graph: model.graph(),
-                steps: 2,
-                cpu_progr_only: false,
-            }],
-            &RunOptions::default(),
-        )
+        .execute(&RunRequest::new(&[WorkloadSpec {
+            graph: model.graph(),
+            steps: 2,
+            cpu_progr_only: false,
+        }]))
         .unwrap();
     let want = render_reports(&pim_serve::StoredResult {
         reports: direct.reports,

@@ -4,7 +4,7 @@
 //! grid.
 
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use pim_runtime::stats::cross_check_counters;
 
 #[cfg(feature = "trace")]
@@ -76,9 +76,7 @@ fn counters_agree_with_report_across_the_grid() {
         };
         for preset in SystemPreset::ALL {
             let engine = Engine::new(EngineConfig::preset(preset));
-            let out = engine
-                .run_with(&[workload], &RunOptions::default())
-                .unwrap();
+            let out = engine.execute(&RunRequest::new(&[workload])).unwrap();
             let diags = cross_check_counters(out.report(), &out.counters);
             assert!(
                 diags.is_clean(),

@@ -52,7 +52,7 @@ pub mod schedule;
 use pim_common::{Diagnostics, Result};
 use pim_hw::gpu::GpuDevice;
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, WorkloadSpec};
+use pim_runtime::engine::{Engine, RunRequest, WorkloadSpec};
 use pim_sim::baselines::simulate_neurocube;
 use pim_sim::gpu::simulate_gpu;
 
@@ -81,12 +81,12 @@ pub fn verify_model(kind: ModelKind, batch: usize, steps: usize) -> Result<Diagn
     for cfg in engine_configs() {
         diags.extend(verify_schedule(name, model.graph(), &cfg, steps));
         let engine = Engine::new(cfg);
-        match engine.run(&[WorkloadSpec {
+        match engine.execute(&RunRequest::new(&[WorkloadSpec {
             graph: model.graph(),
             steps,
             cpu_progr_only: false,
-        }]) {
-            Ok(rep) => diags.extend(verify_report(&rep)),
+        }])) {
+            Ok(out) => diags.extend(verify_report(out.report())),
             Err(err) => diags.error(
                 report::PASS,
                 format!("{name}@{}", engine.config().name),

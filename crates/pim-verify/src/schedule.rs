@@ -9,7 +9,9 @@
 use pim_common::Diagnostics;
 use pim_graph::Graph;
 use pim_hw::faults::FaultPlan;
-use pim_runtime::engine::{Engine, EngineConfig, RunOptions, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
 
 /// The pass name stamped on every diagnostic this module emits (matches
 /// [`pim_runtime::verify::PASS`] — the replay checker lives there).
@@ -43,10 +45,23 @@ pub fn verify_schedule(
         steps,
         cpu_progr_only: false,
     }];
+    run_and_replay(
+        &engine,
+        RunRequest::new(&workloads),
+        format!("{model}@{}", cfg.name),
+    )
+}
+
+/// Runs `request` with its timeline and replays the timeline through
+/// [`Engine::verify`], labelling every finding with `subject`.
+fn run_and_replay(engine: &Engine, request: RunRequest<'_>, subject: String) -> Diagnostics {
+    let request = request.with_options(RunOptions {
+        timeline: true,
+        ..RunOptions::default()
+    });
     let mut diags = Diagnostics::new();
-    let subject = format!("{model}@{}", cfg.name);
-    match engine.run_detailed(&workloads) {
-        Ok((_, timeline)) => match engine.verify_timeline(&workloads, &timeline) {
+    match engine.execute(&request) {
+        Ok(out) => match engine.verify(&request, out.timeline.as_deref().unwrap_or_default()) {
             Ok(inner) => {
                 for d in inner.items() {
                     diags.push(
@@ -84,11 +99,11 @@ pub fn verify_faulted_schedule(
         steps,
         cpu_progr_only: false,
     }];
-    let mut diags = Diagnostics::new();
     let subject = format!("{model}@{} (faults seed {seed} rate {rate})", cfg.name);
-    let horizon = match engine.run(&workloads) {
-        Ok(report) => report.makespan,
+    let horizon = match engine.execute(&RunRequest::new(&workloads)) {
+        Ok(out) => out.report().makespan,
         Err(err) => {
+            let mut diags = Diagnostics::new();
             diags.error(
                 PASS,
                 subject,
@@ -98,28 +113,9 @@ pub fn verify_faulted_schedule(
         }
     };
     let plan = FaultPlan::seeded(seed, rate, horizon, cfg.ff_units);
-    let opts = RunOptions {
-        timeline: true,
-        ..RunOptions::default()
-    };
-    match engine.run_with_faults(&workloads, &opts, &plan) {
-        Ok(out) => {
-            let timeline = out.timeline.unwrap_or_default();
-            match engine.verify_timeline_faulted(&workloads, &timeline, &plan) {
-                Ok(inner) => {
-                    for d in inner.items() {
-                        diags.push(
-                            d.severity,
-                            PASS,
-                            format!("{subject}: {}", d.subject),
-                            d.message.clone(),
-                        );
-                    }
-                }
-                Err(err) => diags.error(PASS, subject, format!("verification failed: {err}")),
-            }
-        }
-        Err(err) => diags.error(PASS, subject, format!("faulted simulation failed: {err}")),
-    }
-    diags
+    run_and_replay(
+        &engine,
+        RunRequest::new(&workloads).with_faults(plan),
+        subject,
+    )
 }

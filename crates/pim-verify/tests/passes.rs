@@ -8,7 +8,9 @@ use pim_graph::node::{OpKind, TensorRole};
 use pim_graph::Graph;
 use pim_models::{Model, ModelKind};
 use pim_opencl::kir::{KernelSource, Region};
-use pim_runtime::engine::{Engine, EngineConfig, ResourceClass, SystemPreset, WorkloadSpec};
+use pim_runtime::engine::{
+    Engine, EngineConfig, ResourceClass, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
 use pim_tensor::ops::activation::Activation;
 use pim_tensor::ops::elementwise::BinaryOp;
 use pim_tensor::Shape;
@@ -169,8 +171,12 @@ fn schedule_pass_catches_double_booked_cpu() {
         steps: 1,
         cpu_progr_only: false,
     }];
-    let (_, mut timeline) = engine.run_detailed(&workloads).unwrap();
-    let clean = engine.verify_timeline(&workloads, &timeline).unwrap();
+    let request = RunRequest::new(&workloads).with_options(RunOptions {
+        timeline: true,
+        ..RunOptions::default()
+    });
+    let mut timeline = engine.execute(&request).unwrap().timeline.unwrap();
+    let clean = engine.verify(&request, &timeline).unwrap();
     assert!(clean.is_empty(), "{}", clean.render_text());
 
     // Drag the second CPU interval back on top of the first.
@@ -185,7 +191,7 @@ fn schedule_pass_catches_double_booked_cpu() {
     timeline[cpu[1]].start = timeline[cpu[0]].start;
     timeline[cpu[1]].end = Seconds::new(timeline[cpu[0]].start.seconds() + span);
 
-    let diags = engine.verify_timeline(&workloads, &timeline).unwrap();
+    let diags = engine.verify(&request, &timeline).unwrap();
     let mut renamed = pim_common::Diagnostics::new();
     renamed.extend(diags);
     assert_errors_in_pass(&renamed, pim_runtime::verify::PASS, "double-books the CPU");

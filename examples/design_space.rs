@@ -9,7 +9,7 @@ use hetero_pim::hw::power::{progr_scaling_points, LogicDieBudget};
 use hetero_pim::hw::thermal::{evaluate_placements, peak_temperature, THERMAL_LIMIT_C};
 use hetero_pim::mem::stack::StackConfig;
 use hetero_pim::models::{Model, ModelKind};
-use hetero_pim::runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use hetero_pim::runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 
 fn main() -> pim_common::Result<()> {
     // 1. Area: how many fixed-function units fit beside the ARM cores?
@@ -48,7 +48,9 @@ fn main() -> pim_common::Result<()> {
     for p in progr_scaling_points(&budget)? {
         let cfg =
             EngineConfig::preset(SystemPreset::Hetero).with_pim_complement(p.arm_cores, p.ff_units);
-        let r = Engine::new(cfg).run(&[workload])?;
+        let r = Engine::new(cfg)
+            .execute(&RunRequest::new(&[workload]))?
+            .into_report();
         println!(
             "  {}P / {} FF units: {:.4} s/step",
             p.arm_cores,
@@ -60,7 +62,8 @@ fn main() -> pim_common::Result<()> {
     for mult in [1.0, 2.0, 4.0] {
         let stack = StackConfig::hmc2().with_frequency_multiplier(mult)?;
         let r = Engine::new(EngineConfig::preset(SystemPreset::Hetero).with_stack(stack))
-            .run(&[workload])?;
+            .execute(&RunRequest::new(&[workload]))?
+            .into_report();
         println!(
             "  {mult}x: {:.4} s/step, {:.1} J/step",
             r.per_step_time().seconds(),

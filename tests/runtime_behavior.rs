@@ -3,7 +3,7 @@
 //! the training session facade.
 
 use hetero_pim::models::{Model, ModelKind};
-use hetero_pim::runtime::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
+use hetero_pim::runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use hetero_pim::runtime::TrainingSession;
 
 fn workload(model: &Model, steps: usize) -> WorkloadSpec<'_> {
@@ -21,7 +21,12 @@ fn workload(model: &Model, steps: usize) -> WorkloadSpec<'_> {
 fn ablation_ordering_holds_for_every_cnn() {
     for kind in ModelKind::CNNS {
         let model = Model::build(kind).unwrap();
-        let run = |cfg: EngineConfig| Engine::new(cfg).run(&[workload(&model, 2)]).unwrap();
+        let run = |cfg: EngineConfig| {
+            Engine::new(cfg)
+                .execute(&RunRequest::new(&[workload(&model, 2)]))
+                .unwrap()
+                .into_report()
+        };
         let bare = run(EngineConfig::preset(SystemPreset::HeteroBare));
         let rc = run(EngineConfig::preset(SystemPreset::HeteroRc));
         let full = run(EngineConfig::preset(SystemPreset::Hetero));
@@ -34,11 +39,13 @@ fn ablation_ordering_holds_for_every_cnn() {
     for kind in [ModelKind::Vgg19, ModelKind::AlexNet, ModelKind::InceptionV3] {
         let model = Model::build(kind).unwrap();
         let bare = Engine::new(EngineConfig::preset(SystemPreset::HeteroBare))
-            .run(&[workload(&model, 2)])
-            .unwrap();
+            .execute(&RunRequest::new(&[workload(&model, 2)]))
+            .unwrap()
+            .into_report();
         let fixed = Engine::new(EngineConfig::preset(SystemPreset::FixedHost))
-            .run(&[workload(&model, 2)])
-            .unwrap();
+            .execute(&RunRequest::new(&[workload(&model, 2)]))
+            .unwrap()
+            .into_report();
         let gain = fixed.makespan / bare.makespan - 1.0;
         assert!(
             gain > 0.05,
@@ -53,7 +60,12 @@ fn ablation_ordering_holds_for_every_cnn() {
 #[test]
 fn utilization_rises_with_rc_and_op() {
     let model = Model::build(ModelKind::Vgg19).unwrap();
-    let run = |cfg: EngineConfig, steps| Engine::new(cfg).run(&[workload(&model, steps)]).unwrap();
+    let run = |cfg: EngineConfig, steps| {
+        Engine::new(cfg)
+            .execute(&RunRequest::new(&[workload(&model, steps)]))
+            .unwrap()
+            .into_report()
+    };
     let bare = run(EngineConfig::preset(SystemPreset::HeteroBare), 2);
     let rc = run(EngineConfig::preset(SystemPreset::HeteroRc), 2);
     let full = run(EngineConfig::preset(SystemPreset::Hetero), 4);
@@ -100,7 +112,10 @@ fn reports_are_well_formed_for_all_models_and_configs() {
             EngineConfig::preset(SystemPreset::Hetero),
         ] {
             let name = cfg.name.clone();
-            let r = Engine::new(cfg).run(&[workload(&model, 2)]).unwrap();
+            let r = Engine::new(cfg)
+                .execute(&RunRequest::new(&[workload(&model, 2)]))
+                .unwrap()
+                .into_report();
             assert!(r.is_well_formed(), "{kind} under {name}");
         }
     }
@@ -113,8 +128,9 @@ fn pipeline_amortizes_without_violating_order() {
     let model = Model::build(ModelKind::AlexNet).unwrap();
     let run = |steps| {
         Engine::new(EngineConfig::preset(SystemPreset::Hetero))
-            .run(&[workload(&model, steps)])
+            .execute(&RunRequest::new(&[workload(&model, steps)]))
             .unwrap()
+            .into_report()
             .makespan
     };
     let one = run(1);
