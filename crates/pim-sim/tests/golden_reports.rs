@@ -12,9 +12,14 @@
 //!
 //! and review the diff like any other code change.
 
+use pim_common::fingerprint::debug_hash;
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{EngineConfig, SystemPreset};
+use pim_runtime::engine::{
+    Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
+use pim_runtime::fuzz::TieBreak;
 use pim_sim::configs::{simulate, SystemConfig};
+use pim_sim::mixed::{corun, fig16_cases};
 use std::fmt::Write as _;
 
 const STEPS: usize = 2;
@@ -78,4 +83,106 @@ fn sweep_reports_match_golden_table() {
         );
         unreachable!("strings differ but no line did");
     }
+}
+
+/// Steps per workload in the scheduled golden: past the pipeline depth
+/// (4), so the operation-pipeline window closes and reopens.
+const SCHEDULED_STEPS: usize = 8;
+
+const SCHEDULED_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/scheduled_timelines.txt"
+);
+
+/// One row of the scheduled golden: the whole report, the dispatch and
+/// stall counters, and a hash of the timeline.
+fn scheduled_row(label: &str, workloads: &[WorkloadSpec<'_>], tie: TieBreak) -> String {
+    let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
+    let run = engine
+        .execute(&RunRequest::new(workloads).with_options(RunOptions {
+            timeline: true,
+            tie,
+            ..RunOptions::default()
+        }))
+        .unwrap();
+    format!(
+        "{label} | {:?} | events/dispatched={:?} | events/stalls={:?} | {:016x}\n",
+        run.report(),
+        run.counters.get("events/dispatched"),
+        run.counters.get("events/stalls"),
+        debug_hash(run.timeline.as_deref().unwrap()),
+    )
+}
+
+fn spec(model: &Model, steps: usize, cpu_progr_only: bool) -> WorkloadSpec<'_> {
+    WorkloadSpec {
+        graph: model.graph(),
+        steps,
+        cpu_progr_only,
+    }
+}
+
+/// Renders the scheduled-driver golden: every model alone on Hetero with
+/// the pipeline window cycling, one seeded priority-order run, a shared
+/// co-run of a CNN with a CPU/programmable-only LSTM sized to many more
+/// steps (the two windows lie far apart), and the Fig. 16 co-run
+/// makespans.
+fn render_scheduled() -> String {
+    let mut out = String::from("# run | report | dispatched | stalls | timeline_hash\n");
+    let models: Vec<(ModelKind, Model)> = ModelKind::ALL
+        .iter()
+        .map(|&k| (k, Model::build(k).unwrap()))
+        .collect();
+    for (kind, model) in &models {
+        out += &scheduled_row(
+            kind.name(),
+            &[spec(model, SCHEDULED_STEPS, false)],
+            TieBreak::Stable,
+        );
+    }
+    let model_of = |kind| &models.iter().find(|(k, _)| *k == kind).unwrap().1;
+    let alex = model_of(ModelKind::AlexNet);
+    out += &scheduled_row(
+        "AlexNet priority(1)",
+        &[spec(alex, SCHEDULED_STEPS, false)],
+        TieBreak::Priority(1),
+    );
+    out += &scheduled_row(
+        "AlexNet + LSTM(cpu/progr, 40 steps)",
+        &[
+            spec(alex, SCHEDULED_STEPS, false),
+            spec(model_of(ModelKind::Lstm), 40, true),
+        ],
+        TieBreak::Stable,
+    );
+    for (cnn, other) in fig16_cases() {
+        let r = corun(cnn, other, 2).unwrap();
+        writeln!(
+            out,
+            "fig16 {} + {} | sequential {:?} | corun {:?}",
+            cnn.name(),
+            other.name(),
+            r.sequential_seconds,
+            r.corun_seconds
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// Pins the bytes of the event-driven driver past the pipeline window and
+/// under co-running. Regenerate with `UPDATE_GOLDEN=1`.
+#[test]
+fn scheduled_timelines_match_golden_table() {
+    let actual = render_scheduled();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(SCHEDULED_GOLDEN_PATH, &actual).expect("write scheduled golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(SCHEDULED_GOLDEN_PATH)
+        .expect("scheduled golden missing — regenerate with UPDATE_GOLDEN=1");
+    for (n, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(e, a, "scheduled golden mismatch at line {}", n + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count());
 }
