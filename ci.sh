@@ -94,6 +94,13 @@ cargo run --release -q -p pim-sim --bin repro -- all > "$repro_a"
 cargo run --release -q -p pim-sim --bin repro -- all > "$repro_b"
 diff "$repro_a" "$repro_b"
 
+# Pinned bytes, not just run-to-run equality: the sweep's digest must be
+# the `repro-all` reference digest the benchmark harness checks against.
+repro_md5=$(python3 -c 'import json, sys
+print(json.load(open(sys.argv[1]))["workloads"]["repro-all"]["references"]["any"]["digest"])' \
+    perfbench/expected.json)
+echo "$repro_md5  $repro_a" | md5sum --check --quiet
+
 # Thread matrix: worker count must be unobservable in every output.
 # The differential suite and the full reproduction sweep are re-run with
 # the partitioned sweep pinned to 1, 2, and 4 workers (PIM_RUN_THREADS,

@@ -41,7 +41,6 @@ use super::observe::Observer;
 use super::placement::{Availability, PlanKind, PlannedOp, Planner};
 use super::SystemMode;
 use crate::stats::{ExecutionReport, ReportBuilder};
-use pim_common::ids::BankId;
 use pim_common::units::{Joules, Seconds};
 use pim_common::Result;
 use pim_hw::fixed::FixedFunctionPool;
@@ -343,7 +342,7 @@ pub(crate) struct ResourceSoA {
     registers: StatusRegisters,
     /// Busy-unit count currently reflected in the bank registers, so each
     /// mirror only rewrites the registers that changed since the last
-    /// acquire/release instead of scanning all of them.
+    /// acquire/release.
     mirrored_busy: usize,
     /// Units permanently lost to fail-stop faults. Quarantine holds them
     /// through a never-released pool grant, so the Fig. 7 registers show
@@ -458,13 +457,15 @@ impl ResourceSoA {
     }
 
     /// Busy units fill bank registers from index 0 upward; the programmable
-    /// PIM's single bit is busy when no kernel slot is free. Only the
-    /// registers whose bit actually changed are rewritten.
+    /// PIM's single bit is busy when no kernel slot is free. Only the run of
+    /// registers between the old and new busy counts changes, and it is
+    /// rewritten as one range write.
     fn mirror_registers(&mut self) {
         let busy = self.pool.total_units() - self.pool.free_units();
-        for i in self.mirrored_busy.min(busy)..self.mirrored_busy.max(busy) {
-            let _ = self.registers.set_bank_busy(BankId::new(i), i < busy);
-        }
+        let changed = self.mirrored_busy.min(busy)..self.mirrored_busy.max(busy);
+        let _ = self
+            .registers
+            .set_banks_busy(changed, busy > self.mirrored_busy);
         self.mirrored_busy = busy;
         self.registers.set_progr_busy(self.progr_slots_free == 0);
     }
@@ -730,6 +731,7 @@ impl Accumulator {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, SystemPreset};
+    use pim_common::ids::BankId;
     use pim_common::units::Bytes;
     use pim_tensor::cost::{CostProfile, OffloadClass};
 
@@ -785,6 +787,9 @@ mod tests {
             state.availability().ff_free,
             planner.pool_cfg().total_units - 128
         );
+        // Busy units fill the bank registers from index 0 upward.
+        let bank = |i| state.registers().bank_busy(BankId::new(i)).unwrap();
+        assert!(bank(0) && bank(127) && !bank(128));
 
         state.release(units, false, false);
         assert!(state.registers().all_banks_idle());

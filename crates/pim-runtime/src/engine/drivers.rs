@@ -43,7 +43,7 @@ use pim_common::units::{Joules, Seconds};
 use pim_common::{PimError, Result};
 use pim_hw::device::Device;
 use pim_hw::faults::FaultTarget;
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Charges one attempt to the accumulator and records it with the
 /// observer: a timeline entry ending at `end`, billed `charge`.
@@ -283,7 +283,9 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
 }
 
 /// Priority key of a ready instance: step first (pipeline order), then
-/// critical-path rank, then workload/op for a total order.
+/// topological rank, then workload. `rank` is unique within a workload, so
+/// `(step, rank, wl)` is already a total order and `op` (the workload's
+/// `topo[rank]`) rides along for the dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     step: usize,
@@ -293,16 +295,33 @@ struct Key {
 }
 
 /// Dependency/readiness bookkeeping of the scheduled driver.
+///
+/// The ready set is one bitset per step over the slots
+/// `rank * workloads + wl`, so ascending bit order within a step is
+/// `(rank, wl)` order and a scan over ascending steps yields keys in
+/// [`Key`] order without sorting. The dispatch scan visits only steps
+/// inside some workload's open pipeline window and skips steps with no
+/// ready key in such a window, so co-run workloads whose windows lie far
+/// apart cost nothing for the steps between them.
 struct ReadySet {
     /// Per-instance remaining dependency counts.
     remaining: Vec<Vec<Vec<usize>>>,
     step_left: Vec<Vec<usize>>,
     min_incomplete: Vec<usize>,
-    ready: BTreeSet<Key>,
+    /// Workload count: the slot stride of one rank.
+    workloads: usize,
+    /// Words per step in `bits`.
+    stride: usize,
+    /// Ready bits: step `s`, slot `i` is bit `i % 64` of word
+    /// `s * stride + i / 64`.
+    bits: Vec<u64>,
     /// Per-(workload, step) census of the ready set, kept in lockstep with
-    /// every insert/remove so the stall accounting can count
-    /// window-closed instances without walking the whole set each wake.
+    /// every insert/remove so the scan can skip empty steps and the stall
+    /// accounting can count window-closed instances without walking the
+    /// set.
     ready_counts: Vec<Vec<usize>>,
+    /// Ready instances per workload.
+    ready_total: Vec<usize>,
 }
 
 impl ReadySet {
@@ -324,37 +343,49 @@ impl ReadySet {
             .iter()
             .map(|wl| vec![wl.topo.len(); wl.spec.steps])
             .collect();
-        let min_incomplete: Vec<usize> = vec![0; prepared.len()];
-        let mut ready: BTreeSet<Key> = BTreeSet::new();
-        let mut ready_counts: Vec<Vec<usize>> = prepared
-            .iter()
-            .map(|wl| vec![0usize; wl.spec.steps])
-            .collect();
+        let workloads = prepared.len();
+        let max_ops = prepared.iter().map(|wl| wl.topo.len()).max().unwrap_or(0);
+        let max_steps = prepared.iter().map(|wl| wl.spec.steps).max().unwrap_or(0);
+        let stride = (max_ops * workloads).div_ceil(64);
+        let mut rs = ReadySet {
+            remaining,
+            step_left,
+            min_incomplete: vec![0; workloads],
+            workloads,
+            stride,
+            bits: vec![0; max_steps * stride],
+            ready_counts: prepared
+                .iter()
+                .map(|wl| vec![0usize; wl.spec.steps])
+                .collect(),
+            ready_total: vec![0; workloads],
+        };
         for (w, wl) in prepared.iter().enumerate() {
             for (op, deps) in wl.deps.iter().enumerate() {
                 if deps.is_empty() && wl.spec.steps > 0 {
-                    ready.insert(Key {
+                    rs.insert(Key {
                         step: 0,
                         rank: wl.rank[op],
                         wl: w,
                         op,
                     });
-                    ready_counts[w][0] += 1;
                 }
             }
         }
-        ReadySet {
-            remaining,
-            step_left,
-            min_incomplete,
-            ready,
-            ready_counts,
-        }
+        rs
+    }
+
+    /// The word holding `key`'s bit, and the bit's mask.
+    fn bit(&self, key: &Key) -> (usize, u64) {
+        let slot = key.rank * self.workloads + key.wl;
+        (key.step * self.stride + slot / 64, 1 << (slot % 64))
     }
 
     fn insert(&mut self, key: Key) {
-        self.ready.insert(key);
+        let (word, mask) = self.bit(&key);
+        self.bits[word] |= mask;
         self.ready_counts[key.wl][key.step] += 1;
+        self.ready_total[key.wl] += 1;
     }
 
     /// Makes `(wl, step, op)` ready again after a failed attempt.
@@ -368,8 +399,15 @@ impl ReadySet {
     }
 
     fn remove(&mut self, key: &Key) {
-        self.ready.remove(key);
+        let (word, mask) = self.bit(key);
+        self.bits[word] &= !mask;
         self.ready_counts[key.wl][key.step] -= 1;
+        self.ready_total[key.wl] -= 1;
+    }
+
+    /// Ready instances, in or out of their pipeline window.
+    fn len(&self) -> usize {
+        self.ready_total.iter().sum()
     }
 
     /// Releases the dependents of a completed instance and advances the
@@ -411,33 +449,82 @@ impl ReadySet {
         }
     }
 
-    /// Ready instances outside every open pipeline window.
-    fn window_closed(&self, pipeline_depth: usize) -> usize {
-        self.ready_counts
-            .iter()
-            .enumerate()
-            .map(|(w, counts)| {
-                let thr = self.min_incomplete[w] + pipeline_depth;
-                counts.iter().skip(thr).sum::<usize>()
+    /// Workload `w`'s open pipeline window: the steps it may dispatch
+    /// from. No ready instance lies below it (its first step is the
+    /// lowest incomplete one).
+    fn window(&self, prepared: &[Prepared<'_>], w: usize, depth: usize) -> Range<usize> {
+        let lo = self.min_incomplete[w];
+        lo..(lo + depth).min(prepared[w].spec.steps)
+    }
+
+    /// Ready instances outside their own workload's pipeline window.
+    fn window_closed(&self, prepared: &[Prepared<'_>], depth: usize) -> usize {
+        (0..self.workloads)
+            .map(|w| {
+                let open: usize = self.ready_counts[w][self.window(prepared, w, depth)]
+                    .iter()
+                    .sum();
+                self.ready_total[w] - open
             })
             .sum()
+    }
+
+    /// Collects into `out`, in [`Key`] order, every ready instance inside
+    /// its own workload's pipeline window.
+    fn scan(&self, prepared: &[Prepared<'_>], depth: usize, out: &mut Vec<Key>) {
+        out.clear();
+        let mut step = 0;
+        loop {
+            // The lowest step at or after `step` inside any open window.
+            let next = (0..self.workloads)
+                .filter_map(|w| {
+                    let win = self.window(prepared, w, depth);
+                    let s = win.start.max(step);
+                    (s < win.end).then_some(s)
+                })
+                .min();
+            let Some(s) = next else { break };
+            step = s + 1;
+            let open = |w: usize| self.window(prepared, w, depth).contains(&s);
+            if !(0..self.workloads).any(|w| open(w) && self.ready_counts[w][s] > 0) {
+                continue;
+            }
+            let words = &self.bits[s * self.stride..(s + 1) * self.stride];
+            for (i, &word) in words.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let slot = i * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let (rank, wl) = (slot / self.workloads, slot % self.workloads);
+                    if open(wl) {
+                        out.push(Key {
+                            step: s,
+                            rank,
+                            wl,
+                            op: prepared[wl].topo[rank],
+                        });
+                    }
+                }
+            }
+        }
     }
 }
 
 /// Applies the tie-break policy to one dispatch scan.
 ///
 /// [`TieBreak::Stable`] and [`TieBreak::Permuted`] are no-ops: the scan
-/// keeps the ready set's `(step, rank, wl, op)` order. The scan order
-/// is schedule-*significant*, not incidental — `rank` is the
-/// critical-path rank, so two ready ops can share `(step, rank)` even
-/// in a single workload, and whichever the scan reaches first wins the
-/// contended device. The first full-surface fuzz confirmed this
-/// empirically, so the order stays pinned and its determinism is
-/// audited by stable-rerun comparison instead (see `crate::fuzz`).
-/// [`TieBreak::Priority`] re-sorts the whole scan by seeded hash: the
-/// per-key pipeline-window check and the Fig. 7 registers still gate
-/// every placement, so any order is legal, but the schedule changes —
-/// that freedom is the search space of [`crate::search`].
+/// keeps the ready set's `(step, rank, wl)` order. The scan order is
+/// schedule-*significant*, not incidental — `rank` is the op's
+/// topological position, unique within one workload, but two co-run
+/// workloads can have ready ops at the same `(step, rank)`, and
+/// whichever the scan reaches first wins the contended device. The first
+/// full-surface fuzz confirmed that order matters, so it stays pinned
+/// and its determinism is audited by stable-rerun comparison instead
+/// (see `crate::fuzz`). [`TieBreak::Priority`] re-sorts the whole scan by
+/// seeded hash: the scan holds only in-window keys and the Fig. 7
+/// registers still gate every placement, so any order is legal, but the
+/// schedule changes — that freedom is the search space of
+/// [`crate::search`].
 fn order_scan(tie: TieBreak, scan: &mut [Key]) {
     match tie {
         TieBreak::Stable | TieBreak::Permuted(_) => {}
@@ -515,17 +602,9 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         // order suffices: placing an op only consumes resources and never
         // unlocks readiness, and `choose` is monotone in availability, so
         // an op skipped earlier in the pass cannot become placeable later
-        // in the same pass. Keys sort by step first, so nothing at or
-        // beyond the widest-open pipeline window can pass the per-key
-        // window check — the scan stops copying there.
-        let max_window = prepared
-            .iter()
-            .enumerate()
-            .map(|(w, _)| rs.min_incomplete[w] + planner.cfg.pipeline_depth)
-            .max()
-            .unwrap_or(0);
-        scan.clear();
-        scan.extend(rs.ready.iter().take_while(|k| k.step < max_window).copied());
+        // in the same pass. The scan holds only instances inside their own
+        // workload's pipeline window.
+        rs.scan(prepared, planner.cfg.pipeline_depth, &mut scan);
         order_scan(tie, &mut scan);
         // Availability only changes on acquire within the pass; read it
         // once and refresh after each placement.
@@ -535,9 +614,6 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                 break; // every resource saturated — nothing can be placed
             }
             let wl = &prepared[key.wl];
-            if key.step >= rs.min_incomplete[key.wl] + planner.cfg.pipeline_depth {
-                continue; // pipeline window closed for this step
-            }
             let cost = &wl.costs[key.op];
             let is_candidate = wl.candidates.contains(OpId::new(key.op));
             let Some(kind) = planner.choose(cost, is_candidate, wl.spec.cpu_progr_only, avail)
@@ -601,9 +677,10 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         // Anything still ready is stalled: either the Fig. 7 registers
         // showed no free resources, or its step sits outside the pipeline
         // window.
-        if !rs.ready.is_empty() {
-            let window_closed = rs.window_closed(planner.cfg.pipeline_depth);
-            let resource_waiting = rs.ready.len() - window_closed;
+        let ready = rs.len();
+        if ready > 0 {
+            let window_closed = rs.window_closed(prepared, planner.cfg.pipeline_depth);
+            let resource_waiting = ready - window_closed;
             if resource_waiting > 0 {
                 let avail = comps.resources(resources).availability();
                 comps
@@ -844,10 +921,13 @@ pub fn run_device_serial(run: &DeviceRun<'_>, sink: &mut dyn TimelineSink) -> Ex
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::VecSink;
+    use crate::engine::{Engine, EngineConfig, SystemPreset, VecSink, WorkloadSpec};
     use pim_common::units::Bytes;
+    use pim_common::NullTrace;
+    use pim_graph::gen::{random_dag, GenSpec, XorShiftRng};
     use pim_hw::cpu::CpuDevice;
     use pim_tensor::cost::{CostProfile, OffloadClass};
+    use std::collections::BTreeSet;
 
     #[test]
     fn device_serial_run_traces_and_balances() {
@@ -887,5 +967,149 @@ mod tests {
         // The per-step epilogue is billed as data movement.
         assert!(report.data_movement_time >= Seconds::new(2e-3));
         assert_eq!(report.device_busy[cpu.params().name], report.makespan);
+    }
+
+    /// Independent readiness model: an instance is ready once every
+    /// intra-step producer and its own previous-step instance are done.
+    struct Reference {
+        ready: BTreeSet<Key>,
+        done: Vec<Vec<Vec<bool>>>,
+        /// Per workload, the lowest step with an instance not yet done.
+        min_incomplete: Vec<usize>,
+    }
+
+    impl Reference {
+        fn dependencies_done(&self, wl: &Prepared<'_>, w: usize, step: usize, op: usize) -> bool {
+            let done = &self.done[w];
+            wl.deps[op].iter().all(|&d| done[step][d]) && (step == 0 || done[step - 1][op])
+        }
+
+        fn complete(&mut self, prepared: &[Prepared<'_>], key: Key) {
+            let wl = &prepared[key.wl];
+            self.done[key.wl][key.step][key.op] = true;
+            let mut released: Vec<(usize, usize)> = wl.consumers[key.op]
+                .iter()
+                .map(|&c| (key.step, c))
+                .collect();
+            if key.step + 1 < wl.spec.steps {
+                released.push((key.step + 1, key.op));
+            }
+            for (step, op) in released {
+                if self.dependencies_done(wl, key.wl, step, op) {
+                    self.ready.insert(Key {
+                        step,
+                        rank: wl.rank[op],
+                        wl: key.wl,
+                        op,
+                    });
+                }
+            }
+            let done = &self.done[key.wl];
+            let min = &mut self.min_incomplete[key.wl];
+            while *min < done.len() && !done[*min].contains(&false) {
+                *min += 1;
+            }
+        }
+
+        /// The ready keys inside their own workload's window, in order.
+        fn in_window(&self, depth: usize) -> Vec<Key> {
+            self.ready
+                .iter()
+                .filter(|k| k.step < self.min_incomplete[k.wl] + depth)
+                .copied()
+                .collect()
+        }
+    }
+
+    /// Drives the ready set through random dispatch (remove), completion
+    /// and failed-attempt requeue (insert) sequences, with co-run step
+    /// counts 100x apart, and checks every scan against a `BTreeSet`
+    /// reference filtered by each key's own workload window.
+    #[test]
+    fn ready_set_scan_matches_a_filtered_btree_reference() {
+        const DEPTH: usize = 4;
+        let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
+        // 36, 6 and 24 ops: two or three co-run workloads spread their
+        // slots over more than one bitset word per step.
+        let graphs: Vec<_> = [(9, 4, 11u64), (3, 2, 23), (6, 4, 37)]
+            .iter()
+            .map(|&(layers, width, seed)| {
+                random_dag(&GenSpec {
+                    layers,
+                    width,
+                    dim: 8,
+                    seed,
+                })
+            })
+            .collect();
+        for steps in [&[200][..], &[2, 200], &[200, 2, 20]] {
+            let specs: Vec<WorkloadSpec<'_>> = steps
+                .iter()
+                .zip(&graphs)
+                .map(|(&steps, graph)| WorkloadSpec {
+                    graph,
+                    steps,
+                    cpu_progr_only: false,
+                })
+                .collect();
+            let prepared = engine
+                .prepare(&specs, &mut NullTrace, TieBreak::Stable)
+                .unwrap();
+            let mut rs = ReadySet::new(&prepared);
+            let mut reference = Reference {
+                ready: BTreeSet::new(),
+                done: prepared
+                    .iter()
+                    .map(|wl| vec![vec![false; wl.topo.len()]; wl.spec.steps])
+                    .collect(),
+                min_incomplete: vec![0; prepared.len()],
+            };
+            for (w, wl) in prepared.iter().enumerate() {
+                for op in 0..wl.topo.len() {
+                    if wl.spec.steps > 0 && reference.dependencies_done(wl, w, 0, op) {
+                        reference.ready.insert(Key {
+                            step: 0,
+                            rank: wl.rank[op],
+                            wl: w,
+                            op,
+                        });
+                    }
+                }
+            }
+            let total: usize = prepared
+                .iter()
+                .map(|wl| wl.spec.steps * wl.topo.len())
+                .sum();
+            let mut rng = XorShiftRng::new(steps.len() as u64);
+            let (mut inflight, mut completed, mut scan) = (Vec::new(), 0, Vec::new());
+            while completed < total {
+                rs.scan(&prepared, DEPTH, &mut scan);
+                let expected = reference.in_window(DEPTH);
+                assert_eq!(scan, expected, "steps {steps:?}");
+                assert_eq!(rs.len(), reference.ready.len());
+                assert_eq!(
+                    rs.window_closed(&prepared, DEPTH),
+                    reference.ready.len() - expected.len()
+                );
+                if !scan.is_empty() && (inflight.is_empty() || rng.below(2) == 0) {
+                    let key = scan[rng.below(scan.len())];
+                    rs.remove(&key);
+                    reference.ready.remove(&key);
+                    inflight.push(key);
+                } else {
+                    let key: Key = inflight.swap_remove(rng.below(inflight.len()));
+                    if rng.below(5) == 0 {
+                        rs.requeue(&prepared, key.wl, key.step, key.op);
+                        reference.ready.insert(key);
+                    } else {
+                        rs.complete(&prepared, key.wl, key.step, key.op);
+                        reference.complete(&prepared, key);
+                        completed += 1;
+                    }
+                }
+            }
+            assert_eq!(rs.len(), 0);
+            assert!(reference.ready.is_empty());
+        }
     }
 }

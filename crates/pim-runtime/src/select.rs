@@ -13,7 +13,6 @@ use crate::profiler::StepProfile;
 use pim_common::ids::OpId;
 use pim_common::units::Seconds;
 use serde::Serialize;
-use std::collections::HashSet;
 
 /// The paper's coverage parameter `x` (percent of step time the candidate
 /// set must account for).
@@ -24,8 +23,8 @@ pub const DEFAULT_COVERAGE: f64 = 0.90;
 pub struct CandidateSet {
     /// Ops selected for offloading, in global-index order (best first).
     pub ranked: Vec<OpId>,
-    /// Fast membership test.
-    pub members: HashSet<OpId>,
+    /// Membership flag per op, indexed by op id.
+    pub members: Vec<bool>,
     /// Fraction of step time the set covers.
     pub time_coverage: f64,
 }
@@ -33,7 +32,7 @@ pub struct CandidateSet {
 impl CandidateSet {
     /// True when `op` was selected for offloading.
     pub fn contains(&self, op: OpId) -> bool {
-        self.members.contains(&op)
+        self.members.get(op.index()) == Some(&true)
     }
 }
 
@@ -74,26 +73,23 @@ pub fn select_candidates(profile: &StepProfile, coverage: f64) -> CandidateSet {
     global.sort_by_key(|&i| i + mem_rank[i]);
 
     let total_time = profile.total_time();
-    let mut selected_names = HashSet::new();
+    let mut selected = 0;
     let mut covered = Seconds::ZERO;
     for &i in &global {
         if total_time.seconds() > 0.0 && covered / total_time >= coverage {
             break;
         }
-        selected_names.insert(rows[i].name);
+        selected += 1;
         covered += rows[i].time;
     }
     let mut ranked = Vec::new();
-    let mut members = HashSet::new();
+    let mut members = vec![false; profile.ops.len()];
     // Emit member ops in global-index order of their types.
-    for &i in &global {
-        if !selected_names.contains(rows[i].name) {
-            continue;
-        }
+    for &i in &global[..selected] {
         for p in &profile.ops {
             if p.name == rows[i].name {
                 ranked.push(p.op);
-                members.insert(p.op);
+                members[p.op.index()] = true;
             }
         }
     }
@@ -261,7 +257,7 @@ mod tests {
     fn members_match_ranked_list() {
         let p = profile(ModelKind::Dcgan);
         let c = select_candidates(&p, 0.90);
-        assert_eq!(c.ranked.len(), c.members.len());
+        assert_eq!(c.ranked.len(), c.members.iter().filter(|&&m| m).count());
         assert!(c.ranked.iter().all(|op| c.contains(*op)));
     }
 
