@@ -307,7 +307,16 @@ struct ReadySet {
     /// Per-instance remaining dependency counts.
     remaining: Vec<Vec<Vec<usize>>>,
     step_left: Vec<Vec<usize>>,
-    min_incomplete: Vec<usize>,
+    /// Pipeline depth: how many steps past its lowest incomplete one a
+    /// workload may dispatch from.
+    depth: usize,
+    /// Per workload, the open pipeline window: from the lowest step with
+    /// an incomplete instance (no ready instance lies below it) through
+    /// `depth` steps, clipped to the workload's step count.
+    windows: Vec<Range<usize>>,
+    /// The union of `windows` as disjoint ranges in ascending order: the
+    /// only steps a scan visits.
+    open_steps: Vec<Range<usize>>,
     /// Workload count: the slot stride of one rank.
     workloads: usize,
     /// Words per step in `bits`.
@@ -315,6 +324,12 @@ struct ReadySet {
     /// Ready bits: step `s`, slot `i` is bit `i % 64` of word
     /// `s * stride + i / 64`.
     bits: Vec<u64>,
+    /// Words per step in `occupied`.
+    occupied_stride: usize,
+    /// Which `bits` words are non-zero: step `s`, word `j` is bit `j % 64`
+    /// of word `s * occupied_stride + j / 64`, so a scan skips empty words
+    /// without reading them.
+    occupied: Vec<u64>,
     /// Per-(workload, step) census of the ready set, kept in lockstep with
     /// every insert/remove so the scan can skip empty steps and the stall
     /// accounting can count window-closed instances without walking the
@@ -325,7 +340,7 @@ struct ReadySet {
 }
 
 impl ReadySet {
-    fn new(prepared: &[Prepared<'_>]) -> Self {
+    fn new(prepared: &[Prepared<'_>], depth: usize) -> Self {
         let remaining: Vec<Vec<Vec<usize>>> = prepared
             .iter()
             .map(|wl| {
@@ -347,19 +362,28 @@ impl ReadySet {
         let max_ops = prepared.iter().map(|wl| wl.topo.len()).max().unwrap_or(0);
         let max_steps = prepared.iter().map(|wl| wl.spec.steps).max().unwrap_or(0);
         let stride = (max_ops * workloads).div_ceil(64);
+        let occupied_stride = stride.div_ceil(64);
         let mut rs = ReadySet {
             remaining,
             step_left,
-            min_incomplete: vec![0; workloads],
+            depth,
+            windows: prepared
+                .iter()
+                .map(|wl| 0..depth.min(wl.spec.steps))
+                .collect(),
+            open_steps: Vec::new(),
             workloads,
             stride,
             bits: vec![0; max_steps * stride],
+            occupied_stride,
+            occupied: vec![0; max_steps * occupied_stride],
             ready_counts: prepared
                 .iter()
                 .map(|wl| vec![0usize; wl.spec.steps])
                 .collect(),
             ready_total: vec![0; workloads],
         };
+        rs.merge_windows();
         for (w, wl) in prepared.iter().enumerate() {
             for (op, deps) in wl.deps.iter().enumerate() {
                 if deps.is_empty() && wl.spec.steps > 0 {
@@ -375,15 +399,40 @@ impl ReadySet {
         rs
     }
 
-    /// The word holding `key`'s bit, and the bit's mask.
-    fn bit(&self, key: &Key) -> (usize, u64) {
+    /// Recomputes `open_steps` after a window moved.
+    fn merge_windows(&mut self) {
+        let mut windows: Vec<Range<usize>> = self
+            .windows
+            .iter()
+            .filter(|win| !win.is_empty())
+            .cloned()
+            .collect();
+        windows.sort_unstable_by_key(|win| win.start);
+        self.open_steps.clear();
+        for win in windows {
+            match self.open_steps.last_mut() {
+                Some(last) if win.start <= last.end => last.end = last.end.max(win.end),
+                _ => self.open_steps.push(win),
+            }
+        }
+    }
+
+    /// `key`'s ready bit: the index of its word in `bits`, the index of
+    /// that word's bit in `occupied`, and the mask within the word.
+    fn bit(&self, key: &Key) -> (usize, usize, u64) {
         let slot = key.rank * self.workloads + key.wl;
-        (key.step * self.stride + slot / 64, 1 << (slot % 64))
+        let j = slot / 64;
+        (
+            key.step * self.stride + j,
+            key.step * self.occupied_stride * 64 + j,
+            1 << (slot % 64),
+        )
     }
 
     fn insert(&mut self, key: Key) {
-        let (word, mask) = self.bit(&key);
+        let (word, summary, mask) = self.bit(&key);
         self.bits[word] |= mask;
+        self.occupied[summary / 64] |= 1 << (summary % 64);
         self.ready_counts[key.wl][key.step] += 1;
         self.ready_total[key.wl] += 1;
     }
@@ -399,8 +448,11 @@ impl ReadySet {
     }
 
     fn remove(&mut self, key: &Key) {
-        let (word, mask) = self.bit(key);
+        let (word, summary, mask) = self.bit(key);
         self.bits[word] &= !mask;
+        if self.bits[word] == 0 {
+            self.occupied[summary / 64] &= !(1 << (summary % 64));
+        }
         self.ready_counts[key.wl][key.step] -= 1;
         self.ready_total[key.wl] -= 1;
     }
@@ -442,28 +494,21 @@ impl ReadySet {
         }
         // Step-completion bookkeeping for the pipeline window.
         self.step_left[w][step] -= 1;
-        while self.min_incomplete[w] < wl.spec.steps
-            && self.step_left[w][self.min_incomplete[w]] == 0
-        {
-            self.min_incomplete[w] += 1;
+        let win = &mut self.windows[w];
+        if win.start == step {
+            while win.start < wl.spec.steps && self.step_left[w][win.start] == 0 {
+                win.start += 1;
+            }
+            win.end = (win.start + self.depth).min(wl.spec.steps);
+            self.merge_windows();
         }
     }
 
-    /// Workload `w`'s open pipeline window: the steps it may dispatch
-    /// from. No ready instance lies below it (its first step is the
-    /// lowest incomplete one).
-    fn window(&self, prepared: &[Prepared<'_>], w: usize, depth: usize) -> Range<usize> {
-        let lo = self.min_incomplete[w];
-        lo..(lo + depth).min(prepared[w].spec.steps)
-    }
-
     /// Ready instances outside their own workload's pipeline window.
-    fn window_closed(&self, prepared: &[Prepared<'_>], depth: usize) -> usize {
+    fn window_closed(&self) -> usize {
         (0..self.workloads)
             .map(|w| {
-                let open: usize = self.ready_counts[w][self.window(prepared, w, depth)]
-                    .iter()
-                    .sum();
+                let open: usize = self.ready_counts[w][self.windows[w].clone()].iter().sum();
                 self.ready_total[w] - open
             })
             .sum()
@@ -471,31 +516,27 @@ impl ReadySet {
 
     /// Collects into `out`, in [`Key`] order, every ready instance inside
     /// its own workload's pipeline window.
-    fn scan(&self, prepared: &[Prepared<'_>], depth: usize, out: &mut Vec<Key>) {
+    fn scan(&self, prepared: &[Prepared<'_>], out: &mut Vec<Key>) {
         out.clear();
-        let mut step = 0;
-        loop {
-            // The lowest step at or after `step` inside any open window.
-            let next = (0..self.workloads)
-                .filter_map(|w| {
-                    let win = self.window(prepared, w, depth);
-                    let s = win.start.max(step);
-                    (s < win.end).then_some(s)
-                })
-                .min();
-            let Some(s) = next else { break };
-            step = s + 1;
-            let open = |w: usize| self.window(prepared, w, depth).contains(&s);
+        for s in self.open_steps.iter().flat_map(Clone::clone) {
+            let open = |w: usize| self.windows[w].contains(&s);
             if !(0..self.workloads).any(|w| open(w) && self.ready_counts[w][s] > 0) {
                 continue;
             }
-            let words = &self.bits[s * self.stride..(s + 1) * self.stride];
-            for (i, &word) in words.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let slot = i * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let (rank, wl) = (slot / self.workloads, slot % self.workloads);
+            let occupied = &self.occupied[s * self.occupied_stride..(s + 1) * self.occupied_stride];
+            let words = occupied
+                .iter()
+                .enumerate()
+                .flat_map(|(k, &summary)| ones(summary).map(move |b| k * 64 + b));
+            for j in words {
+                for b in ones(self.bits[s * self.stride + j]) {
+                    let slot = j * 64 + b;
+                    // A lone workload's slot is its rank: skip the divide.
+                    let (rank, wl) = if self.workloads == 1 {
+                        (slot, 0)
+                    } else {
+                        (slot / self.workloads, slot % self.workloads)
+                    };
                     if open(wl) {
                         out.push(Key {
                             step: s,
@@ -508,6 +549,17 @@ impl ReadySet {
             }
         }
     }
+}
+
+/// The indices of the set bits of `word`, ascending.
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// Applies the tie-break policy to one dispatch scan.
@@ -547,7 +599,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
     tie: TieBreak,
     limits: &RunLimits,
 ) -> Result<ExecutionReport> {
-    let mut rs = ReadySet::new(prepared);
+    let mut rs = ReadySet::new(prepared, planner.cfg.pipeline_depth);
     let mut gauge = limits.gauge();
     // Attempt counter per instance (indexed step * ops + op). A fault-free
     // attempt is always the first, so only a faulted run needs the table.
@@ -604,14 +656,20 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         // an op skipped earlier in the pass cannot become placeable later
         // in the same pass. The scan holds only instances inside their own
         // workload's pipeline window.
-        rs.scan(prepared, planner.cfg.pipeline_depth, &mut scan);
-        order_scan(tie, &mut scan);
         // Availability only changes on acquire within the pass; read it
-        // once and refresh after each placement.
+        // once and refresh after each placement. With every resource
+        // saturated nothing can be placed, so the scan is skipped.
+        let saturated = |a: &Availability| !a.cpu_free && !a.progr_free && a.ff_free == 0;
         let mut avail = comps.resources(resources).availability();
+        if saturated(&avail) {
+            scan.clear();
+        } else {
+            rs.scan(prepared, &mut scan);
+            order_scan(tie, &mut scan);
+        }
         for &key in &scan {
-            if !avail.cpu_free && !avail.progr_free && avail.ff_free == 0 {
-                break; // every resource saturated — nothing can be placed
+            if saturated(&avail) {
+                break;
             }
             let wl = &prepared[key.wl];
             let cost = &wl.costs[key.op];
@@ -679,7 +737,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         // window.
         let ready = rs.len();
         if ready > 0 {
-            let window_closed = rs.window_closed(prepared, planner.cfg.pipeline_depth);
+            let window_closed = rs.window_closed();
             let resource_waiting = ready - window_closed;
             if resource_waiting > 0 {
                 let avail = comps.resources(resources).availability();
@@ -1055,7 +1113,7 @@ mod tests {
             let prepared = engine
                 .prepare(&specs, &mut NullTrace, TieBreak::Stable)
                 .unwrap();
-            let mut rs = ReadySet::new(&prepared);
+            let mut rs = ReadySet::new(&prepared, DEPTH);
             let mut reference = Reference {
                 ready: BTreeSet::new(),
                 done: prepared
@@ -1083,14 +1141,11 @@ mod tests {
             let mut rng = XorShiftRng::new(steps.len() as u64);
             let (mut inflight, mut completed, mut scan) = (Vec::new(), 0, Vec::new());
             while completed < total {
-                rs.scan(&prepared, DEPTH, &mut scan);
+                rs.scan(&prepared, &mut scan);
                 let expected = reference.in_window(DEPTH);
                 assert_eq!(scan, expected, "steps {steps:?}");
                 assert_eq!(rs.len(), reference.ready.len());
-                assert_eq!(
-                    rs.window_closed(&prepared, DEPTH),
-                    reference.ready.len() - expected.len()
-                );
+                assert_eq!(rs.window_closed(), reference.ready.len() - expected.len());
                 if !scan.is_empty() && (inflight.is_empty() || rng.below(2) == 0) {
                     let key = scan[rng.below(scan.len())];
                     rs.remove(&key);
