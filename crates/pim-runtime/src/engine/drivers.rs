@@ -518,32 +518,36 @@ impl ReadySet {
     /// its own workload's pipeline window.
     fn scan(&self, prepared: &[Prepared<'_>], out: &mut Vec<Key>) {
         out.clear();
-        for s in self.open_steps.iter().flat_map(Clone::clone) {
-            let open = |w: usize| self.windows[w].contains(&s);
-            if !(0..self.workloads).any(|w| open(w) && self.ready_counts[w][s] > 0) {
-                continue;
-            }
-            let occupied = &self.occupied[s * self.occupied_stride..(s + 1) * self.occupied_stride];
-            let words = occupied
-                .iter()
-                .enumerate()
-                .flat_map(|(k, &summary)| ones(summary).map(move |b| k * 64 + b));
-            for j in words {
-                for b in ones(self.bits[s * self.stride + j]) {
-                    let slot = j * 64 + b;
-                    // A lone workload's slot is its rank: skip the divide.
-                    let (rank, wl) = if self.workloads == 1 {
-                        (slot, 0)
-                    } else {
-                        (slot / self.workloads, slot % self.workloads)
-                    };
-                    if open(wl) {
-                        out.push(Key {
-                            step: s,
-                            rank,
-                            wl,
-                            op: prepared[wl].topo[rank],
-                        });
+        for span in &self.open_steps {
+            for s in span.clone() {
+                let open = |w: usize| self.windows[w].contains(&s);
+                if !(0..self.workloads).any(|w| open(w) && self.ready_counts[w][s] > 0) {
+                    continue;
+                }
+                let occupied =
+                    &self.occupied[s * self.occupied_stride..(s + 1) * self.occupied_stride];
+                let bits = &self.bits[s * self.stride..(s + 1) * self.stride];
+                for (k, &summary) in occupied.iter().enumerate() {
+                    for jb in ones(summary) {
+                        let j = k * 64 + jb;
+                        for b in ones(bits[j]) {
+                            let slot = j * 64 + b;
+                            // A lone workload's slot is its rank: skip the
+                            // divide.
+                            let (rank, wl) = if self.workloads == 1 {
+                                (slot, 0)
+                            } else {
+                                (slot / self.workloads, slot % self.workloads)
+                            };
+                            if open(wl) {
+                                out.push(Key {
+                                    step: s,
+                                    rank,
+                                    wl,
+                                    op: prepared[wl].topo[rank],
+                                });
+                            }
+                        }
                     }
                 }
             }
