@@ -83,7 +83,7 @@ impl StatusRegisters {
     /// Returns [`PimError::UnknownId`] for an out-of-range bank.
     pub fn set_bank_busy(&mut self, bank: BankId, busy: bool) -> Result<()> {
         let i = bank.index();
-        self.set_banks_busy(i..i + 1, busy)
+        self.set_banks_busy(i..i.saturating_add(1), busy)
     }
 
     /// Writes the busy bit of every bank in `banks` (an empty range writes
@@ -207,6 +207,8 @@ mod tests {
             assert_eq!(regs, before);
         }
         assert!(regs.set_bank_busy(BankId::new(444), true).is_err());
+        assert!(regs.set_bank_busy(BankId::new(usize::MAX), true).is_err());
+        assert_eq!(regs, before);
     }
 
     proptest! {
