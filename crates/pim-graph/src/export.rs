@@ -44,10 +44,9 @@ pub fn to_dot(graph: &Graph) -> Result<String> {
         )
         .ok();
     }
-    let producers = graph.producers();
     for op in graph.ops() {
         for tid in &op.inputs {
-            if let Some(producer) = producers.get(tid) {
+            if let Some(producer) = graph.producer(*tid) {
                 let shape = &graph.tensor(*tid)?.shape;
                 writeln!(
                     out,
@@ -87,17 +86,16 @@ pub struct GraphStats {
 ///
 /// Propagates topological-sort failures.
 pub fn stats(graph: &Graph) -> Result<GraphStats> {
-    let order = graph.topo_order()?;
-    let all_deps = graph.all_dependencies();
+    let adjacency = graph.adjacency()?;
     let mut depth_of = vec![0usize; graph.op_count()];
     let mut depth = 0;
-    for id in &order {
-        let d = all_deps[id.index()]
+    for &id in &adjacency.topo {
+        let d = adjacency.deps[id]
             .iter()
-            .map(|dep| depth_of[dep.index()] + 1)
+            .map(|&dep| depth_of[dep] + 1)
             .max()
             .unwrap_or(1);
-        depth_of[id.index()] = d;
+        depth_of[id] = d;
         depth = depth.max(d);
     }
     let mut width_at = vec![0usize; depth + 1];

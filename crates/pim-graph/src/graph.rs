@@ -3,9 +3,12 @@
 use crate::node::{OpKind, OpNode, TensorInfo, TensorRole};
 use pim_common::ids::{OpId, TensorId};
 use pim_common::{PimError, Result};
+use pim_tensor::cost::CostProfile;
 use pim_tensor::Shape;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A directed acyclic graph of operations over tensors, representing one
 /// training step of a model.
@@ -15,6 +18,13 @@ use std::collections::{HashMap, VecDeque};
 /// scheduling principle 3 ("scheduling needs to respect data dependency
 /// across operations ... each operation has explicit input and output data
 /// objects").
+///
+/// The graph also memoizes two per-graph tables, [`Graph::costs`] and
+/// [`Graph::adjacency`], so every simulation of the same graph reuses one
+/// characterization — the paper's runtime characterizes the step graph
+/// once (§III-C). Both are pure functions of the tensors and ops, are
+/// reset by [`Graph::add_tensor`] / [`Graph::add_op`], and are left out of
+/// `Debug` and [`Graph::structural_hash`].
 ///
 /// # Examples
 ///
@@ -32,16 +42,55 @@ use std::collections::{HashMap, VecDeque};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Graph {
     tensors: Vec<TensorInfo>,
     ops: Vec<OpNode>,
+    /// The op producing each tensor, indexed by tensor id.
+    producer: Vec<Option<OpId>>,
+    /// Memoized [`Graph::costs`].
+    costs: OnceLock<Vec<CostProfile>>,
+    /// Memoized [`Graph::adjacency`].
+    adjacency: OnceLock<Adjacency>,
+}
+
+/// Prints the tensors and ops only, exactly as a derive over those two
+/// fields would: the producer index and memoized tables are derived data,
+/// and rendering them would make the output depend on which queries ran.
+#[allow(clippy::missing_fields_in_debug)]
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Graph")
+            .field("tensors", &self.tensors)
+            .field("ops", &self.ops)
+            .finish()
+    }
+}
+
+/// A graph's dependency structure as dense op-index tables — what the
+/// engine's drivers index by op every event.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Adjacency {
+    /// Per op, the ops producing its inputs: sorted and deduplicated.
+    pub deps: Vec<Vec<usize>>,
+    /// Per op, the ops consuming its outputs: sorted and deduplicated.
+    pub consumers: Vec<Vec<usize>>,
+    /// The Kahn topological order ([`Graph::topo_order`]).
+    pub topo: Vec<usize>,
+    /// Each op's position in `topo`.
+    pub rank: Vec<usize>,
 }
 
 impl Graph {
     /// An empty graph.
     pub fn new() -> Self {
         Graph::default()
+    }
+
+    /// Drops the memoized tables; every mutation calls it.
+    fn invalidate(&mut self) {
+        self.costs.take();
+        self.adjacency.take();
     }
 
     /// Registers a tensor and returns its id.
@@ -51,6 +100,7 @@ impl Graph {
         role: TensorRole,
         name: impl Into<String>,
     ) -> TensorId {
+        self.invalidate();
         let id = TensorId::new(self.tensors.len());
         self.tensors.push(TensorInfo {
             id,
@@ -58,6 +108,7 @@ impl Graph {
             role,
             name: name.into(),
         });
+        self.producer.push(None);
         id
     }
 
@@ -83,14 +134,18 @@ impl Graph {
             }
         }
         for &out in &outputs {
-            if self.ops.iter().any(|op| op.outputs.contains(&out)) {
+            if self.producer[out.index()].is_some() {
                 return Err(PimError::invalid(
                     "Graph::add_op",
                     format!("tensor {out} already has a producer"),
                 ));
             }
         }
+        self.invalidate();
         let id = OpId::new(self.ops.len());
+        for &out in &outputs {
+            self.producer[out.index()] = Some(id);
+        }
         self.ops.push(OpNode {
             id,
             kind,
@@ -139,69 +194,92 @@ impl Graph {
         self.ops.len()
     }
 
-    /// Map from tensor to the op that produces it.
-    pub fn producers(&self) -> HashMap<TensorId, OpId> {
-        let mut map = HashMap::new();
-        for op in &self.ops {
-            for &out in &op.outputs {
-                map.insert(out, op.id);
-            }
-        }
-        map
+    /// The op that produces a tensor, if any (`None` for graph inputs,
+    /// parameters, and unknown ids).
+    pub fn producer(&self, id: TensorId) -> Option<OpId> {
+        self.producer.get(id.index()).copied().flatten()
     }
 
-    /// The ops whose outputs this op consumes — its dependencies.
-    pub fn dependencies(&self, id: OpId) -> Result<Vec<OpId>> {
-        let producers = self.producers();
-        let op = self.op(id)?;
-        let mut deps: Vec<OpId> = op
+    /// The producers of an op's inputs as op indices, sorted and
+    /// deduplicated.
+    fn input_producers(&self, op: &OpNode) -> Vec<usize> {
+        let mut deps: Vec<usize> = op
             .inputs
             .iter()
-            .filter_map(|tid| producers.get(tid).copied())
+            .filter_map(|&tid| self.producer(tid))
+            .map(OpId::index)
             .collect();
         deps.sort_unstable();
         deps.dedup();
-        Ok(deps)
+        deps
+    }
+
+    /// The ops whose outputs this op consumes — its dependencies.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PimError::UnknownId`] for unknown ids.
+    pub fn dependencies(&self, id: OpId) -> Result<Vec<OpId>> {
+        let deps = self.input_producers(self.op(id)?);
+        Ok(deps.into_iter().map(OpId::new).collect())
     }
 
     /// Per-op dependency lists for the whole graph, indexed by op id.
     ///
-    /// Entry `i` equals `dependencies(OpId::new(i))`, but the producer map
-    /// is built once for the whole graph instead of once per op, so
-    /// preparing an `n`-op graph costs O(n + e) rather than O(n·e).
+    /// Entry `i` equals `dependencies(OpId::new(i))`; the whole pass is
+    /// O(n + e) through the dense producer index.
     pub fn all_dependencies(&self) -> Vec<Vec<OpId>> {
-        let producers = self.producers();
         self.ops
             .iter()
             .map(|op| {
-                let mut deps: Vec<OpId> = op
-                    .inputs
-                    .iter()
-                    .filter_map(|tid| producers.get(tid).copied())
-                    .collect();
-                deps.sort_unstable();
-                deps.dedup();
-                deps
+                let deps = self.input_producers(op);
+                deps.into_iter().map(OpId::new).collect()
             })
             .collect()
     }
 
-    /// Adjacency: for each op, the ops that consume its outputs.
-    pub fn consumers(&self) -> HashMap<OpId, Vec<OpId>> {
-        let producers = self.producers();
-        let mut map: HashMap<OpId, Vec<OpId>> = HashMap::new();
-        for op in &self.ops {
-            for tid in &op.inputs {
-                if let Some(&producer) = producers.get(tid) {
-                    map.entry(producer).or_default().push(op.id);
+    /// Builds the adjacency tables in O(n + e): dependency lists, consumer
+    /// lists (filled in op order, so each comes out sorted and
+    /// deduplicated), and a FIFO Kahn sort whose roots enter in op order
+    /// and whose in-degrees are the dependency counts.
+    fn build_adjacency(&self) -> Result<Adjacency> {
+        let n = self.ops.len();
+        let deps: Vec<Vec<usize>> = self.ops.iter().map(|op| self.input_producers(op)).collect();
+        let mut consumers = vec![Vec::new(); n];
+        for (op, ds) in deps.iter().enumerate() {
+            for &d in ds {
+                consumers[d].push(op);
+            }
+        }
+        let mut in_degree: Vec<usize> = deps.iter().map(Vec::len).collect();
+        // `topo` doubles as the FIFO queue: ops are appended when their
+        // in-degree reaches zero and popped at `head`.
+        let mut topo: Vec<usize> = Vec::with_capacity(n);
+        topo.extend((0..n).filter(|&i| in_degree[i] == 0));
+        let mut head = 0;
+        while let Some(&id) = topo.get(head) {
+            head += 1;
+            for &user in &consumers[id] {
+                in_degree[user] -= 1;
+                if in_degree[user] == 0 {
+                    topo.push(user);
                 }
             }
         }
-        for list in map.values_mut() {
-            list.sort_unstable();
-            list.dedup();
+        if topo.len() != n {
+            let members = (0..n).filter(|&i| in_degree[i] > 0).collect();
+            return Err(PimError::GraphCycle { members });
         }
-        map
+        let mut rank = vec![0usize; n];
+        for (r, &op) in topo.iter().enumerate() {
+            rank[op] = r;
+        }
+        Ok(Adjacency {
+            deps,
+            consumers,
+            topo,
+            rank,
+        })
     }
 
     /// Kahn topological sort of the operations.
@@ -210,37 +288,37 @@ impl Graph {
     ///
     /// Returns [`PimError::GraphCycle`] when the graph is cyclic.
     pub fn topo_order(&self) -> Result<Vec<OpId>> {
-        let mut in_degree = vec![0usize; self.ops.len()];
-        let consumers = self.consumers();
-        for (producer, users) in &consumers {
-            let _ = producer;
-            for user in users {
-                in_degree[user.index()] += 1;
-            }
+        let adjacency = self.build_adjacency()?;
+        Ok(adjacency.topo.into_iter().map(OpId::new).collect())
+    }
+
+    /// The graph's adjacency tables, computed on first use and memoized
+    /// until the next mutation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PimError::GraphCycle`] when the graph is cyclic (failures
+    /// are not memoized).
+    pub fn adjacency(&self) -> Result<&Adjacency> {
+        if let Some(adjacency) = self.adjacency.get() {
+            return Ok(adjacency);
         }
-        let mut queue: VecDeque<OpId> = self
-            .ops
-            .iter()
-            .filter(|op| in_degree[op.id.index()] == 0)
-            .map(|op| op.id)
-            .collect();
-        let mut order = Vec::with_capacity(self.ops.len());
-        while let Some(id) = queue.pop_front() {
-            order.push(id);
-            if let Some(users) = consumers.get(&id) {
-                for &user in users {
-                    in_degree[user.index()] -= 1;
-                    if in_degree[user.index()] == 0 {
-                        queue.push_back(user);
-                    }
-                }
-            }
+        let fresh = self.build_adjacency()?;
+        Ok(self.adjacency.get_or_init(|| fresh))
+    }
+
+    /// Every op's analytic cost ([`crate::cost::graph_costs`]), computed on
+    /// first use and memoized until the next mutation.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first per-op cost failure (failures are not memoized).
+    pub fn costs(&self) -> Result<&[CostProfile]> {
+        if let Some(costs) = self.costs.get() {
+            return Ok(costs);
         }
-        if order.len() != self.ops.len() {
-            let members = (0..self.ops.len()).filter(|&i| in_degree[i] > 0).collect();
-            return Err(PimError::GraphCycle { members });
-        }
-        Ok(order)
+        let fresh = crate::cost::graph_costs(self)?;
+        Ok(self.costs.get_or_init(|| fresh))
     }
 
     /// Validates the whole graph: referenced ids exist, output tensors have
@@ -250,7 +328,7 @@ impl Graph {
     ///
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<()> {
-        self.topo_order().map(|_| ())
+        self.adjacency().map(|_| ())
     }
 
     /// A deterministic fingerprint of the graph's complete structure:

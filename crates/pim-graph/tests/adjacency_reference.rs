@@ -1,4 +1,5 @@
-//! Reference equivalence for the graph's dependency queries.
+//! Reference equivalence for the graph's dependency queries and its
+//! memoized adjacency tables.
 //!
 //! The reference below is the original hash-map formulation of
 //! `all_dependencies` / `topo_order`: a `TensorId -> OpId` producer map, a
@@ -108,6 +109,30 @@ fn assert_matches_reference(g: &Graph, label: &str) {
     }
     let topo = reference_topo_order(g).expect("acyclic");
     assert_eq!(g.topo_order().unwrap(), topo, "{label}: topo_order");
+
+    let indices = |ids: &[OpId]| ids.iter().map(|id| id.index()).collect::<Vec<_>>();
+    let adjacency = g.adjacency().unwrap();
+    let dense_deps: Vec<Vec<usize>> = deps.iter().map(|d| indices(d)).collect();
+    assert_eq!(adjacency.deps, dense_deps, "{label}: adjacency deps");
+    let consumers = reference_consumers(g);
+    for op in g.ops() {
+        let want = consumers.get(&op.id).map_or_else(Vec::new, |c| indices(c));
+        assert_eq!(
+            adjacency.consumers[op.id.index()],
+            want,
+            "{label}: adjacency consumers of {}",
+            op.id
+        );
+    }
+    assert_eq!(adjacency.topo, indices(&topo), "{label}: adjacency topo");
+    for (r, id) in topo.iter().enumerate() {
+        assert_eq!(adjacency.rank[id.index()], r, "{label}: adjacency rank");
+    }
+    assert_eq!(
+        adjacency.rank.len(),
+        g.op_count(),
+        "{label}: adjacency rank"
+    );
 }
 
 /// The same graph with its ops inserted in reverse: every consumer is
@@ -174,6 +199,10 @@ fn cycles_report_the_reference_members() {
     let members = reference_topo_order(&g).expect_err("cyclic");
     assert_eq!(members, vec![1, 2, 3, 4]);
     match g.topo_order() {
+        Err(PimError::GraphCycle { members: got }) => assert_eq!(got, members),
+        other => panic!("expected GraphCycle, got {other:?}"),
+    }
+    match g.adjacency() {
         Err(PimError::GraphCycle { members: got }) => assert_eq!(got, members),
         other => panic!("expected GraphCycle, got {other:?}"),
     }

@@ -58,7 +58,6 @@ use observe::Observer;
 use pim_common::trace::{Counters, NullTrace, TraceRecording};
 use pim_common::units::Seconds;
 use pim_common::{Diagnostics, PimError, Result};
-use pim_graph::cost::graph_costs;
 use pim_graph::Graph;
 use pim_hw::cpu::CpuDevice;
 use pim_hw::faults::{FaultPlan, FaultTarget};
@@ -278,15 +277,18 @@ pub struct PlanRow {
     pub seconds: f64,
 }
 
-/// Prepared per-workload state the execution drivers consume.
+/// Prepared per-workload state the execution drivers consume. The cost
+/// and adjacency slices borrow the graph's memoized tables
+/// ([`Graph::costs`], [`Graph::adjacency`]); only the candidate set is
+/// per-request.
 pub(crate) struct Prepared<'g> {
     pub spec: WorkloadSpec<'g>,
-    pub costs: Vec<CostProfile>,
+    pub costs: &'g [CostProfile],
     pub candidates: CandidateSet,
-    pub deps: Vec<Vec<usize>>,
-    pub consumers: Vec<Vec<usize>>,
-    pub topo: Vec<usize>,
-    pub rank: Vec<usize>,
+    pub deps: &'g [Vec<usize>],
+    pub consumers: &'g [Vec<usize>],
+    pub topo: &'g [usize],
+    pub rank: &'g [usize],
 }
 
 /// Knobs for one [`RunRequest`]: which observability artifacts to
@@ -519,7 +521,8 @@ impl Engine {
         self.planner.cpu()
     }
 
-    /// Profiles, classifies, and indexes every workload for the drivers.
+    /// Profiles and classifies every workload for the drivers, borrowing
+    /// each graph's memoized cost and adjacency tables.
     fn prepare<'g>(
         &self,
         workloads: &[WorkloadSpec<'g>],
@@ -528,35 +531,20 @@ impl Engine {
     ) -> Result<Vec<Prepared<'g>>> {
         let mut prepared = Vec::with_capacity(workloads.len());
         for wl in workloads {
-            let costs = graph_costs(wl.graph)?;
-            let profile = profile_step_traced(wl.graph, self.planner.cpu(), tracer)?;
+            let graph = wl.graph;
+            let costs = graph.costs()?;
+            let profile = profile_step_traced(graph, self.planner.cpu(), tracer)?;
             let candidates =
                 select_candidates_tie_traced(&profile, self.planner.cfg.coverage, tie, tracer);
-            let deps: Vec<Vec<usize>> = wl
-                .graph
-                .all_dependencies()
-                .into_iter()
-                .map(|v| v.into_iter().map(pim_common::ids::OpId::index).collect())
-                .collect();
-            let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); wl.graph.op_count()];
-            for (op, ds) in deps.iter().enumerate() {
-                for &d in ds {
-                    consumers[d].push(op);
-                }
-            }
-            let topo = wl.graph.topo_order()?;
-            let mut rank = vec![0usize; wl.graph.op_count()];
-            for (r, id) in topo.iter().enumerate() {
-                rank[id.index()] = r;
-            }
+            let adjacency = graph.adjacency()?;
             prepared.push(Prepared {
                 spec: *wl,
                 costs,
                 candidates,
-                deps,
-                consumers,
-                topo: topo.iter().map(|id| id.index()).collect(),
-                rank,
+                deps: &adjacency.deps,
+                consumers: &adjacency.consumers,
+                topo: &adjacency.topo,
+                rank: &adjacency.rank,
             });
         }
         Ok(prepared)
@@ -858,10 +846,10 @@ impl Engine {
         let facts: Vec<WorkloadFacts> = prepared
             .iter()
             .map(|wl| WorkloadFacts {
-                deps: wl.deps.clone(),
+                deps: wl.deps.to_vec(),
                 steps: wl.spec.steps,
                 restricted: wl.spec.cpu_progr_only,
-                costs: wl.costs.clone(),
+                costs: wl.costs.to_vec(),
                 names: wl
                     .spec
                     .graph
@@ -891,7 +879,7 @@ impl Engine {
     ///
     /// Propagates profiling/cost failures.
     pub fn plan_preview(&self, graph: &Graph) -> Result<Vec<PlanRow>> {
-        let costs = graph_costs(graph)?;
+        let costs = graph.costs()?;
         let profile = profile_step_traced(graph, self.planner.cpu(), &mut NullTrace)?;
         let candidates =
             select_candidates_traced(&profile, self.planner.cfg.coverage, &mut NullTrace);

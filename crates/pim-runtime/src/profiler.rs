@@ -13,7 +13,6 @@
 use pim_common::ids::OpId;
 use pim_common::units::Seconds;
 use pim_common::Result;
-use pim_graph::cost::op_cost;
 use pim_graph::Graph;
 use pim_hw::cpu::CpuDevice;
 use pim_tensor::cost::CostProfile;
@@ -103,6 +102,9 @@ pub struct NameAggregate {
 
 /// Runs the profiling step for a training graph on the CPU device model.
 ///
+/// Op costs come from the graph's memoized [`Graph::costs`] table, so only
+/// the first profile of a graph pays for cost characterization.
+///
 /// # Examples
 ///
 /// ```
@@ -123,18 +125,18 @@ pub struct NameAggregate {
 ///
 /// Propagates cost-model failures for malformed graphs.
 pub fn profile_step(graph: &Graph, cpu: &CpuDevice) -> Result<StepProfile> {
-    let mut ops = Vec::with_capacity(graph.op_count());
-    for node in graph.ops() {
-        let cost = op_cost(graph, node)?;
-        let est = cpu.estimate_op(&cost);
-        ops.push(OpProfile {
+    let ops = graph
+        .ops()
+        .iter()
+        .zip(graph.costs()?)
+        .map(|(node, &cost)| OpProfile {
             op: node.id,
             name: node.kind.tf_name(),
             cost,
-            cpu_time: est.time,
+            cpu_time: cpu.estimate_op(&cost).time,
             memory_accesses: cost.memory_accesses(),
-        });
-    }
+        })
+        .collect();
     Ok(StepProfile { ops })
 }
 

@@ -14,7 +14,6 @@ use crate::configs::{simulate, SystemConfig};
 use crate::gpu::{minibatch_bytes, working_set};
 use pim_common::units::Seconds;
 use pim_common::Result;
-use pim_graph::cost::graph_costs;
 use pim_hw::fixed::FixedPoolConfig;
 use pim_hw::gpu::GpuDevice;
 use pim_mem::stack::StackConfig;
@@ -140,13 +139,13 @@ pub struct GpuAttachedEstimate {
 /// Propagates cost-model failures.
 pub fn gpu_attached(model: &Model, gpu: &GpuDevice) -> Result<GpuAttachedEstimate> {
     let utilization = model.kind().gpu_utilization().unwrap_or(0.5);
-    let costs = graph_costs(model.graph())?;
+    let costs = model.graph().costs()?;
     let stack = StackConfig::hmc2();
     let pool = FixedPoolConfig::paper_default(&stack);
 
     let mut gpu_time = Seconds::ZERO;
     let mut hybrid_time = Seconds::ZERO;
-    for cost in &costs {
+    for cost in costs {
         let on_gpu = gpu.estimate_op(cost, utilization);
         gpu_time += on_gpu.time;
         if cost.class == pim_tensor::cost::OffloadClass::FullyMulAdd {

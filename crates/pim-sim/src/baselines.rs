@@ -2,7 +2,6 @@
 
 use pim_common::units::{Joules, Seconds};
 use pim_common::Result;
-use pim_graph::cost::graph_costs;
 use pim_hw::neurocube::Neurocube;
 use pim_mem::stack::StackConfig;
 use pim_models::Model;
@@ -25,12 +24,12 @@ use pim_runtime::stats::ExecutionReport;
 /// Propagates cost-model failures.
 pub fn simulate_neurocube(model: &Model, steps: usize) -> Result<ExecutionReport> {
     let nc = Neurocube::isca16(&StackConfig::hmc2());
-    let costs = graph_costs(model.graph())?;
+    let costs = model.graph().costs()?;
     Ok(run_device_serial(
         &DeviceRun {
             system: "Neurocube",
             device: &nc,
-            costs: &costs,
+            costs,
             steps,
             step_epilogue_dm: Seconds::ZERO,
             step_epilogue_energy: Joules::ZERO,

@@ -11,7 +11,6 @@
 
 use pim_common::units::Bytes;
 use pim_common::Result;
-use pim_graph::cost::graph_costs;
 use pim_graph::{Graph, TensorRole};
 use pim_hw::device::AnalyticGpu;
 use pim_hw::gpu::GpuDevice;
@@ -55,7 +54,7 @@ pub fn minibatch_bytes(graph: &Graph) -> Bytes {
 pub fn simulate_gpu(model: &Model, gpu: &GpuDevice, steps: usize) -> Result<ExecutionReport> {
     let graph = model.graph();
     let utilization = model.kind().gpu_utilization().unwrap_or(0.5);
-    let costs = graph_costs(graph)?;
+    let costs = graph.costs()?;
     let device = AnalyticGpu::new(gpu.clone(), utilization);
 
     // Step-level PCIe effects outside the kernel stream: minibatch staging,
@@ -70,7 +69,7 @@ pub fn simulate_gpu(model: &Model, gpu: &GpuDevice, steps: usize) -> Result<Exec
         &DeviceRun {
             system: "GPU",
             device: &device,
-            costs: &costs,
+            costs,
             steps,
             step_epilogue_dm: staging + spill,
             step_epilogue_energy: gpu.transfer_energy(pcie_volume),
