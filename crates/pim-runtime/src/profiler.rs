@@ -58,22 +58,24 @@ impl StepProfile {
     /// Table I.
     pub fn by_name(&self) -> Vec<NameAggregate> {
         // Aggregate in first-appearance (op-stream) order so the stable
-        // sort below resolves time ties deterministically, instead of by
-        // hash-map iteration order — candidate ranking and figure output
-        // must not vary run to run.
-        let mut index: std::collections::HashMap<&'static str, usize> =
-            std::collections::HashMap::new();
+        // sort below resolves time ties deterministically — candidate
+        // ranking and figure output must not vary run to run. A step has a
+        // few dozen distinct names, so a linear search over the rows beats
+        // hashing every op's name.
         let mut rows: Vec<NameAggregate> = Vec::new();
         for p in &self.ops {
-            let i = *index.entry(p.name).or_insert_with(|| {
-                rows.push(NameAggregate {
-                    name: p.name,
-                    time: Seconds::ZERO,
-                    memory_accesses: 0,
-                    invocations: 0,
-                });
-                rows.len() - 1
-            });
+            let i = match rows.iter().position(|r| r.name == p.name) {
+                Some(i) => i,
+                None => {
+                    rows.push(NameAggregate {
+                        name: p.name,
+                        time: Seconds::ZERO,
+                        memory_accesses: 0,
+                        invocations: 0,
+                    });
+                    rows.len() - 1
+                }
+            };
             rows[i].time += p.cpu_time;
             rows[i].memory_accesses += p.memory_accesses;
             rows[i].invocations += 1;
