@@ -101,6 +101,20 @@ print(json.load(open(sys.argv[1]))["workloads"]["repro-all"]["references"]["any"
     perfbench/expected.json)
 echo "$repro_md5  $repro_a" | md5sum --check --quiet
 
+# Pinned faulted bytes: the benchmark's fault-grid workload runs the seven
+# models on all six presets at 3 steps under seeded fault plans, and checks
+# every cell's report digest plus the event, stall and fault counts
+# against perfbench/expected.json. A mismatch prints `"correct": false`.
+for seed in 1 2; do
+    fault_grid=$(python3 perfbench/run.py --workload fault-grid --seed "$seed" \
+        --seconds 1 --trace 0 | tail -n 1)
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+if r["correct"] is not True or r["failed"] != 0:
+    sys.exit("fault-grid differs from perfbench/expected.json: " + sys.argv[1])' \
+        "$fault_grid"
+done
+
 # Thread matrix: worker count must be unobservable in every output.
 # The differential suite and the full reproduction sweep are re-run with
 # the partitioned sweep pinned to 1, 2, and 4 workers (PIM_RUN_THREADS,
