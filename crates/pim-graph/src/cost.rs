@@ -160,7 +160,13 @@ pub fn op_cost(graph: &Graph, op: &OpNode) -> Result<CostProfile> {
 ///
 /// Returns the first per-op failure.
 pub fn graph_costs(graph: &Graph) -> Result<Vec<CostProfile>> {
-    graph.ops().iter().map(|op| op_cost(graph, op)).collect()
+    // Sized up front: collecting through `Result` cannot see the length,
+    // so it would grow the vector by doubling.
+    let mut costs = Vec::with_capacity(graph.op_count());
+    for op in graph.ops() {
+        costs.push(op_cost(graph, op)?);
+    }
+    Ok(costs)
 }
 
 #[cfg(test)]

@@ -15,20 +15,20 @@ use pim_common::units::Seconds;
 use pim_common::Result;
 use pim_graph::Graph;
 use pim_hw::cpu::CpuDevice;
-use pim_tensor::cost::CostProfile;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Profile of one operation instance collected during the profiling step.
+/// Profile of one operation instance collected during the profiling step:
+/// what the paper's step 1 collects, CPU time and main-memory accesses.
+/// The op's analytic cost is not copied here; it is entry `op` of the
+/// graph's memoized [`Graph::costs`] table.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OpProfile {
     /// The operation.
     pub op: OpId,
     /// Its TensorFlow display name.
     pub name: &'static str,
-    /// Analytic cost (shapes-derived).
-    pub cost: CostProfile,
     /// Execution time observed on the CPU.
     pub cpu_time: Seconds,
     /// Main-memory accesses observed (64-byte lines).
@@ -131,11 +131,10 @@ pub fn profile_step(graph: &Graph, cpu: &CpuDevice) -> Result<StepProfile> {
         .ops()
         .iter()
         .zip(graph.costs()?)
-        .map(|(node, &cost)| OpProfile {
+        .map(|(node, cost)| OpProfile {
             op: node.id,
             name: node.kind.tf_name(),
-            cost,
-            cpu_time: cpu.estimate_op(&cost).time,
+            cpu_time: cpu.estimate_op(cost).time,
             memory_accesses: cost.memory_accesses(),
         })
         .collect();
