@@ -10,9 +10,9 @@ use pim_graph::gen::{random_dag, GenSpec};
 use pim_graph::node::{OpKind, TensorRole};
 use pim_graph::Graph;
 use pim_models::{Model, ModelKind};
-use pim_runtime::par::par_map;
 use pim_tensor::ops::activation::Activation;
 use pim_tensor::Shape;
+use std::sync::Barrier;
 
 fn graphs() -> Vec<(String, Graph)> {
     let mut out: Vec<(String, Graph)> = (0..4)
@@ -108,18 +108,32 @@ fn a_cyclic_graph_costs_but_has_no_adjacency() {
 
 #[test]
 fn concurrent_first_use_yields_one_table() {
+    const THREADS: usize = 4;
     for (label, g) in graphs() {
         let untouched = g.clone();
-        let workers: Vec<usize> = (0..8).collect();
-        let seen = par_map(&workers, |_| {
-            let costs = g.costs().unwrap();
-            let adjacency = g.adjacency().unwrap();
-            (
-                costs.to_vec(),
-                adjacency.clone(),
-                costs.as_ptr() as usize,
-                std::ptr::from_ref(adjacency) as usize,
-            )
+        // The barrier releases every thread into its first query together,
+        // so the tables are filled under contention.
+        let start = Barrier::new(THREADS);
+        let seen: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let costs = g.costs().unwrap();
+                        let adjacency = g.adjacency().unwrap();
+                        (
+                            costs.to_vec(),
+                            adjacency.clone(),
+                            costs.as_ptr() as usize,
+                            std::ptr::from_ref(adjacency) as usize,
+                        )
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker panicked"))
+                .collect()
         });
         let want_costs = graph_costs(&untouched).unwrap();
         let want_adjacency = untouched.adjacency().unwrap();
