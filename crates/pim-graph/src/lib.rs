@@ -5,8 +5,9 @@
 //! information the paper's runtime scheduler consumes. The crate provides:
 //!
 //! * [`node`] — operation kinds with the paper's TensorFlow display names,
-//! * [`graph`] — the DAG with validation, topological ordering, and
-//!   dependency queries,
+//! * [`graph`] — the DAG with validation, topological ordering,
+//!   dependency queries, and the memoized per-graph cost and adjacency
+//!   tables every simulation of the graph borrows,
 //! * [`builder`] — a layer-level API that also auto-generates the backward
 //!   pass and optimizer updates,
 //! * [`cost`] — per-node analytic cost dispatch,
