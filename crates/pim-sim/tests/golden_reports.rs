@@ -186,3 +186,75 @@ fn scheduled_timelines_match_golden_table() {
     }
     assert_eq!(expected.lines().count(), actual.lines().count());
 }
+
+const STORE_KEYS_GOLDEN_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/store_keys.txt");
+
+/// Wire requests covering every part of the served cache key's canonical
+/// string: each preset, `steps`, `batch`, `faults`, `deadline_ms`, each
+/// tie-break kind, `partitioned`, `cpu_progr_only` and a two-model
+/// co-run. The last line differs from the first only in fields the key
+/// ignores (`id`, `tenant`, `priority`), so the two keys must be equal.
+const KEYED_REQUESTS: &[&str] = &[
+    r#"{"id":"k1","model":"alex"}"#,
+    r#"{"id":"k2","model":"vgg","preset":"cpu","steps":3}"#,
+    r#"{"id":"k3","model":"dcgan","preset":"progr","batch":8}"#,
+    r#"{"id":"k4","model":"resnet","preset":"fixed","faults":{"seed":2,"rate":0.1}}"#,
+    r#"{"id":"k5","model":"inception","preset":"bare","deadline_ms":5}"#,
+    r#"{"id":"k6","model":"lstm","preset":"rc","tie":{"permuted":3}}"#,
+    r#"{"id":"k7","model":"w2v","tie":{"priority":5}}"#,
+    r#"{"id":"k8","model":"alex","tie":"stable","partitioned":true}"#,
+    r#"{"id":"k9","model":"lstm","cpu_progr_only":true}"#,
+    r#"{"id":"k10","models":["alex","lstm"],"steps":2}"#,
+    r#"{"id":"k11","models":["dcgan","w2v"],"batch":4,"partitioned":true,"faults":{"seed":1,"rate":0.05},"deadline_ms":100}"#,
+    r#"{"id":"k12","model":"alex","tenant":"b","priority":9}"#,
+];
+
+/// Renders the store-key table: the structural hash of every paper model
+/// and the served cache key of every request in [`KEYED_REQUESTS`].
+fn render_store_keys() -> String {
+    use pim_serve::protocol::parse_request;
+    use pim_serve::JobRunner;
+    use pim_sim::serve::SimRunner;
+
+    let mut out = String::from("# model | structural_hash\n");
+    for kind in ModelKind::ALL {
+        let model = Model::build(kind).unwrap();
+        writeln!(
+            out,
+            "{} | {:016x}",
+            kind.name(),
+            model.graph().structural_hash()
+        )
+        .unwrap();
+    }
+    out += "# request | cache_key\n";
+    for line in KEYED_REQUESTS {
+        let req = parse_request(line).unwrap();
+        let key = SimRunner.cache_key(&req).unwrap();
+        writeln!(out, "{line} | {key:016x}").unwrap();
+    }
+    out
+}
+
+/// Pins the values of the shared store's keys, not just their equality:
+/// a key that drifts silently turns every warm store entry into a miss.
+/// Regenerate with `UPDATE_GOLDEN=1`.
+#[test]
+fn store_keys_match_golden_table() {
+    let actual = render_store_keys();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(STORE_KEYS_GOLDEN_PATH, &actual).expect("write store-key golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(STORE_KEYS_GOLDEN_PATH)
+        .expect("store-key golden missing — regenerate with UPDATE_GOLDEN=1");
+    for (n, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(e, a, "store-key golden mismatch at line {}", n + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count());
+    let key = |line: &str| line.rsplit(" | ").next().unwrap().to_string();
+    let rows: Vec<&str> = actual.lines().collect();
+    let n = rows.len();
+    assert_eq!(key(rows[n - KEYED_REQUESTS.len()]), key(rows[n - 1]));
+}
