@@ -19,12 +19,14 @@ use std::sync::OnceLock;
 /// across operations ... each operation has explicit input and output data
 /// objects").
 ///
-/// The graph also memoizes two per-graph tables, [`Graph::costs`] and
-/// [`Graph::adjacency`], so every simulation of the same graph reuses one
+/// The graph also memoizes three per-graph values, [`Graph::costs`],
+/// [`Graph::adjacency`] and [`Graph::structural_hash`], so every
+/// simulation and every cache lookup of the same graph reuses one
 /// characterization — the paper's runtime characterizes the step graph
-/// once (§III-C). Both are pure functions of the tensors and ops, are
+/// once (§III-C). All three are pure functions of the tensors and ops, are
 /// reset by [`Graph::add_tensor`] / [`Graph::add_op`], and are left out of
-/// `Debug` and [`Graph::structural_hash`].
+/// `Debug` (so the hash, which renders the tensors and ops, is the same
+/// whether or not any of them was filled).
 ///
 /// # Examples
 ///
@@ -52,10 +54,12 @@ pub struct Graph {
     costs: OnceLock<Vec<CostProfile>>,
     /// Memoized [`Graph::adjacency`].
     adjacency: OnceLock<Adjacency>,
+    /// Memoized [`Graph::structural_hash`].
+    hash: OnceLock<u64>,
 }
 
 /// Prints the tensors and ops only, exactly as a derive over those two
-/// fields would: the producer index and memoized tables are derived data,
+/// fields would: the producer index and memoized values are derived data,
 /// and rendering them would make the output depend on which queries ran.
 #[allow(clippy::missing_fields_in_debug)]
 impl fmt::Debug for Graph {
@@ -87,10 +91,11 @@ impl Graph {
         Graph::default()
     }
 
-    /// Drops the memoized tables; every mutation calls it.
+    /// Drops the memoized values; every mutation calls it.
     fn invalidate(&mut self) {
         self.costs.take();
         self.adjacency.take();
+        self.hash.take();
     }
 
     /// Registers a tensor and returns its id.
@@ -335,10 +340,13 @@ impl Graph {
     /// every tensor (shape, role, name) and every op (kind, operands) in
     /// id order. Two graphs built by the same sequence of `add_tensor` /
     /// `add_op` calls fingerprint identically, within and across
-    /// processes — the key the profiler's step cache and other sweep-level
-    /// memoizations rely on.
+    /// processes — the key the profiler's step cache, the served result
+    /// store and other sweep-level memoizations rely on. Computed on first
+    /// use and memoized until the next mutation.
     pub fn structural_hash(&self) -> u64 {
-        pim_common::fingerprint::debug_hash(&(&self.tensors, &self.ops))
+        *self
+            .hash
+            .get_or_init(|| pim_common::fingerprint::debug_hash(&(&self.tensors, &self.ops)))
     }
 
     /// Total bytes of parameter tensors (a rough model size).

@@ -136,6 +136,11 @@ pub trait JobRunner: Sync {
     /// validation point: unknown models/presets fail here, before
     /// admission.
     ///
+    /// Called on the reader thread *before* it takes the daemon's state
+    /// lock, once per run line within the step cap, so it must be a pure
+    /// function of the request: the same key or the same error whatever
+    /// the workers are doing.
+    ///
     /// # Errors
     ///
     /// A [`JobError`] (normally `bad_request`) when the request does
@@ -708,9 +713,21 @@ fn read_loop(
             }
         };
 
+        // Parse and key before taking the state lock the workers publish
+        // through. Both are pure functions of the line, and only run lines
+        // within the step cap are keyed, as below, so every decision under
+        // the lock is the same one in the same order (DESIGN.md §4.11).
+        let parsed = protocol::parse_request(&line);
+        let keyed = match &parsed {
+            Ok(req) if req.op == Op::Run && req.steps <= cfg.max_steps => {
+                Some(runner.cache_key(req))
+            }
+            _ => None,
+        };
+
         let mut state = core.state.lock().unwrap();
         state.counters.jobs += 1;
-        let req = match protocol::parse_request(&line) {
+        let req = match parsed {
             Err(e) => {
                 state.counters.errors += 1;
                 let resp = protocol::render_error(e.id.as_deref(), e.kind, &e.message);
@@ -768,7 +785,7 @@ fn read_loop(
             continue;
         }
 
-        let key = match runner.cache_key(&req) {
+        let key = match keyed.expect("a run line within the step cap is keyed") {
             Err(e) => {
                 state.counters.errors += 1;
                 let resp = protocol::render_error(Some(&req.id), e.kind, &e.message);
