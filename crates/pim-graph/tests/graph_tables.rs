@@ -1,8 +1,9 @@
-//! Hygiene of the graph's memoized cost and adjacency tables: they are
-//! invisible to `Debug` and `structural_hash` (so request fingerprints and
-//! cache keys do not depend on whether a graph was simulated before), they
-//! are reset by every mutation, a cyclic graph still fails only at the
-//! adjacency step, and concurrent first use yields one shared table.
+//! Hygiene of the graph's memoized cost and adjacency tables and
+//! structural hash: they are invisible to `Debug` and the tables to
+//! `structural_hash` (so request fingerprints and cache keys do not depend
+//! on whether a graph was simulated or keyed before), they are reset by
+//! every mutation, a cyclic graph still fails only at the adjacency step,
+//! and concurrent first use yields one shared table and one hash.
 
 use pim_common::PimError;
 use pim_graph::cost::graph_costs;
@@ -34,15 +35,21 @@ fn graphs() -> Vec<(String, Graph)> {
 fn filled_tables_change_neither_debug_nor_structural_hash() {
     for (label, g) in graphs() {
         let untouched = g.clone();
+        let never_queried = g.clone();
         g.costs().unwrap();
         g.adjacency().unwrap();
         assert_eq!(format!("{g:?}"), format!("{untouched:?}"), "{label}");
         assert_eq!(format!("{g:#?}"), format!("{untouched:#?}"), "{label}");
         assert_eq!(g.structural_hash(), untouched.structural_hash(), "{label}");
-        // A clone of a filled graph renders and hashes the same too.
+        // A clone of a filled and hashed graph renders and hashes the same
+        // as a never-queried clone.
         let filled_clone = g.clone();
-        assert_eq!(format!("{filled_clone:?}"), format!("{untouched:?}"));
-        assert_eq!(filled_clone.structural_hash(), untouched.structural_hash());
+        assert_eq!(format!("{filled_clone:?}"), format!("{never_queried:?}"));
+        assert_eq!(format!("{filled_clone:#?}"), format!("{never_queried:#?}"));
+        assert_eq!(
+            filled_clone.structural_hash(),
+            never_queried.structural_hash()
+        );
         // The derived-looking rendering names the two structural fields only.
         let text = format!("{untouched:?}");
         assert!(text.starts_with("Graph { tensors: ["), "{label}");
@@ -89,6 +96,30 @@ fn mutation_after_a_fill_invalidates_both_tables() {
 }
 
 #[test]
+fn mutation_after_a_hash_drops_the_stale_hash() {
+    let relu = || OpKind::Activation(Activation::Relu);
+    for seed in 0..4 {
+        let spec = GenSpec::from_seed(seed);
+        let mut g = random_dag(&spec);
+        let stale = g.structural_hash();
+        // `twin` is built by the same calls but never hashed in between.
+        let mut twin = random_dag(&spec);
+        let last = g.ops()[g.op_count() - 1].outputs[0];
+        let t = g.add_tensor(Shape::new(vec![4, 4]), TensorRole::Activation, "extra");
+        twin.add_tensor(Shape::new(vec![4, 4]), TensorRole::Activation, "extra");
+        let after_tensor = g.structural_hash();
+        assert_ne!(after_tensor, stale, "seed {seed}: add_tensor kept the hash");
+        assert_eq!(after_tensor, twin.clone().structural_hash(), "seed {seed}");
+
+        g.add_op(relu(), vec![last], vec![t]).unwrap();
+        twin.add_op(relu(), vec![last], vec![t]).unwrap();
+        let after_op = g.structural_hash();
+        assert_ne!(after_op, after_tensor, "seed {seed}: add_op kept the hash");
+        assert_eq!(after_op, twin.structural_hash(), "seed {seed}");
+    }
+}
+
+#[test]
 fn a_cyclic_graph_costs_but_has_no_adjacency() {
     let mut g = Graph::new();
     let a = g.add_tensor(Shape::new(vec![4]), TensorRole::Activation, "a");
@@ -119,9 +150,11 @@ fn concurrent_first_use_yields_one_table() {
                 .map(|_| {
                     scope.spawn(|| {
                         start.wait();
+                        let hash = g.structural_hash();
                         let costs = g.costs().unwrap();
                         let adjacency = g.adjacency().unwrap();
                         (
+                            hash,
                             costs.to_vec(),
                             adjacency.clone(),
                             costs.as_ptr() as usize,
@@ -137,7 +170,10 @@ fn concurrent_first_use_yields_one_table() {
         });
         let want_costs = graph_costs(&untouched).unwrap();
         let want_adjacency = untouched.adjacency().unwrap();
-        for (costs, adjacency, costs_at, adjacency_at) in &seen {
+        let want_hash = untouched.structural_hash();
+        for (hash, costs, adjacency, costs_at, adjacency_at) in &seen {
+            assert_eq!(*hash, want_hash, "{label}");
+            assert_eq!(*hash, g.structural_hash(), "{label}");
             assert_eq!(costs, &want_costs, "{label}");
             assert_eq!(adjacency, want_adjacency, "{label}");
             // Every thread was handed the one memoized table.

@@ -12,6 +12,7 @@ use pim_serve::daemon::{
     serve_lines, JobError, JobRunner, MemStore, ResultStore, ServeConfig, StoredResult,
 };
 use pim_serve::protocol::Request;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Models the toy runner accepts; `"explode"` passes validation but
 /// fails at execution, and `"panic"` panics outright — both exercise
@@ -127,6 +128,75 @@ fn unknown_fields_and_bad_values_echo_the_id() {
     assert!(lines[2].contains("\"id\":\"u3\"") && lines[2].contains("\"error\":\"bad_request\""));
     // Steps beyond the service cap are rejected at admission.
     assert!(lines[3].contains("\"id\":\"u4\"") && lines[3].contains("\"error\":\"bad_request\""));
+}
+
+/// [`ToyRunner`] that counts its `cache_key` calls.
+#[derive(Default)]
+struct CountingRunner {
+    keyed: AtomicUsize,
+}
+
+impl JobRunner for CountingRunner {
+    fn cache_key(&self, req: &Request) -> Result<u64, JobError> {
+        self.keyed.fetch_add(1, Ordering::SeqCst);
+        ToyRunner.cache_key(req)
+    }
+
+    fn execute(&self, req: &Request) -> Result<StoredResult, JobError> {
+        ToyRunner.execute(req)
+    }
+}
+
+#[test]
+fn only_run_lines_within_the_step_cap_are_keyed() {
+    // Two run lines (the second a cache hit), then lines that must answer
+    // without keying: malformed, an unknown field, a bad value, a missing
+    // id, over the step cap, stats, and shutdown.
+    let input = "\
+{\"id\":\"r1\",\"model\":\"alex\"}\n\
+{\"id\":\"r2\",\"model\":\"alex\"}\n\
+not json at all\n\
+[\"id\",\"x\"]\n\
+{\"id\":\"m1\",\"model\":\"alex\",\"prioritty\":3}\n\
+{\"id\":\"m2\",\"model\":\"alex\",\"steps\":0}\n\
+{\"model\":\"alex\"}\n\
+{\"id\":\"cap\",\"model\":\"alex\",\"steps\":99}\n\
+{\"id\":\"s\",\"op\":\"stats\"}\n\
+{\"cmd\":\"shutdown\",\"id\":\"bye\"}\n";
+    let runner = CountingRunner::default();
+    let mut out = Vec::new();
+    serve_lines(
+        &small_cfg(),
+        &runner,
+        &MemStore::default(),
+        input.as_bytes(),
+        &mut out,
+    )
+    .expect("daemon I/O");
+    let text = String::from_utf8(out).expect("utf8 responses");
+    assert_eq!(text.lines().count(), 10, "{text}");
+    assert_eq!(runner.keyed.load(Ordering::SeqCst), 2, "{text}");
+}
+
+#[test]
+fn the_step_cap_answers_before_the_key_error() {
+    // An unknown model over the step cap: the cap is checked first, so
+    // the line gets the cap's `bad_request`, not the unknown-model one.
+    let input = "{\"id\":\"both\",\"model\":\"nosuch\",\"steps\":99}\n";
+    let (lines, _) = serve(&small_cfg(), &MemStore::default(), input);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].contains("\"id\":\"both\""), "{}", lines[0]);
+    assert!(
+        lines[0].contains("\"error\":\"bad_request\""),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[0].contains("`steps` exceeds the service cap of 4"),
+        "{}",
+        lines[0]
+    );
+    assert!(!lines[0].contains("unknown model"), "{}", lines[0]);
 }
 
 #[test]
