@@ -101,18 +101,23 @@ print(json.load(open(sys.argv[1]))["workloads"]["repro-all"]["references"]["any"
     perfbench/expected.json)
 echo "$repro_md5  $repro_a" | md5sum --check --quiet
 
-# Pinned faulted bytes: the benchmark's fault-grid workload runs the seven
-# models on all six presets at 3 steps under seeded fault plans, and checks
-# every cell's report digest plus the event, stall and fault counts
-# against perfbench/expected.json. A mismatch prints `"correct": false`.
-for seed in 1 2; do
-    fault_grid=$(python3 perfbench/run.py --workload fault-grid --seed "$seed" \
-        --seconds 1 --trace 0 | tail -n 1)
-    python3 -c 'import json, sys
-r = json.loads(sys.argv[1])
+# Pinned faulted and served bytes, checked against perfbench/expected.json.
+# The fault-grid workload runs the seven models on all six presets at 3
+# steps under seeded fault plans and checks every cell's report digest plus
+# the event, stall and fault counts. The serve-mix workload replays a
+# 3000-job trace through the daemon and checks the response stream's
+# digest and the computed/cache-hit counts, byte-verifying every 16th job
+# against a direct Engine::execute. A mismatch prints `"correct": false`.
+for workload in fault-grid serve-mix; do
+    for seed in 1 2; do
+        result=$(python3 perfbench/run.py --workload "$workload" --seed "$seed" \
+            --seconds 1 --trace 0 | tail -n 1)
+        python3 -c 'import json, sys
+r = json.loads(sys.argv[2])
 if r["correct"] is not True or r["failed"] != 0:
-    sys.exit("fault-grid differs from perfbench/expected.json: " + sys.argv[1])' \
-        "$fault_grid"
+    sys.exit(sys.argv[1] + " differs from perfbench/expected.json: " + sys.argv[2])' \
+            "$workload" "$result"
+    done
 done
 
 # Thread matrix: worker count must be unobservable in every output.

@@ -6,8 +6,9 @@
 //!
 //! * [`node`] — operation kinds with the paper's TensorFlow display names,
 //! * [`graph`] — the DAG with validation, topological ordering,
-//!   dependency queries, and the memoized per-graph cost and adjacency
-//!   tables every simulation of the graph borrows,
+//!   dependency queries, the memoized per-graph cost and adjacency
+//!   tables every simulation of the graph borrows, and the memoized
+//!   structural hash every cache key reads,
 //! * [`builder`] — a layer-level API that also auto-generates the backward
 //!   pass and optimizer updates,
 //! * [`cost`] — per-node analytic cost dispatch,

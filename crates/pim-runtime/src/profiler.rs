@@ -165,9 +165,9 @@ fn profile_memo() -> &'static Mutex<HashMap<ProfileKey, Arc<StepProfile>>> {
 /// returned profile is always equal to what a fresh [`profile_step`] would
 /// produce (a property-tested invariant).
 ///
-/// Nothing on the simulation path calls it: the memo key hashes the whole
-/// graph's `Debug` rendering, so a warm hit costs more than the profiling
-/// pass it saves. It stays as a timed layer of the benchmark harness.
+/// Nothing on the simulation path calls it: the engine reads the graph's
+/// own memoized tables instead. It stays as a timed layer of the
+/// benchmark harness.
 ///
 /// # Errors
 ///
