@@ -18,8 +18,11 @@ use pim_runtime::engine::{
     Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
 };
 use pim_runtime::fuzz::TieBreak;
+use pim_serve::protocol::parse_request;
+use pim_serve::JobRunner;
 use pim_sim::configs::{simulate, SystemConfig};
 use pim_sim::mixed::{corun, fig16_cases};
+use pim_sim::serve::SimRunner;
 use std::fmt::Write as _;
 
 const STEPS: usize = 2;
@@ -213,10 +216,6 @@ const KEYED_REQUESTS: &[&str] = &[
 /// Renders the store-key table: the structural hash of every paper model
 /// and the served cache key of every request in [`KEYED_REQUESTS`].
 fn render_store_keys() -> String {
-    use pim_serve::protocol::parse_request;
-    use pim_serve::JobRunner;
-    use pim_sim::serve::SimRunner;
-
     let mut out = String::from("# model | structural_hash\n");
     for kind in ModelKind::ALL {
         let model = Model::build(kind).unwrap();
