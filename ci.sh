@@ -122,10 +122,11 @@ done
 
 # Thread matrix: worker count must be unobservable in every output.
 # The differential suite and the full reproduction sweep are re-run with
-# the partitioned sweep pinned to 1, 2, and 4 workers (PIM_RUN_THREADS,
+# the claim-next fan-out pinned to 1, 2, 3 and 4 workers (PIM_RUN_THREADS,
 # see engine DESIGN.md §4.9); the sweep output must stay byte-identical
-# to the unpinned runs above.
-for threads in 1 2 4; do
+# to the unpinned runs above. The odd count is where the order in which
+# workers claim the sweep's sections differs most from an even split.
+for threads in 1 2 3 4; do
     PIM_RUN_THREADS=$threads cargo test -q -p pim-sim --test differential
     threads_out=$(mktemp)
     trap 'rm -f "$repro_a" "$repro_b" "$trace_a" "$trace_b" "${threads_out:-}" "${bench_json:-}"' EXIT

@@ -460,6 +460,10 @@ impl ResourceSoA {
     /// PIM's single bit is busy when no kernel slot is free. Only the run of
     /// registers between the old and new busy counts changes, and it is
     /// rewritten as one range write.
+    // Runs on every acquire and release of the scheduled driver. Left to
+    // the inliner, an unrelated edit elsewhere in the crate can move it
+    // out of line, which measurably slows the Hetero drive loop.
+    #[inline(always)]
     fn mirror_registers(&mut self) {
         let busy = self.pool.total_units() - self.pool.free_units();
         let changed = self.mirrored_busy.min(busy)..self.mirrored_busy.max(busy);

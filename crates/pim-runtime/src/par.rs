@@ -2,9 +2,20 @@
 //!
 //! [`par_map`] fans a slice out over scoped OS threads when the `parallel`
 //! feature (on by default) is enabled, and degrades to a plain serial map
-//! without it — callers never need to care which build they are in. Output
-//! order always matches input order, so parallel sweeps stay
-//! deterministic.
+//! without it — callers never need to care which build they are in.
+//!
+//! Work is claimed, not pre-assigned: every worker repeatedly takes the
+//! next unclaimed input index from one shared atomic counter, so a worker
+//! that drew a short item goes back for another instead of idling behind
+//! a fixed partition while one long item holds up the join. Each worker
+//! keeps `(index, result)` pairs, and after the join every result is
+//! placed at its input index.
+//!
+//! Determinism: `f` sees each item exactly once (the counter hands out
+//! every index once) and the output is assembled by input index alone, so
+//! which thread ran which item, and in what order, is unobservable in the
+//! result. Output order always matches input order, whatever the worker
+//! count, so parallel sweeps stay deterministic.
 
 /// Worker-thread cap for one fan-out: the `PIM_RUN_THREADS` environment
 /// variable when set to a positive integer, otherwise the machine's
@@ -22,8 +33,9 @@ fn thread_limit() -> usize {
 
 /// Maps `f` over `items`, in parallel when the `parallel` feature is on.
 ///
-/// Results are returned in input order regardless of which thread finished
-/// first.
+/// Results are returned in input order regardless of which thread ran
+/// which item. A panic in `f` is re-raised on the caller with its
+/// original payload.
 #[cfg(feature = "parallel")]
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
@@ -31,26 +43,53 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = thread_limit().min(items.len());
+    fan_out(thread_limit(), items, f)
+}
+
+/// [`par_map`] with an explicit worker cap: up to `workers` scoped
+/// threads claim input indices from one counter until none are left.
+#[cfg(feature = "parallel")]
+fn fan_out<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let workers = workers.min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(workers);
+    let next = AtomicUsize::new(0);
+    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(index) else {
+                            return done;
+                        };
+                        done.push((index, f(item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
     let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        for (item_chunk, out_chunk) in items.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (item, out) in item_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *out = Some(f(item));
-                }
-            });
-        }
-    });
+    for (index, result) in claimed.into_iter().flatten() {
+        results[index] = Some(result);
+    }
     results
         .into_iter()
-        .map(|r| r.expect("scoped worker filled every slot"))
+        .map(|r| r.expect("every index is claimed exactly once"))
         .collect()
 }
 
@@ -94,5 +133,71 @@ mod tests {
             }
         });
         assert_eq!(out, vec![Ok(1), Ok(2), Err("ccc".to_string())]);
+    }
+
+    #[cfg(feature = "parallel")]
+    mod claim_next {
+        use super::super::fan_out;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+
+        const ITEMS: usize = 23;
+
+        /// Item 0 spins until every other item has run. Claim-next lets
+        /// the other workers drain the rest while it spins; a static
+        /// partition would leave item 0's neighbours stuck behind it.
+        #[test]
+        fn skewed_first_item_runs_each_item_once_in_input_order() {
+            for workers in 2..=4 {
+                let runs: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
+                let finished = AtomicUsize::new(0);
+                let items: Vec<usize> = (0..ITEMS).collect();
+                let out = fan_out(workers, &items, |&i| {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    if i == 0 {
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while finished.load(Ordering::SeqCst) < ITEMS - 1 {
+                            assert!(
+                                Instant::now() < deadline,
+                                "{workers} workers left items unclaimed"
+                            );
+                            std::hint::spin_loop();
+                        }
+                    } else {
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    }
+                    i * 10
+                });
+                assert_eq!(out, items.iter().map(|i| i * 10).collect::<Vec<_>>());
+                for (i, count) in runs.iter().enumerate() {
+                    assert_eq!(
+                        count.load(Ordering::SeqCst),
+                        1,
+                        "item {i} with {workers} workers"
+                    );
+                }
+            }
+        }
+
+        #[derive(Debug, PartialEq)]
+        struct Boom(usize);
+
+        #[test]
+        fn a_panicking_item_surfaces_its_own_payload() {
+            for workers in 2..=4 {
+                let items: Vec<usize> = (0..ITEMS).collect();
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    fan_out(workers, &items, |&i| {
+                        if i == 7 {
+                            std::panic::panic_any(Boom(i));
+                        }
+                        i
+                    })
+                }))
+                .expect_err("item 7 panics");
+                assert_eq!(caught.downcast_ref::<Boom>(), Some(&Boom(7)));
+            }
+        }
     }
 }

@@ -20,9 +20,45 @@ use pim_graph::Graph;
 use pim_models::{Model, ModelKind};
 use pim_runtime::stats::ExecutionReport;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
-static MODELS: OnceLock<Mutex<HashMap<ModelKind, Arc<Model>>>> = OnceLock::new();
+/// A process-wide single-flight memo. Each key owns a slot: the first
+/// miss fills it while holding the slot's lock, so a concurrent miss on
+/// the same key waits for that fill instead of computing it again, and
+/// misses on different keys never wait for each other. A failed fill
+/// leaves the slot empty, so errors are never cached and the next caller
+/// retries.
+struct Memo<K, V>(OnceLock<Mutex<HashMap<K, Slot<V>>>>);
+
+/// One key's value, empty until its first successful fill.
+type Slot<V> = Arc<Mutex<Option<V>>>;
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    const fn new() -> Self {
+        Self(OnceLock::new())
+    }
+
+    fn get_or_fill(&self, key: K, fill: impl FnOnce() -> Result<V>) -> Result<V> {
+        let slot = Arc::clone(
+            self.0
+                .get_or_init(Mutex::default)
+                .lock()
+                .expect("memo poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        let mut value = slot.lock().expect("memo slot poisoned");
+        if let Some(hit) = &*value {
+            return Ok(hit.clone());
+        }
+        let filled = fill()?;
+        *value = Some(filled.clone());
+        Ok(filled)
+    }
+}
+
+static MODELS: Memo<ModelKind, Arc<Model>> = Memo::new();
 
 /// [`Model::build`] behind a process-wide cache (paper batch sizes only;
 /// custom-batch studies build their own).
@@ -31,21 +67,10 @@ static MODELS: OnceLock<Mutex<HashMap<ModelKind, Arc<Model>>>> = OnceLock::new()
 ///
 /// Propagates model-construction failures (never cached).
 pub fn model(kind: ModelKind) -> Result<Arc<Model>> {
-    let cache = MODELS.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().expect("model cache poisoned").get(&kind) {
-        return Ok(Arc::clone(hit));
-    }
-    let built = Arc::new(Model::build(kind)?);
-    cache
-        .lock()
-        .expect("model cache poisoned")
-        .insert(kind, Arc::clone(&built));
-    Ok(built)
+    MODELS.get_or_fill(kind, || Model::build(kind).map(Arc::new))
 }
 
-type BatchModelMap = HashMap<(ModelKind, usize), Arc<Model>>;
-
-static BATCH_MODELS: OnceLock<Mutex<BatchModelMap>> = OnceLock::new();
+static BATCH_MODELS: Memo<(ModelKind, usize), Arc<Model>> = Memo::new();
 
 /// [`Model::build_with_batch`] behind a process-wide cache — the
 /// custom-batch twin of [`model`], used by serve requests carrying a
@@ -55,27 +80,16 @@ static BATCH_MODELS: OnceLock<Mutex<BatchModelMap>> = OnceLock::new();
 ///
 /// Propagates model-construction failures (never cached).
 pub fn model_with_batch(kind: ModelKind, batch: usize) -> Result<Arc<Model>> {
-    let cache = BATCH_MODELS.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache
-        .lock()
-        .expect("batch model cache poisoned")
-        .get(&(kind, batch))
-    {
-        return Ok(Arc::clone(hit));
-    }
-    let built = Arc::new(Model::build_with_batch(kind, batch)?);
-    cache
-        .lock()
-        .expect("batch model cache poisoned")
-        .insert((kind, batch), Arc::clone(&built));
-    Ok(built)
+    BATCH_MODELS.get_or_fill((kind, batch), || {
+        Model::build_with_batch(kind, batch).map(Arc::new)
+    })
 }
 
 /// Cell key: graph fingerprint + op count (collision discriminant),
 /// configuration fingerprint, steps.
 type CellKey = (u64, usize, u64, usize);
 
-static CELLS: OnceLock<Mutex<HashMap<CellKey, ExecutionReport>>> = OnceLock::new();
+static CELLS: Memo<CellKey, ExecutionReport> = Memo::new();
 
 fn cell_key(graph: &Graph, config: &SystemConfig, steps: usize) -> CellKey {
     (
@@ -92,19 +106,9 @@ fn cell_key(graph: &Graph, config: &SystemConfig, steps: usize) -> CellKey {
 ///
 /// Propagates simulation failures (never cached).
 pub fn cell_report(model: &Model, config: &SystemConfig, steps: usize) -> Result<ExecutionReport> {
-    let key = cell_key(model.graph(), config, steps);
-    let cache = CELLS.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().expect("cell cache poisoned").get(&key) {
-        return Ok(hit.clone());
-    }
-    // Simulate outside the lock: concurrent misses on the same cell both
-    // compute the (identical) result and the last insert wins.
-    let report = simulate(model, config, steps)?;
-    cache
-        .lock()
-        .expect("cell cache poisoned")
-        .insert(key, report.clone());
-    Ok(report)
+    CELLS.get_or_fill(cell_key(model.graph(), config, steps), || {
+        simulate(model, config, steps)
+    })
 }
 
 static REQUESTS: OnceLock<Mutex<HashMap<u64, Arc<pim_serve::StoredResult>>>> = OnceLock::new();
@@ -158,6 +162,27 @@ mod tests {
         let one = cell_report(&m, &cfg, 1).unwrap();
         let two = cell_report(&m, &cfg, 2).unwrap();
         assert!(two.makespan > one.makespan);
+    }
+
+    #[test]
+    fn concurrent_cold_misses_share_one_fill() {
+        // A batch size no other caller uses, so the key starts cold.
+        const THREADS: usize = 8;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let models: Vec<Arc<Model>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        model_with_batch(ModelKind::Dcgan, 7).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for m in &models[1..] {
+            assert!(Arc::ptr_eq(&models[0], m));
+        }
     }
 
     #[test]

@@ -613,13 +613,15 @@ pub fn fig13_fig14_fig15() -> Result<String> {
 
 /// Gathers Fig. 16: mixed-workload co-running, one result per case.
 ///
+/// The six cases are independent, so they fan out across threads; each
+/// case stays one serial chain and the results come back in case order.
+///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn fig16_data() -> Result<Vec<CoRunResult>> {
-    fig16_cases()
+    par_map(&fig16_cases(), |&(cnn, other)| corun(cnn, other, 2))
         .into_iter()
-        .map(|(cnn, other)| corun(cnn, other, 2))
         .collect()
 }
 
@@ -712,6 +714,15 @@ mod tests {
         assert!(t.contains("AlexNet"));
         assert!(t.contains("DCGAN"));
         assert!(t.contains("Conv2DBackpropFilter"));
+    }
+
+    #[test]
+    fn fig16_fan_out_matches_serial_coruns_in_case_order() {
+        let serial: Vec<CoRunResult> = fig16_cases()
+            .into_iter()
+            .map(|(cnn, other)| corun(cnn, other, 2).unwrap())
+            .collect();
+        assert_eq!(fig16_data().unwrap(), serial);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, Worklo
 use serde::Serialize;
 
 /// Result of one co-run case.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CoRunResult {
     /// The CNN workload.
     pub cnn: ModelKind,
