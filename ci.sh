@@ -63,8 +63,9 @@ cargo test --workspace -q
 
 # The benchmark harness (its own workspace) builds against crates/ by
 # path: removing an Engine or profiler item it uses must fail here, not
-# first when the benchmark runs.
-cargo test --release -q --manifest-path perfbench/Cargo.toml
+# first when the benchmark runs. `--locked` makes a change to its
+# dependency graph fail here instead of rewriting perfbench/Cargo.lock.
+cargo test --release -q --locked --manifest-path perfbench/Cargo.toml
 
 # Workspace builds unify features (pim-sim default-enables pim-runtime's
 # `trace`); make sure the feature-off hot path still compiles on its own.

@@ -12,7 +12,6 @@
 //! * [`builder`] — a layer-level API that also auto-generates the backward
 //!   pass and optimizer updates,
 //! * [`cost`] — per-node analytic cost dispatch,
-//! * [`export`] — DOT rendering and structural statistics,
 //! * [`liveness`] — peak-live-memory analysis of a step,
 //! * [`executor`] — an eager interpreter that really trains (used by the
 //!   functional examples).
@@ -43,7 +42,6 @@
 pub mod builder;
 pub mod cost;
 pub mod executor;
-pub mod export;
 pub mod gen;
 pub mod graph;
 pub mod liveness;

@@ -6,14 +6,7 @@
 //! * [`kir`] — a miniature kernel IR so binary generation is a real code
 //!   transformation,
 //! * [`binary`] — the four-binary compilation pass of Fig. 4, including the
-//!   extraction that powers recursive PIM kernels,
-//! * [`directive`] — the OpenACC-style loop-nest frontend that lowers into
-//!   the same IR (the §III-B program-maintenance path),
-//! * [`queue`] — command queues with accelerator-to-accelerator submission
-//!   and explicit CPU-PIM synchronization,
-//! * [`memory`] — the single shared global memory with bank-aware placement
-//!   and relaxed consistency,
-//! * [`api`] — the low-level PIM control API of Table III.
+//!   extraction that powers recursive PIM kernels.
 //!
 //! # Examples
 //!
@@ -38,15 +31,10 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod api;
 pub mod binary;
-pub mod directive;
 pub mod kir;
-pub mod memory;
 pub mod platform;
-pub mod queue;
 
-pub use api::{ComputePlacement, LowLevelApi, OpPlacement};
 pub use binary::BinarySet;
 pub use kir::KernelSource;
 pub use platform::{DeviceKind, Platform};

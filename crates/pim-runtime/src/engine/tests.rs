@@ -105,6 +105,26 @@ fn frequency_scaling_speeds_up_hetero() {
 }
 
 #[test]
+fn step_one_profiles_on_the_configured_host() {
+    let model = Model::build_with_batch(ModelKind::AlexNet, 2).unwrap();
+    let mut params = CpuDevice::xeon_e5_2630_v3().params().clone();
+    params.name = "FastHost";
+    params.ma_throughput *= 2.0;
+    params.other_throughput *= 2.0;
+    let profile_total = |cfg: EngineConfig| {
+        let engine = Engine::new(cfg);
+        crate::profiler::profile_step(model.graph(), engine.profiling_device())
+            .unwrap()
+            .total_time()
+    };
+    let fast = profile_total(
+        EngineConfig::preset(SystemPreset::Hetero).with_host_cpu(CpuDevice::custom(params)),
+    );
+    let base = profile_total(EngineConfig::preset(SystemPreset::Hetero));
+    assert!(fast < base);
+}
+
+#[test]
 fn pipeline_respects_dependencies() {
     // A deliberately serial chain cannot finish faster than the sum of
     // its op times divided by available parallelism — sanity-check by

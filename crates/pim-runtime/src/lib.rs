@@ -11,8 +11,6 @@
 //!   baselines,
 //! * [`par`] — fork-join helper behind the default-on `parallel` feature
 //!   (independent simulations across threads, deterministic order),
-//! * [`recursive`] — the programmable-PIM-side progress tracker for
-//!   recursive kernels (§IV-C),
 //! * [`sync`] — synchronization-cost constants and kernel-call granularity,
 //! * [`verify`] — schedule-legality replay over recorded timelines; backs
 //!   the engine's debug-mode assertions and the `pim-verify` checker,
@@ -21,9 +19,7 @@
 //!   the report),
 //! * [`search`] — beam search over the [`fuzz::TieBreak::Priority`] order
 //!   space, reporting the best-found makespan vs the paper heuristic,
-//! * [`stats`] — execution reports (time breakdown, energy, utilization),
-//! * [`session`] — the TensorFlow-runtime-extension facade: profile step 1,
-//!   schedule the rest.
+//! * [`stats`] — execution reports (time breakdown, energy, utilization).
 //!
 //! # Examples
 //!
@@ -48,10 +44,8 @@ pub mod engine;
 pub mod fuzz;
 pub mod par;
 pub mod profiler;
-pub mod recursive;
 pub mod search;
 pub mod select;
-pub mod session;
 pub mod stats;
 pub mod sync;
 pub mod verify;
@@ -62,5 +56,4 @@ pub use engine::{
     WorkloadSpec,
 };
 pub use fuzz::TieBreak;
-pub use session::TrainingSession;
 pub use stats::ExecutionReport;

@@ -1,10 +1,11 @@
 //! Integration tests of the runtime's mechanisms across crates: candidate
 //! selection feeding the engine, RC/OP ablation ordering, utilization, and
-//! the training session facade.
+//! the profile-select-schedule path of a training run.
 
 use hetero_pim::models::{Model, ModelKind};
 use hetero_pim::runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
-use hetero_pim::runtime::TrainingSession;
+use hetero_pim::runtime::profiler::profile_step;
+use hetero_pim::runtime::select::select_candidates;
 
 fn workload(model: &Model, steps: usize) -> WorkloadSpec<'_> {
     WorkloadSpec {
@@ -78,21 +79,27 @@ fn utilization_rises_with_rc_and_op() {
     );
 }
 
-/// The training session profiles once, selects candidates covering >= 90%
-/// of step time, and schedules the remaining steps.
+/// Step 1 is profiled on the engine's host CPU, the global index selects
+/// candidates covering >= 90% of step time, and the engine schedules the
+/// remaining steps.
 #[test]
 fn training_session_end_to_end() {
     for kind in ModelKind::ALL {
         let model = Model::build_with_batch(kind, kind.paper_batch_size().min(16)).unwrap();
-        let session =
-            TrainingSession::new(model.graph(), EngineConfig::preset(SystemPreset::Hetero))
-                .unwrap();
+        let config = EngineConfig::preset(SystemPreset::Hetero);
+        let coverage = config.coverage;
+        let engine = Engine::new(config);
+        let profile = profile_step(model.graph(), engine.profiling_device()).unwrap();
+        let candidates = select_candidates(&profile, coverage);
         assert!(
-            session.candidates().time_coverage >= 0.90,
+            candidates.time_coverage >= 0.90,
             "{kind}: coverage {:.2}",
-            session.candidates().time_coverage
+            candidates.time_coverage
         );
-        let report = session.train(2).unwrap();
+        let report = engine
+            .execute(&RunRequest::new(&[workload(&model, 2)]))
+            .unwrap()
+            .into_report();
         assert!(report.is_well_formed(), "{kind}");
     }
 }

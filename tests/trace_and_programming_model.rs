@@ -1,18 +1,13 @@
 //! Integration tests of the trace-driven path (§V-A) and the extended
-//! OpenCL programming model (Tables II/III) against real model graphs.
+//! OpenCL binary generation (Fig. 4) against real model graphs.
 
 use hetero_pim::models::{Model, ModelKind};
-use hetero_pim::opencl::api::{ComputePlacement, LowLevelApi, OpPlacement};
 use hetero_pim::opencl::binary::BinarySet;
 use hetero_pim::opencl::kir::KernelSource;
-use hetero_pim::opencl::memory::SharedGlobalMemory;
-use hetero_pim::opencl::platform::{DeviceKind, Platform};
 use hetero_pim::sim::trace::Trace;
 use hetero_pim::sim::tracegen::generate_trace;
-use pim_common::ids::{BankId, OpId};
+use pim_common::ids::OpId;
 use pim_graph::cost::op_cost;
-use pim_hw::fixed::FixedPoolConfig;
-use pim_mem::stack::StackConfig;
 use pim_tensor::cost::OffloadClass;
 
 /// The trace roundtrips through its binary encoding and reproduces every
@@ -60,66 +55,4 @@ fn binary_generation_matches_op_classes() {
             assert!((set.extracted_flops() - cost.ma_flops()).abs() < 1e-6);
         }
     }
-}
-
-/// The platform model exposes the paper's device mapping, and the low-level
-/// API tracks offloads against it for a whole training step.
-#[test]
-fn platform_and_api_track_a_training_step() {
-    let stack = StackConfig::hmc2();
-    let pool = FixedPoolConfig::paper_default(&stack);
-    let platform = Platform::hetero_pim(8, &pool, 4);
-    let fixed = platform.device_of_kind(DeviceKind::FixedFunction).unwrap();
-    assert_eq!(fixed.compute_units, 32);
-    assert_eq!(fixed.total_pes(), 444);
-
-    let model = Model::build_with_batch(ModelKind::AlexNet, 4).unwrap();
-    let mut api = LowLevelApi::new(stack.banks());
-    let mut memory = SharedGlobalMemory::new(stack.banks(), 4096);
-    for info in model.graph().tensors() {
-        if info.shape.size_bytes() > 0 {
-            memory.allocate(info.id, info.shape.size_bytes()).unwrap();
-        }
-    }
-    // Offload every op to the bank holding its first input, then complete.
-    for node in model.graph().ops() {
-        let bank = node
-            .inputs
-            .first()
-            .and_then(|t| memory.home_bank(*t).ok())
-            .unwrap_or(BankId::new(0));
-        api.pim_offload(
-            node.id,
-            OpPlacement {
-                compute: ComputePlacement::FixedFunction {
-                    banks: vec![bank],
-                    units: 8,
-                },
-                data_banks: vec![bank],
-            },
-        )
-        .unwrap();
-        assert!(api.pim_is_busy(bank).unwrap());
-        assert!(!api.pim_query_completion(node.id));
-        api.pim_complete(node.id).unwrap();
-        assert!(api.pim_query_completion(node.id));
-    }
-    assert!(api.registers().all_banks_idle());
-}
-
-/// Bank-aware allocation spreads a real model's tensors across all banks.
-#[test]
-fn shared_memory_balances_model_tensors_across_banks() {
-    let model = Model::build_with_batch(ModelKind::Dcgan, 8).unwrap();
-    let mut memory = SharedGlobalMemory::new(32, 4096);
-    for info in model.graph().tensors() {
-        if info.shape.size_bytes() > 0 {
-            memory.allocate(info.id, info.shape.size_bytes()).unwrap();
-        }
-    }
-    let loads = memory.bank_load();
-    let max = *loads.iter().max().unwrap() as f64;
-    let min = *loads.iter().min().unwrap() as f64;
-    assert!(min > 0.0, "every bank holds data");
-    assert!(max / min < 1.5, "bank loads balanced: {loads:?}");
 }
