@@ -169,6 +169,13 @@ cargo run --release -q -p pim-sim --bin repro \
     --no-default-features --features trace -- \
     fuzz --models alex,lstm --seeds 8 --presets hetero,progr > /dev/null
 
+# Priority-order dispatch pin: `repro search` with its defaults (beam 4,
+# 3 rounds, AlexNet/DCGAN/LSTM) runs 312 seeded priority-order schedules,
+# the one dispatch order besides the stable one. Its table must keep this
+# digest, so a change to how that order dispatches cannot pass unseen.
+search_md5=$(cargo run --release -q -p pim-sim --bin repro -- search | md5sum | cut -d' ' -f1)
+test "$search_md5" = c6b7b2e59b24d6447f17d2bb7b67cbce
+
 # Static order-invariance gate: pass 5 over every model with 4 permuted
 # orders (seed 1), on top of the graph/KIR/schedule/report passes.
 cargo run --release -q -p pim-verify -- \

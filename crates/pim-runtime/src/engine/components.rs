@@ -585,14 +585,24 @@ impl<'a, 'o> ComponentSlab<'a, 'o> {
     }
 
     /// The component holding the globally earliest pending event, by
-    /// `(time, seq)`; `None` when every component is idle.
+    /// `(time, seq)`; `None` when every component is idle. Only the lanes
+    /// and the link/sync model ever hold events, so the passive components
+    /// are not asked.
     pub fn earliest(&self) -> Option<CompKey> {
-        self.comps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.next_tick().map(|tick| (tick, CompKey(i))))
-            .min_by_key(|&(tick, _)| tick)
-            .map(|(_, key)| key)
+        let mut earliest: Option<((u128, u64), CompKey)> = None;
+        for (i, comp) in self.comps.iter().enumerate() {
+            let tick = match comp {
+                Comp::Lanes(c) => c.next_tick(),
+                Comp::Sync(c) => c.next_tick(),
+                Comp::Resources(_) | Comp::Observer(_) => continue,
+            };
+            if let Some(tick) = tick {
+                if earliest.is_none_or(|(first, _)| tick < first) {
+                    earliest = Some((tick, CompKey(i)));
+                }
+            }
+        }
+        earliest.map(|(_, key)| key)
     }
 
     /// Advances `key` past its earliest event; `None` when it is idle.

@@ -18,7 +18,18 @@
 //! link/sync model, the resource pool, the observer — as components in a
 //! [`ComponentSlab`] and loops on `earliest()`/`advance()`; see the
 //! [`components`](super::components) module docs for the determinism
-//! argument. All drivers account time and energy through the same
+//! argument.
+//!
+//! Its dispatch pass works by *demand class* ([`DemandClass`]): the part
+//! of an op that decides whether [`Planner::choose`] can place it at all.
+//! The ready set keeps each class's ready instances apart, with a cached
+//! first key per class. An admission table answers, once per availability
+//! signature, which classes fit. The pass takes the first admitted head
+//! until nothing fits, so it never visits an op whose class cannot be
+//! placed. DESIGN.md §4.9 shows it places exactly what one in-order pass
+//! over every ready op would.
+//!
+//! All drivers account time and energy through the same
 //! [`Accumulator`] and build their result exclusively via
 //! [`ReportBuilder`], and all emit per-op [`TimelineEntry`] records to a
 //! pluggable [`TimelineSink`]. The engine drivers additionally observe
@@ -32,7 +43,8 @@ use super::faults::{backoff_after, charge_until, AttemptOutcome, FaultContext, F
 use super::limits::RunLimits;
 use super::observe::{Observer, OpRecord, ResourceClass, TimelineEntry, TimelineSink};
 use super::placement::{
-    resource_class, Availability, PlanKind, PlannedOp, Planner, PLACEMENT_DECISION,
+    resource_class, Availability, DemandClass, PlanKind, PlannedOp, Planner, PLACEMENT_DECISION,
+    SIGNATURES,
 };
 use super::{Prepared, SystemMode};
 use crate::fuzz::TieBreak;
@@ -294,15 +306,134 @@ struct Key {
     op: usize,
 }
 
+impl Key {
+    /// `(step, rank, wl)` packed into one integer with the same order.
+    /// `ReadySet::new` checks that ranks and workload indices fit 32 bits.
+    fn packed(&self) -> u128 {
+        (self.step as u128) << 64 | (self.rank as u128) << 32 | self.wl as u128
+    }
+}
+
+/// A key's place in the dispatch order: the tie-break hash, then the
+/// packed key. The hash is zero except under [`TieBreak::Priority`], which
+/// dispatches by seeded hash and breaks hash ties in [`Key`] order.
+type Order = (u64, u128);
+
+fn dispatch_order(tie: TieBreak, key: &Key) -> Order {
+    let hash = match tie {
+        TieBreak::Stable | TieBreak::Permuted(_) => 0,
+        TieBreak::Priority(_) => tie.decision_hash(&[
+            key.step as u64,
+            key.rank as u64,
+            key.wl as u64,
+            key.op as u64,
+        ]),
+    };
+    (hash, key.packed())
+}
+
+/// A demand class's cached dispatch head.
+#[derive(Debug, Clone, Copy)]
+enum Head {
+    /// The class's first in-window key in dispatch order.
+    At { order: Order, key: Key },
+    /// The class has no in-window key.
+    Empty,
+    /// Unknown until the next search, which starts at `resume`, a
+    /// `(step, slot)` position: no in-window key of the class lies below
+    /// it. Always the start under [`TieBreak::Priority`], whose order is
+    /// not bit order.
+    Stale { resume: (usize, usize) },
+}
+
+/// The ready instances of one demand class.
+///
+/// One bitset per step over the class's member slots, which are sorted
+/// by `(rank, wl)`, so ascending `(step, slot)` order is [`Key`] order.
+/// Slot `i` of step `s` is bit `i % 64` of word `s * stride + i / 64`; a
+/// second-level bitset marks the non-empty words of each step.
+struct ClassSet {
+    demand: DemandClass,
+    /// A member `(wl, op)` whose placeability stands for the class's.
+    rep: (usize, usize),
+    /// Member keys by slot, with `step` zero.
+    members: Vec<Key>,
+    /// Words per step in `bits`.
+    stride: usize,
+    bits: Vec<u64>,
+    /// Words per step in `occupied`: step `s`, word `j` of `bits` is bit
+    /// `j % 64` of word `s * occupied_stride + j / 64`.
+    occupied_stride: usize,
+    occupied: Vec<u64>,
+    /// Ready members, in or out of their window.
+    ready: usize,
+    head: Head,
+}
+
+impl ClassSet {
+    fn set(&mut self, step: usize, slot: usize, on: bool) {
+        let (word, bit) = (step * self.stride + slot / 64, slot % 64);
+        let summary = step * self.occupied_stride * 64 + slot / 64;
+        if on {
+            self.bits[word] |= 1 << bit;
+            self.occupied[summary / 64] |= 1 << (summary % 64);
+        } else {
+            self.bits[word] &= !(1 << bit);
+            if self.bits[word] == 0 {
+                self.occupied[summary / 64] &= !(1 << (summary % 64));
+            }
+        }
+    }
+
+    /// Visits, in ascending `(step, slot)` order from `from`, every ready
+    /// member inside its own workload's window, until `visit` returns true.
+    fn walk(
+        &self,
+        (from_step, from_slot): (usize, usize),
+        windows: &[Range<usize>],
+        open_steps: &[Range<usize>],
+        mut visit: impl FnMut(Key) -> bool,
+    ) {
+        for span in open_steps {
+            for s in span.start.max(from_step)..span.end {
+                let lo = if s == from_step { from_slot } else { 0 };
+                let occupied =
+                    &self.occupied[s * self.occupied_stride..(s + 1) * self.occupied_stride];
+                for (k, &summary) in occupied.iter().enumerate() {
+                    for jb in ones(summary) {
+                        let j = k * 64 + jb;
+                        if j < lo / 64 {
+                            continue;
+                        }
+                        let mut word = self.bits[s * self.stride + j];
+                        if j == lo / 64 {
+                            word &= u64::MAX << (lo % 64);
+                        }
+                        for b in ones(word) {
+                            let key = Key {
+                                step: s,
+                                ..self.members[j * 64 + b]
+                            };
+                            if windows[key.wl].contains(&s) && visit(key) {
+                                return;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Dependency/readiness bookkeeping of the scheduled driver.
 ///
-/// The ready set is one bitset per step over the slots
-/// `rank * workloads + wl`, so ascending bit order within a step is
-/// `(rank, wl)` order and a scan over ascending steps yields keys in
-/// [`Key`] order without sorting. The dispatch scan visits only steps
-/// inside some workload's open pipeline window and skips steps with no
-/// ready key in such a window, so co-run workloads whose windows lie far
-/// apart cost nothing for the steps between them.
+/// Ready instances are kept per demand class ([`ClassSet`]), each with a
+/// cached head: its first in-window key in dispatch order. The dispatch
+/// pass asks which classes fit the current availability and takes the
+/// first head among them, so it never visits a key whose class cannot be
+/// placed. Head searches visit only steps inside some workload's open
+/// pipeline window, so co-run workloads whose windows lie far apart cost
+/// nothing for the steps between them.
 struct ReadySet {
     /// Per-instance remaining dependency counts.
     remaining: Vec<Vec<Vec<usize>>>,
@@ -315,32 +446,27 @@ struct ReadySet {
     /// `depth` steps, clipped to the workload's step count.
     windows: Vec<Range<usize>>,
     /// The union of `windows` as disjoint ranges in ascending order: the
-    /// only steps a scan visits.
+    /// only steps a head search visits.
     open_steps: Vec<Range<usize>>,
-    /// Workload count: the slot stride of one rank.
-    workloads: usize,
-    /// Words per step in `bits`.
-    stride: usize,
-    /// Ready bits: step `s`, slot `i` is bit `i % 64` of word
-    /// `s * stride + i / 64`.
-    bits: Vec<u64>,
-    /// Words per step in `occupied`.
-    occupied_stride: usize,
-    /// Which `bits` words are non-zero: step `s`, word `j` is bit `j % 64`
-    /// of word `s * occupied_stride + j / 64`, so a scan skips empty words
-    /// without reading them.
-    occupied: Vec<u64>,
-    /// Per-(workload, step) census of the ready set, kept in lockstep with
-    /// every insert/remove so the scan can skip empty steps and the stall
-    /// accounting can count window-closed instances without walking the
-    /// set.
+    tie: TieBreak,
+    /// Per workload and op, its demand class and slot in that class.
+    slot_of: Vec<Vec<(usize, usize)>>,
+    classes: Vec<ClassSet>,
+    /// Bit `c` is set while class `c` holds a ready instance.
+    nonempty: Vec<u64>,
+    /// Per-(workload, step) census of the ready set, so a window move can
+    /// recount the workload's in-window instances in O(depth).
     ready_counts: Vec<Vec<usize>>,
-    /// Ready instances per workload.
-    ready_total: Vec<usize>,
+    /// Per workload, ready instances inside its own window.
+    in_window: Vec<usize>,
+    /// Ready instances, in or out of their window.
+    ready: usize,
+    /// Ready instances inside their own workload's window.
+    open: usize,
 }
 
 impl ReadySet {
-    fn new(prepared: &[Prepared<'_>], depth: usize) -> Self {
+    fn new(prepared: &[Prepared<'_>], depth: usize, tie: TieBreak) -> Self {
         let remaining: Vec<Vec<Vec<usize>>> = prepared
             .iter()
             .map(|wl| {
@@ -361,8 +487,61 @@ impl ReadySet {
         let workloads = prepared.len();
         let max_ops = prepared.iter().map(|wl| wl.topo.len()).max().unwrap_or(0);
         let max_steps = prepared.iter().map(|wl| wl.spec.steps).max().unwrap_or(0);
-        let stride = (max_ops * workloads).div_ceil(64);
-        let occupied_stride = stride.div_ceil(64);
+        assert!(
+            u32::try_from(max_ops).is_ok() && u32::try_from(workloads).is_ok(),
+            "ranks and workload indices must fit a packed key"
+        );
+        // Sort every op into its demand class. Visiting ops rank-major, then
+        // by workload, appends each class's members in `(rank, wl)` order.
+        let mut classes: Vec<ClassSet> = Vec::new();
+        for rank in 0..max_ops {
+            for (w, wl) in prepared.iter().enumerate() {
+                let Some(&op) = wl.topo.get(rank) else {
+                    continue;
+                };
+                let demand = DemandClass::of(
+                    &wl.costs[op],
+                    wl.candidates.contains(OpId::new(op)),
+                    wl.spec.cpu_progr_only,
+                );
+                let c = classes
+                    .iter()
+                    .position(|class| class.demand == demand)
+                    .unwrap_or_else(|| {
+                        classes.push(ClassSet {
+                            demand,
+                            rep: (w, op),
+                            members: Vec::new(),
+                            stride: 0,
+                            bits: Vec::new(),
+                            occupied_stride: 0,
+                            occupied: Vec::new(),
+                            ready: 0,
+                            head: Head::Empty,
+                        });
+                        classes.len() - 1
+                    });
+                classes[c].members.push(Key {
+                    step: 0,
+                    rank,
+                    wl: w,
+                    op,
+                });
+            }
+        }
+        let mut slot_of: Vec<Vec<(usize, usize)>> = prepared
+            .iter()
+            .map(|wl| vec![(0, 0); wl.topo.len()])
+            .collect();
+        for (c, class) in classes.iter_mut().enumerate() {
+            for (slot, m) in class.members.iter().enumerate() {
+                slot_of[m.wl][m.op] = (c, slot);
+            }
+            class.stride = class.members.len().div_ceil(64);
+            class.occupied_stride = class.stride.div_ceil(64);
+            class.bits = vec![0; max_steps * class.stride];
+            class.occupied = vec![0; max_steps * class.occupied_stride];
+        }
         let mut rs = ReadySet {
             remaining,
             step_left,
@@ -371,17 +550,18 @@ impl ReadySet {
                 .iter()
                 .map(|wl| 0..depth.min(wl.spec.steps))
                 .collect(),
-            open_steps: Vec::new(),
-            workloads,
-            stride,
-            bits: vec![0; max_steps * stride],
-            occupied_stride,
-            occupied: vec![0; max_steps * occupied_stride],
+            open_steps: Vec::with_capacity(workloads),
+            tie,
+            slot_of,
+            nonempty: vec![0; classes.len().div_ceil(64)],
+            classes,
             ready_counts: prepared
                 .iter()
                 .map(|wl| vec![0usize; wl.spec.steps])
                 .collect(),
-            ready_total: vec![0; workloads],
+            in_window: vec![0; workloads],
+            ready: 0,
+            open: 0,
         };
         rs.merge_windows();
         for (w, wl) in prepared.iter().enumerate() {
@@ -399,42 +579,49 @@ impl ReadySet {
         rs
     }
 
-    /// Recomputes `open_steps` after a window moved.
+    /// Recomputes `open_steps` after a window moved, merging in place.
     fn merge_windows(&mut self) {
-        let mut windows: Vec<Range<usize>> = self
-            .windows
-            .iter()
-            .filter(|win| !win.is_empty())
-            .cloned()
-            .collect();
-        windows.sort_unstable_by_key(|win| win.start);
-        self.open_steps.clear();
-        for win in windows {
-            match self.open_steps.last_mut() {
-                Some(last) if win.start <= last.end => last.end = last.end.max(win.end),
-                _ => self.open_steps.push(win),
+        let open = &mut self.open_steps;
+        open.clear();
+        open.extend(self.windows.iter().filter(|win| !win.is_empty()).cloned());
+        open.sort_unstable_by_key(|win| win.start);
+        let mut merged = 0;
+        for i in 0..open.len() {
+            let win = open[i].clone();
+            if merged > 0 && win.start <= open[merged - 1].end {
+                open[merged - 1].end = open[merged - 1].end.max(win.end);
+            } else {
+                open[merged] = win;
+                merged += 1;
             }
         }
-    }
-
-    /// `key`'s ready bit: the index of its word in `bits`, the index of
-    /// that word's bit in `occupied`, and the mask within the word.
-    fn bit(&self, key: &Key) -> (usize, usize, u64) {
-        let slot = key.rank * self.workloads + key.wl;
-        let j = slot / 64;
-        (
-            key.step * self.stride + j,
-            key.step * self.occupied_stride * 64 + j,
-            1 << (slot % 64),
-        )
+        open.truncate(merged);
     }
 
     fn insert(&mut self, key: Key) {
-        let (word, summary, mask) = self.bit(&key);
-        self.bits[word] |= mask;
-        self.occupied[summary / 64] |= 1 << (summary % 64);
+        let (c, slot) = self.slot_of[key.wl][key.op];
+        let class = &mut self.classes[c];
+        class.set(key.step, slot, true);
+        if class.ready == 0 {
+            self.nonempty[c / 64] |= 1 << (c % 64);
+        }
+        class.ready += 1;
         self.ready_counts[key.wl][key.step] += 1;
-        self.ready_total[key.wl] += 1;
+        self.ready += 1;
+        if self.windows[key.wl].contains(&key.step) {
+            self.in_window[key.wl] += 1;
+            self.open += 1;
+            let order = dispatch_order(self.tie, &key);
+            class.head = match class.head {
+                Head::At { order: head, .. } if head <= order => class.head,
+                Head::At { .. } | Head::Empty => Head::At { order, key },
+                // A key at or below the resume point (a requeued head
+                // included) moves the search back to it.
+                Head::Stale { resume } => Head::Stale {
+                    resume: resume.min((key.step, slot)),
+                },
+            };
+        }
     }
 
     /// Makes `(wl, step, op)` ready again after a failed attempt.
@@ -448,18 +635,38 @@ impl ReadySet {
     }
 
     fn remove(&mut self, key: &Key) {
-        let (word, summary, mask) = self.bit(key);
-        self.bits[word] &= !mask;
-        if self.bits[word] == 0 {
-            self.occupied[summary / 64] &= !(1 << (summary % 64));
+        let (c, slot) = self.slot_of[key.wl][key.op];
+        let class = &mut self.classes[c];
+        class.set(key.step, slot, false);
+        class.ready -= 1;
+        if class.ready == 0 {
+            self.nonempty[c / 64] &= !(1 << (c % 64));
         }
         self.ready_counts[key.wl][key.step] -= 1;
-        self.ready_total[key.wl] -= 1;
+        self.ready -= 1;
+        if self.windows[key.wl].contains(&key.step) {
+            self.in_window[key.wl] -= 1;
+            self.open -= 1;
+        }
+        if matches!(class.head, Head::At { key: head, .. } if head == *key) {
+            // Every other in-window key of the class sorts after the head.
+            let resume = if matches!(self.tie, TieBreak::Priority(_)) {
+                (0, 0)
+            } else {
+                (key.step, slot)
+            };
+            class.head = Head::Stale { resume };
+        }
     }
 
     /// Ready instances, in or out of their pipeline window.
     fn len(&self) -> usize {
-        self.ready_total.iter().sum()
+        self.ready
+    }
+
+    /// Ready instances outside their own workload's pipeline window.
+    fn window_closed(&self) -> usize {
+        self.ready - self.open
     }
 
     /// Releases the dependents of a completed instance and advances the
@@ -495,63 +702,60 @@ impl ReadySet {
         // Step-completion bookkeeping for the pipeline window.
         self.step_left[w][step] -= 1;
         let win = &mut self.windows[w];
-        if win.start == step {
+        if win.start == step && self.step_left[w][step] == 0 {
             while win.start < wl.spec.steps && self.step_left[w][win.start] == 0 {
                 win.start += 1;
             }
             win.end = (win.start + self.depth).min(wl.spec.steps);
             self.merge_windows();
+            // The window only grows upward (no ready key lies below its
+            // start), so it admits keys no cached head has seen.
+            let open: usize = self.ready_counts[w][self.windows[w].clone()].iter().sum();
+            self.open = self.open - self.in_window[w] + open;
+            self.in_window[w] = open;
+            for class in &mut self.classes {
+                class.head = Head::Stale { resume: (0, 0) };
+            }
         }
     }
 
-    /// Ready instances outside their own workload's pipeline window.
-    fn window_closed(&self) -> usize {
-        (0..self.workloads)
-            .map(|w| {
-                let open: usize = self.ready_counts[w][self.windows[w].clone()].iter().sum();
-                self.ready_total[w] - open
-            })
-            .sum()
+    /// Class `c`'s head, searched for first if stale.
+    fn head(&mut self, c: usize) -> Option<(Order, Key)> {
+        let class = &mut self.classes[c];
+        if let Head::Stale { resume } = class.head {
+            let tie = self.tie;
+            let mut head = Head::Empty;
+            class.walk(resume, &self.windows, &self.open_steps, |key| {
+                let order = dispatch_order(tie, &key);
+                if !matches!(head, Head::At { order: best, .. } if best <= order) {
+                    head = Head::At { order, key };
+                }
+                // Bit order is dispatch order unless the hash reorders it.
+                !matches!(tie, TieBreak::Priority(_))
+            });
+            class.head = head;
+        }
+        match class.head {
+            Head::At { order, key } => Some((order, key)),
+            Head::Empty => None,
+            Head::Stale { .. } => unreachable!("the search above settles the head"),
+        }
     }
 
-    /// Collects into `out`, in [`Key`] order, every ready instance inside
-    /// its own workload's pipeline window.
-    fn scan(&self, prepared: &[Prepared<'_>], out: &mut Vec<Key>) {
-        out.clear();
-        for span in &self.open_steps {
-            for s in span.clone() {
-                let open = |w: usize| self.windows[w].contains(&s);
-                if !(0..self.workloads).any(|w| open(w) && self.ready_counts[w][s] > 0) {
-                    continue;
-                }
-                let occupied =
-                    &self.occupied[s * self.occupied_stride..(s + 1) * self.occupied_stride];
-                let bits = &self.bits[s * self.stride..(s + 1) * self.stride];
-                for (k, &summary) in occupied.iter().enumerate() {
-                    for jb in ones(summary) {
-                        let j = k * 64 + jb;
-                        for b in ones(bits[j]) {
-                            let slot = j * 64 + b;
-                            // A lone workload's slot is its rank: skip the
-                            // divide.
-                            let (rank, wl) = if self.workloads == 1 {
-                                (slot, 0)
-                            } else {
-                                (slot / self.workloads, slot % self.workloads)
-                            };
-                            if open(wl) {
-                                out.push(Key {
-                                    step: s,
-                                    rank,
-                                    wl,
-                                    op: prepared[wl].topo[rank],
-                                });
-                            }
-                        }
+    /// The first in-window key in dispatch order among the ready classes
+    /// whose bit is set in `admitted`.
+    fn first(&mut self, admitted: &[u64]) -> Option<Key> {
+        let mut best: Option<(Order, Key)> = None;
+        for (i, &admit) in admitted.iter().enumerate() {
+            for b in ones(self.nonempty[i] & admit) {
+                if let Some((order, key)) = self.head(i * 64 + b) {
+                    if best.is_none_or(|(first, _)| order < first) {
+                        best = Some((order, key));
                     }
                 }
             }
         }
+        best.map(|(_, key)| key)
     }
 }
 
@@ -566,27 +770,64 @@ fn ones(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Applies the tie-break policy to one dispatch scan.
-///
-/// [`TieBreak::Stable`] and [`TieBreak::Permuted`] are no-ops: the scan
-/// keeps the ready set's `(step, rank, wl)` order. The scan order is
-/// schedule-*significant*, not incidental — `rank` is the op's
-/// topological position, unique within one workload, but two co-run
-/// workloads can have ready ops at the same `(step, rank)`, and
-/// whichever the scan reaches first wins the contended device. The first
-/// full-surface fuzz confirmed that order matters, so it stays pinned
-/// and its determinism is audited by stable-rerun comparison instead
-/// (see `crate::fuzz`). [`TieBreak::Priority`] re-sorts the whole scan by
-/// seeded hash: the scan holds only in-window keys and the Fig. 7
-/// registers still gate every placement, so any order is legal, but the
-/// schedule changes — that freedom is the search space of
-/// [`crate::search`].
-fn order_scan(tie: TieBreak, scan: &mut [Key]) {
-    match tie {
-        TieBreak::Stable | TieBreak::Permuted(_) => {}
-        TieBreak::Priority(_) => scan.sort_by_key(|k| {
-            tie.decision_hash(&[k.step as u64, k.rank as u64, k.wl as u64, k.op as u64])
-        }),
+/// Which demand classes [`Planner::choose`] can place, per availability
+/// signature ([`Availability::signature`]). Each signature's class mask
+/// is filled on first use by asking `choose` about one representative op
+/// per class. A quarantine changes what the degradation branches allow,
+/// so the table is refilled whenever `ff_alive`/`progr_alive` move.
+struct Admission {
+    /// Mask words per signature.
+    words: usize,
+    /// The `(ff_alive, progr_alive)` the filled masks hold for.
+    alive: (usize, bool),
+    filled: Vec<bool>,
+    masks: Vec<u64>,
+}
+
+impl Admission {
+    fn new(classes: usize) -> Self {
+        let words = classes.div_ceil(64);
+        Admission {
+            words,
+            alive: (usize::MAX, false),
+            filled: vec![false; SIGNATURES],
+            masks: vec![0; SIGNATURES * words],
+        }
+    }
+
+    /// The classes placeable under `avail`, as a bit mask.
+    fn mask(
+        &mut self,
+        planner: &Planner,
+        prepared: &[Prepared<'_>],
+        rs: &ReadySet,
+        avail: Availability,
+    ) -> &[u64] {
+        if (avail.ff_alive, avail.progr_alive) != self.alive {
+            self.alive = (avail.ff_alive, avail.progr_alive);
+            self.filled.fill(false);
+        }
+        let sig = avail.signature();
+        let mask = &mut self.masks[sig * self.words..(sig + 1) * self.words];
+        if !self.filled[sig] {
+            self.filled[sig] = true;
+            mask.fill(0);
+            for (c, class) in rs.classes.iter().enumerate() {
+                let (w, op) = class.rep;
+                let DemandClass {
+                    candidate,
+                    restricted,
+                    ..
+                } = class.demand;
+                if planner
+                    .choose(&prepared[w].costs[op], candidate, restricted, avail)
+                    .is_some()
+                {
+                    mask[c / 64] |= 1 << (c % 64);
+                }
+            }
+        }
+        mask
     }
 }
 
@@ -603,7 +844,8 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
     tie: TieBreak,
     limits: &RunLimits,
 ) -> Result<ExecutionReport> {
-    let mut rs = ReadySet::new(prepared, planner.cfg.pipeline_depth);
+    let mut rs = ReadySet::new(prepared, planner.cfg.pipeline_depth, tie);
+    let mut admission = Admission::new(rs.classes.len());
     let mut gauge = limits.gauge();
     // Attempt counter per instance (indexed step * ops + op). A fault-free
     // attempt is always the first, so only a faulted run needs the table.
@@ -649,52 +891,50 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         .sum();
     let mut completed = 0usize;
     let mut inflight = 0usize;
-    // Scratch buffer for the per-wake scan over the ready set, reused
-    // across iterations and pre-sized for the whole graph.
-    let mut scan: Vec<Key> = Vec::with_capacity(prepared.iter().map(|wl| wl.topo.len()).sum());
+    // The last placement of each (workload, op): `plan_cost` is pure, so
+    // a repeat of the same kind reuses it.
+    let mut plans: Vec<Vec<Option<(PlanKind, PlannedOp)>>> = prepared
+        .iter()
+        .map(|wl| vec![None; wl.topo.len()])
+        .collect();
 
     while completed < total_instances {
-        // Schedule everything that fits right now. One pass in priority
-        // order suffices: placing an op only consumes resources and never
-        // unlocks readiness, and `choose` is monotone in availability, so
-        // an op skipped earlier in the pass cannot become placeable later
-        // in the same pass. The scan holds only instances inside their own
-        // workload's pipeline window.
-        // Availability only changes on acquire within the pass; read it
-        // once and refresh after each placement. With every resource
-        // saturated nothing can be placed, so the scan is skipped.
-        let saturated = |a: &Availability| !a.cpu_free && !a.progr_free && a.ff_free == 0;
-        let mut avail = comps.resources(resources).availability();
-        if saturated(&avail) {
-            scan.clear();
-        } else {
-            rs.scan(prepared, &mut scan);
-            order_scan(tie, &mut scan);
-        }
-        for &key in &scan {
-            if saturated(&avail) {
-                break;
-            }
+        // Schedule everything that fits right now: repeatedly take the
+        // first in-window key, in dispatch order, among the demand classes
+        // the current availability admits. This places exactly what one
+        // pass over every in-window key in dispatch order would: placing
+        // an op only consumes resources and never unlocks readiness, and
+        // `choose` is monotone in availability, so a key that did not fit
+        // earlier in the pass cannot fit later in it, and the first key
+        // that fits is always the first admitted head.
+        let avail = loop {
+            let avail = comps.resources(resources).availability();
+            let admitted = admission.mask(planner, prepared, &rs, avail);
+            let Some(key) = rs.first(admitted) else {
+                break avail;
+            };
             let wl = &prepared[key.wl];
             let cost = &wl.costs[key.op];
             let is_candidate = wl.candidates.contains(OpId::new(key.op));
-            let Some(kind) = planner.choose(cost, is_candidate, wl.spec.cpu_progr_only, avail)
-            else {
-                continue;
+            let kind = planner
+                .choose(cost, is_candidate, wl.spec.cpu_progr_only, avail)
+                .ok_or_else(|| PimError::internal("an admitted demand class found no device"))?;
+            let planned = match plans[key.wl][key.op] {
+                Some((memo, planned)) if memo == kind => planned,
+                _ => {
+                    let planned = planner.plan_cost(kind, cost);
+                    plans[key.wl][key.op] = Some((kind, planned));
+                    planned
+                }
             };
             let attempt = if P::FAULTY {
                 attempts[key.wl][key.step * wl.deps.len() + key.op]
             } else {
                 0
             };
-            let (charge, outcome) = policy.attempt(
-                planner.plan_cost(kind, cost),
-                (key.wl, key.step, key.op),
-                attempt,
-                clock.now(),
-            );
+            let (charge, outcome) =
+                policy.attempt(planned, (key.wl, key.step, key.op), attempt, clock.now());
             let units = comps.resources_mut(resources).acquire(kind, &charge)?;
-            avail = comps.resources(resources).availability();
             rs.remove(&key);
             inflight += 1;
             let rec = InFlight {
@@ -734,21 +974,17 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
             if units > 0 {
                 comps.observer(watch).ff_delta(clock.now(), units as isize);
             }
-        }
+        };
 
         // Anything still ready is stalled: either the Fig. 7 registers
         // showed no free resources, or its step sits outside the pipeline
         // window.
-        let ready = rs.len();
-        if ready > 0 {
-            let window_closed = rs.window_closed();
-            let resource_waiting = ready - window_closed;
-            if resource_waiting > 0 {
-                let avail = comps.resources(resources).availability();
-                comps
-                    .observer(watch)
-                    .stall(clock.now(), resource_waiting, window_closed, avail);
-            }
+        let window_closed = rs.window_closed();
+        let resource_waiting = rs.len() - window_closed;
+        if resource_waiting > 0 {
+            comps
+                .observer(watch)
+                .stall(clock.now(), resource_waiting, window_closed, avail);
         }
 
         let Some(next) = comps.earliest() else {
@@ -1083,13 +1319,21 @@ mod tests {
         }
     }
 
-    /// Drives the ready set through random dispatch (remove), completion
-    /// and failed-attempt requeue (insert) sequences, with co-run step
-    /// counts 100x apart, and checks every scan against a `BTreeSet`
-    /// reference filtered by each key's own workload window.
+    /// Drives two ready sets, one in `Stable` and one in `Priority`
+    /// dispatch order, through random dispatch (remove), completion and
+    /// failed-attempt requeue (insert) sequences, with co-run step counts
+    /// 100x apart. At every step each is checked against a `BTreeSet`
+    /// reference filtered by each key's own workload window:
+    ///
+    /// * (a) each class head, and the first head over all classes, is the
+    ///   reference's first in-window key of that class in dispatch order;
+    /// * (b) walking every class bitset yields the in-window key set;
+    /// * (c) the incremental ready and window-closed counts;
+    /// * (d) a head requeued right after its removal is found again.
     #[test]
-    fn ready_set_scan_matches_a_filtered_btree_reference() {
+    fn ready_set_heads_match_a_filtered_btree_reference() {
         const DEPTH: usize = 4;
+        let ties = [TieBreak::Stable, TieBreak::Priority(7)];
         let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
         // 36, 6 and 24 ops: two or three co-run workloads spread their
         // slots over more than one bitset word per step.
@@ -1104,7 +1348,8 @@ mod tests {
                 })
             })
             .collect();
-        for steps in [&[200][..], &[2, 200], &[200, 2, 20]] {
+        let runs = [&[200][..], &[2, 200], &[200, 2, 20]];
+        for (steps, spread) in runs.iter().flat_map(|s| [(*s, false), (*s, true)]) {
             let specs: Vec<WorkloadSpec<'_>> = steps
                 .iter()
                 .zip(&graphs)
@@ -1114,10 +1359,110 @@ mod tests {
                     cpu_progr_only: false,
                 })
                 .collect();
-            let prepared = engine
+            let mut prepared = engine
                 .prepare(&specs, &mut NullTrace, TieBreak::Stable)
                 .unwrap();
-            let mut rs = ReadySet::new(&prepared, DEPTH);
+            // Spread demands: the `g`-th op over all workloads is fully
+            // mul/add for even `g`, non-mul/add for odd, and asks for
+            // `g / 2 + 1` units, so every op is its own class and the
+            // three-workload co-run's 66 classes need two mask words.
+            let mut g = 0;
+            let spread_costs: Vec<Vec<CostProfile>> = prepared
+                .iter()
+                .map(|wl| {
+                    wl.costs
+                        .iter()
+                        .map(|c| {
+                            g += 1;
+                            CostProfile {
+                                ff_parallelism: g / 2 + 1,
+                                class: if g % 2 == 0 {
+                                    OffloadClass::FullyMulAdd
+                                } else {
+                                    OffloadClass::NonMulAdd
+                                },
+                                ..*c
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            if spread {
+                for (wl, costs) in prepared.iter_mut().zip(&spread_costs) {
+                    wl.costs = costs;
+                }
+            }
+            let mut sets: Vec<ReadySet> = ties
+                .iter()
+                .map(|&tie| ReadySet::new(&prepared, DEPTH, tie))
+                .collect();
+            // Each op's class, looked up by its demand in the class list.
+            let class_of: Vec<Vec<usize>> = prepared
+                .iter()
+                .map(|wl| {
+                    (0..wl.topo.len())
+                        .map(|op| {
+                            let demand = DemandClass::of(
+                                &wl.costs[op],
+                                wl.candidates.contains(OpId::new(op)),
+                                wl.spec.cpu_progr_only,
+                            );
+                            sets[0]
+                                .classes
+                                .iter()
+                                .position(|c| c.demand == demand)
+                                .expect("every op has a class")
+                        })
+                        .collect()
+                })
+                .collect();
+            let classes = sets[0].classes.len();
+            if spread && steps.len() == 3 {
+                assert!(classes > 64, "{classes} classes fit one mask word");
+            }
+            let all = vec![u64::MAX; classes.div_ceil(64)];
+            let check = |sets: &mut [ReadySet], reference: &Reference| -> Vec<Key> {
+                let expected = reference.in_window(DEPTH);
+                for (rs, &tie) in sets.iter_mut().zip(&ties) {
+                    let mut walked = Vec::new();
+                    for class in &rs.classes {
+                        class.walk((0, 0), &rs.windows, &rs.open_steps, |key| {
+                            walked.push(key);
+                            false
+                        });
+                    }
+                    walked.sort_unstable();
+                    assert_eq!(walked, expected, "{tie:?} steps {steps:?}");
+                    assert_eq!(rs.len(), reference.ready.len());
+                    assert_eq!(rs.window_closed(), reference.ready.len() - expected.len());
+                    // The reference dispatch order: a stable sort of the
+                    // in-window keys by seeded hash under `Priority`.
+                    let order = |k: &Key| match tie {
+                        TieBreak::Priority(_) => (
+                            tie.decision_hash(&[
+                                k.step as u64,
+                                k.rank as u64,
+                                k.wl as u64,
+                                k.op as u64,
+                            ]),
+                            *k,
+                        ),
+                        _ => (0, *k),
+                    };
+                    let mut heads: Vec<Option<Key>> = vec![None; classes];
+                    for key in &expected {
+                        let head = &mut heads[class_of[key.wl][key.op]];
+                        if head.is_none_or(|h| order(key) < order(&h)) {
+                            *head = Some(*key);
+                        }
+                    }
+                    for (c, want) in heads.iter().enumerate() {
+                        assert_eq!(rs.head(c).map(|(_, key)| key), *want, "{tie:?} class {c}");
+                    }
+                    assert_eq!(rs.first(&all), expected.iter().copied().min_by_key(order));
+                }
+                expected
+            };
             let mut reference = Reference {
                 ready: BTreeSet::new(),
                 done: prepared
@@ -1143,31 +1488,57 @@ mod tests {
                 .map(|wl| wl.spec.steps * wl.topo.len())
                 .sum();
             let mut rng = XorShiftRng::new(steps.len() as u64);
-            let (mut inflight, mut completed, mut scan) = (Vec::new(), 0, Vec::new());
+            let (mut inflight, mut completed) = (Vec::new(), 0);
             while completed < total {
-                rs.scan(&prepared, &mut scan);
-                let expected = reference.in_window(DEPTH);
-                assert_eq!(scan, expected, "steps {steps:?}");
-                assert_eq!(rs.len(), reference.ready.len());
-                assert_eq!(rs.window_closed(), reference.ready.len() - expected.len());
-                if !scan.is_empty() && (inflight.is_empty() || rng.below(2) == 0) {
-                    let key = scan[rng.below(scan.len())];
-                    rs.remove(&key);
+                let expected = check(&mut sets, &reference);
+                if !expected.is_empty() && (inflight.is_empty() || rng.below(2) == 0) {
+                    // Half the time dispatch a head, as the driver does.
+                    let key = if rng.below(2) == 0 {
+                        let rs = rng.below(sets.len());
+                        sets[rs].first(&all).expect("an in-window key is ready")
+                    } else {
+                        expected[rng.below(expected.len())]
+                    };
+                    for rs in &mut sets {
+                        rs.remove(&key);
+                    }
                     reference.ready.remove(&key);
+                    if rng.below(4) == 0 {
+                        // The attempt fails at once: requeue it, with or
+                        // without a head search in between.
+                        if rng.below(2) == 0 {
+                            check(&mut sets, &reference);
+                        }
+                        for rs in &mut sets {
+                            rs.requeue(&prepared, key.wl, key.step, key.op);
+                        }
+                        reference.ready.insert(key);
+                        check(&mut sets, &reference);
+                        for rs in &mut sets {
+                            rs.remove(&key);
+                        }
+                        reference.ready.remove(&key);
+                    }
                     inflight.push(key);
                 } else {
                     let key: Key = inflight.swap_remove(rng.below(inflight.len()));
                     if rng.below(5) == 0 {
-                        rs.requeue(&prepared, key.wl, key.step, key.op);
+                        for rs in &mut sets {
+                            rs.requeue(&prepared, key.wl, key.step, key.op);
+                        }
                         reference.ready.insert(key);
                     } else {
-                        rs.complete(&prepared, key.wl, key.step, key.op);
+                        for rs in &mut sets {
+                            rs.complete(&prepared, key.wl, key.step, key.op);
+                        }
                         reference.complete(&prepared, key);
                         completed += 1;
                     }
                 }
             }
-            assert_eq!(rs.len(), 0);
+            for rs in &sets {
+                assert_eq!(rs.len(), 0);
+            }
             assert!(reference.ready.is_empty());
         }
     }

@@ -303,7 +303,7 @@ pub struct RunOptions {
     /// feature; without it the request is ignored and
     /// [`RunOutput::trace`] stays `None`.
     pub trace: bool,
-    /// Tie-break policy for candidate ranking, dispatch-scan order, and
+    /// Tie-break policy for candidate ranking, dispatch order, and
     /// event retire order. The default, [`TieBreak::Stable`], is the
     /// byte-identical production path; the seeded modes back the pass-5
     /// order-invariance audit ([`crate::fuzz`]) and the schedule search

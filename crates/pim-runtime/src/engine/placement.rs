@@ -127,6 +127,55 @@ impl Availability {
             progr_alive: true,
         }
     }
+
+    /// The part of this snapshot a placement's success can depend on while
+    /// `ff_alive`/`progr_alive` stay fixed: `(cpu_free, progr_free,
+    /// min(ff_free, FF_FLOOR_CAP))`, as an index below [`SIGNATURES`].
+    /// [`Planner::choose`] compares free units only against grant floors,
+    /// and no floor exceeds [`FF_FLOOR_CAP`].
+    pub fn signature(&self) -> usize {
+        (usize::from(self.cpu_free) * 2 + usize::from(self.progr_free)) * (FF_FLOOR_CAP + 1)
+            + self.ff_free.min(FF_FLOOR_CAP)
+    }
+}
+
+/// Largest fixed-function grant floor: a request for more units than this
+/// starts once this many are idle and takes what is free.
+pub(crate) const FF_FLOOR_CAP: usize = 64;
+
+/// Number of distinct [`Availability::signature`] values.
+pub(crate) const SIGNATURES: usize = 4 * (FF_FLOOR_CAP + 1);
+
+/// The fewest idle units a fixed-function request of `parallelism` units
+/// starts on.
+fn ff_floor(parallelism: usize) -> usize {
+    parallelism.clamp(1, FF_FLOOR_CAP)
+}
+
+/// The demand class of an op: everything about it that decides whether
+/// [`Planner::choose`] can place it at all. In every [`SystemMode`] branch
+/// `choose` reads the cost only through its offload-class kind and the
+/// grant floor of its fixed-function parallelism, so two ops of one class
+/// are placeable under exactly the same availabilities (the
+/// `demand_class_decides_placeability` test pins this). The scheduled
+/// driver asks once per class instead of once per ready op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DemandClass {
+    kind: std::mem::Discriminant<OffloadClass>,
+    ff_floor: usize,
+    pub candidate: bool,
+    pub restricted: bool,
+}
+
+impl DemandClass {
+    pub fn of(cost: &CostProfile, candidate: bool, restricted: bool) -> Self {
+        DemandClass {
+            kind: std::mem::discriminant(&cost.class),
+            ff_floor: ff_floor(cost.ff_parallelism),
+            candidate,
+            restricted,
+        }
+    }
 }
 
 /// Splits a cost profile into its multiply/add core and the remainder.
@@ -520,10 +569,8 @@ impl Planner {
 
     /// Grant size for a fixed-function request under dynamic availability.
     fn ff_grant(parallelism: usize, free: usize) -> Option<usize> {
-        let want = parallelism.max(1);
-        let floor = want.min(64);
-        if free >= floor {
-            Some(want.min(free))
+        if free >= ff_floor(parallelism) {
+            Some(parallelism.max(1).min(free))
         } else {
             None
         }
@@ -752,6 +799,106 @@ mod tests {
         let total = c.bytes_read + c.bytes_written;
         let split_total = ma.bytes_read + ma.bytes_written + rest.bytes_read + rest.bytes_written;
         assert!((split_total.bytes() - total.bytes()).abs() < 1.0);
+    }
+
+    /// Every op of the seven models and of random graphs, candidate and
+    /// restricted both ways, under every mode: an op is placeable exactly
+    /// when its demand class's first op is. The availability grid puts
+    /// `ff_free`/`ff_alive` on, just below and just above every grant
+    /// floor, covers busy and quarantined programmable PIMs, and asks the
+    /// representative at `min(ff_free, FF_FLOOR_CAP)` — the two facts the
+    /// scheduled driver's admission table rests on.
+    #[test]
+    fn demand_class_decides_placeability() {
+        use pim_graph::gen::{random_dag, GenSpec};
+        use pim_models::{Model, ModelKind};
+        let models: Vec<Model> = ModelKind::ALL
+            .iter()
+            .map(|&kind| Model::build(kind).unwrap())
+            .collect();
+        let dags: Vec<pim_graph::Graph> = (1..=4)
+            .map(|seed| {
+                random_dag(&GenSpec {
+                    layers: 8,
+                    width: 4,
+                    dim: 16,
+                    seed,
+                })
+            })
+            .collect();
+        let mut costs: Vec<CostProfile> = Vec::new();
+        for graph in models.iter().map(Model::graph).chain(&dags) {
+            for c in graph.costs().unwrap() {
+                if !costs.contains(c) {
+                    costs.push(*c);
+                }
+            }
+        }
+        let mut cfgs: Vec<EngineConfig> = SystemPreset::ALL
+            .iter()
+            .map(|&p| EngineConfig::preset(p))
+            .collect();
+        let mut op_no_rc = EngineConfig::preset(SystemPreset::Hetero);
+        op_no_rc.recursive_kernels = false;
+        cfgs.push(op_no_rc);
+        let units = cfgs[0].ff_units;
+        let mut levels = vec![0, FF_FLOOR_CAP + 1, units];
+        for c in &costs {
+            let f = ff_floor(c.ff_parallelism);
+            levels.extend([f - 1, f, f + 1]);
+        }
+        levels.sort_unstable();
+        levels.dedup();
+        levels.retain(|&n| n <= units);
+        let mut grid = Vec::new();
+        for &ff_alive in &levels {
+            for &ff_free in levels.iter().filter(|&&n| n <= ff_alive) {
+                for cpu_free in [false, true] {
+                    // Free, busy, and quarantined (which reads busy).
+                    for (progr_free, progr_alive) in [(true, true), (false, true), (false, false)] {
+                        grid.push(Availability {
+                            cpu_free,
+                            progr_free,
+                            ff_free,
+                            ff_alive,
+                            progr_alive,
+                        });
+                    }
+                }
+            }
+        }
+        for cfg in cfgs {
+            let planner = planner(cfg);
+            for (candidate, restricted) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let mut reps: Vec<(DemandClass, &CostProfile)> = Vec::new();
+                for cost in &costs {
+                    let demand = DemandClass::of(cost, candidate, restricted);
+                    let rep = match reps.iter().find(|(d, _)| *d == demand) {
+                        Some(&(_, rep)) => rep,
+                        None => {
+                            reps.push((demand, cost));
+                            cost
+                        }
+                    };
+                    for &avail in &grid {
+                        let clamped = Availability {
+                            ff_free: avail.ff_free.min(FF_FLOOR_CAP),
+                            ..avail
+                        };
+                        assert_eq!(
+                            planner.choose(cost, candidate, restricted, avail).is_some(),
+                            planner
+                                .choose(rep, candidate, restricted, clamped)
+                                .is_some(),
+                            "{:?} {cost:?} vs {rep:?} under {avail:?}",
+                            planner.cfg.name,
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

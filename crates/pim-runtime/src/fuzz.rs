@@ -86,7 +86,7 @@ impl TieBreak {
     /// allocated uniquely, so there are no equal-`(time, seq)` groups to
     /// permute, and the order among same-femtosecond *different-seq*
     /// completions is schedule-significant (each retire is followed by a
-    /// full dispatch scan, so retire order picks dispatch winners under
+    /// full dispatch pass, so retire order picks dispatch winners under
     /// contention — confirmed empirically by the first full-surface
     /// fuzz). `Priority` applies a bijective xorshift* permutation:
     /// keys stay globally unique (the heap's determinism invariant
