@@ -156,6 +156,9 @@ cargo run --release -q -p pim-sim --bin repro -- \
 cargo run --release -q -p pim-sim --bin repro -- \
     faults --seed 1 --rate 0.05 --models alex,lstm > "$faults_b"
 diff "$faults_a" "$faults_b"
+# Pinned bytes, not just run-to-run equality (as for every pin below): a
+# deterministic change to the faulted drivers must not pass unseen.
+echo "858007fa1a04a25d40b9371699c61e29  $faults_a" | md5sum --check --quiet
 cargo run --release -q -p pim-verify -- \
     --model alexnet --model lstm --steps 2 --faults 1,0.05 --format json > /dev/null
 
@@ -209,6 +212,7 @@ cargo run --release -q -p pim-sim --bin repro -- \
 cargo run --release -q -p pim-sim --bin repro -- \
     serve < "$serve_trace" > "$serve_b" 2> /dev/null
 diff "$serve_a" "$serve_b"
+echo "35b03426e9d62bf0ba08c5614cf93331  $serve_a" | md5sum --check --quiet
 grep -q '"cross_tenant_hits":[1-9]' "$serve_a"
 
 # Closed-loop load run: zero failed or rejected jobs, with sampled
@@ -228,6 +232,7 @@ PIM_RUN_THREADS=1 cargo run --release -q -p pim-sim --bin repro -- \
 PIM_RUN_THREADS=4 cargo run --release -q -p pim-sim --bin repro -- \
     chaos --seed 1 --ops 500 > "$chaos_b"
 diff "$chaos_a" "$chaos_b"
+echo "c9dfaede480d1eecb6403d9f10fb9f95  $chaos_a" | md5sum --check --quiet
 
 # Observability: the Chrome-trace export must be byte-identical across
 # runs and structurally valid (parses, ph/ts/pid/tid present, per-track
@@ -235,6 +240,7 @@ diff "$chaos_a" "$chaos_b"
 cargo run --release -q -p pim-sim --bin repro -- --trace "$trace_a" 2> /dev/null
 cargo run --release -q -p pim-sim --bin repro -- --trace "$trace_b" 2> /dev/null
 diff "$trace_a" "$trace_b"
+echo "197eb88e727fc01dd5bed3ae0ab7ce5f  $trace_a" | md5sum --check --quiet
 cargo run --release -q -p pim-sim --bin repro -- tracecheck "$trace_a" > /dev/null
 
 echo "ci: all checks passed"

@@ -78,7 +78,7 @@ pub enum PimError {
         available: usize,
     },
     /// Execution observed a cooperative cancellation request and stopped
-    /// at the next check site (the component next-tick merge).
+    /// at the next check site (an event popped off the engine's queue).
     Cancelled {
         /// Events the run had retired when the cancellation was observed.
         after_events: u64,

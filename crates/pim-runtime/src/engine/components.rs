@@ -1,43 +1,31 @@
-//! The component-based discrete-event core.
+//! The discrete-event core: the clock, one event queue, the device lanes
+//! and the resource state.
 //!
-//! Execution state is split into *components* — per-device completion
-//! lanes, the link/sync fault-delivery model, the fixed-function/CPU/
-//! programmable resource pool, and the observer — each registered in a
-//! [`ComponentSlab`] under a small index key ([`CompKey`]). Every
-//! component implements [`Component`]: `next_tick()` exposes the earliest
-//! pending event as a `(femtoseconds, sequence)` pair and `advance(to)`
-//! retires it. The drivers then run one loop: ask the slab for the
-//! component holding the globally earliest tick, advance it, and react to
-//! the [`Retired`] value.
+//! The scheduled driver owns one [`EventHeap`] of [`Event`]s keyed by
+//! `(femtoseconds, seq)`. Device-lane completions, retry-backoff expiries
+//! and permanent strikes all wait in it; the driver pops the earliest,
+//! advances the clock to it and reacts. An [`Event::Op`] carries only a
+//! slot of [`DeviceLanes`], the slab the dispatched attempts park in, so
+//! retiring one reads its record in place. The flat [`ResourceSoA`] holds
+//! resource occupancy and the Fig. 7 busy/idle registers.
 //!
 //! # Determinism
 //!
-//! The pre-refactor core used a single event heap keyed by
-//! `(time, seq, slot)` with a globally unique `seq`, so simultaneous
-//! events popped in push (FIFO) order. The slab preserves that order
-//! across *multiple* heaps by construction:
-//!
-//! * sequence numbers are allocated from one shared counter
-//!   ([`ComponentSlab::next_seq`]) in the same program order the old code
-//!   pushed events, and
-//! * [`ComponentSlab::earliest`] picks the component with the minimum
-//!   `(fs, seq)` pair, which — because each per-component heap is itself
-//!   a min-heap on `(fs, seq, slot)` — is exactly the event the old single
-//!   heap would have popped.
-//!
-//! `seq` is unique, so the k-way merge over components never tie-breaks on
-//! anything machine-dependent; the retired-event order is a pure function
-//! of the dispatch order.
+//! `seq` is drawn from one counter in program order: strikes before the
+//! loop, one per dispatch, one per transient retry. Under
+//! [`crate::fuzz::TieBreak::Stable`] the key is the counter itself, so
+//! simultaneous events pop in push (FIFO) order; the seeded modes remap it
+//! through a bijection. Either way every key is unique, so the heap never
+//! tie-breaks on anything machine-dependent, and the pop order is a pure
+//! function of the dispatch order.
 //!
 //! # Allocation-free steady state
 //!
-//! All hot-path stores recycle: heap payload slots and in-flight records
-//! live in slabs with LIFO free lists (the pattern the fault driver
-//! introduced, now shared with the zero-fault path through
-//! [`DeviceLanes`]), so a long run allocates only up to its peak
-//! in-flight count and then stops touching the allocator.
+//! All hot-path stores recycle: the heap keeps its capacity and in-flight
+//! records live in a slab with a LIFO free list, so a long run allocates
+//! only up to its peak in-flight count and then stops touching the
+//! allocator.
 
-use super::observe::Observer;
 use super::placement::{Availability, PlanKind, PlannedOp, Planner};
 use super::SystemMode;
 use crate::stats::{ExecutionReport, ReportBuilder};
@@ -82,69 +70,71 @@ impl Clock {
         self.now = Self::from_fs(fs);
     }
 
+    // Both conversions take a 64-bit path when the value fits (about five
+    // simulated hours), which is every event time a run reaches. It gives
+    // the same result as the 128-bit conversion, a software routine on
+    // x86-64 that would otherwise run twice per event; the wide path stays
+    // out of line so the optimizer cannot fold the two back together.
     pub fn to_fs(t: Seconds) -> u128 {
-        (t.seconds() * 1e15) as u128
-    }
-
-    pub fn from_fs(fs: u128) -> Seconds {
-        Seconds::new(fs as f64 / 1e15)
-    }
-}
-
-/// Min-heap of completion events, FIFO-ordered among simultaneous ones.
-///
-/// Payload slots are recycled through a free list, so long runs keep the
-/// payload store bounded by the peak number of in-flight events instead of
-/// growing by one slot per push. Ordering is untouched: the heap key is
-/// `(time, seq, slot)` and `seq` — allocated by the caller from the
-/// component slab's shared counter — is unique, so the recycled slot index
-/// never participates in a tie-break.
-#[derive(Debug)]
-pub(crate) struct EventHeap<T> {
-    heap: BinaryHeap<Reverse<(u128, u64, usize)>>,
-    payloads: Vec<T>,
-    free: Vec<usize>,
-}
-
-impl<T: Copy> EventHeap<T> {
-    pub fn new() -> Self {
-        EventHeap {
-            heap: BinaryHeap::with_capacity(16),
-            payloads: Vec::with_capacity(16),
-            free: Vec::with_capacity(16),
+        let fs = t.seconds() * 1e15;
+        if fs < u64::MAX as f64 {
+            u128::from(fs as u64)
+        } else {
+            wide_to_fs(fs)
         }
     }
 
-    /// Schedules `payload` to complete at `end` under sequence number
-    /// `seq`; returns the quantized completion time so callers can mirror
-    /// it (e.g. in the timeline).
-    pub fn push(&mut self, end: Seconds, payload: T, seq: u64) -> u128 {
-        let fs = Clock::to_fs(end);
-        let idx = match self.free.pop() {
-            Some(slot) => {
-                self.payloads[slot] = payload;
-                slot
-            }
-            None => {
-                self.payloads.push(payload);
-                self.payloads.len() - 1
-            }
+    pub fn from_fs(fs: u128) -> Seconds {
+        let fs = match u64::try_from(fs) {
+            Ok(fs) => fs as f64,
+            Err(_) => wide_from_fs(fs),
         };
-        self.heap.push(Reverse((fs, seq, idx)));
+        Seconds::new(fs / 1e15)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn wide_to_fs(fs: f64) -> u128 {
+    fs as u128
+}
+
+#[cold]
+#[inline(never)]
+fn wide_from_fs(fs: u128) -> f64 {
+    fs as f64
+}
+
+/// Min-heap of pending events, FIFO-ordered among simultaneous ones.
+///
+/// The heap key is `(time, seq, payload)` and `seq` — allocated by the
+/// caller from one counter — is unique, so the payload, stored inline in
+/// the entry, never takes part in a tie-break.
+#[derive(Debug)]
+pub(crate) struct EventHeap<T> {
+    heap: BinaryHeap<Reverse<(u128, u64, T)>>,
+}
+
+impl<T: Ord> EventHeap<T> {
+    pub fn new() -> Self {
+        EventHeap {
+            heap: BinaryHeap::with_capacity(16),
+        }
+    }
+
+    /// Schedules `payload` at `at` under sequence number `seq`; returns
+    /// the quantized time so callers can mirror it (e.g. in the timeline).
+    pub fn push(&mut self, at: Seconds, payload: T, seq: u64) -> u128 {
+        let fs = Clock::to_fs(at);
+        self.heap.push(Reverse((fs, seq, payload)));
         fs
     }
 
-    /// The `(time, seq)` key of the earliest pending event.
-    pub fn next_tick(&self) -> Option<(u128, u64)> {
-        self.heap.peek().map(|Reverse((fs, seq, _))| (*fs, *seq))
-    }
-
-    /// Pops the earliest completion.
+    /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(u128, T)> {
-        self.heap.pop().map(|Reverse((fs, _, idx))| {
-            self.free.push(idx);
-            (fs, self.payloads[idx])
-        })
+        self.heap
+            .pop()
+            .map(|Reverse((fs, _, payload))| (fs, payload))
     }
 }
 
@@ -171,35 +161,33 @@ pub(crate) struct InFlight {
     pub start: Seconds,
     pub inflight_at_dispatch: usize,
     pub candidate: bool,
-    /// Cleared when a strike kills the attempt before its event pops.
+    /// Cleared when the attempt retires, or when a strike kills it before
+    /// its event pops.
     pub live: bool,
 }
 
-/// What a component hands back when it advances past its earliest event.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Retired {
-    /// An in-flight op attempt reached its scheduled end.
-    Op(InFlight),
-    /// A retry backoff expired; the instance becomes ready again.
+/// One pending event of the scheduled driver's queue. `Ord` only lets it
+/// sit in the [`EventHeap`] key; the unique `seq` before it decides every
+/// comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Event {
+    /// The attempt parked in this [`DeviceLanes`] slot reaches its
+    /// scheduled end.
+    Op(usize),
+    /// A retry backoff expires; the instance becomes ready again.
     Retry { wl: usize, step: usize, op: usize },
     /// Permanent strike `i` of the fault context lands.
     Strike(usize),
-    /// The event belonged to an attempt a strike already killed and
-    /// accounted; only its slot is reclaimed.
-    Stale,
-    /// The component had nothing pending (passive components only).
-    Idle,
 }
 
 /// The per-device completion lanes: every dispatched attempt parks here
-/// until its completion event fires.
+/// until its [`Event::Op`] pops.
 ///
 /// In-flight records live in a slab with a LIFO free list; a killed slot
-/// is recycled only when its stale event drains, so a pending event never
+/// is recycled only when its stale event pops, so a pending event never
 /// aliases a reused slot.
 #[derive(Debug)]
 pub(crate) struct DeviceLanes {
-    events: EventHeap<usize>,
     slab: Vec<InFlight>,
     free_slots: Vec<usize>,
 }
@@ -207,15 +195,14 @@ pub(crate) struct DeviceLanes {
 impl DeviceLanes {
     pub fn new() -> Self {
         DeviceLanes {
-            events: EventHeap::new(),
             slab: Vec::new(),
             free_slots: Vec::new(),
         }
     }
 
-    /// Parks `rec` until `end`; returns the quantized completion time.
-    pub fn dispatch(&mut self, end: Seconds, rec: InFlight, seq: u64) -> u128 {
-        let slot = match self.free_slots.pop() {
+    /// Parks `rec`; returns the slot its event carries.
+    pub fn park(&mut self, rec: InFlight) -> usize {
+        match self.free_slots.pop() {
             Some(s) => {
                 self.slab[s] = rec;
                 s
@@ -224,19 +211,32 @@ impl DeviceLanes {
                 self.slab.push(rec);
                 self.slab.len() - 1
             }
-        };
-        self.events.push(end, slot, seq)
+        }
     }
 
     /// The record parked in `slot`.
-    pub fn record(&self, slot: usize) -> InFlight {
-        self.slab[slot]
+    pub fn get(&self, slot: usize) -> &InFlight {
+        &self.slab[slot]
     }
 
-    /// Marks the attempt in `slot` dead; its event will drain as
-    /// [`Retired::Stale`].
-    pub fn kill(&mut self, slot: usize) {
-        self.slab[slot].live = false;
+    /// Frees `slot` as its event pops and returns the attempt it held, or
+    /// `None` when a strike already killed (and accounted) that attempt.
+    pub fn retire(&mut self, slot: usize) -> Option<&InFlight> {
+        self.free_slots.push(slot);
+        let rec = &mut self.slab[slot];
+        if !rec.live {
+            return None;
+        }
+        rec.live = false;
+        Some(rec)
+    }
+
+    /// Marks the attempt in `slot` dead and returns it; its event will
+    /// retire as `None`.
+    pub fn kill(&mut self, slot: usize) -> &InFlight {
+        let rec = &mut self.slab[slot];
+        rec.live = false;
+        rec
     }
 
     /// Whether any live in-flight attempt matches `pred`.
@@ -257,81 +257,11 @@ impl DeviceLanes {
     }
 }
 
-impl Component for DeviceLanes {
-    fn next_tick(&self) -> Option<(u128, u64)> {
-        self.events.next_tick()
-    }
-
-    fn advance(&mut self, _to: (u128, u64)) -> Retired {
-        let Some((_fs, slot)) = self.events.pop() else {
-            return Retired::Idle;
-        };
-        let rec = self.slab[slot];
-        self.free_slots.push(slot);
-        if !rec.live {
-            return Retired::Stale;
-        }
-        self.slab[slot].live = false;
-        Retired::Op(rec)
-    }
-}
-
-/// Events the link/sync model delivers.
-#[derive(Debug, Clone, Copy)]
-enum SyncEv {
-    /// A retry's backoff expires; the instance becomes ready again.
-    Retry { wl: usize, step: usize, op: usize },
-    /// Permanent strike `i` of the fault context lands.
-    Strike(usize),
-}
-
-/// The link/sync model: delivers retry-backoff expiries and permanent
-/// strikes into the event core. Zero-fault runs register one but never
-/// schedule on it, so it contributes no ticks.
-#[derive(Debug)]
-pub(crate) struct SyncLink {
-    events: EventHeap<SyncEv>,
-}
-
-impl SyncLink {
-    pub fn new() -> Self {
-        SyncLink {
-            events: EventHeap::new(),
-        }
-    }
-
-    /// Schedules the end of a retry backoff for `(wl, step, op)`.
-    pub fn schedule_retry(&mut self, at: Seconds, wl: usize, step: usize, op: usize, seq: u64) {
-        self.events.push(at, SyncEv::Retry { wl, step, op }, seq);
-    }
-
-    /// Schedules permanent strike `index` of the fault context.
-    pub fn schedule_strike(&mut self, at: Seconds, index: usize, seq: u64) {
-        self.events.push(at, SyncEv::Strike(index), seq);
-    }
-}
-
-impl Component for SyncLink {
-    fn next_tick(&self) -> Option<(u128, u64)> {
-        self.events.next_tick()
-    }
-
-    fn advance(&mut self, _to: (u128, u64)) -> Retired {
-        match self.events.pop() {
-            Some((_, SyncEv::Retry { wl, step, op })) => Retired::Retry { wl, step, op },
-            Some((_, SyncEv::Strike(i))) => Retired::Strike(i),
-            None => Retired::Idle,
-        }
-    }
-}
-
 /// Exclusive-resource occupancy in flat structure-of-arrays form: one
 /// counter per resource class (CPU slots, programmable-PIM kernel slots,
 /// fixed-function units via the pool), mirrored into the Fig. 7 busy/idle
-/// register file the software scheduler queries.
-///
-/// A passive [`Component`]: it never originates events, it just gates what
-/// the dispatch pass may place.
+/// register file the software scheduler queries. It never originates
+/// events; it only gates what the dispatch pass may place.
 #[derive(Debug)]
 pub(crate) struct ResourceSoA {
     /// Free host CPU slots (the host contributes one).
@@ -480,181 +410,6 @@ impl ResourceSoA {
     }
 }
 
-impl Component for ResourceSoA {
-    fn next_tick(&self) -> Option<(u128, u64)> {
-        None
-    }
-
-    fn advance(&mut self, _to: (u128, u64)) -> Retired {
-        Retired::Idle
-    }
-}
-
-impl Component for Observer<'_> {
-    fn next_tick(&self) -> Option<(u128, u64)> {
-        None
-    }
-
-    fn advance(&mut self, _to: (u128, u64)) -> Retired {
-        Retired::Idle
-    }
-}
-
-/// One piece of execution state in the event core.
-///
-/// `next_tick` exposes the component's earliest pending event as a
-/// `(femtoseconds, seq)` key; `advance(to)` retires exactly that event.
-/// Passive components (resources, observer) report `None`/[`Retired::Idle`]
-/// and only react to explicit driver calls.
-pub(crate) trait Component {
-    /// The `(time, seq)` key of this component's earliest pending event,
-    /// or `None` when it has nothing scheduled.
-    fn next_tick(&self) -> Option<(u128, u64)>;
-
-    /// Retires the event at `to` (the key `next_tick` just returned).
-    fn advance(&mut self, to: (u128, u64)) -> Retired;
-}
-
-/// Index key of a component registered in a [`ComponentSlab`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CompKey(usize);
-
-/// A registered component. The observer is borrowed rather than owned —
-/// it outlives the run (the engine flushes it after the driver returns).
-pub(crate) enum Comp<'a, 'o> {
-    Lanes(DeviceLanes),
-    Sync(SyncLink),
-    Resources(ResourceSoA),
-    Observer(&'a mut Observer<'o>),
-}
-
-impl Component for Comp<'_, '_> {
-    fn next_tick(&self) -> Option<(u128, u64)> {
-        match self {
-            Comp::Lanes(c) => c.next_tick(),
-            Comp::Sync(c) => c.next_tick(),
-            Comp::Resources(c) => c.next_tick(),
-            Comp::Observer(c) => c.next_tick(),
-        }
-    }
-
-    fn advance(&mut self, to: (u128, u64)) -> Retired {
-        match self {
-            Comp::Lanes(c) => c.advance(to),
-            Comp::Sync(c) => c.advance(to),
-            Comp::Resources(c) => c.advance(to),
-            Comp::Observer(c) => c.advance(to),
-        }
-    }
-}
-
-/// The component registry a driver runs over, plus the shared sequence
-/// counter that makes the cross-component event order deterministic (see
-/// the module docs).
-pub(crate) struct ComponentSlab<'a, 'o> {
-    comps: Vec<Comp<'a, 'o>>,
-    seq: u64,
-    tie: crate::fuzz::TieBreak,
-}
-
-impl<'a, 'o> ComponentSlab<'a, 'o> {
-    pub fn new(tie: crate::fuzz::TieBreak) -> Self {
-        ComponentSlab {
-            comps: Vec::with_capacity(4),
-            seq: 0,
-            tie,
-        }
-    }
-
-    /// Registers a component; the returned key indexes it forever.
-    pub fn register(&mut self, comp: Comp<'a, 'o>) -> CompKey {
-        self.comps.push(comp);
-        CompKey(self.comps.len() - 1)
-    }
-
-    /// Allocates the next globally unique event sequence number. Under
-    /// [`crate::fuzz::TieBreak::Stable`] this is the allocation counter
-    /// itself (program order); the seeded modes remap it through a
-    /// bijective xorshift* permutation, which keeps every key unique —
-    /// the determinism invariant of the `(time, seq)` merge — while
-    /// permuting the pop order among same-femtosecond events.
-    pub fn next_seq(&mut self) -> u64 {
-        let s = self.tie.event_key(self.seq);
-        self.seq += 1;
-        s
-    }
-
-    /// The component holding the globally earliest pending event, by
-    /// `(time, seq)`; `None` when every component is idle. Only the lanes
-    /// and the link/sync model ever hold events, so the passive components
-    /// are not asked.
-    pub fn earliest(&self) -> Option<CompKey> {
-        let mut earliest: Option<((u128, u64), CompKey)> = None;
-        for (i, comp) in self.comps.iter().enumerate() {
-            let tick = match comp {
-                Comp::Lanes(c) => c.next_tick(),
-                Comp::Sync(c) => c.next_tick(),
-                Comp::Resources(_) | Comp::Observer(_) => continue,
-            };
-            if let Some(tick) = tick {
-                if earliest.is_none_or(|(first, _)| tick < first) {
-                    earliest = Some((tick, CompKey(i)));
-                }
-            }
-        }
-        earliest.map(|(_, key)| key)
-    }
-
-    /// Advances `key` past its earliest event; `None` when it is idle.
-    pub fn advance(&mut self, key: CompKey) -> Option<(u128, Retired)> {
-        let comp = &mut self.comps[key.0];
-        let tick = comp.next_tick()?;
-        Some((tick.0, comp.advance(tick)))
-    }
-
-    pub fn lanes(&self, key: CompKey) -> &DeviceLanes {
-        match &self.comps[key.0] {
-            Comp::Lanes(c) => c,
-            _ => unreachable!("key does not index a DeviceLanes component"),
-        }
-    }
-
-    pub fn lanes_mut(&mut self, key: CompKey) -> &mut DeviceLanes {
-        match &mut self.comps[key.0] {
-            Comp::Lanes(c) => c,
-            _ => unreachable!("key does not index a DeviceLanes component"),
-        }
-    }
-
-    pub fn sync_mut(&mut self, key: CompKey) -> &mut SyncLink {
-        match &mut self.comps[key.0] {
-            Comp::Sync(c) => c,
-            _ => unreachable!("key does not index a SyncLink component"),
-        }
-    }
-
-    pub fn resources(&self, key: CompKey) -> &ResourceSoA {
-        match &self.comps[key.0] {
-            Comp::Resources(c) => c,
-            _ => unreachable!("key does not index a ResourceSoA component"),
-        }
-    }
-
-    pub fn resources_mut(&mut self, key: CompKey) -> &mut ResourceSoA {
-        match &mut self.comps[key.0] {
-            Comp::Resources(c) => c,
-            _ => unreachable!("key does not index a ResourceSoA component"),
-        }
-    }
-
-    pub fn observer(&mut self, key: CompKey) -> &mut Observer<'o> {
-        match &mut self.comps[key.0] {
-            Comp::Observer(c) => c,
-            _ => unreachable!("key does not index the Observer component"),
-        }
-    }
-}
-
 /// Deterministic merge of per-partition timelines into one global
 /// timeline.
 ///
@@ -768,6 +523,24 @@ mod tests {
         clock.advance(Seconds::new(1.0));
         clock.jump_to_fs(Clock::to_fs(Seconds::new(2.0)));
         assert_eq!(clock.now(), Seconds::new(2.0));
+        // The 64-bit fast paths agree with the plain 128-bit conversions,
+        // on both sides of the 2^64 fs boundary.
+        for s in [
+            0.0, -1.0, 1e-15, 0.3, 1.2345e-3, 18_446.744, 18_446.745, 1e9,
+        ] {
+            let t = Seconds::new(s);
+            assert_eq!(Clock::to_fs(t), (s * 1e15) as u128, "{s}");
+        }
+        for fs in [
+            0,
+            1,
+            (1 << 53) + 1,
+            u128::from(u64::MAX),
+            1 << 64,
+            (1 << 70) + 1,
+        ] {
+            assert_eq!(Clock::from_fs(fs), Seconds::new(fs as f64 / 1e15), "{fs}");
+        }
     }
 
     #[test]
@@ -862,40 +635,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slab_merges_components_by_time_then_seq() {
-        // Two event-bearing components with interleaved, partly
-        // simultaneous events: the slab must retire them in global
-        // (time, seq) order, i.e. FIFO among simultaneous events even
-        // across components.
-        let mut slab = ComponentSlab::new(crate::fuzz::TieBreak::Stable);
-        let lanes = slab.register(Comp::Lanes(DeviceLanes::new()));
-        let sync = slab.register(Comp::Sync(SyncLink::new()));
+    /// Drains `events`, retiring op events through `lanes`, as labels.
+    fn drain(events: &mut EventHeap<Event>, lanes: &mut DeviceLanes) -> Vec<String> {
+        std::iter::from_fn(|| events.pop())
+            .map(|(_, event)| match event {
+                Event::Op(slot) => match lanes.retire(slot) {
+                    Some(_) => "op".to_string(),
+                    None => "stale".to_string(),
+                },
+                Event::Retry { op, .. } => format!("retry{op}"),
+                Event::Strike(i) => format!("strike{i}"),
+            })
+            .collect()
+    }
 
+    #[test]
+    fn event_queue_orders_ops_retries_and_strikes_by_time_then_seq() {
+        // Ops, retries and strikes share one queue: interleaved, partly
+        // simultaneous events retire in global (time, seq) order, FIFO
+        // among simultaneous events whatever their kind.
         let t1 = Seconds::new(1e-6);
         let t2 = Seconds::new(2e-6);
-        let seq = slab.next_seq();
-        slab.lanes_mut(lanes)
-            .dispatch(t2, stub_record(Seconds::ZERO), seq); // seq 0 @ t2
-        let seq = slab.next_seq();
-        slab.sync_mut(sync).schedule_retry(t1, 0, 0, 7, seq); // seq 1 @ t1
-        let seq = slab.next_seq();
-        slab.lanes_mut(lanes)
-            .dispatch(t1, stub_record(Seconds::ZERO), seq); // seq 2 @ t1
-        let seq = slab.next_seq();
-        slab.sync_mut(sync).schedule_strike(t1, 3, seq); // seq 3 @ t1
-
-        let mut order = Vec::new();
-        while let Some(key) = slab.earliest() {
-            let (_, retired) = slab.advance(key).unwrap();
-            order.push(match retired {
-                Retired::Retry { op, .. } => format!("retry{op}"),
-                Retired::Strike(i) => format!("strike{i}"),
-                Retired::Op(_) => "op".to_string(),
-                other => panic!("unexpected retirement {other:?}"),
-            });
+        let push_four = |tie: crate::fuzz::TieBreak| {
+            let mut events = EventHeap::new();
+            let mut lanes = DeviceLanes::new();
+            let mut keys = Vec::new();
+            let four = [(t2, "op"), (t1, "retry7"), (t1, "op"), (t1, "strike3")];
+            for (n, (at, label)) in (0u64..).zip(four) {
+                let event = match label {
+                    "op" => Event::Op(lanes.park(stub_record(Seconds::ZERO))),
+                    "retry7" => Event::Retry {
+                        wl: 0,
+                        step: 0,
+                        op: 7,
+                    },
+                    _ => Event::Strike(3),
+                };
+                let seq = tie.event_key(n);
+                events.push(at, event, seq);
+                keys.push((Clock::to_fs(at), seq, label));
+            }
+            (events, lanes, keys)
+        };
+        let (mut events, mut lanes, _) = push_four(crate::fuzz::TieBreak::Stable);
+        assert_eq!(
+            drain(&mut events, &mut lanes),
+            vec!["retry7", "op", "strike3", "op"]
+        );
+        // Under a seeded tie-break the pops still follow (fs, event_key(n)).
+        for tie in [
+            crate::fuzz::TieBreak::Permuted(5),
+            crate::fuzz::TieBreak::Priority(9),
+        ] {
+            let (mut events, mut lanes, mut keys) = push_four(tie);
+            keys.sort_unstable();
+            let expected: Vec<&str> = keys.iter().map(|&(_, _, label)| label).collect();
+            assert_eq!(drain(&mut events, &mut lanes), expected, "{tie:?}");
         }
-        assert_eq!(order, vec!["retry7", "op", "strike3", "op"]);
     }
 
     #[test]
@@ -933,21 +729,19 @@ mod tests {
     }
 
     #[test]
-    fn stale_lane_events_reclaim_their_slot() {
-        let mut slab = ComponentSlab::new(crate::fuzz::TieBreak::Stable);
-        let lanes = slab.register(Comp::Lanes(DeviceLanes::new()));
-        let seq = slab.next_seq();
-        slab.lanes_mut(lanes)
-            .dispatch(Seconds::new(1e-6), stub_record(Seconds::ZERO), seq);
-        slab.lanes_mut(lanes).kill(0);
-        let (_, retired) = slab.advance(slab.earliest().unwrap()).unwrap();
-        assert!(matches!(retired, Retired::Stale));
-        // The freed slot is recycled by the next dispatch.
-        let seq = slab.next_seq();
-        slab.lanes_mut(lanes)
-            .dispatch(Seconds::new(2e-6), stub_record(Seconds::new(1e-6)), seq);
-        let (_, retired) = slab.advance(slab.earliest().unwrap()).unwrap();
-        assert!(matches!(retired, Retired::Op(_)));
-        assert!(slab.earliest().is_none());
+    fn killed_lane_slots_retire_stale_and_recycle() {
+        let mut lanes = DeviceLanes::new();
+        let slot = lanes.park(stub_record(Seconds::ZERO));
+        assert_eq!(lanes.kill(slot).start, Seconds::ZERO);
+        // Killing leaves the slot held until its event pops.
+        let other = lanes.park(stub_record(Seconds::new(1e-6)));
+        assert_ne!(other, slot);
+        assert!(lanes.retire(slot).is_none());
+        // The freed slot is recycled by the next park.
+        assert_eq!(lanes.park(stub_record(Seconds::new(2e-6))), slot);
+        assert_eq!(lanes.get(slot).start, Seconds::new(2e-6));
+        assert!(lanes.retire(slot).is_some());
+        assert!(lanes.retire(other).is_some());
+        assert!(!lanes.any_live(|_| true));
     }
 }

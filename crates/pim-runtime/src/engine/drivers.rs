@@ -1,4 +1,4 @@
-//! The execution drivers, running over the component event core.
+//! The execution drivers, running over the discrete-event core.
 //!
 //! Three drivers cover the whole evaluation:
 //!
@@ -14,11 +14,10 @@
 //! the plan's faults and recovers from them. The policy's `FAULTY` constant
 //! fixes when an attempt is charged and recorded (see [`FaultPolicy`]).
 //!
-//! The event-driven driver registers its state — device lanes, the
-//! link/sync model, the resource pool, the observer — as components in a
-//! [`ComponentSlab`] and loops on `earliest()`/`advance()`; see the
-//! [`components`](super::components) module docs for the determinism
-//! argument.
+//! The event-driven driver owns one [`EventHeap`] of [`Event`]s — op
+//! completions, retry wakes and permanent strikes — and loops on its
+//! earliest `(time, seq)` key; see the [`components`](super::components)
+//! module docs for the determinism argument.
 //!
 //! Its dispatch pass works by *demand class* ([`DemandClass`]): the part
 //! of an op that decides whether [`Planner::choose`] can place it at all.
@@ -36,9 +35,7 @@
 //! execution through an [`Observer`]: counters always, Chrome-trace spans
 //! when the `trace` feature is on.
 
-use super::components::{
-    Accumulator, Clock, Comp, ComponentSlab, DeviceLanes, InFlight, ResourceSoA, Retired, SyncLink,
-};
+use super::components::{Accumulator, Clock, DeviceLanes, Event, EventHeap, InFlight, ResourceSoA};
 use super::faults::{backoff_after, charge_until, AttemptOutcome, FaultContext, FaultPolicy};
 use super::limits::RunLimits;
 use super::observe::{Observer, OpRecord, ResourceClass, TimelineEntry, TimelineSink};
@@ -84,7 +81,7 @@ fn commit(
         planned: charge,
         kind: rec.kind,
         cost: &wl.costs[rec.op],
-        name: wl.spec.graph.ops()[rec.op].kind.tf_name(),
+        graph: wl.spec.graph,
         candidate: rec.candidate,
         inflight: rec.inflight_at_dispatch,
     });
@@ -249,8 +246,8 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                     } else {
                         charge.duration
                     });
-                    // One "event" per attempt: this driver has no next-tick
-                    // merge, so the budget check rides the serial loop
+                    // One "event" per attempt: this driver has no event
+                    // queue, so the budget check rides the serial loop
                     // (retries and re-dispatches count — fuel must bound a
                     // run that never completes).
                     gauge.tick(clock.now())?;
@@ -834,8 +831,7 @@ impl Admission {
 /// Event-driven execution with the operation pipeline. Under a fault plan
 /// an attempt's fate is decided at dispatch, a failed attempt re-enters
 /// the ready set (after its backoff, for transients), and permanent
-/// strikes are delivered by the link/sync component as events that kill
-/// the in-flight attempts under them.
+/// strikes arrive as events that kill the in-flight attempts under them.
 pub(crate) fn run_scheduled<P: FaultPolicy>(
     planner: &Planner,
     prepared: &[Prepared<'_>],
@@ -858,29 +854,27 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         Vec::new()
     };
 
-    let mut comps = ComponentSlab::new(tie);
-    let resources = comps.register(Comp::Resources(ResourceSoA::new(planner)));
-    let lanes = comps.register(Comp::Lanes(DeviceLanes::new()));
-    let sync = comps.register(Comp::Sync(SyncLink::new()));
-    let watch = comps.register(Comp::Observer(obs));
+    let mut resources = ResourceSoA::new(planner);
+    let mut lanes = DeviceLanes::new();
+    let mut events: EventHeap<Event> = EventHeap::new();
+    // One sequence counter keys every event, drawn in program order:
+    // strikes first, then one per dispatch and one per transient retry.
+    let mut pushed = 0u64;
+    let mut next_seq = move || {
+        pushed += 1;
+        tie.event_key(pushed - 1)
+    };
 
     if policy.initial_ff() > 0 {
-        comps
-            .resources_mut(resources)
-            .quarantine_ff(policy.initial_ff())?;
-        comps
-            .observer(watch)
-            .quarantine(Seconds::ZERO, "ff units", policy.initial_ff());
+        resources.quarantine_ff(policy.initial_ff())?;
+        obs.quarantine(Seconds::ZERO, "ff units", policy.initial_ff());
     }
     if policy.initial_progr_dead() {
-        comps.resources_mut(resources).quarantine_progr();
-        comps
-            .observer(watch)
-            .quarantine(Seconds::ZERO, "progr pim", 1);
+        resources.quarantine_progr();
+        obs.quarantine(Seconds::ZERO, "progr pim", 1);
     }
     for (i, s) in policy.strikes().iter().enumerate() {
-        let seq = comps.next_seq();
-        comps.sync_mut(sync).schedule_strike(s.at, i, seq);
+        events.push(s.at, Event::Strike(i), next_seq());
     }
 
     let mut clock = Clock::new();
@@ -908,7 +902,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         // earlier in the pass cannot fit later in it, and the first key
         // that fits is always the first admitted head.
         let avail = loop {
-            let avail = comps.resources(resources).availability();
+            let avail = resources.availability();
             let admitted = admission.mask(planner, prepared, &rs, avail);
             let Some(key) = rs.first(admitted) else {
                 break avail;
@@ -934,10 +928,10 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
             };
             let (charge, outcome) =
                 policy.attempt(planned, (key.wl, key.step, key.op), attempt, clock.now());
-            let units = comps.resources_mut(resources).acquire(kind, &charge)?;
+            let units = resources.acquire(kind, &charge)?;
             rs.remove(&key);
             inflight += 1;
-            let rec = InFlight {
+            let slot = lanes.park(InFlight {
                 wl: key.wl,
                 step: key.step,
                 op: key.op,
@@ -950,29 +944,18 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                 inflight_at_dispatch: inflight,
                 candidate: is_candidate,
                 live: true,
-            };
-            let seq = comps.next_seq();
-            let end_fs = comps
-                .lanes_mut(lanes)
-                .dispatch(clock.now() + charge.duration, rec, seq);
+            });
+            let end_fs = events.push(clock.now() + charge.duration, Event::Op(slot), next_seq());
             if !P::FAULTY {
                 // A fault-free attempt always completes as planned: commit
                 // it now, ending at the same femtosecond quantization the
                 // event heap uses, so timeline intervals match the actual
                 // resource hold times exactly.
                 let end = Clock::from_fs(end_fs);
-                commit(
-                    &mut acc,
-                    comps.observer(watch),
-                    wl,
-                    &rec,
-                    end,
-                    &charge,
-                    outcome,
-                );
+                commit(&mut acc, obs, wl, lanes.get(slot), end, &charge, outcome);
             }
             if units > 0 {
-                comps.observer(watch).ff_delta(clock.now(), units as isize);
+                obs.ff_delta(clock.now(), units as isize);
             }
         };
 
@@ -982,79 +965,66 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         let window_closed = rs.window_closed();
         let resource_waiting = rs.len() - window_closed;
         if resource_waiting > 0 {
-            comps
-                .observer(watch)
-                .stall(clock.now(), resource_waiting, window_closed, avail);
+            obs.stall(clock.now(), resource_waiting, window_closed, avail);
         }
 
-        let Some(next) = comps.earliest() else {
+        let Some((t_fs, event)) = events.pop() else {
             return Err(PimError::internal(format!(
                 "scheduler wedged with {completed} of {total_instances} instances done"
             )));
         };
-        let Some((t_fs, retired)) = comps.advance(next) else {
-            unreachable!("earliest() only returns components with a pending tick")
-        };
         clock.jump_to_fs(t_fs);
-        // The budget check site: once per retired event at the component
-        // next-tick merge (retry wakes and strikes count as events, so
-        // fuel bounds a run that keeps faulting forever). On the unbounded
+        // The budget check site: once per popped event (retry wakes,
+        // strikes and a killed attempt's stale event count too, so fuel
+        // bounds a run that keeps faulting forever). On the unbounded
         // default this is a counter increment plus two never-true
         // compares.
         gauge.tick(clock.now())?;
-        match retired {
-            Retired::Stale => {} // killed by a strike; already accounted
-            Retired::Op(rec) => {
-                comps.resources_mut(resources).release(
-                    rec.units,
-                    rec.charge.uses_cpu,
-                    rec.charge.uses_progr,
-                );
+        match event {
+            Event::Op(slot) => {
+                // `None`: a strike killed the attempt and accounted it.
+                let Some(rec) = lanes.retire(slot) else {
+                    continue;
+                };
+                resources.release(rec.units, rec.charge.uses_cpu, rec.charge.uses_progr);
                 inflight -= 1;
                 if rec.units > 0 {
-                    comps
-                        .observer(watch)
-                        .ff_delta(clock.now(), -(rec.units as isize));
+                    obs.ff_delta(clock.now(), -(rec.units as isize));
                 }
                 let wl = &prepared[rec.wl];
                 if P::FAULTY {
-                    let obs = comps.observer(watch);
                     commit(
                         &mut acc,
                         obs,
                         wl,
-                        &rec,
+                        rec,
                         clock.now(),
                         &rec.charge,
                         rec.outcome,
                     );
                 }
-                let slot = rec.step * wl.deps.len() + rec.op;
+                let instance = rec.step * wl.deps.len() + rec.op;
                 match rec.outcome {
                     AttemptOutcome::Completed => {
                         completed += 1;
-                        comps.observer(watch).completed();
+                        obs.completed();
                         rs.complete(prepared, rec.wl, rec.step, rec.op);
                     }
                     AttemptOutcome::Transient => {
-                        let obs = comps.observer(watch);
                         obs.fault(clock.now(), "transient", rec.wl, rec.step, rec.op);
                         obs.retried();
-                        attempts[rec.wl][slot] += 1;
-                        let seq = comps.next_seq();
-                        comps.sync_mut(sync).schedule_retry(
-                            clock.now() + backoff_after(rec.attempt),
-                            rec.wl,
-                            rec.step,
-                            rec.op,
-                            seq,
-                        );
+                        attempts[rec.wl][instance] += 1;
+                        let retry = Event::Retry {
+                            wl: rec.wl,
+                            step: rec.step,
+                            op: rec.op,
+                        };
+                        events.push(clock.now() + backoff_after(rec.attempt), retry, next_seq());
                     }
                     AttemptOutcome::TimedOut => {
-                        let obs = comps.observer(watch);
                         obs.fault(clock.now(), "timed-out", rec.wl, rec.step, rec.op);
                         obs.redispatched();
-                        attempts[rec.wl][slot] += 1;
+                        attempts[rec.wl][instance] += 1;
                         rs.requeue(prepared, rec.wl, rec.step, rec.op);
                     }
                     AttemptOutcome::Killed => {
@@ -1062,46 +1032,38 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                     }
                 }
             }
-            Retired::Retry { wl, step, op } => rs.requeue(prepared, wl, step, op),
-            Retired::Strike(i) => {
+            Event::Retry { wl, step, op } => rs.requeue(prepared, wl, step, op),
+            Event::Strike(i) => {
                 let s = policy.strikes()[i];
                 let lost = match s.target {
-                    FaultTarget::FixedUnits(n) => n.min(comps.resources(resources).alive_ff()),
+                    FaultTarget::FixedUnits(n) => n.min(resources.alive_ff()),
                     FaultTarget::ProgrPim => 0,
                 };
                 // Kill the in-flight attempts the strike lands on, earliest
                 // dispatch first, until the lost resources are idle.
                 loop {
                     let need_kill = match s.target {
-                        FaultTarget::FixedUnits(_) => comps.resources(resources).free_ff() < lost,
-                        FaultTarget::ProgrPim => {
-                            comps.lanes(lanes).any_live(|r| r.charge.uses_progr)
-                        }
+                        FaultTarget::FixedUnits(_) => resources.free_ff() < lost,
+                        FaultTarget::ProgrPim => lanes.any_live(|r| r.charge.uses_progr),
                     };
                     if !need_kill {
                         break;
                     }
-                    let victim = comps.lanes(lanes).victim(|r| match s.target {
+                    let victim = lanes.victim(|r| match s.target {
                         FaultTarget::FixedUnits(_) => r.units > 0,
                         FaultTarget::ProgrPim => r.charge.uses_progr,
                     });
                     let Some(v) = victim else { break };
-                    let rec = comps.lanes(lanes).record(v);
-                    comps.lanes_mut(lanes).kill(v);
-                    comps.resources_mut(resources).release(
-                        rec.units,
-                        rec.charge.uses_cpu,
-                        rec.charge.uses_progr,
-                    );
+                    let rec = lanes.kill(v);
+                    resources.release(rec.units, rec.charge.uses_cpu, rec.charge.uses_progr);
                     inflight -= 1;
-                    let obs = comps.observer(watch);
                     if rec.units > 0 {
                         obs.ff_delta(clock.now(), -(rec.units as isize));
                     }
                     let wl = &prepared[rec.wl];
                     let partial = charge_until(&rec.charge, rec.start, clock.now());
                     let outcome = AttemptOutcome::Killed;
-                    commit(&mut acc, obs, wl, &rec, clock.now(), &partial, outcome);
+                    commit(&mut acc, obs, wl, rec, clock.now(), &partial, outcome);
                     obs.killed(clock.now(), rec.wl, rec.step, rec.op);
                     obs.retried();
                     attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
@@ -1109,21 +1071,14 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                 }
                 match s.target {
                     FaultTarget::FixedUnits(_) => {
-                        comps.resources_mut(resources).quarantine_ff(lost)?;
-                        comps
-                            .observer(watch)
-                            .quarantine(clock.now(), "ff units", lost);
+                        resources.quarantine_ff(lost)?;
+                        obs.quarantine(clock.now(), "ff units", lost);
                     }
                     FaultTarget::ProgrPim => {
-                        comps.resources_mut(resources).quarantine_progr();
-                        comps
-                            .observer(watch)
-                            .quarantine(clock.now(), "progr pim", 1);
+                        resources.quarantine_progr();
+                        obs.quarantine(clock.now(), "progr pim", 1);
                     }
                 }
-            }
-            Retired::Idle => {
-                unreachable!("passive components never win the earliest-tick race")
             }
         }
     }
@@ -1141,8 +1096,8 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
     };
     acc.sync_raw += barrier_total + decisions;
     let makespan = clock.now() + barrier_total + decisions;
-    comps.observer(watch).barrier(makespan, barrier_total);
-    comps.observer(watch).decision(decisions);
+    obs.barrier(makespan, barrier_total);
+    obs.decision(decisions);
     let steps = prepared.iter().map(|w| w.spec.steps).max().unwrap_or(0);
     Ok(acc.into_report(planner, steps, makespan))
 }

@@ -18,12 +18,11 @@
 //! Every decision is a pure function of the plan and the op coordinates,
 //! so the same seed yields byte-identical reports, timelines, and traces.
 //!
-//! In the component event core (`engine::components`), the *deferred*
-//! fault events this policy produces — backoff retries and scheduled
-//! permanent strikes — live on the `SyncLink` component's heap and retire
-//! through the same shared `(time, seq)` next-tick merge as device-lane
-//! completions, so fault recovery cannot perturb event order relative to
-//! the old single-heap core.
+//! In the event core (`engine::components`), the *deferred* fault events
+//! this policy produces — backoff retries and scheduled permanent
+//! strikes — wait in the scheduled driver's one `(time, seq)` event queue
+//! beside the device-lane completions, drawing `seq` from the same
+//! counter, so faulted and fault-free runs pop events in one order.
 
 use super::placement::PlannedOp;
 use pim_common::units::Seconds;

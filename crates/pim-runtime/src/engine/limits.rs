@@ -3,9 +3,9 @@
 //! A [`RunRequest`](super::RunRequest) may carry [`RunLimits`]: an
 //! event-count fuel budget (`max_events`), a simulated-time deadline
 //! (`deadline`), and/or an asynchronous [`CancelToken`]. The drivers
-//! thread the limits into a [`Gauge`] ticked once per retired event at
-//! the component next-tick merge (and once per op instance in the
-//! serialized drivers, which have no merge); a tripped gauge surfaces as
+//! thread the limits into a [`Gauge`] ticked once per event popped off
+//! the scheduled driver's event queue (and once per op instance in the
+//! serialized drivers, which have no queue); a tripped gauge surfaces as
 //! `PimError::BudgetExhausted` or `PimError::Cancelled` from
 //! `Engine::execute`.
 //!
@@ -75,7 +75,7 @@ impl CancelToken {
 #[derive(Debug, Clone, Default)]
 pub struct RunLimits {
     /// Fuel: the maximum number of events the run may retire. For the
-    /// event-driven drivers an event is one next-tick merge advance; for
+    /// event-driven driver an event is one pop off its event queue; for
     /// the serialized drivers, one op attempt.
     pub max_events: Option<u64>,
     /// Simulated-time horizon: the run stops once the simulation clock

@@ -23,9 +23,8 @@
 //!
 //! * `placement` — the placement policy (`Planner`): the three scheduling
 //!   principles costed through the `pim-hw` `Device` trait,
-//! * `components` — the component/next-tick discrete-event core (device
-//!   lanes, link/sync model, SoA resource state, component slab, clock,
-//!   event heap),
+//! * `components` — the discrete-event core (clock, the one event heap
+//!   of the scheduled driver, the device-lane slab, SoA resource state),
 //! * `observe` — timeline sinks and the observability `Observer`,
 //! * `drivers` — one serialized and one scheduled driver, each generic
 //!   over the fault policy of [`faults`], plus [`run_device_serial`],

@@ -1,18 +1,15 @@
 //! Observability: timeline sinks, the counter registry hot path, and the
 //! driver-facing [`Observer`].
 //!
-//! The observer is a *passive* [`Component`](super::components::Component)
-//! of the event core: it has no pending events of its own
-//! (`next_tick() == None`) and participates in a run purely through the
-//! explicit `record_op`/`completed`/`stall`/... calls the drivers make as
-//! they advance. It is registered in the same component slab as the
-//! event-bearing components so one registry owns everything a driver
-//! touches.
+//! The observer has no pending events of its own: it takes part in a run
+//! purely through the explicit `record_op`/`completed`/`stall`/... calls
+//! the drivers make as they advance.
 
 use super::faults::AttemptOutcome;
 use super::placement::{Availability, PlanKind, PlannedOp};
 use pim_common::trace::{Counters, Track};
 use pim_common::units::Seconds;
+use pim_graph::Graph;
 use pim_mem::traffic::TrafficStats;
 use pim_tensor::cost::CostProfile;
 use serde::Serialize;
@@ -190,7 +187,8 @@ pub(crate) struct OpRecord<'c> {
     pub planned: &'c PlannedOp,
     pub kind: PlanKind,
     pub cost: &'c CostProfile,
-    pub name: &'static str,
+    /// The op's graph; the op's name is looked up only for a trace span.
+    pub graph: &'c Graph,
     pub candidate: bool,
     /// Op instances in flight at commit time (OP pipeline occupancy,
     /// including this one).
@@ -398,7 +396,7 @@ impl<'a> Observer<'a> {
         self.traffic
             .record(rec.cost.bytes_read, rec.cost.bytes_written);
         #[cfg(not(feature = "trace"))]
-        let _ = (rec.kind, rec.name, rec.candidate, rec.inflight);
+        let _ = (rec.kind, rec.graph, rec.candidate, rec.inflight);
         #[cfg(feature = "trace")]
         if self.tracer.enabled() {
             let (lane, fresh) = self.lanes.assign(class, rec.entry.start, rec.entry.end);
@@ -442,7 +440,7 @@ impl<'a> Observer<'a> {
             }
             self.tracer.record(TraceEvent::Span {
                 track,
-                name: rec.name.to_string(),
+                name: rec.graph.ops()[rec.entry.op].kind.tf_name().to_string(),
                 cat: "op",
                 start: rec.entry.start,
                 end: rec.entry.end,

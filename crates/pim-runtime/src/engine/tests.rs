@@ -488,6 +488,54 @@ mod limit_tests {
         }
     }
 
+    /// Pins the smallest fuel that completes a faulted scheduled run. The
+    /// gauge ticks once per popped event, a killed attempt's stale event,
+    /// a retry wake and a strike included, and serve deadlines are priced
+    /// in that count, so a change that drops or double-counts any of them
+    /// moves the boundary and fails here.
+    #[test]
+    fn faulted_fuel_boundaries_are_pinned() {
+        use pim_hw::faults::FaultPlan;
+        let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
+        let opts = RunOptions {
+            timeline: true,
+            ..RunOptions::default()
+        };
+        for (kind, seed, rate, boundary) in [
+            (ModelKind::AlexNet, 7, 0.2, 208u64),
+            (ModelKind::Lstm, 3, 0.3, 2548),
+        ] {
+            let model = Model::build_with_batch(kind, 16).unwrap();
+            let horizon = engine
+                .execute(&RunRequest::new(&[spec(&model, 2)]))
+                .unwrap()
+                .into_report()
+                .makespan;
+            let plan = FaultPlan::seeded(seed, rate, horizon, engine.config().ff_units);
+            let request = RunRequest::new(&[spec(&model, 2)])
+                .with_options(opts)
+                .with_faults(plan);
+            let with_fuel = |fuel| {
+                request
+                    .clone()
+                    .with_limits(RunLimits::none().with_max_events(fuel))
+            };
+            let unbounded = engine.execute(&request).unwrap();
+            let fits = engine.execute(&with_fuel(boundary)).unwrap();
+            assert_eq!(fits.reports, unbounded.reports, "{kind:?}");
+            assert_eq!(fits.timeline, unbounded.timeline, "{kind:?}");
+            assert_eq!(fits.counters, unbounded.counters, "{kind:?}");
+            assert_eq!(
+                engine.execute(&with_fuel(boundary - 1)).unwrap_err(),
+                PimError::BudgetExhausted {
+                    budget: "events",
+                    limit: boundary - 1
+                },
+                "{kind:?}"
+            );
+        }
+    }
+
     #[test]
     fn partitioned_fuel_is_per_partition() {
         let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
