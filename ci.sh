@@ -89,8 +89,10 @@ cargo run --release -q -p pim-verify -- --all-models --format json > /dev/null
 
 # Determinism: the full reproduction sweep must be byte-identical across
 # runs (the simulator owns all its randomness).
-repro_a=$(mktemp) repro_b=$(mktemp) trace_a=$(mktemp) trace_b=$(mktemp)
-trap 'rm -f "$repro_a" "$repro_b" "$trace_a" "$trace_b" "${bench_json:-}"' EXIT
+# Every scratch file below lives in one directory, removed on exit.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+repro_a=$tmp/repro_a repro_b=$tmp/repro_b trace_a=$tmp/trace_a trace_b=$tmp/trace_b
 cargo run --release -q -p pim-sim --bin repro -- all > "$repro_a"
 cargo run --release -q -p pim-sim --bin repro -- all > "$repro_b"
 diff "$repro_a" "$repro_b"
@@ -129,18 +131,16 @@ done
 # workers claim the sweep's sections differs most from an even split.
 for threads in 1 2 3 4; do
     PIM_RUN_THREADS=$threads cargo test -q -p pim-sim --test differential
-    threads_out=$(mktemp)
-    trap 'rm -f "$repro_a" "$repro_b" "$trace_a" "$trace_b" "${threads_out:-}" "${bench_json:-}"' EXIT
+    threads_out=$tmp/threads_$threads
     PIM_RUN_THREADS=$threads cargo run --release -q -p pim-sim --bin repro -- all > "$threads_out"
     diff "$repro_a" "$threads_out"
-    rm -f "$threads_out"
 done
 
 # Bench harness smoke: two models across all six presets, one iteration;
 # `repro bench` validates the emitted document against the
 # hetero-pim-bench-v1 schema before writing it, so a zero exit means the
 # schema check passed too.
-bench_json=$(mktemp)
+bench_json=$tmp/bench.json
 cargo run --release -q -p pim-sim --bin repro -- \
     bench --json "$bench_json" --models alex,vgg --iters 1 2> /dev/null
 test -s "$bench_json"
@@ -149,8 +149,7 @@ test -s "$bench_json"
 # deterministic table, and every faulted schedule must satisfy the
 # fault-aware legality checker (attempt chains, backoff, quarantine
 # capacity) on top of the fault-free rules.
-faults_a=$(mktemp) faults_b=$(mktemp)
-trap 'rm -f "$repro_a" "$repro_b" "$trace_a" "$trace_b" "$faults_a" "$faults_b" "${bench_json:-}"' EXIT
+faults_a=$tmp/faults_a faults_b=$tmp/faults_b
 cargo run --release -q -p pim-sim --bin repro -- \
     faults --seed 1 --rate 0.05 --models alex,lstm > "$faults_a"
 cargo run --release -q -p pim-sim --bin repro -- \
@@ -189,8 +188,7 @@ cargo run --release -q -p pim-verify -- \
 # the Fig. 4 extraction exactly; then the analytic-vs-interpreted delta
 # table byte-diffed across runs, with the sweep-level `parallel` feature
 # on and off — the interpreted backend must not depend on the driver.
-isa_a=$(mktemp) isa_b=$(mktemp)
-trap 'rm -f "$repro_a" "$repro_b" "$trace_a" "$trace_b" "$faults_a" "$faults_b" "$isa_a" "$isa_b" "${bench_json:-}"' EXIT
+isa_a=$tmp/isa_a isa_b=$tmp/isa_b
 cargo run --release -q -p pim-verify -- \
     --all-models --isa --format json > /dev/null
 cargo run --release -q -p pim-sim --bin repro -- isa > "$isa_a"
@@ -203,8 +201,7 @@ diff "$isa_a" "$isa_b"
 # drain barriers make the stream a pure function of the input, so any
 # worker-timing leak shows up as a diff. The stats lines must also show
 # result sharing actually crossing tenants.
-serve_trace=$(mktemp) serve_a=$(mktemp) serve_b=$(mktemp)
-trap 'rm -f "$repro_a" "$repro_b" "$trace_a" "$trace_b" "$faults_a" "$faults_b" "$isa_a" "$isa_b" "$serve_trace" "$serve_a" "$serve_b" "${bench_json:-}"' EXIT
+serve_trace=$tmp/serve_trace serve_a=$tmp/serve_a serve_b=$tmp/serve_b
 cargo run --release -q -p pim-sim --bin repro -- \
     serve --emit-trace 200 --seed 7 --tenants 3 > "$serve_trace"
 cargo run --release -q -p pim-sim --bin repro -- \
@@ -225,8 +222,7 @@ cargo run --release -q -p pim-sim --bin repro -- \
 # exactly-once + breaker-conformance + worker-matrix + kill-restart
 # recovery + disconnect invariants, DESIGN.md §4.13) must pass and its
 # summary must be byte-identical across runs and pinned worker counts.
-chaos_a=$(mktemp) chaos_b=$(mktemp)
-trap 'rm -f "$repro_a" "$repro_b" "$trace_a" "$trace_b" "$faults_a" "$faults_b" "$isa_a" "$isa_b" "$serve_trace" "$serve_a" "$serve_b" "$chaos_a" "$chaos_b" "${bench_json:-}"' EXIT
+chaos_a=$tmp/chaos_a chaos_b=$tmp/chaos_b
 PIM_RUN_THREADS=1 cargo run --release -q -p pim-sim --bin repro -- \
     chaos --seed 1 --ops 500 > "$chaos_a"
 PIM_RUN_THREADS=4 cargo run --release -q -p pim-sim --bin repro -- \

@@ -5,6 +5,7 @@
 //! [`Diagnostics`] list, rendered either as human-readable text or as JSON
 //! (hand-rolled: the workspace builds offline with no `serde_json`).
 
+use crate::trace::json_string;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -199,27 +200,6 @@ impl Diagnostics {
         out.push(']');
         out
     }
-}
-
-/// Escapes a string into a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

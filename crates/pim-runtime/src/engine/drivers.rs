@@ -21,9 +21,10 @@
 //!
 //! Its dispatch pass works by *demand class* ([`DemandClass`]): the part
 //! of an op that decides whether [`Planner::choose`] can place it at all.
-//! The ready set keeps each class's ready instances apart, with a cached
-//! first key per class. An admission table answers, once per availability
-//! signature, which classes fit. The pass takes the first admitted head
+//! The ready set keeps one min-heap per class of the ready instances
+//! inside their pipeline window, and parks the rest until their window
+//! reaches them. An admission table answers, once per availability
+//! signature, which classes fit. The pass pops the first admitted head
 //! until nothing fits, so it never visits an op whose class cannot be
 //! placed. DESIGN.md §4.9 shows it places exactly what one in-order pass
 //! over every ready op would.
@@ -52,6 +53,8 @@ use pim_common::units::{Joules, Seconds};
 use pim_common::{PimError, Result};
 use pim_hw::device::Device;
 use pim_hw::faults::FaultTarget;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Charges one attempt to the accumulator and records it with the
@@ -329,108 +332,23 @@ fn dispatch_order(tie: TieBreak, key: &Key) -> Order {
     (hash, key.packed())
 }
 
-/// A demand class's cached dispatch head.
-#[derive(Debug, Clone, Copy)]
-enum Head {
-    /// The class's first in-window key in dispatch order.
-    At { order: Order, key: Key },
-    /// The class has no in-window key.
-    Empty,
-    /// Unknown until the next search, which starts at `resume`, a
-    /// `(step, slot)` position: no in-window key of the class lies below
-    /// it. Always the start under [`TieBreak::Priority`], whose order is
-    /// not bit order.
-    Stale { resume: (usize, usize) },
-}
-
-/// The ready instances of one demand class.
-///
-/// One bitset per step over the class's member slots, which are sorted
-/// by `(rank, wl)`, so ascending `(step, slot)` order is [`Key`] order.
-/// Slot `i` of step `s` is bit `i % 64` of word `s * stride + i / 64`; a
-/// second-level bitset marks the non-empty words of each step.
-struct ClassSet {
+/// The ready instances of one demand class that lie inside their own
+/// workload's pipeline window, as a min-heap in dispatch order.
+struct Class {
     demand: DemandClass,
     /// A member `(wl, op)` whose placeability stands for the class's.
     rep: (usize, usize),
-    /// Member keys by slot, with `step` zero.
-    members: Vec<Key>,
-    /// Words per step in `bits`.
-    stride: usize,
-    bits: Vec<u64>,
-    /// Words per step in `occupied`: step `s`, word `j` of `bits` is bit
-    /// `j % 64` of word `s * occupied_stride + j / 64`.
-    occupied_stride: usize,
-    occupied: Vec<u64>,
-    /// Ready members, in or out of their window.
-    ready: usize,
-    head: Head,
-}
-
-impl ClassSet {
-    fn set(&mut self, step: usize, slot: usize, on: bool) {
-        let (word, bit) = (step * self.stride + slot / 64, slot % 64);
-        let summary = step * self.occupied_stride * 64 + slot / 64;
-        if on {
-            self.bits[word] |= 1 << bit;
-            self.occupied[summary / 64] |= 1 << (summary % 64);
-        } else {
-            self.bits[word] &= !(1 << bit);
-            if self.bits[word] == 0 {
-                self.occupied[summary / 64] &= !(1 << (summary % 64));
-            }
-        }
-    }
-
-    /// Visits, in ascending `(step, slot)` order from `from`, every ready
-    /// member inside its own workload's window, until `visit` returns true.
-    fn walk(
-        &self,
-        (from_step, from_slot): (usize, usize),
-        windows: &[Range<usize>],
-        open_steps: &[Range<usize>],
-        mut visit: impl FnMut(Key) -> bool,
-    ) {
-        for span in open_steps {
-            for s in span.start.max(from_step)..span.end {
-                let lo = if s == from_step { from_slot } else { 0 };
-                let occupied =
-                    &self.occupied[s * self.occupied_stride..(s + 1) * self.occupied_stride];
-                for (k, &summary) in occupied.iter().enumerate() {
-                    for jb in ones(summary) {
-                        let j = k * 64 + jb;
-                        if j < lo / 64 {
-                            continue;
-                        }
-                        let mut word = self.bits[s * self.stride + j];
-                        if j == lo / 64 {
-                            word &= u64::MAX << (lo % 64);
-                        }
-                        for b in ones(word) {
-                            let key = Key {
-                                step: s,
-                                ..self.members[j * 64 + b]
-                            };
-                            if windows[key.wl].contains(&s) && visit(key) {
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    heap: BinaryHeap<Reverse<(Order, Key)>>,
 }
 
 /// Dependency/readiness bookkeeping of the scheduled driver.
 ///
-/// Ready instances are kept per demand class ([`ClassSet`]), each with a
-/// cached head: its first in-window key in dispatch order. The dispatch
-/// pass asks which classes fit the current availability and takes the
-/// first head among them, so it never visits a key whose class cannot be
-/// placed. Head searches visit only steps inside some workload's open
-/// pipeline window, so co-run workloads whose windows lie far apart cost
-/// nothing for the steps between them.
+/// Each demand class keeps its in-window ready keys in a min-heap, so its
+/// head is its first in-window key in dispatch order. A ready key past
+/// its workload's window end is parked until the window reaches its step.
+/// The dispatch pass asks which classes fit the current availability and
+/// pops the first head among them, so it never visits a key whose class
+/// cannot be placed.
 struct ReadySet {
     /// Per-instance remaining dependency counts.
     remaining: Vec<Vec<Vec<usize>>>,
@@ -442,24 +360,14 @@ struct ReadySet {
     /// an incomplete instance (no ready instance lies below it) through
     /// `depth` steps, clipped to the workload's step count.
     windows: Vec<Range<usize>>,
-    /// The union of `windows` as disjoint ranges in ascending order: the
-    /// only steps a head search visits.
-    open_steps: Vec<Range<usize>>,
     tie: TieBreak,
-    /// Per workload and op, its demand class and slot in that class.
-    slot_of: Vec<Vec<(usize, usize)>>,
-    classes: Vec<ClassSet>,
-    /// Bit `c` is set while class `c` holds a ready instance.
-    nonempty: Vec<u64>,
-    /// Per-(workload, step) census of the ready set, so a window move can
-    /// recount the workload's in-window instances in O(depth).
-    ready_counts: Vec<Vec<usize>>,
-    /// Per workload, ready instances inside its own window.
-    in_window: Vec<usize>,
-    /// Ready instances, in or out of their window.
-    ready: usize,
-    /// Ready instances inside their own workload's window.
-    open: usize,
+    /// Per workload and op, its demand class.
+    class_of: Vec<Vec<usize>>,
+    classes: Vec<Class>,
+    /// Per workload and step, the ready keys past the window's end.
+    parked: Vec<Vec<Vec<Key>>>,
+    /// Keys in `parked`.
+    closed: usize,
 }
 
 impl ReadySet {
@@ -481,64 +389,38 @@ impl ReadySet {
             .iter()
             .map(|wl| vec![wl.topo.len(); wl.spec.steps])
             .collect();
-        let workloads = prepared.len();
         let max_ops = prepared.iter().map(|wl| wl.topo.len()).max().unwrap_or(0);
-        let max_steps = prepared.iter().map(|wl| wl.spec.steps).max().unwrap_or(0);
         assert!(
-            u32::try_from(max_ops).is_ok() && u32::try_from(workloads).is_ok(),
+            u32::try_from(max_ops).is_ok() && u32::try_from(prepared.len()).is_ok(),
             "ranks and workload indices must fit a packed key"
         );
-        // Sort every op into its demand class. Visiting ops rank-major, then
-        // by workload, appends each class's members in `(rank, wl)` order.
-        let mut classes: Vec<ClassSet> = Vec::new();
-        for rank in 0..max_ops {
-            for (w, wl) in prepared.iter().enumerate() {
-                let Some(&op) = wl.topo.get(rank) else {
-                    continue;
-                };
-                let demand = DemandClass::of(
-                    &wl.costs[op],
-                    wl.candidates.contains(OpId::new(op)),
-                    wl.spec.cpu_progr_only,
-                );
-                let c = classes
-                    .iter()
-                    .position(|class| class.demand == demand)
-                    .unwrap_or_else(|| {
-                        classes.push(ClassSet {
-                            demand,
-                            rep: (w, op),
-                            members: Vec::new(),
-                            stride: 0,
-                            bits: Vec::new(),
-                            occupied_stride: 0,
-                            occupied: Vec::new(),
-                            ready: 0,
-                            head: Head::Empty,
-                        });
-                        classes.len() - 1
-                    });
-                classes[c].members.push(Key {
-                    step: 0,
-                    rank,
-                    wl: w,
-                    op,
-                });
-            }
-        }
-        let mut slot_of: Vec<Vec<(usize, usize)>> = prepared
+        let mut classes: Vec<Class> = Vec::new();
+        let class_of = prepared
             .iter()
-            .map(|wl| vec![(0, 0); wl.topo.len()])
+            .enumerate()
+            .map(|(w, wl)| {
+                (0..wl.topo.len())
+                    .map(|op| {
+                        let demand = DemandClass::of(
+                            &wl.costs[op],
+                            wl.candidates.contains(OpId::new(op)),
+                            wl.spec.cpu_progr_only,
+                        );
+                        classes
+                            .iter()
+                            .position(|class| class.demand == demand)
+                            .unwrap_or_else(|| {
+                                classes.push(Class {
+                                    demand,
+                                    rep: (w, op),
+                                    heap: BinaryHeap::new(),
+                                });
+                                classes.len() - 1
+                            })
+                    })
+                    .collect()
+            })
             .collect();
-        for (c, class) in classes.iter_mut().enumerate() {
-            for (slot, m) in class.members.iter().enumerate() {
-                slot_of[m.wl][m.op] = (c, slot);
-            }
-            class.stride = class.members.len().div_ceil(64);
-            class.occupied_stride = class.stride.div_ceil(64);
-            class.bits = vec![0; max_steps * class.stride];
-            class.occupied = vec![0; max_steps * class.occupied_stride];
-        }
         let mut rs = ReadySet {
             remaining,
             step_left,
@@ -547,20 +429,15 @@ impl ReadySet {
                 .iter()
                 .map(|wl| 0..depth.min(wl.spec.steps))
                 .collect(),
-            open_steps: Vec::with_capacity(workloads),
             tie,
-            slot_of,
-            nonempty: vec![0; classes.len().div_ceil(64)],
+            class_of,
             classes,
-            ready_counts: prepared
+            parked: prepared
                 .iter()
-                .map(|wl| vec![0usize; wl.spec.steps])
+                .map(|wl| vec![Vec::new(); wl.spec.steps])
                 .collect(),
-            in_window: vec![0; workloads],
-            ready: 0,
-            open: 0,
+            closed: 0,
         };
-        rs.merge_windows();
         for (w, wl) in prepared.iter().enumerate() {
             for (op, deps) in wl.deps.iter().enumerate() {
                 if deps.is_empty() && wl.spec.steps > 0 {
@@ -576,48 +453,14 @@ impl ReadySet {
         rs
     }
 
-    /// Recomputes `open_steps` after a window moved, merging in place.
-    fn merge_windows(&mut self) {
-        let open = &mut self.open_steps;
-        open.clear();
-        open.extend(self.windows.iter().filter(|win| !win.is_empty()).cloned());
-        open.sort_unstable_by_key(|win| win.start);
-        let mut merged = 0;
-        for i in 0..open.len() {
-            let win = open[i].clone();
-            if merged > 0 && win.start <= open[merged - 1].end {
-                open[merged - 1].end = open[merged - 1].end.max(win.end);
-            } else {
-                open[merged] = win;
-                merged += 1;
-            }
-        }
-        open.truncate(merged);
-    }
-
     fn insert(&mut self, key: Key) {
-        let (c, slot) = self.slot_of[key.wl][key.op];
-        let class = &mut self.classes[c];
-        class.set(key.step, slot, true);
-        if class.ready == 0 {
-            self.nonempty[c / 64] |= 1 << (c % 64);
-        }
-        class.ready += 1;
-        self.ready_counts[key.wl][key.step] += 1;
-        self.ready += 1;
-        if self.windows[key.wl].contains(&key.step) {
-            self.in_window[key.wl] += 1;
-            self.open += 1;
+        if key.step < self.windows[key.wl].end {
             let order = dispatch_order(self.tie, &key);
-            class.head = match class.head {
-                Head::At { order: head, .. } if head <= order => class.head,
-                Head::At { .. } | Head::Empty => Head::At { order, key },
-                // A key at or below the resume point (a requeued head
-                // included) moves the search back to it.
-                Head::Stale { resume } => Head::Stale {
-                    resume: resume.min((key.step, slot)),
-                },
-            };
+            let class = self.class_of[key.wl][key.op];
+            self.classes[class].heap.push(Reverse((order, key)));
+        } else {
+            self.parked[key.wl][key.step].push(key);
+            self.closed += 1;
         }
     }
 
@@ -631,39 +474,14 @@ impl ReadySet {
         });
     }
 
-    fn remove(&mut self, key: &Key) {
-        let (c, slot) = self.slot_of[key.wl][key.op];
-        let class = &mut self.classes[c];
-        class.set(key.step, slot, false);
-        class.ready -= 1;
-        if class.ready == 0 {
-            self.nonempty[c / 64] &= !(1 << (c % 64));
-        }
-        self.ready_counts[key.wl][key.step] -= 1;
-        self.ready -= 1;
-        if self.windows[key.wl].contains(&key.step) {
-            self.in_window[key.wl] -= 1;
-            self.open -= 1;
-        }
-        if matches!(class.head, Head::At { key: head, .. } if head == *key) {
-            // Every other in-window key of the class sorts after the head.
-            let resume = if matches!(self.tie, TieBreak::Priority(_)) {
-                (0, 0)
-            } else {
-                (key.step, slot)
-            };
-            class.head = Head::Stale { resume };
-        }
-    }
-
     /// Ready instances, in or out of their pipeline window.
     fn len(&self) -> usize {
-        self.ready
+        self.closed + self.classes.iter().map(|c| c.heap.len()).sum::<usize>()
     }
 
     /// Ready instances outside their own workload's pipeline window.
     fn window_closed(&self) -> usize {
-        self.ready - self.open
+        self.closed
     }
 
     /// Releases the dependents of a completed instance and advances the
@@ -703,56 +521,39 @@ impl ReadySet {
             while win.start < wl.spec.steps && self.step_left[w][win.start] == 0 {
                 win.start += 1;
             }
+            let old_end = win.end;
             win.end = (win.start + self.depth).min(wl.spec.steps);
-            self.merge_windows();
             // The window only grows upward (no ready key lies below its
-            // start), so it admits keys no cached head has seen.
-            let open: usize = self.ready_counts[w][self.windows[w].clone()].iter().sum();
-            self.open = self.open - self.in_window[w] + open;
-            self.in_window[w] = open;
-            for class in &mut self.classes {
-                class.head = Head::Stale { resume: (0, 0) };
+            // start), so the keys it admits are exactly the parked ones.
+            for s in old_end..self.windows[w].end {
+                for key in std::mem::take(&mut self.parked[w][s]) {
+                    self.closed -= 1;
+                    self.insert(key);
+                }
             }
         }
     }
 
-    /// Class `c`'s head, searched for first if stale.
-    fn head(&mut self, c: usize) -> Option<(Order, Key)> {
-        let class = &mut self.classes[c];
-        if let Head::Stale { resume } = class.head {
-            let tie = self.tie;
-            let mut head = Head::Empty;
-            class.walk(resume, &self.windows, &self.open_steps, |key| {
-                let order = dispatch_order(tie, &key);
-                if !matches!(head, Head::At { order: best, .. } if best <= order) {
-                    head = Head::At { order, key };
-                }
-                // Bit order is dispatch order unless the hash reorders it.
-                !matches!(tie, TieBreak::Priority(_))
-            });
-            class.head = head;
-        }
-        match class.head {
-            Head::At { order, key } => Some((order, key)),
-            Head::Empty => None,
-            Head::Stale { .. } => unreachable!("the search above settles the head"),
-        }
-    }
-
-    /// The first in-window key in dispatch order among the ready classes
-    /// whose bit is set in `admitted`.
-    fn first(&mut self, admitted: &[u64]) -> Option<Key> {
-        let mut best: Option<(Order, Key)> = None;
+    /// The class whose head comes first in dispatch order among the
+    /// classes whose bit is set in `admitted`.
+    fn first(&self, admitted: &[u64]) -> Option<usize> {
+        let mut best: Option<(Order, usize)> = None;
         for (i, &admit) in admitted.iter().enumerate() {
-            for b in ones(self.nonempty[i] & admit) {
-                if let Some((order, key)) = self.head(i * 64 + b) {
-                    if best.is_none_or(|(first, _)| order < first) {
-                        best = Some((order, key));
+            for b in ones(admit) {
+                let c = i * 64 + b;
+                if let Some(Reverse((order, _))) = self.classes[c].heap.peek() {
+                    if best.is_none_or(|(first, _)| *order < first) {
+                        best = Some((*order, c));
                     }
                 }
             }
         }
-        best.map(|(_, key)| key)
+        best.map(|(_, c)| c)
+    }
+
+    /// Takes class `c`'s head: the only way a key leaves the set.
+    fn pop(&mut self, c: usize) -> Option<Key> {
+        self.classes[c].heap.pop().map(|Reverse((_, key))| key)
     }
 }
 
@@ -904,7 +705,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         let avail = loop {
             let avail = resources.availability();
             let admitted = admission.mask(planner, prepared, &rs, avail);
-            let Some(key) = rs.first(admitted) else {
+            let Some(key) = rs.first(admitted).and_then(|c| rs.pop(c)) else {
                 break avail;
             };
             let wl = &prepared[key.wl];
@@ -929,7 +730,6 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
             let (charge, outcome) =
                 policy.attempt(planned, (key.wl, key.step, key.op), attempt, clock.now());
             let units = resources.acquire(kind, &charge)?;
-            rs.remove(&key);
             inflight += 1;
             let slot = lanes.park(InFlight {
                 wl: key.wl,
@@ -1274,24 +1074,26 @@ mod tests {
         }
     }
 
-    /// Drives two ready sets, one in `Stable` and one in `Priority`
-    /// dispatch order, through random dispatch (remove), completion and
-    /// failed-attempt requeue (insert) sequences, with co-run step counts
-    /// 100x apart. At every step each is checked against a `BTreeSet`
-    /// reference filtered by each key's own workload window:
+    /// Drives a `Stable` and a `Priority` ready set, each beside its own
+    /// `BTreeSet` reference, through random dispatch, completion and
+    /// failed-attempt requeue sequences, with co-run step counts 100x
+    /// apart. Dispatch pops the head `first` picks under a random admitted
+    /// mask, the only removal the driver makes. At every step the set is
+    /// checked against the reference filtered by each key's own workload
+    /// window:
     ///
-    /// * (a) each class head, and the first head over all classes, is the
-    ///   reference's first in-window key of that class in dispatch order;
-    /// * (b) walking every class bitset yields the in-window key set;
-    /// * (c) the incremental ready and window-closed counts;
-    /// * (d) a head requeued right after its removal is found again.
+    /// * (a) each class head is the reference's first in-window key of
+    ///   that class in dispatch order, and `first(mask)` is the class of
+    ///   the first in-window key whose class the mask admits;
+    /// * (b) the class heaps hold exactly the in-window key set;
+    /// * (c) the ready and window-closed counts;
+    /// * (d) a head requeued right after its pop is the head again.
     #[test]
     fn ready_set_heads_match_a_filtered_btree_reference() {
         const DEPTH: usize = 4;
-        let ties = [TieBreak::Stable, TieBreak::Priority(7)];
         let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-        // 36, 6 and 24 ops: two or three co-run workloads spread their
-        // slots over more than one bitset word per step.
+        // 36, 6 and 24 ops: under spread demands the three-workload
+        // co-run has more classes than one mask word holds.
         let graphs: Vec<_> = [(9, 4, 11u64), (3, 2, 23), (6, 4, 37)]
             .iter()
             .map(|&(layers, width, seed)| {
@@ -1347,63 +1149,62 @@ mod tests {
                     wl.costs = costs;
                 }
             }
-            let mut sets: Vec<ReadySet> = ties
+            let total: usize = prepared
                 .iter()
-                .map(|&tie| ReadySet::new(&prepared, DEPTH, tie))
-                .collect();
-            // Each op's class, looked up by its demand in the class list.
-            let class_of: Vec<Vec<usize>> = prepared
-                .iter()
-                .map(|wl| {
-                    (0..wl.topo.len())
-                        .map(|op| {
-                            let demand = DemandClass::of(
-                                &wl.costs[op],
-                                wl.candidates.contains(OpId::new(op)),
-                                wl.spec.cpu_progr_only,
-                            );
-                            sets[0]
-                                .classes
-                                .iter()
-                                .position(|c| c.demand == demand)
-                                .expect("every op has a class")
-                        })
-                        .collect()
-                })
-                .collect();
-            let classes = sets[0].classes.len();
-            if spread && steps.len() == 3 {
-                assert!(classes > 64, "{classes} classes fit one mask word");
-            }
-            let all = vec![u64::MAX; classes.div_ceil(64)];
-            let check = |sets: &mut [ReadySet], reference: &Reference| -> Vec<Key> {
-                let expected = reference.in_window(DEPTH);
-                for (rs, &tie) in sets.iter_mut().zip(&ties) {
-                    let mut walked = Vec::new();
-                    for class in &rs.classes {
-                        class.walk((0, 0), &rs.windows, &rs.open_steps, |key| {
-                            walked.push(key);
-                            false
-                        });
-                    }
-                    walked.sort_unstable();
-                    assert_eq!(walked, expected, "{tie:?} steps {steps:?}");
+                .map(|wl| wl.spec.steps * wl.topo.len())
+                .sum();
+            for tie in [TieBreak::Stable, TieBreak::Priority(7)] {
+                let mut rs = ReadySet::new(&prepared, DEPTH, tie);
+                let classes = rs.classes.len();
+                if spread && steps.len() == 3 {
+                    assert!(classes > 64, "{classes} classes fit one mask word");
+                }
+                // Each op's class, looked up by its demand in the class list.
+                let class_of: Vec<Vec<usize>> = prepared
+                    .iter()
+                    .map(|wl| {
+                        (0..wl.topo.len())
+                            .map(|op| {
+                                let demand = DemandClass::of(
+                                    &wl.costs[op],
+                                    wl.candidates.contains(OpId::new(op)),
+                                    wl.spec.cpu_progr_only,
+                                );
+                                rs.classes
+                                    .iter()
+                                    .position(|c| c.demand == demand)
+                                    .expect("every op has a class")
+                            })
+                            .collect()
+                    })
+                    .collect();
+                // The reference dispatch order: a stable sort of the
+                // in-window keys by seeded hash under `Priority`.
+                let order = |k: &Key| match tie {
+                    TieBreak::Priority(_) => (
+                        tie.decision_hash(&[
+                            k.step as u64,
+                            k.rank as u64,
+                            k.wl as u64,
+                            k.op as u64,
+                        ]),
+                        *k,
+                    ),
+                    _ => (0, *k),
+                };
+                // Checks the set against the reference and returns the
+                // reference's first in-window key admitted by `mask`.
+                let check = |rs: &ReadySet, reference: &Reference, mask: &[u64]| {
+                    let expected = reference.in_window(DEPTH);
+                    let mut held: Vec<Key> = rs
+                        .classes
+                        .iter()
+                        .flat_map(|c| c.heap.iter().map(|&Reverse((_, key))| key))
+                        .collect();
+                    held.sort_unstable();
+                    assert_eq!(held, expected, "{tie:?} steps {steps:?}");
                     assert_eq!(rs.len(), reference.ready.len());
                     assert_eq!(rs.window_closed(), reference.ready.len() - expected.len());
-                    // The reference dispatch order: a stable sort of the
-                    // in-window keys by seeded hash under `Priority`.
-                    let order = |k: &Key| match tie {
-                        TieBreak::Priority(_) => (
-                            tie.decision_hash(&[
-                                k.step as u64,
-                                k.rank as u64,
-                                k.wl as u64,
-                                k.op as u64,
-                            ]),
-                            *k,
-                        ),
-                        _ => (0, *k),
-                    };
                     let mut heads: Vec<Option<Key>> = vec![None; classes];
                     for key in &expected {
                         let head = &mut heads[class_of[key.wl][key.op]];
@@ -1411,90 +1212,87 @@ mod tests {
                             *head = Some(*key);
                         }
                     }
-                    for (c, want) in heads.iter().enumerate() {
-                        assert_eq!(rs.head(c).map(|(_, key)| key), *want, "{tie:?} class {c}");
+                    for (class, want) in rs.classes.iter().zip(&heads) {
+                        assert_eq!(class.heap.peek().map(|&Reverse((_, key))| key), *want);
                     }
-                    assert_eq!(rs.first(&all), expected.iter().copied().min_by_key(order));
+                    let admits = |c: usize| mask[c / 64] >> (c % 64) & 1 == 1;
+                    let first = expected
+                        .iter()
+                        .copied()
+                        .filter(|k| admits(class_of[k.wl][k.op]))
+                        .min_by_key(order);
+                    assert_eq!(rs.first(mask), first.map(|k| class_of[k.wl][k.op]));
+                    first
+                };
+                let mut reference = Reference {
+                    ready: BTreeSet::new(),
+                    done: prepared
+                        .iter()
+                        .map(|wl| vec![vec![false; wl.topo.len()]; wl.spec.steps])
+                        .collect(),
+                    min_incomplete: vec![0; prepared.len()],
+                };
+                for (w, wl) in prepared.iter().enumerate() {
+                    for op in 0..wl.topo.len() {
+                        if wl.spec.steps > 0 && reference.dependencies_done(wl, w, 0, op) {
+                            reference.ready.insert(Key {
+                                step: 0,
+                                rank: wl.rank[op],
+                                wl: w,
+                                op,
+                            });
+                        }
+                    }
                 }
-                expected
-            };
-            let mut reference = Reference {
-                ready: BTreeSet::new(),
-                done: prepared
-                    .iter()
-                    .map(|wl| vec![vec![false; wl.topo.len()]; wl.spec.steps])
-                    .collect(),
-                min_incomplete: vec![0; prepared.len()],
-            };
-            for (w, wl) in prepared.iter().enumerate() {
-                for op in 0..wl.topo.len() {
-                    if wl.spec.steps > 0 && reference.dependencies_done(wl, w, 0, op) {
-                        reference.ready.insert(Key {
-                            step: 0,
-                            rank: wl.rank[op],
-                            wl: w,
-                            op,
-                        });
-                    }
-                }
-            }
-            let total: usize = prepared
-                .iter()
-                .map(|wl| wl.spec.steps * wl.topo.len())
-                .sum();
-            let mut rng = XorShiftRng::new(steps.len() as u64);
-            let (mut inflight, mut completed) = (Vec::new(), 0);
-            while completed < total {
-                let expected = check(&mut sets, &reference);
-                if !expected.is_empty() && (inflight.is_empty() || rng.below(2) == 0) {
-                    // Half the time dispatch a head, as the driver does.
-                    let key = if rng.below(2) == 0 {
-                        let rs = rng.below(sets.len());
-                        sets[rs].first(&all).expect("an in-window key is ready")
-                    } else {
-                        expected[rng.below(expected.len())]
-                    };
-                    for rs in &mut sets {
-                        rs.remove(&key);
-                    }
-                    reference.ready.remove(&key);
-                    if rng.below(4) == 0 {
-                        // The attempt fails at once: requeue it, with or
-                        // without a head search in between.
-                        if rng.below(2) == 0 {
-                            check(&mut sets, &reference);
+                let mut rng = XorShiftRng::new(steps.len() as u64);
+                let (mut inflight, mut completed) = (Vec::new(), 0);
+                while completed < total {
+                    // A random admitted mask over the classes; every class
+                    // one time in four.
+                    let all = rng.below(4) == 0;
+                    let mask: Vec<u64> = (0..classes.div_ceil(64))
+                        .map(|i| {
+                            let word = if all { u64::MAX } else { rng.next_u64() };
+                            match classes - i * 64 {
+                                n if n < 64 => word & ((1 << n) - 1),
+                                _ => word,
+                            }
+                        })
+                        .collect();
+                    let first = check(&rs, &reference, &mask);
+                    if let Some(want) = first.filter(|_| inflight.is_empty() || rng.below(2) == 0) {
+                        // Dispatch the first admitted head, as the driver does.
+                        let c = rs.first(&mask).expect("an admitted key is ready");
+                        assert_eq!(rs.pop(c), Some(want));
+                        reference.ready.remove(&want);
+                        if rng.below(4) == 0 {
+                            // The attempt fails at once: requeue it and pop
+                            // it again as its class's head.
+                            check(&rs, &reference, &mask);
+                            rs.requeue(&prepared, want.wl, want.step, want.op);
+                            reference.ready.insert(want);
+                            assert_eq!(check(&rs, &reference, &mask), Some(want));
+                            assert_eq!(rs.pop(c), Some(want));
+                            reference.ready.remove(&want);
                         }
-                        for rs in &mut sets {
+                        inflight.push(want);
+                    } else if !inflight.is_empty() {
+                        let key: Key = inflight.swap_remove(rng.below(inflight.len()));
+                        if rng.below(5) == 0 {
                             rs.requeue(&prepared, key.wl, key.step, key.op);
-                        }
-                        reference.ready.insert(key);
-                        check(&mut sets, &reference);
-                        for rs in &mut sets {
-                            rs.remove(&key);
-                        }
-                        reference.ready.remove(&key);
-                    }
-                    inflight.push(key);
-                } else {
-                    let key: Key = inflight.swap_remove(rng.below(inflight.len()));
-                    if rng.below(5) == 0 {
-                        for rs in &mut sets {
-                            rs.requeue(&prepared, key.wl, key.step, key.op);
-                        }
-                        reference.ready.insert(key);
-                    } else {
-                        for rs in &mut sets {
+                            reference.ready.insert(key);
+                        } else {
                             rs.complete(&prepared, key.wl, key.step, key.op);
+                            reference.complete(&prepared, key);
+                            completed += 1;
                         }
-                        reference.complete(&prepared, key);
-                        completed += 1;
+                    } else {
+                        assert!(!reference.in_window(DEPTH).is_empty(), "{tie:?} wedged");
                     }
                 }
-            }
-            for rs in &sets {
                 assert_eq!(rs.len(), 0);
+                assert!(reference.ready.is_empty());
             }
-            assert!(reference.ready.is_empty());
         }
     }
 }

@@ -48,8 +48,8 @@ pub(crate) use observe::SCHED_TRACK;
 pub use observe::{NullSink, ResourceClass, TimelineEntry, TimelineSink, VecSink};
 
 use crate::fuzz::TieBreak;
-use crate::profiler::profile_step_traced;
-use crate::select::{select_candidates_tie_traced, select_candidates_traced, CandidateSet};
+use crate::profiler::{profile_step, profile_step_traced};
+use crate::select::{select_candidates, select_candidates_tie_traced, CandidateSet};
 use crate::stats::ExecutionReport;
 use crate::verify::{ResourceLimits, WorkloadFacts};
 use faults::{FaultContext, FaultPolicy, NoFaults};
@@ -879,9 +879,8 @@ impl Engine {
     /// Propagates profiling/cost failures.
     pub fn plan_preview(&self, graph: &Graph) -> Result<Vec<PlanRow>> {
         let costs = graph.costs()?;
-        let profile = profile_step_traced(graph, self.planner.cpu(), &mut NullTrace)?;
-        let candidates =
-            select_candidates_traced(&profile, self.planner.cfg.coverage, &mut NullTrace);
+        let profile = profile_step(graph, self.planner.cpu())?;
+        let candidates = select_candidates(&profile, self.planner.cfg.coverage);
         let mut rows = Vec::with_capacity(graph.op_count());
         for node in graph.ops() {
             let cost = &costs[node.id.index()];

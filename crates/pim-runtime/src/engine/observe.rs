@@ -209,20 +209,9 @@ struct Lanes {
 
 #[cfg(feature = "trace")]
 impl Lanes {
-    fn class_index(class: ResourceClass) -> usize {
-        match class {
-            ResourceClass::Cpu => 0,
-            ResourceClass::Progr => 1,
-            ResourceClass::Fixed => 2,
-            ResourceClass::CpuAndFixed => 3,
-            ResourceClass::ProgrAndFixed => 4,
-            ResourceClass::Baseline => 5,
-        }
-    }
-
     /// Assigns a lane for `[start, end]`; `true` when the lane is new.
     fn assign(&mut self, class: ResourceClass, start: Seconds, end: Seconds) -> (usize, bool) {
-        let ends = &mut self.ends[Self::class_index(class)];
+        let ends = &mut self.ends[class_index(class)];
         let start_fs = Clock::to_fs(start);
         let end_fs = Clock::to_fs(end);
         for (lane, lane_end) in ends.iter_mut().enumerate() {

@@ -136,20 +136,10 @@ pub fn select_candidates_tie(profile: &StepProfile, coverage: f64, tie: TieBreak
     set
 }
 
-/// [`select_candidates`] plus an instant on the scheduler trace track
+/// [`select_candidates_tie`] plus an instant on the scheduler trace track
 /// summarizing the chosen candidate set. Recording happens only when the
 /// sink is enabled; with [`pim_common::NullTrace`] this is exactly
-/// `select_candidates`.
-pub fn select_candidates_traced(
-    profile: &StepProfile,
-    coverage: f64,
-    tracer: &mut dyn pim_common::trace::TraceSink,
-) -> CandidateSet {
-    select_candidates_tie_traced(profile, coverage, TieBreak::Stable, tracer)
-}
-
-/// [`select_candidates_tie`] with the same trace instant as
-/// [`select_candidates_traced`].
+/// `select_candidates_tie`.
 pub fn select_candidates_tie_traced(
     profile: &StepProfile,
     coverage: f64,
