@@ -67,21 +67,11 @@ cargo test --workspace -q
 # dependency graph fail here instead of rewriting perfbench/Cargo.lock.
 cargo test --release -q --locked --manifest-path perfbench/Cargo.toml
 
-# Workspace builds unify features (pim-sim default-enables pim-runtime's
-# `trace`); make sure the feature-off hot path still compiles on its own.
-cargo check -q -p pim-runtime
-
-# The differential suite (50 seeded random graphs x 6 presets, optimized
-# vs reference engine paths) runs under the workspace tests with the
-# `parallel` feature on; re-run it with `parallel` off so both sweep
-# drivers stay behaviour-identical.
-cargo test -q -p pim-sim --no-default-features --features trace --test differential
-
-# Seeded fault suite with `parallel` off (the workspace run above covers
-# `parallel` on): engine recovery, the none-plan differential guard, and
-# the fault-aware legality checker must not depend on the sweep driver.
-cargo test -q -p pim-runtime --no-default-features fault
-cargo test -q -p pim-sim --no-default-features --features trace --test fault_differential
+# Seeded fault suite in the serial mode (the workspace run above uses
+# every core): engine recovery, the none-plan differential guard, and the
+# fault-aware legality checker must not depend on the worker count.
+PIM_RUN_THREADS=1 cargo test -q -p pim-runtime fault
+PIM_RUN_THREADS=1 cargo test -q -p pim-sim --test fault_differential
 
 # Static checker: every model graph, binary set, schedule, and report must
 # come back with zero error-severity diagnostics (exit code gates).
@@ -162,13 +152,12 @@ cargo run --release -q -p pim-verify -- \
     --model alexnet --model lstm --steps 2 --faults 1,0.05 --format json > /dev/null
 
 # Order-invariance fuzz smoke (pass 5): 2 models x 8 seeded orders x
-# 2 presets through the differential driver, with the sweep-level
-# `parallel` feature on and off — the tie-break audit must not depend
-# on the sweep driver. `repro fuzz` exits 1 on any divergence.
+# 2 presets through the differential driver, unpinned and in the serial
+# mode (PIM_RUN_THREADS=1) — the tie-break audit must not depend on the
+# worker count. `repro fuzz` exits 1 on any divergence.
 cargo run --release -q -p pim-sim --bin repro -- \
     fuzz --models alex,lstm --seeds 8 --presets hetero,progr > /dev/null
-cargo run --release -q -p pim-sim --bin repro \
-    --no-default-features --features trace -- \
+PIM_RUN_THREADS=1 cargo run --release -q -p pim-sim --bin repro -- \
     fuzz --models alex,lstm --seeds 8 --presets hetero,progr > /dev/null
 
 # Priority-order dispatch pin: `repro search` with its defaults (beam 4,
@@ -186,14 +175,14 @@ cargo run --release -q -p pim-verify -- \
 # ISA ground-truth smoke (pass 6): every model's kernels lowered to the
 # pim-isa micro-ISA, validated, interpreted, and tally-matched against
 # the Fig. 4 extraction exactly; then the analytic-vs-interpreted delta
-# table byte-diffed across runs, with the sweep-level `parallel` feature
-# on and off — the interpreted backend must not depend on the driver.
+# table byte-diffed between an unpinned run and one in the serial mode
+# (PIM_RUN_THREADS=1) — the interpreted backend must not depend on the
+# worker count.
 isa_a=$tmp/isa_a isa_b=$tmp/isa_b
 cargo run --release -q -p pim-verify -- \
     --all-models --isa --format json > /dev/null
 cargo run --release -q -p pim-sim --bin repro -- isa > "$isa_a"
-cargo run --release -q -p pim-sim --bin repro \
-    --no-default-features --features trace -- isa > "$isa_b"
+PIM_RUN_THREADS=1 cargo run --release -q -p pim-sim --bin repro -- isa > "$isa_b"
 diff "$isa_a" "$isa_b"
 
 # Serve smoke: boot the daemon on stdin, replay a seeded load trace

@@ -183,8 +183,8 @@ impl TraceEvent {
 /// Receives trace events from instrumented code.
 ///
 /// Producers should gate expensive argument construction on
-/// [`TraceSink::enabled`]; the engine additionally compiles its
-/// instrumentation away entirely when its `trace` feature is off.
+/// [`TraceSink::enabled`]; the engine does so at every span, so a run
+/// that asks for no trace pays one check per call.
 pub trait TraceSink {
     /// Records one event.
     fn record(&mut self, event: TraceEvent);

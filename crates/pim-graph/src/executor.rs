@@ -125,11 +125,11 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// In debug builds — or with the `verify` feature enabled — panics if
-    /// the graph fails [`Graph::validate`]: an ill-formed graph would
-    /// otherwise only surface as a confusing mid-step execution error.
+    /// In debug builds, panics if the graph fails [`Graph::validate`]: an
+    /// ill-formed graph would otherwise only surface as a confusing
+    /// mid-step execution error.
     pub fn new(graph: &Graph, seed: u64) -> Self {
-        #[cfg(any(debug_assertions, feature = "verify"))]
+        #[cfg(debug_assertions)]
         if let Err(err) = graph.validate() {
             panic!("executor given an ill-formed graph: {err}");
         }

@@ -34,7 +34,7 @@
 //! [`ReportBuilder`], and all emit per-op [`TimelineEntry`] records to a
 //! pluggable [`TimelineSink`]. The engine drivers additionally observe
 //! execution through an [`Observer`]: counters always, Chrome-trace spans
-//! when the `trace` feature is on.
+//! when the run asks for a trace.
 
 use super::components::{Accumulator, Clock, DeviceLanes, Event, EventHeap, InFlight, ResourceSoA};
 use super::faults::{backoff_after, charge_until, AttemptOutcome, FaultContext, FaultPolicy};

@@ -298,9 +298,7 @@ pub(crate) struct Prepared<'g> {
 pub struct RunOptions {
     /// Collect the per-instance execution timeline.
     pub timeline: bool,
-    /// Record a Chrome-trace span recording. Requires the `trace` cargo
-    /// feature; without it the request is ignored and
-    /// [`RunOutput::trace`] stays `None`.
+    /// Record a Chrome-trace span recording into [`RunOutput::trace`].
     pub trace: bool,
     /// Tie-break policy for candidate ranking, dispatch order, and
     /// event retire order. The default, [`TieBreak::Stable`], is the
@@ -318,8 +316,8 @@ pub enum Partitioning {
     #[default]
     Shared,
     /// Each workload is an independent partition with the whole machine to
-    /// itself, advanced on its own event core — on its own thread when the
-    /// `parallel` feature is enabled — producing one report per workload.
+    /// itself, advanced on its own event core and fanned out over worker
+    /// threads — producing one report per workload.
     Partitioned,
 }
 
@@ -455,14 +453,13 @@ pub struct RunOutput {
     /// order (see the `components` module docs for the determinism
     /// argument).
     pub timeline: Option<Vec<TimelineEntry>>,
-    /// The span recording, when [`RunOptions::trace`] was set and the
-    /// `trace` feature is compiled in. Partitioned runs do not record
-    /// traces.
+    /// The span recording, when [`RunOptions::trace`] was set. Partitioned
+    /// runs do not record traces.
     pub trace: Option<TraceRecording>,
     /// The run's counter registry (ops placed per device, events
     /// dispatched, busy seconds, bytes moved, sync stalls, fault
     /// recovery). Always collected; cross-checked against the report in
-    /// debug/`verify` builds. Partitioned runs merge counters in partition
+    /// debug builds. Partitioned runs merge counters in partition
     /// order — every key is a sum over events, so the merge is independent
     /// of the worker count.
     pub counters: Counters,
@@ -562,9 +559,9 @@ impl Engine {
     /// compile away.
     ///
     /// A [`Partitioning::Partitioned`] request gives each workload the
-    /// whole machine to itself on its own event core — on its own thread
-    /// when the `parallel` feature is enabled (worker count capped by
-    /// `PIM_RUN_THREADS`) — then merges the artifacts deterministically:
+    /// whole machine to itself on its own event core, fanned out over
+    /// worker threads (capped by `PIM_RUN_THREADS`; `1` runs them
+    /// serially) — then merges the artifacts deterministically:
     /// reports keep input order, timelines merge by `(quantized start,
     /// partition index)`, counters merge in partition order. The output
     /// is a pure function of the request, independent of the worker
@@ -572,12 +569,11 @@ impl Engine {
     /// co-runs its workloads (the Fig. 16 scenario) and produces one
     /// aggregate report.
     ///
-    /// In debug builds — or with the `verify` feature enabled — every run
-    /// additionally replays its timeline through the `schedule` legality
-    /// pass (as [`Engine::verify`] does) and cross-checks the counter
-    /// registry against the report ([`crate::stats::cross_check_counters`]),
-    /// panicking on any violation so a scheduler bug surfaces at the run
-    /// that produced it.
+    /// In debug builds every run additionally replays its timeline through
+    /// the `schedule` legality pass (as [`Engine::verify`] does) and
+    /// cross-checks the counter registry against the report
+    /// ([`crate::stats::cross_check_counters`]), panicking on any violation
+    /// so a scheduler bug surfaces at the run that produced it.
     ///
     /// # Errors
     ///
@@ -752,17 +748,13 @@ impl Engine {
     /// collapse already happened.
     fn run_shared(&self, request: &RunRequest<'_>, plan: &FaultPlan) -> Result<RunOutput> {
         let opts = &request.options;
-        let verify = cfg!(any(debug_assertions, feature = "verify"));
+        let verify = cfg!(debug_assertions);
         let faults = (!plan.is_none()).then(|| FaultContext::new(plan, self.planner.cfg.ff_units));
 
         let mut null = NullTrace;
-        #[cfg(feature = "trace")]
         let mut recorder = pim_common::trace::Recorder::new();
-        #[cfg(feature = "trace")]
         let tracer: &mut dyn pim_common::trace::TraceSink =
             if opts.trace { &mut recorder } else { &mut null };
-        #[cfg(not(feature = "trace"))]
-        let tracer: &mut dyn pim_common::trace::TraceSink = &mut null;
 
         let prepared = self.prepare(&request.workloads, &mut *tracer, opts.tie)?;
         let mut counters = Counters::new();
@@ -800,15 +792,10 @@ impl Engine {
             );
         }
 
-        #[cfg(feature = "trace")]
-        let trace = opts.trace.then(|| recorder.into_recording());
-        #[cfg(not(feature = "trace"))]
-        let trace = None;
-
         Ok(RunOutput {
             reports: vec![report],
             timeline: if opts.timeline { entries } else { None },
-            trace,
+            trace: opts.trace.then(|| recorder.into_recording()),
             counters,
             degraded: None,
         })

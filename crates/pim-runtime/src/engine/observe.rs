@@ -5,23 +5,16 @@
 //! purely through the explicit `record_op`/`completed`/`stall`/... calls
 //! the drivers make as they advance.
 
+use super::components::Clock;
 use super::faults::AttemptOutcome;
-use super::placement::{Availability, PlanKind, PlannedOp};
-use pim_common::trace::{Counters, Track};
+use super::placement::{describe, Availability, PlanKind, PlannedOp};
+use crate::sync::kernel_calls;
+use pim_common::trace::{Counters, TraceEvent, Track};
 use pim_common::units::Seconds;
 use pim_graph::Graph;
 use pim_mem::traffic::TrafficStats;
 use pim_tensor::cost::CostProfile;
 use serde::Serialize;
-
-#[cfg(feature = "trace")]
-use super::components::Clock;
-#[cfg(feature = "trace")]
-use super::placement::describe;
-#[cfg(feature = "trace")]
-use crate::sync::kernel_calls;
-#[cfg(feature = "trace")]
-use pim_common::trace::TraceEvent;
 
 /// Which exclusive resource class an op instance occupied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -116,12 +109,10 @@ pub(crate) const TRACE_PID: u32 = 1;
 pub(crate) const SCHED_TRACK: Track = Track::new(TRACE_PID, 1);
 
 /// Fixed-function occupancy counter track.
-#[cfg(feature = "trace")]
 pub(crate) const FF_TRACK: Track = Track::new(TRACE_PID, 2);
 
 /// First thread id of each resource class's span lanes; overlapping spans
 /// of one class fan out to `base + lane`.
-#[cfg(feature = "trace")]
 fn class_base_tid(class: ResourceClass) -> u32 {
     match class {
         ResourceClass::Cpu => 1000,
@@ -135,7 +126,6 @@ fn class_base_tid(class: ResourceClass) -> u32 {
 
 /// Stable display label of a resource class (also the counter-key suffix
 /// under `ops/`).
-#[cfg(feature = "trace")]
 pub(crate) fn class_label(class: ResourceClass) -> &'static str {
     match class {
         ResourceClass::Cpu => "CPU",
@@ -148,7 +138,6 @@ pub(crate) fn class_label(class: ResourceClass) -> &'static str {
 }
 
 /// Stable display label of an attempt outcome (trace span/instant args).
-#[cfg(feature = "trace")]
 fn outcome_label(outcome: AttemptOutcome) -> &'static str {
     match outcome {
         AttemptOutcome::Completed => "completed",
@@ -200,14 +189,12 @@ pub(crate) struct OpRecord<'c> {
 /// Spans arrive in non-decreasing start order (the drivers only move the
 /// clock forward), so first-fit against lane end times is deterministic
 /// and optimal enough for a readable timeline.
-#[cfg(feature = "trace")]
 #[derive(Default)]
 struct Lanes {
     /// Quantized end time of the last span per lane, per resource class.
     ends: [Vec<u128>; 6],
 }
 
-#[cfg(feature = "trace")]
 impl Lanes {
     /// Assigns a lane for `[start, end]`; `true` when the lane is new.
     fn assign(&mut self, class: ResourceClass, start: Seconds, end: Seconds) -> (usize, bool) {
@@ -228,10 +215,10 @@ impl Lanes {
 /// The drivers' window into the observability layer.
 ///
 /// Always feeds the per-instance [`TimelineSink`], the [`Counters`]
-/// registry, and the [`TrafficStats`] accumulator; with the `trace`
-/// feature enabled it additionally emits Chrome-trace spans, instants, and
-/// counter samples to a [`pim_common::trace::TraceSink`]. With the feature
-/// off the trace half compiles away entirely.
+/// registry, and the [`TrafficStats`] accumulator; when its
+/// [`pim_common::trace::TraceSink`] is enabled it also emits Chrome-trace
+/// spans, instants, and counter samples to it. A disabled sink costs one
+/// `enabled()` check per call.
 pub(crate) struct Observer<'a> {
     timeline: &'a mut dyn TimelineSink,
     counters: &'a mut Counters,
@@ -239,9 +226,7 @@ pub(crate) struct Observer<'a> {
     ff_units_total: usize,
     ff_busy_units: usize,
     hot: HotCounters,
-    #[cfg(feature = "trace")]
     tracer: &'a mut dyn pim_common::trace::TraceSink,
-    #[cfg(feature = "trace")]
     lanes: Lanes,
 }
 
@@ -330,9 +315,6 @@ impl<'a> Observer<'a> {
         tracer: &'a mut dyn pim_common::trace::TraceSink,
         system: &str,
     ) -> Self {
-        #[cfg(not(feature = "trace"))]
-        let _ = (tracer, system);
-        #[cfg(feature = "trace")]
         if tracer.enabled() {
             tracer.record(TraceEvent::ProcessName {
                 track: Track::new(TRACE_PID, 0),
@@ -354,15 +336,13 @@ impl<'a> Observer<'a> {
             ff_units_total,
             ff_busy_units: 0,
             hot: HotCounters::default(),
-            #[cfg(feature = "trace")]
             tracer,
-            #[cfg(feature = "trace")]
             lanes: Lanes::default(),
         }
     }
 
     /// Records one committed op instance: timeline entry, counters,
-    /// traffic, and (feature-gated) a span on its resource-class lane.
+    /// traffic, and (when tracing) a span on its resource-class lane.
     pub fn record_op(&mut self, rec: &OpRecord<'_>) {
         self.timeline.record(rec.entry);
         self.hot.dispatched += 1;
@@ -384,9 +364,6 @@ impl<'a> Observer<'a> {
         }
         self.traffic
             .record(rec.cost.bytes_read, rec.cost.bytes_written);
-        #[cfg(not(feature = "trace"))]
-        let _ = (rec.kind, rec.graph, rec.candidate, rec.inflight);
-        #[cfg(feature = "trace")]
         if self.tracer.enabled() {
             let (lane, fresh) = self.lanes.assign(class, rec.entry.start, rec.entry.end);
             let track = Track::new(TRACE_PID, class_base_tid(class) + lane as u32);
@@ -448,9 +425,6 @@ impl<'a> Observer<'a> {
     /// track.
     pub fn ff_delta(&mut self, now: Seconds, grant: isize) {
         self.ff_busy_units = (self.ff_busy_units as isize + grant).max(0) as usize;
-        #[cfg(not(feature = "trace"))]
-        let _ = now;
-        #[cfg(feature = "trace")]
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent::Counter {
                 track: FF_TRACK,
@@ -472,9 +446,6 @@ impl<'a> Observer<'a> {
         avail: Availability,
     ) {
         self.hot.stalls += 1;
-        #[cfg(not(feature = "trace"))]
-        let _ = (now, waiting, window_closed, avail);
-        #[cfg(feature = "trace")]
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,
@@ -496,9 +467,6 @@ impl<'a> Observer<'a> {
     pub fn barrier(&mut self, now: Seconds, amount: Seconds) {
         self.hot.barrier_seconds += amount.seconds();
         self.hot.barrier_touched = true;
-        #[cfg(not(feature = "trace"))]
-        let _ = now;
-        #[cfg(feature = "trace")]
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,
@@ -520,9 +488,6 @@ impl<'a> Observer<'a> {
     /// strike) as a counter bump plus a scheduler-track trace instant.
     pub fn fault(&mut self, now: Seconds, what: &'static str, wl: usize, step: usize, op: usize) {
         self.hot.faults_injected += 1;
-        #[cfg(not(feature = "trace"))]
-        let _ = (now, what, wl, step, op);
-        #[cfg(feature = "trace")]
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,
@@ -539,9 +504,6 @@ impl<'a> Observer<'a> {
     pub fn quarantine(&mut self, now: Seconds, what: &'static str, units: usize) {
         self.hot.faults_injected += 1;
         self.hot.quarantined_units += units as u64;
-        #[cfg(not(feature = "trace"))]
-        let _ = (now, what);
-        #[cfg(feature = "trace")]
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,
@@ -555,11 +517,7 @@ impl<'a> Observer<'a> {
 
     /// Records an in-flight op killed by a permanent strike (the strike
     /// itself was already counted by [`Observer::quarantine`]).
-    #[allow(clippy::unused_self)] // self is read only with the trace feature on
     pub fn killed(&mut self, now: Seconds, wl: usize, step: usize, op: usize) {
-        #[cfg(not(feature = "trace"))]
-        let _ = (now, wl, step, op);
-        #[cfg(feature = "trace")]
         if self.tracer.enabled() {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,

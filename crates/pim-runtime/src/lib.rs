@@ -9,8 +9,8 @@
 //!   [`Engine::execute`] runs a [`RunRequest`] and [`Engine::verify`]
 //!   replays its timeline; its event core also drives the `pim-sim`
 //!   baselines,
-//! * [`par`] — fork-join helper behind the default-on `parallel` feature
-//!   (independent simulations across threads, deterministic order),
+//! * [`par`] — fork-join helper (independent simulations across threads,
+//!   deterministic order; `PIM_RUN_THREADS=1` runs them serially),
 //! * [`sync`] — synchronization-cost constants and kernel-call granularity,
 //! * [`verify`] — schedule-legality replay over recorded timelines; backs
 //!   the engine's debug-mode assertions and the `pim-verify` checker,

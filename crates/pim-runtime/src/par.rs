@@ -1,8 +1,7 @@
 //! Minimal fork-join parallelism for independent simulations.
 //!
-//! [`par_map`] fans a slice out over scoped OS threads when the `parallel`
-//! feature (on by default) is enabled, and degrades to a plain serial map
-//! without it — callers never need to care which build they are in.
+//! [`par_map`] fans a slice out over scoped OS threads. `PIM_RUN_THREADS=1`
+//! is the serial mode: one worker maps the slice on the calling thread.
 //!
 //! Work is claimed, not pre-assigned: every worker repeatedly takes the
 //! next unclaimed input index from one shared atomic counter, so a worker
@@ -19,10 +18,9 @@
 
 /// Worker-thread cap for one fan-out: the `PIM_RUN_THREADS` environment
 /// variable when set to a positive integer, otherwise the machine's
-/// available parallelism. Pinning `PIM_RUN_THREADS=1` forces the parallel
-/// build down the serial path — the thread-matrix CI stage uses this to
-/// check that results do not depend on the worker count.
-#[cfg(feature = "parallel")]
+/// available parallelism. Pinning `PIM_RUN_THREADS=1` takes the serial
+/// path — the thread-matrix CI stage uses this to check that results do
+/// not depend on the worker count.
 fn thread_limit() -> usize {
     std::env::var("PIM_RUN_THREADS")
         .ok()
@@ -31,12 +29,12 @@ fn thread_limit() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
-/// Maps `f` over `items`, in parallel when the `parallel` feature is on.
+/// Maps `f` over `items` on up to `PIM_RUN_THREADS` worker threads
+/// (default: the machine's available parallelism).
 ///
 /// Results are returned in input order regardless of which thread ran
 /// which item. A panic in `f` is re-raised on the caller with its
 /// original payload.
-#[cfg(feature = "parallel")]
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -48,7 +46,7 @@ where
 
 /// [`par_map`] with an explicit worker cap: up to `workers` scoped
 /// threads claim input indices from one counter until none are left.
-#[cfg(feature = "parallel")]
+/// One worker (or at most one item) maps serially on the calling thread.
 fn fan_out<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -93,17 +91,6 @@ where
         .collect()
 }
 
-/// Serial fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    items.iter().map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,7 +122,6 @@ mod tests {
         assert_eq!(out, vec![Ok(1), Ok(2), Err("ccc".to_string())]);
     }
 
-    #[cfg(feature = "parallel")]
     mod claim_next {
         use super::super::fan_out;
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -183,9 +169,25 @@ mod tests {
         #[derive(Debug, PartialEq)]
         struct Boom(usize);
 
+        /// The serial mode (`PIM_RUN_THREADS=1`): every item runs once, in
+        /// input order, on the calling thread.
+        #[test]
+        fn one_worker_runs_each_item_once_in_order_on_the_caller() {
+            let caller = std::thread::current().id();
+            let seen = std::sync::Mutex::new(Vec::new());
+            let items: Vec<usize> = (0..ITEMS).collect();
+            let out = fan_out(1, &items, |&i| {
+                seen.lock().unwrap().push((i, std::thread::current().id()));
+                i * 10
+            });
+            assert_eq!(out, items.iter().map(|i| i * 10).collect::<Vec<_>>());
+            let expected: Vec<_> = items.iter().map(|&i| (i, caller)).collect();
+            assert_eq!(seen.into_inner().unwrap(), expected);
+        }
+
         #[test]
         fn a_panicking_item_surfaces_its_own_payload() {
-            for workers in 2..=4 {
+            for workers in 1..=4 {
                 let items: Vec<usize> = (0..ITEMS).collect();
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     fan_out(workers, &items, |&i| {

@@ -6,8 +6,8 @@
 //! [`TimelineEntry`] list and reports every violation as a `schedule`-pass
 //! [`Diagnostic`](pim_common::Diagnostic). It backs two consumers:
 //!
-//! * the engine's own run-time assertions (default-on in debug builds, or
-//!   with the `verify` feature) and [`Engine::verify`],
+//! * the engine's own run-time assertions (on in every debug build) and
+//!   [`Engine::verify`],
 //! * the `pim-verify` static-analysis CLI, which replays every model under
 //!   every configuration.
 //!

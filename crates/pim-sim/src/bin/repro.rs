@@ -131,8 +131,8 @@ fn run_sections(which: &str) {
         .filter(|(name, _)| which == *name || which == "all")
         .collect();
     // The figures are independent simulations: sweep them across threads
-    // (pim-runtime's `parallel` feature; serial without it) and print in
-    // the fixed section order so the output stays deterministic.
+    // (`PIM_RUN_THREADS=1` runs them serially) and print in the fixed
+    // section order so the output stays deterministic.
     for ((name, _), result) in selected
         .iter()
         .zip(pim_runtime::par::par_map(&selected, |(_, f)| f()))

@@ -6,7 +6,7 @@
 //! timestamps are simulated time, so the export is byte-identical across
 //! runs.
 
-use pim_common::{PimError, Result};
+use pim_common::Result;
 use pim_models::{Model, ModelKind};
 use pim_runtime::engine::{
     Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
@@ -30,8 +30,7 @@ use pim_runtime::engine::{
 ///
 /// # Errors
 ///
-/// Propagates model-build and engine failures, or an unsupported error
-/// when the `trace` feature is compiled out.
+/// Propagates model-build and engine failures.
 pub fn chrome_trace(
     kind: ModelKind,
     batch: usize,
@@ -52,11 +51,8 @@ pub fn chrome_trace(
         }])
         .with_options(opts),
     )?;
-    let recording = out.trace.ok_or_else(|| {
-        PimError::invalid(
-            "chrome_trace",
-            "span tracing requires the `trace` cargo feature of pim-sim",
-        )
-    })?;
+    let recording = out
+        .trace
+        .expect("a shared run with `trace: true` always returns its recording");
     Ok(recording.to_chrome_json())
 }

@@ -257,10 +257,9 @@ pub struct ModelBreakdown {
 ///
 /// Propagates simulation failures.
 pub fn fig8_fig9_data() -> Result<Vec<ModelBreakdown>> {
-    // Simulate the whole (model x configuration) grid as one batch —
-    // parallel under the `parallel` feature, serial otherwise, identical
-    // rows either way. Every cell lands in the sweep cache, so the
-    // per-model normalization below is all hits.
+    // Simulate the whole (model x configuration) grid as one batch across
+    // threads — identical rows at every worker count. Every cell lands in
+    // the sweep cache, so the per-model normalization below is all hits.
     let set = SystemConfig::evaluation_set();
     let grid: Vec<(ModelKind, SystemConfig)> = ModelKind::CNNS
         .iter()

@@ -9,8 +9,9 @@
 //! Schedules must replay cleanly through the legality checker and the
 //! counter registry must match the report.
 //!
-//! The suite is feature-agnostic: CI runs it with the `parallel` feature
-//! on and off and expects identical verdicts.
+//! The suite is worker-count-agnostic: CI runs it at every
+//! `PIM_RUN_THREADS` setting of its thread matrix, serial (`1`) included,
+//! and expects identical verdicts.
 
 use pim_graph::gen::{random_dag, GenSpec};
 use pim_hw::faults::FaultPlan;

@@ -7,7 +7,6 @@ use pim_models::{Model, ModelKind};
 use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use pim_runtime::stats::cross_check_counters;
 
-#[cfg(feature = "trace")]
 mod chrome_export {
     use pim_models::ModelKind;
     use pim_runtime::engine::SystemPreset;
