@@ -30,8 +30,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 #     switches (RC on/off, OP on/off, ...).
 #   iter_not_returning_iterator: `Graph::ops()` returns a slice by
 #     API contract.
-#   inline_always: the hot-path annotations are benchmarked, not
-#     speculative.
 CLIPPY_PEDANTIC_ALLOW=(
     -A clippy::must_use_candidate
     -A clippy::return_self_not_must_use
@@ -51,7 +49,6 @@ CLIPPY_PEDANTIC_ALLOW=(
     -A clippy::match_same_arms
     -A clippy::struct_excessive_bools
     -A clippy::iter_not_returning_iterator
-    -A clippy::inline_always
     -A clippy::module_name_repetitions
 )
 cargo clippy --workspace --all-targets -- \

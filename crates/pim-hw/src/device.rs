@@ -4,16 +4,17 @@
 //! The engine's placement policy, the shared event core, and the analytic
 //! baselines (GPU, Neurocube) all consume devices through this trait, so a
 //! single measurement path produces every `ExecutionReport` of the
-//! evaluation. A device answers four questions:
+//! evaluation. A device answers three questions:
 //!
 //! 1. *estimate* — how long and how much energy one operation takes
 //!    ([`Device::estimate`]),
 //! 2. *capability* — whether it can execute the operation at all
 //!    ([`Device::accepts`]; the fixed-function pool rejects anything that
 //!    is not pure multiply/add),
-//! 3. *energy* — its dynamic power while busy ([`Device::dynamic_power`]),
-//! 4. *busy-register state* — which Fig. 7 status register reports its
-//!    idleness to the runtime scheduler ([`Device::register_class`]).
+//! 3. *energy* — its dynamic power while busy ([`Device::dynamic_power`]).
+//!
+//! Idleness is not a device question: the engine's resource ledger
+//! counts free and quarantined units itself.
 
 use crate::arm::{ProgrammablePim, ProgrammablePool};
 use crate::cpu::CpuDevice;
@@ -24,20 +25,6 @@ use crate::params::ComputeEstimate;
 use pim_common::units::Watts;
 use pim_tensor::cost::{CostProfile, OffloadClass};
 use serde::Serialize;
-
-/// Which of the Fig. 7 busy/idle registers a device reports through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum RegisterClass {
-    /// The host CPU — tracked by the runtime itself, not a PIM register.
-    Host,
-    /// The programmable PIM's single busy bit.
-    ProgrammablePim,
-    /// The per-bank fixed-function busy bits.
-    FixedBanks,
-    /// A baseline device outside the heterogeneous stack (GPU, Neurocube);
-    /// it has no register on the logic die.
-    External,
-}
 
 /// A compute element the simulation core can schedule work onto.
 pub trait Device {
@@ -55,9 +42,6 @@ pub trait Device {
 
     /// Dynamic power drawn while busy.
     fn dynamic_power(&self) -> Watts;
-
-    /// The busy-register the runtime queries for this device's idleness.
-    fn register_class(&self) -> RegisterClass;
 }
 
 impl Device for CpuDevice {
@@ -71,10 +55,6 @@ impl Device for CpuDevice {
 
     fn dynamic_power(&self) -> Watts {
         self.params().dynamic_power
-    }
-
-    fn register_class(&self) -> RegisterClass {
-        RegisterClass::Host
     }
 }
 
@@ -90,10 +70,6 @@ impl Device for ProgrammablePim {
     fn dynamic_power(&self) -> Watts {
         self.params().dynamic_power
     }
-
-    fn register_class(&self) -> RegisterClass {
-        RegisterClass::ProgrammablePim
-    }
 }
 
 impl Device for ProgrammablePool {
@@ -107,10 +83,6 @@ impl Device for ProgrammablePool {
 
     fn dynamic_power(&self) -> Watts {
         self.params().dynamic_power
-    }
-
-    fn register_class(&self) -> RegisterClass {
-        RegisterClass::ProgrammablePim
     }
 }
 
@@ -135,10 +107,6 @@ impl Device for FixedFunctionPool {
     fn dynamic_power(&self) -> Watts {
         self.config().per_unit_power * self.total_units() as f64
     }
-
-    fn register_class(&self) -> RegisterClass {
-        RegisterClass::FixedBanks
-    }
 }
 
 impl Device for Neurocube {
@@ -152,10 +120,6 @@ impl Device for Neurocube {
 
     fn dynamic_power(&self) -> Watts {
         self.params().dynamic_power
-    }
-
-    fn register_class(&self) -> RegisterClass {
-        RegisterClass::External
     }
 }
 
@@ -203,10 +167,6 @@ impl Device for AnalyticGpu {
 
     fn dynamic_power(&self) -> Watts {
         self.gpu.dynamic_power()
-    }
-
-    fn register_class(&self) -> RegisterClass {
-        RegisterClass::External
     }
 }
 
@@ -276,7 +236,6 @@ mod tests {
         let pool = FixedFunctionPool::new(FixedPoolConfig::paper_default(&StackConfig::hmc2()));
         assert!(pool.accepts(&ma_cost()));
         assert!(!pool.accepts(&mixed_cost()));
-        assert_eq!(pool.register_class(), RegisterClass::FixedBanks);
     }
 
     #[test]
@@ -300,23 +259,6 @@ mod tests {
         assert_eq!(
             Device::estimate(&pool, &cost),
             pool.estimate_ma(&cost, pool.total_units(), true)
-        );
-    }
-
-    #[test]
-    fn register_classes_cover_the_fig7_file() {
-        let stack = StackConfig::hmc2();
-        assert_eq!(
-            CpuDevice::xeon_e5_2630_v3().register_class(),
-            RegisterClass::Host
-        );
-        assert_eq!(
-            ProgrammablePim::cortex_a9(&stack, 4).register_class(),
-            RegisterClass::ProgrammablePim
-        );
-        assert_eq!(
-            Neurocube::isca16(&stack).register_class(),
-            RegisterClass::External
         );
     }
 }

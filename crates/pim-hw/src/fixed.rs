@@ -121,11 +121,6 @@ impl FixedFunctionPool {
         self.config.total_units
     }
 
-    /// Fraction of the pool currently allocated.
-    pub fn utilization(&self) -> f64 {
-        1.0 - self.free_units as f64 / self.config.total_units as f64
-    }
-
     /// Grants up to `want` units (the paper's dynamic usage: "an operation
     /// can dynamically change its usage of PIMs, depending on the
     /// availability of PIMs").
@@ -265,7 +260,7 @@ mod tests {
         let mut p = pool();
         let got = p.grant(241).unwrap();
         assert_eq!(got, 241);
-        assert!((p.utilization() - 0.5428).abs() < 0.01);
+        assert_eq!(p.free_units(), DEFAULT_UNITS - 241);
     }
 
     #[test]

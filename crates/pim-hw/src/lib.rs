@@ -13,7 +13,6 @@
 //!   re-derives the 444-unit figure,
 //! * [`faults`] — the deterministic seeded fault model ([`faults::FaultPlan`])
 //!   the engine's recovery policy executes against,
-//! * [`registers`] — the Fig. 7 busy/idle register file,
 //! * [`params`] — the shared timing/energy formula.
 //!
 //! Calibration policy is documented in DESIGN.md §4.4: constants reproduce
@@ -30,12 +29,11 @@ pub mod neurocube;
 pub mod params;
 pub mod placement;
 pub mod power;
-pub mod registers;
 pub mod thermal;
 
 pub use arm::{ProgrammablePim, ProgrammablePool};
 pub use cpu::CpuDevice;
-pub use device::{AnalyticGpu, Device, RegisterClass};
+pub use device::{AnalyticGpu, Device};
 pub use fixed::{FixedFunctionPool, FixedPoolConfig};
 pub use gpu::GpuDevice;
 pub use params::{ComputeEstimate, DeviceParams};

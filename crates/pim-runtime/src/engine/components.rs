@@ -6,8 +6,9 @@
 //! and permanent strikes all wait in it; the driver pops the earliest,
 //! advances the clock to it and reacts. An [`Event::Op`] carries only a
 //! slot of [`DeviceLanes`], the slab the dispatched attempts park in, so
-//! retiring one reads its record in place. The flat [`ResourceSoA`] holds
-//! resource occupancy and the Fig. 7 busy/idle registers.
+//! retiring one reads its record in place. The flat [`ResourceSoA`] is the
+//! one resource ledger: its counters are the Fig. 7 busy/idle state the
+//! placement policy queries.
 //!
 //! # Determinism
 //!
@@ -32,7 +33,6 @@ use crate::stats::{ExecutionReport, ReportBuilder};
 use pim_common::units::{Joules, Seconds};
 use pim_common::Result;
 use pim_hw::fixed::FixedFunctionPool;
-use pim_hw::registers::StatusRegisters;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -259,9 +259,11 @@ impl DeviceLanes {
 
 /// Exclusive-resource occupancy in flat structure-of-arrays form: one
 /// counter per resource class (CPU slots, programmable-PIM kernel slots,
-/// fixed-function units via the pool), mirrored into the Fig. 7 busy/idle
-/// register file the software scheduler queries. It never originates
-/// events; it only gates what the dispatch pass may place.
+/// fixed-function units via the pool) plus the alive counts. These
+/// counters are the Fig. 7 busy/idle state the software scheduler
+/// queries, and both engine drivers keep their quarantine state here. It
+/// never originates events; it only gates what the dispatch pass may
+/// place.
 #[derive(Debug)]
 pub(crate) struct ResourceSoA {
     /// Free host CPU slots (the host contributes one).
@@ -269,14 +271,8 @@ pub(crate) struct ResourceSoA {
     /// Free programmable-PIM kernel slots.
     progr_slots_free: u32,
     pool: FixedFunctionPool,
-    registers: StatusRegisters,
-    /// Busy-unit count currently reflected in the bank registers, so each
-    /// mirror only rewrites the registers that changed since the last
-    /// acquire/release.
-    mirrored_busy: usize,
     /// Units permanently lost to fail-stop faults. Quarantine holds them
-    /// through a never-released pool grant, so the Fig. 7 registers show
-    /// them busy without any special-casing.
+    /// through a never-released pool grant, so they never count as free.
     quarantined_ff: usize,
     /// The programmable PIM has not been permanently quarantined.
     progr_alive: bool,
@@ -284,28 +280,23 @@ pub(crate) struct ResourceSoA {
 
 impl ResourceSoA {
     pub fn new(planner: &Planner) -> Self {
-        let pool = FixedFunctionPool::new(planner.pool_cfg().clone());
-        let registers = StatusRegisters::new(pool.total_units());
         ResourceSoA {
             cpu_slots_free: 1,
             progr_slots_free: PROGR_KERNEL_SLOTS as u32,
-            pool,
-            registers,
-            mirrored_busy: 0,
+            pool: FixedFunctionPool::new(planner.pool_cfg().clone()),
             quarantined_ff: 0,
             progr_alive: true,
         }
     }
 
-    /// Free resources right now, as the placement policy sees them — read
-    /// from the Fig. 7 register file, exactly like the software scheduler
-    /// does through the Table III query APIs.
+    /// Free resources right now, as the placement policy sees them (the
+    /// answer the Table III query APIs give the software scheduler).
     pub fn availability(&self) -> Availability {
         Availability {
             cpu_free: self.cpu_slots_free > 0,
-            progr_free: !self.registers.progr_busy(),
-            ff_free: self.registers.idle_bank_count(),
-            ff_alive: self.pool.total_units() - self.quarantined_ff,
+            progr_free: self.progr_slots_free > 0,
+            ff_free: self.pool.free_units(),
+            ff_alive: self.alive_ff(),
             progr_alive: self.progr_alive,
         }
     }
@@ -321,7 +312,7 @@ impl ResourceSoA {
     }
 
     /// Permanently removes `units` idle fixed-function units. The grant is
-    /// never released, so the Fig. 7 registers report them busy forever.
+    /// never released, so they never count as free again.
     ///
     /// # Errors
     ///
@@ -333,7 +324,6 @@ impl ResourceSoA {
         }
         self.pool.grant(units)?;
         self.quarantined_ff += units;
-        self.mirror_registers();
         Ok(())
     }
 
@@ -342,7 +332,6 @@ impl ResourceSoA {
     pub fn quarantine_progr(&mut self) {
         self.progr_alive = false;
         self.progr_slots_free = 0;
-        self.mirror_registers();
     }
 
     /// Reserves the resources a chosen placement needs; returns the
@@ -368,7 +357,6 @@ impl ResourceSoA {
         if planned.uses_progr {
             self.progr_slots_free -= 1;
         }
-        self.mirror_registers();
         Ok(units)
     }
 
@@ -383,30 +371,6 @@ impl ResourceSoA {
         if uses_progr {
             self.progr_slots_free += 1;
         }
-        self.mirror_registers();
-    }
-
-    /// Busy units fill bank registers from index 0 upward; the programmable
-    /// PIM's single bit is busy when no kernel slot is free. Only the run of
-    /// registers between the old and new busy counts changes, and it is
-    /// rewritten as one range write.
-    // Runs on every acquire and release of the scheduled driver. Left to
-    // the inliner, an unrelated edit elsewhere in the crate can move it
-    // out of line, which measurably slows the Hetero drive loop.
-    #[inline(always)]
-    fn mirror_registers(&mut self) {
-        let busy = self.pool.total_units() - self.pool.free_units();
-        let changed = self.mirrored_busy.min(busy)..self.mirrored_busy.max(busy);
-        let _ = self
-            .registers
-            .set_banks_busy(changed, busy > self.mirrored_busy);
-        self.mirrored_busy = busy;
-        self.registers.set_progr_busy(self.progr_slots_free == 0);
-    }
-
-    #[cfg(test)]
-    pub(crate) fn registers(&self) -> &StatusRegisters {
-        &self.registers
     }
 }
 
@@ -500,7 +464,6 @@ impl Accumulator {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, SystemPreset};
-    use pim_common::ids::BankId;
     use pim_common::units::Bytes;
     use pim_tensor::cost::{CostProfile, OffloadClass};
 
@@ -543,12 +506,20 @@ mod tests {
         }
     }
 
+    /// `(ff_free, ff_alive, progr_free, progr_alive)` as the placement
+    /// policy reads them.
+    fn seen(state: &ResourceSoA) -> (usize, usize, bool, bool) {
+        let a = state.availability();
+        (a.ff_free, a.ff_alive, a.progr_free, a.progr_alive)
+    }
+
     #[test]
-    fn resource_soa_mirrors_the_fig7_registers() {
+    fn resource_soa_availability_tracks_ff_grants_and_quarantine() {
         let planner = Planner::new(EngineConfig::preset(SystemPreset::Hetero));
+        let total = planner.pool_cfg().total_units;
         let mut state = ResourceSoA::new(&planner);
-        assert!(state.registers().all_banks_idle());
-        assert!(!state.registers().progr_busy());
+        assert!(state.availability().cpu_free);
+        assert_eq!(seen(&state), (total, total, true, true));
 
         let cost = CostProfile::compute(
             1e9,
@@ -566,25 +537,28 @@ mod tests {
         let planned = planner.plan_cost(kind, &cost);
         let units = state.acquire(kind, &planned).unwrap();
         assert_eq!(units, 128);
-        assert_eq!(
-            state.registers().idle_bank_count(),
-            planner.pool_cfg().total_units - 128
-        );
-        assert_eq!(
-            state.availability().ff_free,
-            planner.pool_cfg().total_units - 128
-        );
-        // Busy units fill the bank registers from index 0 upward.
-        let bank = |i| state.registers().bank_busy(BankId::new(i)).unwrap();
-        assert!(bank(0) && bank(127) && !bank(128));
+        assert_eq!(seen(&state), (total - 128, total, true, true));
 
+        // Quarantine takes idle units out of both counts; busy ones stay
+        // alive and come back free on release.
+        state.quarantine_ff(100).unwrap();
+        assert_eq!(seen(&state), (total - 228, total - 100, true, true));
+        state.quarantine_ff(0).unwrap();
+        assert_eq!(seen(&state), (total - 228, total - 100, true, true));
         state.release(units, false, false);
-        assert!(state.registers().all_banks_idle());
+        assert_eq!(seen(&state), (total - 100, total - 100, true, true));
+        assert_eq!(state.free_ff(), total - 100);
+        assert_eq!(state.alive_ff(), total - 100);
+
+        // Quarantining every remaining unit leaves nothing free or alive.
+        state.quarantine_ff(total - 100).unwrap();
+        assert_eq!(seen(&state), (0, 0, true, true));
     }
 
     #[test]
-    fn progr_slots_saturate_the_busy_bit() {
+    fn progr_slots_saturate_and_quarantine_clears_progr_free() {
         let planner = Planner::new(EngineConfig::preset(SystemPreset::Hetero));
+        let total = planner.pool_cfg().total_units;
         let mut state = ResourceSoA::new(&planner);
         let cost = CostProfile::compute(
             0.0,
@@ -600,11 +574,16 @@ mod tests {
             assert!(state.availability().progr_free);
             state.acquire(PlanKind::Progr, &planned).unwrap();
         }
-        assert!(!state.availability().progr_free);
-        assert!(state.registers().progr_busy());
+        assert_eq!(seen(&state), (total, total, false, true));
         state.release(0, false, true);
-        assert!(state.availability().progr_free);
-        assert!(!state.registers().progr_busy());
+        assert_eq!(seen(&state), (total, total, true, true));
+        state.release(0, false, true);
+
+        // Quarantine (with every kernel slot free) clears both bits for
+        // good and leaves the fixed-function counts alone.
+        state.quarantine_progr();
+        assert_eq!(seen(&state), (total, total, false, false));
+        assert!(state.availability().cpu_free);
     }
 
     fn stub_record(start: Seconds) -> InFlight {

@@ -90,25 +90,45 @@ fn commit(
     });
 }
 
-/// Applies one permanent strike to the serialized driver's alive-state.
-fn apply_strike_serial(
+/// Applies one permanent strike to the resource ledger at `at` and
+/// reports it. A fixed-function strike loses at most the units still
+/// alive.
+fn quarantine(
+    resources: &mut ResourceSoA,
     target: FaultTarget,
-    ff_alive: &mut usize,
-    progr_alive: &mut bool,
     obs: &mut Observer<'_>,
     at: Seconds,
-) {
+) -> Result<()> {
     match target {
         FaultTarget::FixedUnits(n) => {
-            let n = n.min(*ff_alive);
-            *ff_alive -= n;
+            let n = n.min(resources.alive_ff());
+            resources.quarantine_ff(n)?;
             obs.quarantine(at, "ff units", n);
         }
         FaultTarget::ProgrPim => {
-            *progr_alive = false;
+            resources.quarantine_progr();
             obs.quarantine(at, "progr pim", 1);
         }
     }
+    Ok(())
+}
+
+/// A fresh resource ledger with the policy's before-run quarantine
+/// applied at time zero.
+fn resources_at_start<P: FaultPolicy>(
+    planner: &Planner,
+    policy: &P,
+    obs: &mut Observer<'_>,
+) -> Result<ResourceSoA> {
+    let mut resources = ResourceSoA::new(planner);
+    if policy.initial_ff() > 0 {
+        let target = FaultTarget::FixedUnits(policy.initial_ff());
+        quarantine(&mut resources, target, obs, Seconds::ZERO)?;
+    }
+    if policy.initial_progr_dead() {
+        quarantine(&mut resources, FaultTarget::ProgrPim, obs, Seconds::ZERO)?;
+    }
+    Ok(resources)
 }
 
 /// Sequential execution: one op at a time in topological order per step —
@@ -128,14 +148,9 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
     let mut clock = Clock::new();
     let mut gauge = limits.gauge();
     let ff_units = planner.cfg.ff_units;
-    let mut ff_alive = ff_units - policy.initial_ff();
-    let mut progr_alive = !policy.initial_progr_dead();
-    if policy.initial_ff() > 0 {
-        obs.quarantine(clock.now(), "ff units", policy.initial_ff());
-    }
-    if policy.initial_progr_dead() {
-        obs.quarantine(clock.now(), "progr pim", 1);
-    }
+    // One op runs at a time and holds nothing in the ledger, which only
+    // tracks quarantine here: its availability is everything alive.
+    let mut resources = resources_at_start(planner, policy, obs)?;
     let strikes = policy.strikes();
     let mut next_strike = 0usize;
     for (w, wl) in prepared.iter().enumerate() {
@@ -169,21 +184,14 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                         if s.at > clock.now() {
                             break;
                         }
-                        apply_strike_serial(s.target, &mut ff_alive, &mut progr_alive, obs, s.at);
+                        quarantine(&mut resources, s.target, obs, s.at)?;
                         next_strike += 1;
                     }
-                    let (kind, planned, candidate) =
-                        if !P::FAULTY || (ff_alive == ff_units && progr_alive) {
-                            plans[i]
-                        } else {
+                    let (kind, planned, candidate) = match P::FAULTY
+                        .then(|| resources.availability())
+                    {
+                        Some(avail) if (avail.ff_alive, avail.progr_alive) != (ff_units, true) => {
                             let candidate = plans[i].2;
-                            let avail = Availability {
-                                cpu_free: true,
-                                progr_free: progr_alive,
-                                ff_free: ff_alive,
-                                ff_alive,
-                                progr_alive,
-                            };
                             let cost = &wl.costs[op];
                             let kind = planner
                                 .choose(cost, candidate, wl.spec.cpu_progr_only, avail)
@@ -191,7 +199,9 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                                     PimError::internal("serialized placement found no device")
                                 })?;
                             (kind, planner.plan_cost(kind, cost), candidate)
-                        };
+                        }
+                        _ => plans[i],
+                    };
                     let start = clock.now();
                     let (mut charge, mut outcome) =
                         policy.attempt(planned, (w, step, op), attempt, start);
@@ -203,7 +213,9 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                             break;
                         }
                         let idle = match s.target {
-                            FaultTarget::FixedUnits(_) => ff_alive.saturating_sub(charge.ff_units),
+                            FaultTarget::FixedUnits(_) => {
+                                resources.alive_ff().saturating_sub(charge.ff_units)
+                            }
                             FaultTarget::ProgrPim => 0,
                         };
                         let kills = FaultContext::strike_kills(
@@ -212,7 +224,7 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                             charge.uses_progr,
                             idle,
                         );
-                        apply_strike_serial(s.target, &mut ff_alive, &mut progr_alive, obs, s.at);
+                        quarantine(&mut resources, s.target, obs, s.at)?;
                         next_strike += 1;
                         if kills {
                             charge = charge_until(&charge, start, s.at);
@@ -655,7 +667,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         Vec::new()
     };
 
-    let mut resources = ResourceSoA::new(planner);
+    let mut resources = resources_at_start(planner, policy, obs)?;
     let mut lanes = DeviceLanes::new();
     let mut events: EventHeap<Event> = EventHeap::new();
     // One sequence counter keys every event, drawn in program order:
@@ -666,14 +678,6 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         tie.event_key(pushed - 1)
     };
 
-    if policy.initial_ff() > 0 {
-        resources.quarantine_ff(policy.initial_ff())?;
-        obs.quarantine(Seconds::ZERO, "ff units", policy.initial_ff());
-    }
-    if policy.initial_progr_dead() {
-        resources.quarantine_progr();
-        obs.quarantine(Seconds::ZERO, "progr pim", 1);
-    }
     for (i, s) in policy.strikes().iter().enumerate() {
         events.push(s.at, Event::Strike(i), next_seq());
     }
@@ -759,9 +763,8 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
             }
         };
 
-        // Anything still ready is stalled: either the Fig. 7 registers
-        // showed no free resources, or its step sits outside the pipeline
-        // window.
+        // Anything still ready is stalled: either no free resource fits
+        // it, or its step sits outside the pipeline window.
         let window_closed = rs.window_closed();
         let resource_waiting = rs.len() - window_closed;
         if resource_waiting > 0 {
@@ -869,16 +872,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                     attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
                     rs.requeue(prepared, rec.wl, rec.step, rec.op);
                 }
-                match s.target {
-                    FaultTarget::FixedUnits(_) => {
-                        resources.quarantine_ff(lost)?;
-                        obs.quarantine(clock.now(), "ff units", lost);
-                    }
-                    FaultTarget::ProgrPim => {
-                        resources.quarantine_progr();
-                        obs.quarantine(clock.now(), "progr pim", 1);
-                    }
-                }
+                quarantine(&mut resources, s.target, obs, clock.now())?;
             }
         }
     }

@@ -435,8 +435,8 @@ impl<'a> Observer<'a> {
         }
     }
 
-    /// Records a register-file stall: ready ops that could not be placed
-    /// because the Fig. 7 registers showed no free resources
+    /// Records a resource stall: ready ops that could not be placed
+    /// because no free resource fit them
     /// (`window_closed` counts ops merely outside the OP pipeline window).
     pub fn stall(
         &mut self,

@@ -326,6 +326,39 @@ mod fault_tests {
         assert!(out.report().is_well_formed());
         assert!(out.counters.get("faults/quarantined_units") >= 1.0);
     }
+
+    /// A fixed-function strike loses at most the units still alive: the
+    /// second strike asks for 300 of the 100 left, so exactly the whole
+    /// pool ends up quarantined on the serialized and scheduled drivers.
+    #[test]
+    fn ff_strikes_past_the_alive_count_saturate_on_both_drivers() {
+        let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
+        for preset in [
+            SystemPreset::FixedHost,
+            SystemPreset::HeteroBare,
+            SystemPreset::Hetero,
+        ] {
+            let engine = Engine::new(EngineConfig::preset(preset));
+            let ff_units = engine.config().ff_units;
+            let horizon = engine
+                .execute(&RunRequest::new(&[spec(&model, 2)]))
+                .unwrap()
+                .into_report()
+                .makespan;
+            let plan = FaultPlan::none()
+                .with_permanent(horizon * 0.2, FaultTarget::FixedUnits(ff_units - 100))
+                .with_permanent(horizon * 0.4, FaultTarget::FixedUnits(300));
+            let out = engine
+                .execute(&RunRequest::new(&[spec(&model, 2)]).with_faults(plan))
+                .unwrap();
+            assert!(out.report().is_well_formed(), "{preset:?}");
+            assert_eq!(
+                out.counters.get("faults/quarantined_units"),
+                ff_units as f64,
+                "{preset:?}"
+            );
+        }
+    }
 }
 
 mod limit_tests {

@@ -30,7 +30,7 @@
 //!   audited property.
 //! * [`TieBreak::Priority`] — a seeded *free* reordering of ready-op
 //!   priority inside the open pipeline windows. Always legal —
-//!   dependencies, windows, and the Fig. 7 registers are still
+//!   dependencies, windows, and resource exclusivity are still
 //!   enforced — but deliberately schedule-changing. It is both the
 //!   search space of [`crate::search`] and the negative control for
 //!   the fuzzer: feeding a `Priority` run into the comparison

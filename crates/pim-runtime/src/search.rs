@@ -3,7 +3,7 @@
 //!
 //! [`crate::fuzz::TieBreak::Priority`] turns the dispatch priority
 //! inside open pipeline windows into a seeded degree of freedom — every
-//! order is legal (dependencies, windows, and the Fig. 7 registers are
+//! order is legal (dependencies, windows, and resource exclusivity are
 //! still enforced by the drivers), but the schedule, and hence the
 //! makespan, changes. [`beam_search`] explores that space with a beam:
 //! each round evaluates a frontier of candidate orders in parallel,

@@ -519,7 +519,7 @@ pub fn check_timeline_faulted(
         }
     }
 
-    // -- exclusivity sweep (Fig. 7 busy/idle registers) ----------------
+    // -- exclusivity sweep (Fig. 7 busy/idle state) --------------------
     // Events at (femtosecond, rank) with releases applied first, then
     // fault-plan capacity cuts, then acquires: back-to-back intervals
     // sharing an instant never report contention, and work killed exactly

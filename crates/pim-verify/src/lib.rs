@@ -4,7 +4,7 @@
 //! never re-checks: the runtime must preserve operation dependencies when
 //! it applies RC/OP (§IV), binary generation must split kernels without
 //! losing work (Fig. 4), and the scheduler must only place ops on devices
-//! that can execute them (Fig. 7 status registers). This crate makes each
+//! that can execute them and that are idle. This crate makes each
 //! invariant an explicit analysis pass producing structured
 //! [`Diagnostic`](pim_common::Diagnostic) values:
 //!

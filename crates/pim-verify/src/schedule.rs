@@ -4,7 +4,8 @@
 //! per-instance timeline, and replays it through the
 //! [`pim_runtime::verify`] checker: dependency order (including through RC
 //! recursion and the OP pipeline window), `Device::accepts` capability,
-//! and the Fig. 7 register-mirror exclusivity rules.
+//! and resource exclusivity (no CPU slot, programmable-PIM kernel slot or
+//! fixed-function unit held twice, nor past a quarantine).
 
 use pim_common::Diagnostics;
 use pim_graph::Graph;
