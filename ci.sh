@@ -58,6 +58,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo test -q
 cargo test --workspace -q
 
+# The engine's unit tests again under release codegen, the build the
+# benchmark times: the packed ready-set keys and the staged event-queue
+# pop must hold with optimizations and without overflow checks too.
+cargo test --release -q -p pim-runtime --lib engine::
+
 # The benchmark harness (its own workspace) builds against crates/ by
 # path: removing an Engine or profiler item it uses must fail here, not
 # first when the benchmark runs. `--locked` makes a change to its

@@ -190,6 +190,9 @@ pub trait TraceSink {
     fn record(&mut self, event: TraceEvent);
 
     /// True when recorded events are kept (false for [`NullTrace`]).
+    ///
+    /// The value is fixed for the sink's lifetime: consumers may read it
+    /// once and cache it, as the engine's observer does.
     fn enabled(&self) -> bool {
         true
     }

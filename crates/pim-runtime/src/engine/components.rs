@@ -6,9 +6,11 @@
 //! and permanent strikes all wait in it; the driver pops the earliest,
 //! advances the clock to it and reacts. An [`Event::Op`] carries only a
 //! slot of [`DeviceLanes`], the slab the dispatched attempts park in, so
-//! retiring one reads its record in place. The flat [`ResourceSoA`] is the
-//! one resource ledger: its counters are the Fig. 7 busy/idle state the
-//! placement policy queries.
+//! retiring one reads its record in place. Every payload is a `u32`, so a
+//! heap entry `(u128, u64, Event)` is 32 bytes. The queue stages its newest
+//! push outside the heap and pops the earlier of it and the heap's top.
+//! The flat [`ResourceSoA`] is the one resource ledger: its counters are
+//! the Fig. 7 busy/idle state the placement policy queries.
 //!
 //! # Determinism
 //!
@@ -17,8 +19,9 @@
 //! [`crate::fuzz::TieBreak::Stable`] the key is the counter itself, so
 //! simultaneous events pop in push (FIFO) order; the seeded modes remap it
 //! through a bijection. Either way every key is unique, so the heap never
-//! tie-breaks on anything machine-dependent, and the pop order is a pure
-//! function of the dispatch order.
+//! tie-breaks on anything machine-dependent, the staged pop returns what
+//! the plain heap would, and the pop order is a pure function of the
+//! dispatch order.
 //!
 //! # Allocation-free steady state
 //!
@@ -110,15 +113,24 @@ fn wide_from_fs(fs: u128) -> f64 {
 /// The heap key is `(time, seq, payload)` and `seq` — allocated by the
 /// caller from one counter — is unique, so the payload, stored inline in
 /// the entry, never takes part in a tie-break.
+///
+/// The newest push is *staged* outside the heap, and `pop` returns the
+/// earlier of it and the heap's top. The driver pops right after the
+/// pushes of one dispatch pass, so the staged entry often is the earliest
+/// and never enters the heap; when the top is earlier, the staged entry
+/// replaces it in place, one sift instead of a pop's and a push's. Keys
+/// are unique, so the pop order is the plain heap's.
 #[derive(Debug)]
 pub(crate) struct EventHeap<T> {
     heap: BinaryHeap<Reverse<(u128, u64, T)>>,
+    staged: Option<Reverse<(u128, u64, T)>>,
 }
 
 impl<T: Ord> EventHeap<T> {
     pub fn new() -> Self {
         EventHeap {
             heap: BinaryHeap::with_capacity(16),
+            staged: None,
         }
     }
 
@@ -126,15 +138,24 @@ impl<T: Ord> EventHeap<T> {
     /// the quantized time so callers can mirror it (e.g. in the timeline).
     pub fn push(&mut self, at: Seconds, payload: T, seq: u64) -> u128 {
         let fs = Clock::to_fs(at);
-        self.heap.push(Reverse((fs, seq, payload)));
+        if let Some(older) = self.staged.replace(Reverse((fs, seq, payload))) {
+            self.heap.push(older);
+        }
         fs
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(u128, T)> {
-        self.heap
-            .pop()
-            .map(|Reverse((fs, _, payload))| (fs, payload))
+        let entry = match self.staged.take() {
+            None => self.heap.pop()?,
+            // `Reverse` flips the order: a greater top is an earlier key.
+            Some(staged) => match self.heap.peek_mut() {
+                Some(mut top) if *top > staged => std::mem::replace(&mut *top, staged),
+                _ => staged,
+            },
+        };
+        let Reverse((fs, _, payload)) = entry;
+        Some((fs, payload))
     }
 }
 
@@ -168,17 +189,20 @@ pub(crate) struct InFlight {
 
 /// One pending event of the scheduled driver's queue. `Ord` only lets it
 /// sit in the [`EventHeap`] key; the unique `seq` before it decides every
-/// comparison.
+/// comparison. Payloads are `u32` so a heap entry stays 32 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Event {
     /// The attempt parked in this [`DeviceLanes`] slot reaches its
     /// scheduled end.
-    Op(usize),
-    /// A retry backoff expires; the instance becomes ready again.
-    Retry { wl: usize, step: usize, op: usize },
+    Op(u32),
+    /// A retry backoff expires; the instance with this flat index (the
+    /// index of the driver's per-instance tables) becomes ready again.
+    Retry(u32),
     /// Permanent strike `i` of the fault context lands.
-    Strike(usize),
+    Strike(u32),
 }
+
+const _: () = assert!(std::mem::size_of::<Reverse<(u128, u64, Event)>>() <= 32);
 
 /// The per-device completion lanes: every dispatched attempt parks here
 /// until its [`Event::Op`] pops.
@@ -189,7 +213,7 @@ pub(crate) enum Event {
 #[derive(Debug)]
 pub(crate) struct DeviceLanes {
     slab: Vec<InFlight>,
-    free_slots: Vec<usize>,
+    free_slots: Vec<u32>,
 }
 
 impl DeviceLanes {
@@ -201,29 +225,30 @@ impl DeviceLanes {
     }
 
     /// Parks `rec`; returns the slot its event carries.
-    pub fn park(&mut self, rec: InFlight) -> usize {
+    pub fn park(&mut self, rec: InFlight) -> u32 {
         match self.free_slots.pop() {
             Some(s) => {
-                self.slab[s] = rec;
+                self.slab[s as usize] = rec;
                 s
             }
             None => {
+                let slot = u32::try_from(self.slab.len()).expect("in-flight slots fit u32");
                 self.slab.push(rec);
-                self.slab.len() - 1
+                slot
             }
         }
     }
 
     /// The record parked in `slot`.
-    pub fn get(&self, slot: usize) -> &InFlight {
-        &self.slab[slot]
+    pub fn get(&self, slot: u32) -> &InFlight {
+        &self.slab[slot as usize]
     }
 
     /// Frees `slot` as its event pops and returns the attempt it held, or
     /// `None` when a strike already killed (and accounted) that attempt.
-    pub fn retire(&mut self, slot: usize) -> Option<&InFlight> {
+    pub fn retire(&mut self, slot: u32) -> Option<&InFlight> {
         self.free_slots.push(slot);
-        let rec = &mut self.slab[slot];
+        let rec = &mut self.slab[slot as usize];
         if !rec.live {
             return None;
         }
@@ -233,8 +258,8 @@ impl DeviceLanes {
 
     /// Marks the attempt in `slot` dead and returns it; its event will
     /// retire as `None`.
-    pub fn kill(&mut self, slot: usize) -> &InFlight {
-        let rec = &mut self.slab[slot];
+    pub fn kill(&mut self, slot: u32) -> &InFlight {
+        let rec = &mut self.slab[slot as usize];
         rec.live = false;
         rec
     }
@@ -247,10 +272,9 @@ impl DeviceLanes {
     /// The slot of the live attempt matching `pred` that dispatched
     /// earliest, tie-broken by `(workload, step, op, slot)` so victim
     /// selection is deterministic.
-    pub fn victim(&self, pred: impl Fn(&InFlight) -> bool) -> Option<usize> {
-        self.slab
-            .iter()
-            .enumerate()
+    pub fn victim(&self, pred: impl Fn(&InFlight) -> bool) -> Option<u32> {
+        (0u32..)
+            .zip(&self.slab)
             .filter(|(_, r)| r.live && pred(r))
             .min_by_key(|&(j, r)| (Clock::to_fs(r.start), r.wl, r.step, r.op, j))
             .map(|(j, _)| j)
@@ -464,8 +488,11 @@ impl Accumulator {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, SystemPreset};
+    use crate::fuzz::TieBreak;
     use pim_common::units::Bytes;
     use pim_tensor::cost::{CostProfile, OffloadClass};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn event_heap_orders_by_time_then_fifo() {
@@ -475,6 +502,43 @@ mod tests {
         heap.push(Seconds::new(1e-6), 2, 2);
         let order: Vec<usize> = std::iter::from_fn(|| heap.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec![1, 2, 0]);
+    }
+
+    proptest! {
+        /// The staged heap pops exactly what a sorted `(fs, seq)` reference
+        /// pops, under random push/pop interleavings with many
+        /// simultaneous events, pops on an empty queue and pushes after a
+        /// drain, with `seq` drawn from `event_key` as the driver draws it.
+        #[test]
+        fn staged_event_heap_pops_like_a_sorted_reference(
+            mode in 0u8..3,
+            seed in 0u64..1000,
+            // 0-3 push at one of four instants, so most pushes tie on time
+            // with a pending event; 4-6 pop.
+            script in proptest::collection::vec(0u8..7, 0..200),
+        ) {
+            let tie = match mode {
+                0 => TieBreak::Stable,
+                1 => TieBreak::Permuted(seed),
+                _ => TieBreak::Priority(seed),
+            };
+            let mut heap: EventHeap<u32> = EventHeap::new();
+            let mut reference = BTreeMap::new();
+            let mut pushed = 0u32;
+            // The script, a full drain (and one pop more), the script again.
+            let drain = std::iter::repeat_n(6, script.len() + 1);
+            for step in script.iter().copied().chain(drain).chain(script.iter().copied()) {
+                if step < 4 {
+                    let seq = tie.event_key(u64::from(pushed));
+                    let fs = heap.push(Seconds::new(f64::from(step) * 1e-6), pushed, seq);
+                    reference.insert((fs, seq), pushed);
+                    pushed += 1;
+                } else {
+                    let want = reference.pop_first().map(|((fs, _), payload)| (fs, payload));
+                    prop_assert_eq!(heap.pop(), want);
+                }
+            }
+        }
     }
 
     #[test]
@@ -622,7 +686,7 @@ mod tests {
                     Some(_) => "op".to_string(),
                     None => "stale".to_string(),
                 },
-                Event::Retry { op, .. } => format!("retry{op}"),
+                Event::Retry(instance) => format!("retry{instance}"),
                 Event::Strike(i) => format!("strike{i}"),
             })
             .collect()
@@ -635,7 +699,7 @@ mod tests {
         // among simultaneous events whatever their kind.
         let t1 = Seconds::new(1e-6);
         let t2 = Seconds::new(2e-6);
-        let push_four = |tie: crate::fuzz::TieBreak| {
+        let push_four = |tie: TieBreak| {
             let mut events = EventHeap::new();
             let mut lanes = DeviceLanes::new();
             let mut keys = Vec::new();
@@ -643,11 +707,7 @@ mod tests {
             for (n, (at, label)) in (0u64..).zip(four) {
                 let event = match label {
                     "op" => Event::Op(lanes.park(stub_record(Seconds::ZERO))),
-                    "retry7" => Event::Retry {
-                        wl: 0,
-                        step: 0,
-                        op: 7,
-                    },
+                    "retry7" => Event::Retry(7),
                     _ => Event::Strike(3),
                 };
                 let seq = tie.event_key(n);
@@ -656,16 +716,13 @@ mod tests {
             }
             (events, lanes, keys)
         };
-        let (mut events, mut lanes, _) = push_four(crate::fuzz::TieBreak::Stable);
+        let (mut events, mut lanes, _) = push_four(TieBreak::Stable);
         assert_eq!(
             drain(&mut events, &mut lanes),
             vec!["retry7", "op", "strike3", "op"]
         );
         // Under a seeded tie-break the pops still follow (fs, event_key(n)).
-        for tie in [
-            crate::fuzz::TieBreak::Permuted(5),
-            crate::fuzz::TieBreak::Priority(9),
-        ] {
+        for tie in [TieBreak::Permuted(5), TieBreak::Priority(9)] {
             let (mut events, mut lanes, mut keys) = push_four(tie);
             keys.sort_unstable();
             let expected: Vec<&str> = keys.iter().map(|&(_, _, label)| label).collect();

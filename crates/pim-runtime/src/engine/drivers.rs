@@ -29,6 +29,14 @@
 //! placed. DESIGN.md §4.9 shows it places exactly what one in-order pass
 //! over every ready op would.
 //!
+//! The loop's state is small and flat. A class-heap entry is 16 bytes:
+//! the tie-break hash and `step << 32 | place`, where the place table
+//! sorts every op by `(rank, wl)`, so the word orders like
+//! `(step, rank, wl)`. The per-instance tables (remaining dependencies,
+//! attempts), the per-step counts and the per-op plan memo are one `Vec`
+//! each, indexed through a per-workload base, and a retry event carries
+//! the instance's row in them.
+//!
 //! All drivers account time and energy through the same
 //! [`Accumulator`] and build their result exclusively via
 //! [`ReportBuilder`], and all emit per-op [`TimelineEntry`] records to a
@@ -306,10 +314,10 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
     Ok(acc.into_report(planner, steps, clock.now()))
 }
 
-/// Priority key of a ready instance: step first (pipeline order), then
-/// topological rank, then workload. `rank` is unique within a workload, so
-/// `(step, rank, wl)` is already a total order and `op` (the workload's
-/// `topo[rank]`) rides along for the dispatcher.
+/// A ready instance as the dispatcher reads it: step first (pipeline
+/// order), then topological rank, then workload. `rank` is unique within a
+/// workload, so `(step, rank, wl)` is already a total order and `op` (the
+/// workload's `topo[rank]`) rides along for the dispatcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     step: usize,
@@ -318,30 +326,35 @@ struct Key {
     op: usize,
 }
 
-impl Key {
-    /// `(step, rank, wl)` packed into one integer with the same order.
-    /// `ReadySet::new` checks that ranks and workload indices fit 32 bits.
-    fn packed(&self) -> u128 {
-        (self.step as u128) << 64 | (self.rank as u128) << 32 | self.wl as u128
-    }
+/// A class-heap entry's place in the dispatch order: the tie-break hash,
+/// then `step << 32 | place`, where `place` indexes the place table. The
+/// table is sorted by `(rank, wl)`, so the packed word orders exactly like
+/// `(step, rank, wl)`. The hash is zero except under
+/// [`TieBreak::Priority`], which dispatches by seeded hash and breaks hash
+/// ties in [`Key`] order.
+type Order = (u64, u64);
+
+const _: () = assert!(std::mem::size_of::<Reverse<Order>>() == 16);
+
+/// One row of the place table: an op, its topological rank and its demand
+/// class.
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    wl: u32,
+    op: u32,
+    rank: u32,
+    class: u32,
 }
 
-/// A key's place in the dispatch order: the tie-break hash, then the
-/// packed key. The hash is zero except under [`TieBreak::Priority`], which
-/// dispatches by seeded hash and breaks hash ties in [`Key`] order.
-type Order = (u64, u128);
-
-fn dispatch_order(tie: TieBreak, key: &Key) -> Order {
-    let hash = match tie {
-        TieBreak::Stable | TieBreak::Permuted(_) => 0,
-        TieBreak::Priority(_) => tie.decision_hash(&[
-            key.step as u64,
-            key.rank as u64,
-            key.wl as u64,
-            key.op as u64,
-        ]),
-    };
-    (hash, key.packed())
+/// Where one workload's rows start in the ready set's flat tables: per op,
+/// per step and per instance. Instance `(step, op)` is row
+/// `instance + step * ops + op`.
+#[derive(Debug, Clone, Copy)]
+struct Base {
+    op: usize,
+    step: usize,
+    instance: usize,
+    ops: usize,
 }
 
 /// The ready instances of one demand class that lie inside their own
@@ -350,21 +363,25 @@ struct Class {
     demand: DemandClass,
     /// A member `(wl, op)` whose placeability stands for the class's.
     rep: (usize, usize),
-    heap: BinaryHeap<Reverse<(Order, Key)>>,
+    heap: BinaryHeap<Reverse<Order>>,
 }
 
 /// Dependency/readiness bookkeeping of the scheduled driver.
 ///
-/// Each demand class keeps its in-window ready keys in a min-heap, so its
-/// head is its first in-window key in dispatch order. A ready key past
-/// its workload's window end is parked until the window reaches its step.
-/// The dispatch pass asks which classes fit the current availability and
-/// pops the first head among them, so it never visits a key whose class
-/// cannot be placed.
+/// Each demand class keeps its in-window ready instances in a min-heap, so
+/// its head is its first in-window instance in dispatch order. A ready
+/// instance past its workload's window end is parked until the window
+/// reaches its step. The dispatch pass asks which classes fit the current
+/// availability and pops the first head among them, so it never visits an
+/// instance whose class cannot be placed.
+///
+/// Every table is one flat `Vec`, indexed through the workload's [`Base`].
 struct ReadySet {
-    /// Per-instance remaining dependency counts.
-    remaining: Vec<Vec<Vec<usize>>>,
-    step_left: Vec<Vec<usize>>,
+    bases: Vec<Base>,
+    /// Per instance, the dependencies not yet complete.
+    remaining: Vec<u32>,
+    /// Per step, the instances not yet complete.
+    step_left: Vec<u32>,
     /// Pipeline depth: how many steps past its lowest incomplete one a
     /// workload may dispatch from.
     depth: usize,
@@ -373,66 +390,90 @@ struct ReadySet {
     /// `depth` steps, clipped to the workload's step count.
     windows: Vec<Range<usize>>,
     tie: TieBreak,
-    /// Per workload and op, its demand class.
-    class_of: Vec<Vec<usize>>,
+    /// Per op, its row in `places`.
+    place_of: Vec<u32>,
+    /// Every op, sorted by `(rank, wl)`.
+    places: Vec<Place>,
     classes: Vec<Class>,
-    /// Per workload and step, the ready keys past the window's end.
-    parked: Vec<Vec<Vec<Key>>>,
-    /// Keys in `parked`.
+    /// Per step, the ready instances past the window's end, packed as in
+    /// [`Order`].
+    parked: Vec<Vec<u64>>,
+    /// Instances in `parked`.
     closed: usize,
+    /// Ready instances, in or out of their window.
+    ready: usize,
 }
 
 impl ReadySet {
     fn new(prepared: &[Prepared<'_>], depth: usize, tie: TieBreak) -> Self {
-        let remaining: Vec<Vec<Vec<usize>>> = prepared
-            .iter()
-            .map(|wl| {
-                (0..wl.spec.steps)
-                    .map(|step| {
-                        wl.deps
-                            .iter()
-                            .map(|d| d.len() + usize::from(step > 0))
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let step_left: Vec<Vec<usize>> = prepared
-            .iter()
-            .map(|wl| vec![wl.topo.len(); wl.spec.steps])
-            .collect();
-        let max_ops = prepared.iter().map(|wl| wl.topo.len()).max().unwrap_or(0);
+        let mut bases = Vec::with_capacity(prepared.len());
+        let (mut ops, mut steps, mut instances) = (0, 0, 0);
+        for wl in prepared {
+            let n = wl.topo.len();
+            bases.push(Base {
+                op: ops,
+                step: steps,
+                instance: instances,
+                ops: n,
+            });
+            ops += n;
+            steps += wl.spec.steps;
+            instances += wl.spec.steps * n;
+        }
+        let max_steps = prepared.iter().map(|wl| wl.spec.steps).max().unwrap_or(0);
         assert!(
-            u32::try_from(max_ops).is_ok() && u32::try_from(prepared.len()).is_ok(),
-            "ranks and workload indices must fit a packed key"
+            [ops, max_steps, instances, prepared.len()]
+                .iter()
+                .all(|&n| u32::try_from(n).is_ok()),
+            "op, step, instance and workload counts must fit a packed key"
         );
-        let mut classes: Vec<Class> = Vec::new();
-        let class_of = prepared
+        let mut remaining = Vec::with_capacity(instances);
+        for wl in prepared {
+            for step in 0..wl.spec.steps {
+                remaining.extend(
+                    wl.deps
+                        .iter()
+                        .map(|d| (d.len() + usize::from(step > 0)) as u32),
+                );
+            }
+        }
+        let step_left = prepared
             .iter()
-            .enumerate()
-            .map(|(w, wl)| {
-                (0..wl.topo.len())
-                    .map(|op| {
-                        let demand = DemandClass::of(
-                            &wl.costs[op],
-                            wl.candidates.contains(OpId::new(op)),
-                            wl.spec.cpu_progr_only,
-                        );
-                        classes
-                            .iter()
-                            .position(|class| class.demand == demand)
-                            .unwrap_or_else(|| {
-                                classes.push(Class {
-                                    demand,
-                                    rep: (w, op),
-                                    heap: BinaryHeap::new(),
-                                });
-                                classes.len() - 1
-                            })
-                    })
-                    .collect()
-            })
+            .flat_map(|wl| std::iter::repeat_n(wl.topo.len() as u32, wl.spec.steps))
             .collect();
+        let mut classes: Vec<Class> = Vec::new();
+        let mut places = Vec::with_capacity(ops);
+        for (w, wl) in prepared.iter().enumerate() {
+            for op in 0..wl.topo.len() {
+                let demand = DemandClass::of(
+                    &wl.costs[op],
+                    wl.candidates.contains(OpId::new(op)),
+                    wl.spec.cpu_progr_only,
+                );
+                let class = classes
+                    .iter()
+                    .position(|class| class.demand == demand)
+                    .unwrap_or_else(|| {
+                        classes.push(Class {
+                            demand,
+                            rep: (w, op),
+                            heap: BinaryHeap::new(),
+                        });
+                        classes.len() - 1
+                    });
+                places.push(Place {
+                    wl: w as u32,
+                    op: op as u32,
+                    rank: wl.rank[op] as u32,
+                    class: class as u32,
+                });
+            }
+        }
+        places.sort_unstable_by_key(|p| (p.rank, p.wl));
+        let mut place_of = vec![0; ops];
+        for (i, p) in (0u32..).zip(&places) {
+            place_of[bases[p.wl as usize].op + p.op as usize] = i;
+        }
         let mut rs = ReadySet {
             remaining,
             step_left,
@@ -442,53 +483,89 @@ impl ReadySet {
                 .map(|wl| 0..depth.min(wl.spec.steps))
                 .collect(),
             tie,
-            class_of,
+            place_of,
+            places,
             classes,
-            parked: prepared
-                .iter()
-                .map(|wl| vec![Vec::new(); wl.spec.steps])
-                .collect(),
+            parked: vec![Vec::new(); steps],
             closed: 0,
+            ready: 0,
+            bases,
         };
         for (w, wl) in prepared.iter().enumerate() {
             for (op, deps) in wl.deps.iter().enumerate() {
                 if deps.is_empty() && wl.spec.steps > 0 {
-                    rs.insert(Key {
-                        step: 0,
-                        rank: wl.rank[op],
-                        wl: w,
-                        op,
-                    });
+                    rs.insert(w, 0, op);
                 }
             }
         }
         rs
     }
 
-    fn insert(&mut self, key: Key) {
-        if key.step < self.windows[key.wl].end {
-            let order = dispatch_order(self.tie, &key);
-            let class = self.class_of[key.wl][key.op];
-            self.classes[class].heap.push(Reverse((order, key)));
+    /// The flat per-instance row of `(wl, step, op)`.
+    fn instance(&self, wl: usize, step: usize, op: usize) -> usize {
+        let base = self.bases[wl];
+        base.instance + step * base.ops + op
+    }
+
+    /// The `(wl, step, op)` of a per-instance row.
+    fn locate(&self, instance: usize) -> (usize, usize, usize) {
+        // Workloads with no instances share their successor's start, so
+        // the last base at or below the row is the one holding it.
+        let wl = self.bases.partition_point(|b| b.instance <= instance) - 1;
+        let base = self.bases[wl];
+        let within = instance - base.instance;
+        (wl, within / base.ops, within % base.ops)
+    }
+
+    /// The flat per-op row of `(wl, op)`.
+    fn op_row(&self, wl: usize, op: usize) -> usize {
+        self.bases[wl].op + op
+    }
+
+    /// Makes `(wl, step, op)` ready: its dependencies just completed, or
+    /// its last attempt failed.
+    fn insert(&mut self, wl: usize, step: usize, op: usize) {
+        self.ready += 1;
+        let packed = (step as u64) << 32 | u64::from(self.place_of[self.op_row(wl, op)]);
+        if step < self.windows[wl].end {
+            self.enqueue(packed);
         } else {
-            self.parked[key.wl][key.step].push(key);
+            self.parked[self.bases[wl].step + step].push(packed);
             self.closed += 1;
         }
     }
 
-    /// Makes `(wl, step, op)` ready again after a failed attempt.
-    fn requeue(&mut self, prepared: &[Prepared<'_>], wl: usize, step: usize, op: usize) {
-        self.insert(Key {
-            step,
-            rank: prepared[wl].rank[op],
-            wl,
-            op,
-        });
+    /// Pushes an in-window instance onto its class heap.
+    fn enqueue(&mut self, packed: u64) {
+        let place = self.places[packed as u32 as usize];
+        let hash = match self.tie {
+            TieBreak::Stable | TieBreak::Permuted(_) => 0,
+            TieBreak::Priority(_) => self.tie.decision_hash(&[
+                packed >> 32,
+                u64::from(place.rank),
+                u64::from(place.wl),
+                u64::from(place.op),
+            ]),
+        };
+        self.classes[place.class as usize]
+            .heap
+            .push(Reverse((hash, packed)));
+    }
+
+    /// The instance a packed class-heap word stands for.
+    fn key(&self, packed: u64) -> Key {
+        let place = self.places[packed as u32 as usize];
+        Key {
+            step: (packed >> 32) as usize,
+            rank: place.rank as usize,
+            wl: place.wl as usize,
+            op: place.op as usize,
+        }
     }
 
     /// Ready instances, in or out of their pipeline window.
     fn len(&self) -> usize {
-        self.closed + self.classes.iter().map(|c| c.heap.len()).sum::<usize>()
+        self.ready
     }
 
     /// Ready instances outside their own workload's pipeline window.
@@ -500,47 +577,42 @@ impl ReadySet {
     /// per-workload pipeline-window bookkeeping.
     fn complete(&mut self, prepared: &[Prepared<'_>], w: usize, step: usize, op: usize) {
         let wl = &prepared[w];
+        let row = self.instance(w, step, 0);
         // Intra-step consumers.
         for &c in &wl.consumers[op] {
-            let r = &mut self.remaining[w][step][c];
+            let r = &mut self.remaining[row + c];
             *r -= 1;
             if *r == 0 {
-                self.insert(Key {
-                    step,
-                    rank: wl.rank[c],
-                    wl: w,
-                    op: c,
-                });
+                self.insert(w, step, c);
             }
         }
         // Cross-step successor: the same op in the next step.
         if step + 1 < wl.spec.steps {
-            let r = &mut self.remaining[w][step + 1][op];
+            let next = self.instance(w, step + 1, op);
+            let r = &mut self.remaining[next];
             *r -= 1;
             if *r == 0 {
-                self.insert(Key {
-                    step: step + 1,
-                    rank: wl.rank[op],
-                    wl: w,
-                    op,
-                });
+                self.insert(w, step + 1, op);
             }
         }
         // Step-completion bookkeeping for the pipeline window.
-        self.step_left[w][step] -= 1;
+        let first_step = self.bases[w].step;
+        let left = &mut self.step_left[first_step + step];
+        *left -= 1;
         let win = &mut self.windows[w];
-        if win.start == step && self.step_left[w][step] == 0 {
-            while win.start < wl.spec.steps && self.step_left[w][win.start] == 0 {
+        if win.start == step && *left == 0 {
+            while win.start < wl.spec.steps && self.step_left[first_step + win.start] == 0 {
                 win.start += 1;
             }
             let old_end = win.end;
             win.end = (win.start + self.depth).min(wl.spec.steps);
-            // The window only grows upward (no ready key lies below its
-            // start), so the keys it admits are exactly the parked ones.
-            for s in old_end..self.windows[w].end {
-                for key in std::mem::take(&mut self.parked[w][s]) {
+            // The window only grows upward (no ready instance lies below
+            // its start), so the instances it admits are exactly the
+            // parked ones.
+            for s in old_end..win.end {
+                for packed in std::mem::take(&mut self.parked[first_step + s]) {
                     self.closed -= 1;
-                    self.insert(key);
+                    self.enqueue(packed);
                 }
             }
         }
@@ -553,9 +625,9 @@ impl ReadySet {
         for (i, &admit) in admitted.iter().enumerate() {
             for b in ones(admit) {
                 let c = i * 64 + b;
-                if let Some(Reverse((order, _))) = self.classes[c].heap.peek() {
-                    if best.is_none_or(|(first, _)| *order < first) {
-                        best = Some((*order, c));
+                if let Some(&Reverse(order)) = self.classes[c].heap.peek() {
+                    if best.is_none_or(|(first, _)| order < first) {
+                        best = Some((order, c));
                     }
                 }
             }
@@ -563,9 +635,11 @@ impl ReadySet {
         best.map(|(_, c)| c)
     }
 
-    /// Takes class `c`'s head: the only way a key leaves the set.
+    /// Takes class `c`'s head: the only way an instance leaves the set.
     fn pop(&mut self, c: usize) -> Option<Key> {
-        self.classes[c].heap.pop().map(|Reverse((_, key))| key)
+        let Reverse((_, packed)) = self.classes[c].heap.pop()?;
+        self.ready -= 1;
+        Some(self.key(packed))
     }
 }
 
@@ -656,13 +730,14 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
     let mut rs = ReadySet::new(prepared, planner.cfg.pipeline_depth, tie);
     let mut admission = Admission::new(rs.classes.len());
     let mut gauge = limits.gauge();
-    // Attempt counter per instance (indexed step * ops + op). A fault-free
+    let total_instances: usize = prepared
+        .iter()
+        .map(|wl| wl.spec.steps * wl.topo.len())
+        .sum();
+    // Attempt counter per instance (indexed by `rs.instance`). A fault-free
     // attempt is always the first, so only a faulted run needs the table.
-    let mut attempts: Vec<Vec<u32>> = if P::FAULTY {
-        prepared
-            .iter()
-            .map(|wl| vec![0u32; wl.spec.steps * wl.deps.len()])
-            .collect()
+    let mut attempts: Vec<u32> = if P::FAULTY {
+        vec![0; total_instances]
     } else {
         Vec::new()
     };
@@ -678,24 +753,17 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         tie.event_key(pushed - 1)
     };
 
-    for (i, s) in policy.strikes().iter().enumerate() {
+    for (i, s) in (0u32..).zip(policy.strikes()) {
         events.push(s.at, Event::Strike(i), next_seq());
     }
 
     let mut clock = Clock::new();
     let mut acc = Accumulator::default();
-    let total_instances: usize = prepared
-        .iter()
-        .map(|wl| wl.spec.steps * wl.topo.len())
-        .sum();
     let mut completed = 0usize;
     let mut inflight = 0usize;
-    // The last placement of each (workload, op): `plan_cost` is pure, so
-    // a repeat of the same kind reuses it.
-    let mut plans: Vec<Vec<Option<(PlanKind, PlannedOp)>>> = prepared
-        .iter()
-        .map(|wl| vec![None; wl.topo.len()])
-        .collect();
+    // The last placement of each op (indexed by `rs.op_row`): `plan_cost`
+    // is pure, so a repeat of the same kind reuses it.
+    let mut plans: Vec<Option<(PlanKind, PlannedOp)>> = vec![None; rs.places.len()];
 
     while completed < total_instances {
         // Schedule everything that fits right now: repeatedly take the
@@ -718,16 +786,17 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
             let kind = planner
                 .choose(cost, is_candidate, wl.spec.cpu_progr_only, avail)
                 .ok_or_else(|| PimError::internal("an admitted demand class found no device"))?;
-            let planned = match plans[key.wl][key.op] {
-                Some((memo, planned)) if memo == kind => planned,
+            let memo = &mut plans[rs.op_row(key.wl, key.op)];
+            let planned = match *memo {
+                Some((memo_kind, planned)) if memo_kind == kind => planned,
                 _ => {
                     let planned = planner.plan_cost(kind, cost);
-                    plans[key.wl][key.op] = Some((kind, planned));
+                    *memo = Some((kind, planned));
                     planned
                 }
             };
             let attempt = if P::FAULTY {
-                attempts[key.wl][key.step * wl.deps.len() + key.op]
+                attempts[rs.instance(key.wl, key.step, key.op)]
             } else {
                 0
             };
@@ -806,7 +875,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                         rec.outcome,
                     );
                 }
-                let instance = rec.step * wl.deps.len() + rec.op;
+                let instance = rs.instance(rec.wl, rec.step, rec.op);
                 match rec.outcome {
                     AttemptOutcome::Completed => {
                         completed += 1;
@@ -816,28 +885,28 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                     AttemptOutcome::Transient => {
                         obs.fault(clock.now(), "transient", rec.wl, rec.step, rec.op);
                         obs.retried();
-                        attempts[rec.wl][instance] += 1;
-                        let retry = Event::Retry {
-                            wl: rec.wl,
-                            step: rec.step,
-                            op: rec.op,
-                        };
+                        attempts[instance] += 1;
+                        // `ReadySet::new` checked that instance rows fit u32.
+                        let retry = Event::Retry(instance as u32);
                         events.push(clock.now() + backoff_after(rec.attempt), retry, next_seq());
                     }
                     AttemptOutcome::TimedOut => {
                         obs.fault(clock.now(), "timed-out", rec.wl, rec.step, rec.op);
                         obs.redispatched();
-                        attempts[rec.wl][instance] += 1;
-                        rs.requeue(prepared, rec.wl, rec.step, rec.op);
+                        attempts[instance] += 1;
+                        rs.insert(rec.wl, rec.step, rec.op);
                     }
                     AttemptOutcome::Killed => {
                         unreachable!("live in-flight records never carry Killed")
                     }
                 }
             }
-            Event::Retry { wl, step, op } => rs.requeue(prepared, wl, step, op),
+            Event::Retry(instance) => {
+                let (wl, step, op) = rs.locate(instance as usize);
+                rs.insert(wl, step, op);
+            }
             Event::Strike(i) => {
-                let s = policy.strikes()[i];
+                let s = policy.strikes()[i as usize];
                 let lost = match s.target {
                     FaultTarget::FixedUnits(n) => n.min(resources.alive_ff()),
                     FaultTarget::ProgrPim => 0,
@@ -869,8 +938,8 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                     commit(&mut acc, obs, wl, rec, clock.now(), &partial, outcome);
                     obs.killed(clock.now(), rec.wl, rec.step, rec.op);
                     obs.retried();
-                    attempts[rec.wl][rec.step * wl.deps.len() + rec.op] += 1;
-                    rs.requeue(prepared, rec.wl, rec.step, rec.op);
+                    attempts[rs.instance(rec.wl, rec.step, rec.op)] += 1;
+                    rs.insert(rec.wl, rec.step, rec.op);
                 }
                 quarantine(&mut resources, s.target, obs, clock.now())?;
             }
@@ -1016,6 +1085,49 @@ mod tests {
         assert_eq!(report.device_busy[cpu.params().name], report.makespan);
     }
 
+    /// Every flat instance row locates back to its `(wl, step, op)`, with
+    /// workloads that have no steps or no ops among the co-runners.
+    #[test]
+    fn instance_rows_locate_back_across_empty_workloads() {
+        let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
+        let graph = random_dag(&GenSpec {
+            layers: 3,
+            width: 2,
+            dim: 8,
+            seed: 5,
+        });
+        let empty = pim_graph::Graph::new();
+        let specs: Vec<WorkloadSpec<'_>> = [
+            (&graph, 0),
+            (&graph, 3),
+            (&empty, 4),
+            (&graph, 0),
+            (&graph, 2),
+        ]
+        .into_iter()
+        .map(|(graph, steps)| WorkloadSpec {
+            graph,
+            steps,
+            cpu_progr_only: false,
+        })
+        .collect();
+        let prepared = engine
+            .prepare(&specs, &mut NullTrace, TieBreak::Stable)
+            .unwrap();
+        let rs = ReadySet::new(&prepared, 2, TieBreak::Stable);
+        let mut rows = Vec::new();
+        for (w, wl) in prepared.iter().enumerate() {
+            for step in 0..wl.spec.steps {
+                for op in 0..wl.topo.len() {
+                    let row = rs.instance(w, step, op);
+                    assert_eq!(rs.locate(row), (w, step, op));
+                    rows.push(row);
+                }
+            }
+        }
+        assert_eq!(rows, (0..5 * graph.ops().len()).collect::<Vec<_>>());
+    }
+
     /// Independent readiness model: an instance is ready once every
     /// intra-step producer and its own previous-step instance are done.
     struct Reference {
@@ -1071,9 +1183,12 @@ mod tests {
     /// Drives a `Stable` and a `Priority` ready set, each beside its own
     /// `BTreeSet` reference, through random dispatch, completion and
     /// failed-attempt requeue sequences, with co-run step counts 100x
-    /// apart. Dispatch pops the head `first` picks under a random admitted
-    /// mask, the only removal the driver makes. At every step the set is
-    /// checked against the reference filtered by each key's own workload
+    /// apart and a co-run of one graph twice, whose keys tie on
+    /// `(step, rank)` and differ only in workload. Dispatch pops the head
+    /// `first` picks under a random admitted mask, the only removal the
+    /// driver makes. The reference orders unpacked keys by
+    /// `(hash, step, rank, wl)`; at every step the packed class heaps are
+    /// decoded and checked against it, filtered by each key's own workload
     /// window:
     ///
     /// * (a) each class head is the reference's first in-window key of
@@ -1099,13 +1214,19 @@ mod tests {
                 })
             })
             .collect();
-        let runs = [&[200][..], &[2, 200], &[200, 2, 20]];
-        for (steps, spread) in runs.iter().flat_map(|s| [(*s, false), (*s, true)]) {
-            let specs: Vec<WorkloadSpec<'_>> = steps
+        // Per run, `(graph, steps)` per workload.
+        let runs = [
+            &[(0, 200)][..],
+            &[(0, 2), (1, 200)],
+            &[(0, 200), (1, 2), (2, 20)],
+            &[(2, 20), (2, 20)],
+        ];
+        for (run, spread) in runs.iter().flat_map(|r| [(*r, false), (*r, true)]) {
+            let steps: Vec<usize> = run.iter().map(|&(_, steps)| steps).collect();
+            let specs: Vec<WorkloadSpec<'_>> = run
                 .iter()
-                .zip(&graphs)
-                .map(|(&steps, graph)| WorkloadSpec {
-                    graph,
+                .map(|&(g, steps)| WorkloadSpec {
+                    graph: &graphs[g],
                     steps,
                     cpu_progr_only: false,
                 })
@@ -1193,7 +1314,7 @@ mod tests {
                     let mut held: Vec<Key> = rs
                         .classes
                         .iter()
-                        .flat_map(|c| c.heap.iter().map(|&Reverse((_, key))| key))
+                        .flat_map(|c| c.heap.iter().map(|&Reverse((_, packed))| rs.key(packed)))
                         .collect();
                     held.sort_unstable();
                     assert_eq!(held, expected, "{tie:?} steps {steps:?}");
@@ -1207,7 +1328,11 @@ mod tests {
                         }
                     }
                     for (class, want) in rs.classes.iter().zip(&heads) {
-                        assert_eq!(class.heap.peek().map(|&Reverse((_, key))| key), *want);
+                        let head = class
+                            .heap
+                            .peek()
+                            .map(|&Reverse((_, packed))| rs.key(packed));
+                        assert_eq!(head, *want, "{tie:?} steps {steps:?}");
                     }
                     let admits = |c: usize| mask[c / 64] >> (c % 64) & 1 == 1;
                     let first = expected
@@ -1263,7 +1388,7 @@ mod tests {
                             // The attempt fails at once: requeue it and pop
                             // it again as its class's head.
                             check(&rs, &reference, &mask);
-                            rs.requeue(&prepared, want.wl, want.step, want.op);
+                            rs.insert(want.wl, want.step, want.op);
                             reference.ready.insert(want);
                             assert_eq!(check(&rs, &reference, &mask), Some(want));
                             assert_eq!(rs.pop(c), Some(want));
@@ -1273,7 +1398,7 @@ mod tests {
                     } else if !inflight.is_empty() {
                         let key: Key = inflight.swap_remove(rng.below(inflight.len()));
                         if rng.below(5) == 0 {
-                            rs.requeue(&prepared, key.wl, key.step, key.op);
+                            rs.insert(key.wl, key.step, key.op);
                             reference.ready.insert(key);
                         } else {
                             rs.complete(&prepared, key.wl, key.step, key.op);

@@ -217,8 +217,9 @@ impl Lanes {
 /// Always feeds the per-instance [`TimelineSink`], the [`Counters`]
 /// registry, and the [`TrafficStats`] accumulator; when its
 /// [`pim_common::trace::TraceSink`] is enabled it also emits Chrome-trace
-/// spans, instants, and counter samples to it. A disabled sink costs one
-/// `enabled()` check per call.
+/// spans, instants, and counter samples to it. Whether it traces is read
+/// once, when the observer is built, so a disabled sink costs one branch
+/// on a field per call.
 pub(crate) struct Observer<'a> {
     timeline: &'a mut dyn TimelineSink,
     counters: &'a mut Counters,
@@ -227,6 +228,8 @@ pub(crate) struct Observer<'a> {
     ff_busy_units: usize,
     hot: HotCounters,
     tracer: &'a mut dyn pim_common::trace::TraceSink,
+    /// `tracer.enabled()`, fixed for the sink's lifetime.
+    tracing: bool,
     lanes: Lanes,
 }
 
@@ -315,7 +318,8 @@ impl<'a> Observer<'a> {
         tracer: &'a mut dyn pim_common::trace::TraceSink,
         system: &str,
     ) -> Self {
-        if tracer.enabled() {
+        let tracing = tracer.enabled();
+        if tracing {
             tracer.record(TraceEvent::ProcessName {
                 track: Track::new(TRACE_PID, 0),
                 name: format!("hetero-pim engine: {system}"),
@@ -337,6 +341,7 @@ impl<'a> Observer<'a> {
             ff_busy_units: 0,
             hot: HotCounters::default(),
             tracer,
+            tracing,
             lanes: Lanes::default(),
         }
     }
@@ -364,7 +369,7 @@ impl<'a> Observer<'a> {
         }
         self.traffic
             .record(rec.cost.bytes_read, rec.cost.bytes_written);
-        if self.tracer.enabled() {
+        if self.tracing {
             let (lane, fresh) = self.lanes.assign(class, rec.entry.start, rec.entry.end);
             let track = Track::new(TRACE_PID, class_base_tid(class) + lane as u32);
             if fresh {
@@ -425,7 +430,7 @@ impl<'a> Observer<'a> {
     /// track.
     pub fn ff_delta(&mut self, now: Seconds, grant: isize) {
         self.ff_busy_units = (self.ff_busy_units as isize + grant).max(0) as usize;
-        if self.tracer.enabled() {
+        if self.tracing {
             self.tracer.record(TraceEvent::Counter {
                 track: FF_TRACK,
                 name: "ff units busy",
@@ -446,7 +451,7 @@ impl<'a> Observer<'a> {
         avail: Availability,
     ) {
         self.hot.stalls += 1;
-        if self.tracer.enabled() {
+        if self.tracing {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,
                 name: "stall".to_string(),
@@ -467,7 +472,7 @@ impl<'a> Observer<'a> {
     pub fn barrier(&mut self, now: Seconds, amount: Seconds) {
         self.hot.barrier_seconds += amount.seconds();
         self.hot.barrier_touched = true;
-        if self.tracer.enabled() {
+        if self.tracing {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,
                 name: "step barrier".to_string(),
@@ -488,7 +493,7 @@ impl<'a> Observer<'a> {
     /// strike) as a counter bump plus a scheduler-track trace instant.
     pub fn fault(&mut self, now: Seconds, what: &'static str, wl: usize, step: usize, op: usize) {
         self.hot.faults_injected += 1;
-        if self.tracer.enabled() {
+        if self.tracing {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,
                 name: what.to_string(),
@@ -504,7 +509,7 @@ impl<'a> Observer<'a> {
     pub fn quarantine(&mut self, now: Seconds, what: &'static str, units: usize) {
         self.hot.faults_injected += 1;
         self.hot.quarantined_units += units as u64;
-        if self.tracer.enabled() {
+        if self.tracing {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,
                 name: "quarantine".to_string(),
@@ -518,7 +523,7 @@ impl<'a> Observer<'a> {
     /// Records an in-flight op killed by a permanent strike (the strike
     /// itself was already counted by [`Observer::quarantine`]).
     pub fn killed(&mut self, now: Seconds, wl: usize, step: usize, op: usize) {
-        if self.tracer.enabled() {
+        if self.tracing {
             self.tracer.record(TraceEvent::Instant {
                 track: SCHED_TRACK,
                 name: "killed".to_string(),
