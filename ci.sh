@@ -190,9 +190,12 @@ diff "$isa_a" "$isa_b"
 # Serve smoke: boot the daemon on stdin, replay a seeded load trace
 # twice, and byte-diff the full response streams — submission-order
 # drain barriers make the stream a pure function of the input, so any
-# worker-timing leak shows up as a diff. The stats lines must also show
-# result sharing actually crossing tenants.
-serve_trace=$tmp/serve_trace serve_a=$tmp/serve_a serve_b=$tmp/serve_b
+# worker-timing leak shows up as a diff. A third replay in the serial
+# mode (PIM_RUN_THREADS=1) must match too: the trace has partitioned
+# jobs, so this checks the partition fan-out inside the served stream.
+# The stats lines must also show result sharing actually crossing
+# tenants.
+serve_trace=$tmp/serve_trace serve_a=$tmp/serve_a serve_b=$tmp/serve_b serve_c=$tmp/serve_c
 cargo run --release -q -p pim-sim --bin repro -- \
     serve --emit-trace 200 --seed 7 --tenants 3 > "$serve_trace"
 cargo run --release -q -p pim-sim --bin repro -- \
@@ -200,6 +203,9 @@ cargo run --release -q -p pim-sim --bin repro -- \
 cargo run --release -q -p pim-sim --bin repro -- \
     serve < "$serve_trace" > "$serve_b" 2> /dev/null
 diff "$serve_a" "$serve_b"
+PIM_RUN_THREADS=1 cargo run --release -q -p pim-sim --bin repro -- \
+    serve < "$serve_trace" > "$serve_c" 2> /dev/null
+diff "$serve_a" "$serve_c"
 echo "35b03426e9d62bf0ba08c5614cf93331  $serve_a" | md5sum --check --quiet
 grep -q '"cross_tenant_hits":[1-9]' "$serve_a"
 

@@ -6,9 +6,11 @@ use pim_common::{PimError, Result};
 use pim_tensor::cost::CostProfile;
 use pim_tensor::Shape;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::hash::Hash;
+use std::sync::{Mutex, OnceLock};
 
 /// A directed acyclic graph of operations over tensors, representing one
 /// training step of a model.
@@ -20,10 +22,11 @@ use std::sync::OnceLock;
 /// objects").
 ///
 /// The graph also memoizes three per-graph values, [`Graph::costs`],
-/// [`Graph::adjacency`] and [`Graph::structural_hash`], so every
-/// simulation and every cache lookup of the same graph reuses one
-/// characterization — the paper's runtime characterizes the step graph
-/// once (§III-C). All three are pure functions of the tensors and ops, are
+/// [`Graph::adjacency`] and [`Graph::structural_hash`], plus one
+/// caller-keyed table, [`Graph::memo`], so every simulation and every
+/// cache lookup of the same graph reuses one characterization — the
+/// paper's runtime characterizes the step graph once (§III-C). All four
+/// are pure functions of the tensors and ops (and the memo's key), are
 /// reset by [`Graph::add_tensor`] / [`Graph::add_op`], and are left out of
 /// `Debug` (so the hash, which renders the tensors and ops, is the same
 /// whether or not any of them was filled).
@@ -56,6 +59,23 @@ pub struct Graph {
     adjacency: OnceLock<Adjacency>,
     /// Memoized [`Graph::structural_hash`].
     hash: OnceLock<u64>,
+    /// The table behind [`Graph::memo`].
+    memo: MemoSlot,
+}
+
+/// The type-erased table behind [`Graph::memo`]: a
+/// `Mutex<HashMap<K, V>>` for the one `(K, V)` pair its caller uses. The
+/// graph cannot name the value type (its one user, the runtime's
+/// candidate selection, lives downstream). A clone starts empty: the
+/// entries describe the graph they were computed on, and a boxed table
+/// cannot be cloned.
+#[derive(Default)]
+struct MemoSlot(OnceLock<Box<dyn Any + Send + Sync>>);
+
+impl Clone for MemoSlot {
+    fn clone(&self) -> Self {
+        MemoSlot::default()
+    }
 }
 
 /// Prints the tensors and ops only, exactly as a derive over those two
@@ -96,6 +116,7 @@ impl Graph {
         self.costs.take();
         self.adjacency.take();
         self.hash.take();
+        self.memo.0.take();
     }
 
     /// Registers a tensor and returns its id.
@@ -326,6 +347,43 @@ impl Graph {
         Ok(self.costs.get_or_init(|| fresh))
     }
 
+    /// The value `init` computes for `key` on this graph, computed on
+    /// first use per key and memoized until the next mutation; every hit
+    /// returns a clone. The value must be a pure function of the graph and
+    /// the key. Concurrent first uses of one key may both run `init`; the
+    /// first result stored is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two calls on one graph use different key or value types:
+    /// the table holds one `(K, V)` pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns `init`'s error (failures are not memoized).
+    pub fn memo<K, V>(&self, key: K, init: impl FnOnce() -> Result<V>) -> Result<V>
+    where
+        K: Eq + Hash + Send + 'static,
+        V: Clone + Send + 'static,
+    {
+        let table = self
+            .memo
+            .0
+            .get_or_init(|| Box::new(Mutex::new(HashMap::<K, V>::new())))
+            .downcast_ref::<Mutex<HashMap<K, V>>>()
+            .expect("a graph's memo holds one key and value type");
+        if let Some(hit) = table.lock().expect("graph memo poisoned").get(&key) {
+            return Ok(hit.clone());
+        }
+        let fresh = init()?;
+        Ok(table
+            .lock()
+            .expect("graph memo poisoned")
+            .entry(key)
+            .or_insert(fresh)
+            .clone())
+    }
+
     /// Validates the whole graph: referenced ids exist, output tensors have
     /// unique producers (enforced at insertion), and the graph is acyclic.
     ///
@@ -463,5 +521,32 @@ mod tests {
     #[test]
     fn validate_passes_for_dag() {
         assert!(chain(10).validate().is_ok());
+    }
+
+    #[test]
+    fn memo_computes_once_per_key_until_a_mutation() {
+        let mut g = chain(3);
+        let calls = std::cell::Cell::new(0);
+        let ops = |g: &Graph| {
+            calls.set(calls.get() + 1);
+            Ok(g.op_count())
+        };
+        assert_eq!(g.memo(1u8, || ops(&g)).unwrap(), 3);
+        assert_eq!(g.memo(1u8, || ops(&g)).unwrap(), 3);
+        assert_eq!(g.memo(2u8, || ops(&g)).unwrap(), 3);
+        assert_eq!(calls.get(), 2);
+        // A failure is returned and not stored.
+        assert!(g
+            .memo::<u8, usize>(3, || Err(PimError::internal("boom")))
+            .is_err());
+        assert_eq!(g.memo(3u8, || ops(&g)).unwrap(), 3);
+        assert_eq!(calls.get(), 3);
+        // A clone starts empty, and a mutation drops every entry.
+        let copy = g.clone();
+        assert_eq!(copy.memo(1u8, || ops(&copy)).unwrap(), 3);
+        assert_eq!(calls.get(), 4);
+        g.add_tensor(Shape::new(vec![4]), TensorRole::Input, "extra");
+        assert_eq!(g.memo(1u8, || ops(&g)).unwrap(), 3);
+        assert_eq!(calls.get(), 5);
     }
 }

@@ -48,8 +48,7 @@ pub(crate) use observe::SCHED_TRACK;
 pub use observe::{NullSink, ResourceClass, TimelineEntry, TimelineSink, VecSink};
 
 use crate::fuzz::TieBreak;
-use crate::profiler::{profile_step, profile_step_traced};
-use crate::select::{select_candidates, select_candidates_tie_traced, CandidateSet};
+use crate::select::{CandidateSet, Selection};
 use crate::stats::ExecutionReport;
 use crate::verify::{ResourceLimits, WorkloadFacts};
 use faults::{FaultContext, FaultPolicy, NoFaults};
@@ -278,8 +277,9 @@ pub struct PlanRow {
 
 /// Prepared per-workload state the execution drivers consume. The cost
 /// and adjacency slices borrow the graph's memoized tables
-/// ([`Graph::costs`], [`Graph::adjacency`]); only the candidate set is
-/// per-request.
+/// ([`Graph::costs`], [`Graph::adjacency`]); the candidate set is a copy
+/// of the graph's memoized one, so the drivers test membership without
+/// going through the memo.
 pub(crate) struct Prepared<'g> {
     pub spec: WorkloadSpec<'g>,
     pub costs: &'g [CostProfile],
@@ -407,9 +407,17 @@ impl<'g> RunRequest<'g> {
     /// byte-diff stage of ci.sh holds this invariant), so two requests
     /// differing only in observability share one cache cell.
     pub fn canonical(&self, cfg: &EngineConfig) -> String {
+        self.canonical_with(&format!("{cfg:?}"))
+    }
+
+    /// [`RunRequest::canonical`] from the configuration's `Debug` text
+    /// (`format!("{cfg:?}")`) instead of the configuration: a caller
+    /// serving many requests under one configuration renders that text
+    /// once. The output is the same string.
+    pub fn canonical_with(&self, config_text: &str) -> String {
         use std::fmt::Write as _;
-        let mut s = String::from("run-request-v1");
-        let _ = write!(s, ";config={cfg:?}");
+        let mut s = String::from("run-request-v1;config=");
+        s.push_str(config_text);
         s.push_str(";workloads=[");
         for (i, wl) in self.workloads.iter().enumerate() {
             if i > 0 {
@@ -517,8 +525,34 @@ impl Engine {
         self.planner.cpu()
     }
 
-    /// Profiles and classifies every workload for the drivers, borrowing
-    /// each graph's memoized cost and adjacency tables.
+    /// The offload candidates of `graph` under this configuration: the
+    /// step-1 profile on [`Engine::profiling_device`] and the global-index
+    /// selection at [`EngineConfig::coverage`] under `tie`, exactly what
+    /// `select_candidates_tie(&profile_step(graph, cpu)?, coverage, tie)`
+    /// returns. Memoized on the graph ([`Graph::memo`]) per (CPU
+    /// parameters, coverage, tie-break), so engines of every preset share
+    /// one profile of a graph.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cost-model failures for malformed graphs.
+    pub fn candidates(&self, graph: &Graph, tie: TieBreak) -> Result<CandidateSet> {
+        Ok(self.selection(graph, tie)?.candidates)
+    }
+
+    fn selection(&self, graph: &Graph, tie: TieBreak) -> Result<Selection> {
+        Selection::of(
+            graph,
+            self.planner.cpu(),
+            self.planner.cpu_fingerprint(),
+            self.planner.cfg.coverage,
+            tie,
+        )
+    }
+
+    /// Classifies every workload for the drivers, borrowing each graph's
+    /// memoized cost and adjacency tables and copying its memoized
+    /// candidate set.
     fn prepare<'g>(
         &self,
         workloads: &[WorkloadSpec<'g>],
@@ -529,14 +563,13 @@ impl Engine {
         for wl in workloads {
             let graph = wl.graph;
             let costs = graph.costs()?;
-            let profile = profile_step_traced(graph, self.planner.cpu(), tracer)?;
-            let candidates =
-                select_candidates_tie_traced(&profile, self.planner.cfg.coverage, tie, tracer);
+            let selection = self.selection(graph, tie)?;
+            selection.trace(self.planner.cfg.coverage, tracer);
             let adjacency = graph.adjacency()?;
             prepared.push(Prepared {
                 spec: *wl,
                 costs,
-                candidates,
+                candidates: selection.candidates,
                 deps: &adjacency.deps,
                 consumers: &adjacency.consumers,
                 topo: &adjacency.topo,
@@ -866,8 +899,7 @@ impl Engine {
     /// Propagates profiling/cost failures.
     pub fn plan_preview(&self, graph: &Graph) -> Result<Vec<PlanRow>> {
         let costs = graph.costs()?;
-        let profile = profile_step(graph, self.planner.cpu())?;
-        let candidates = select_candidates(&profile, self.planner.cfg.coverage);
+        let candidates = self.selection(graph, TieBreak::Stable)?.candidates;
         let mut rows = Vec::with_capacity(graph.op_count());
         for node in graph.ops() {
             let cost = &costs[node.id.index()];

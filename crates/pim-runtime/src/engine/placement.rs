@@ -316,6 +316,9 @@ impl IsaEstimator {
 pub(crate) struct Planner {
     pub cfg: EngineConfig,
     cpu: CpuDevice,
+    /// `debug_hash` of the CPU's parameters: the CPU part of the graph
+    /// memo key of the step-1 candidate selection.
+    cpu_fingerprint: u64,
     progr: ProgrammablePim,
     /// Core pair used per kernel in scheduled mode: the programmable-PIM
     /// runtime dedicates two cores to each in-flight kernel so two
@@ -337,6 +340,7 @@ impl Planner {
     /// hardcoded part.
     pub fn new(cfg: EngineConfig) -> Self {
         let cpu = cfg.host.clone();
+        let cpu_fingerprint = debug_hash(cpu.params());
         let progr = ProgrammablePim::cortex_a9(&cfg.stack, cfg.arm_cores);
         let progr_pair = ProgrammablePim::cortex_a9(&cfg.stack, cfg.arm_cores.div_ceil(2).max(1));
         let progr_pool = ProgrammablePool::unlimited(&cfg.stack);
@@ -347,6 +351,7 @@ impl Planner {
         Planner {
             cfg,
             cpu,
+            cpu_fingerprint,
             progr,
             progr_pair,
             progr_pool,
@@ -359,6 +364,11 @@ impl Planner {
     /// The host CPU device (profiling runs against it).
     pub fn cpu(&self) -> &CpuDevice {
         &self.cpu
+    }
+
+    /// The fingerprint of [`Planner::cpu`]'s parameters.
+    pub fn cpu_fingerprint(&self) -> u64 {
+        self.cpu_fingerprint
     }
 
     /// The fixed-function pool configuration of this complement.

@@ -48,7 +48,7 @@ pub const PASS: &str = "order";
 const DECISION_SALT: u64 = 0x5EED_0DE5_C15A_11ED;
 
 /// Tie-break policy for one engine run. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TieBreak {
     /// First-appearance order everywhere — byte-identical to the engine
     /// before this policy existed.

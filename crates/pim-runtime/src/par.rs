@@ -1,14 +1,16 @@
 //! Minimal fork-join parallelism for independent simulations.
 //!
-//! [`par_map`] fans a slice out over scoped OS threads. `PIM_RUN_THREADS=1`
-//! is the serial mode: one worker maps the slice on the calling thread.
+//! [`par_map`] fans a slice out over the calling thread plus scoped OS
+//! threads. `PIM_RUN_THREADS=1` is the serial mode: the calling thread
+//! maps the slice alone.
 //!
 //! Work is claimed, not pre-assigned: every worker repeatedly takes the
 //! next unclaimed input index from one shared atomic counter, so a worker
 //! that drew a short item goes back for another instead of idling behind
-//! a fixed partition while one long item holds up the join. Each worker
-//! keeps `(index, result)` pairs, and after the join every result is
-//! placed at its input index.
+//! a fixed partition while one long item holds up the join. The calling
+//! thread is one of the workers, so a fan-out over `w` workers spawns
+//! `w - 1` threads. Each worker keeps `(index, result)` pairs, and after
+//! the join every result is placed at its input index.
 //!
 //! Determinism: `f` sees each item exactly once (the counter hands out
 //! every index once) and the output is assembled by input index alone, so
@@ -16,17 +18,26 @@
 //! result. Output order always matches input order, whatever the worker
 //! count, so parallel sweeps stay deterministic.
 
-/// Worker-thread cap for one fan-out: the `PIM_RUN_THREADS` environment
+use std::sync::OnceLock;
+
+/// Worker cap for one fan-out: the `PIM_RUN_THREADS` environment
 /// variable when set to a positive integer, otherwise the machine's
 /// available parallelism. Pinning `PIM_RUN_THREADS=1` takes the serial
 /// path — the thread-matrix CI stage uses this to check that results do
-/// not depend on the worker count.
+/// not depend on the worker count. The variable is read on every call
+/// (tests set it at run time); the machine's parallelism, a cgroup file
+/// read on Linux, is read once per process.
 fn thread_limit() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     std::env::var("PIM_RUN_THREADS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+        .unwrap_or_else(|| {
+            *CORES.get_or_init(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+            })
+        })
 }
 
 /// Maps `f` over `items` on up to `PIM_RUN_THREADS` worker threads
@@ -44,9 +55,10 @@ where
     fan_out(thread_limit(), items, f)
 }
 
-/// [`par_map`] with an explicit worker cap: up to `workers` scoped
-/// threads claim input indices from one counter until none are left.
-/// One worker (or at most one item) maps serially on the calling thread.
+/// [`par_map`] with an explicit worker cap: up to `workers` workers —
+/// the calling thread and `workers - 1` scoped threads — claim input
+/// indices from one counter until none are left. One worker (or at most
+/// one item) maps serially on the calling thread.
 fn fan_out<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -60,25 +72,28 @@ where
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else {
+                return done;
+            };
+            done.push((index, f(item)));
+        }
+    };
+    // A panic in the caller's own share unwinds out of the scope, which
+    // joins the spawned workers first and then re-raises that payload.
     let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(index) else {
-                            return done;
-                        };
-                        done.push((index, f(item)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mut claimed = Vec::with_capacity(workers);
+        claimed.push(claim());
+        claimed.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        claimed
     });
     let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
@@ -183,6 +198,73 @@ mod tests {
             assert_eq!(out, items.iter().map(|i| i * 10).collect::<Vec<_>>());
             let expected: Vec<_> = items.iter().map(|&i| (i, caller)).collect();
             assert_eq!(seen.into_inner().unwrap(), expected);
+        }
+
+        /// The caller is one of the workers: every item not run on the
+        /// caller waits until the caller has run one (at most
+        /// `workers - 1` items are claimed elsewhere first), so the caller
+        /// must map items itself, at most `workers - 1` other threads map
+        /// the rest, and every item still lands once at its input index.
+        #[test]
+        fn the_caller_maps_items_alongside_the_spawned_workers() {
+            let caller = std::thread::current().id();
+            for workers in 2..=4 {
+                let caller_ran = AtomicUsize::new(0);
+                let ran_on = std::sync::Mutex::new(vec![None; ITEMS]);
+                let items: Vec<usize> = (0..ITEMS).collect();
+                let out = fan_out(workers, &items, |&i| {
+                    let me = std::thread::current().id();
+                    if me == caller {
+                        caller_ran.fetch_add(1, Ordering::SeqCst);
+                    } else {
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while caller_ran.load(Ordering::SeqCst) == 0 {
+                            assert!(Instant::now() < deadline, "the caller mapped nothing");
+                            std::hint::spin_loop();
+                        }
+                    }
+                    let mut ran_on = ran_on.lock().unwrap();
+                    assert!(ran_on[i].is_none(), "item {i} mapped twice");
+                    ran_on[i] = Some(me);
+                    i * 10
+                });
+                assert_eq!(out, items.iter().map(|i| i * 10).collect::<Vec<_>>());
+                let ran_on = ran_on.into_inner().unwrap();
+                assert!(ran_on.iter().all(Option::is_some), "{workers} workers");
+                assert!(ran_on.contains(&Some(caller)), "{workers} workers");
+                let threads: std::collections::HashSet<_> = ran_on.iter().flatten().collect();
+                assert!(threads.len() <= workers, "{workers} workers");
+            }
+        }
+
+        /// Only the caller's item panics, and every other item waits until
+        /// the caller has claimed one: at most `workers - 1` items are
+        /// claimed elsewhere first, so the caller must run an item, and its
+        /// payload is the one re-raised.
+        #[test]
+        fn a_panic_in_the_callers_own_item_surfaces_its_payload() {
+            let caller = std::thread::current().id();
+            for workers in 2..=4 {
+                let claimed_by_caller = AtomicUsize::new(0);
+                let items: Vec<usize> = (0..ITEMS).collect();
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    fan_out(workers, &items, |&i| {
+                        if std::thread::current().id() == caller {
+                            claimed_by_caller.store(1, Ordering::SeqCst);
+                            std::panic::panic_any(Boom(i));
+                        }
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while claimed_by_caller.load(Ordering::SeqCst) == 0 {
+                            assert!(Instant::now() < deadline, "the caller claimed nothing");
+                            std::hint::spin_loop();
+                        }
+                        i
+                    })
+                }))
+                .expect_err("the caller's item panics");
+                let boom = caught.downcast_ref::<Boom>().expect("the caller's payload");
+                assert!(boom.0 < ITEMS);
+            }
         }
 
         #[test]

@@ -166,8 +166,8 @@ fn profile_memo() -> &'static Mutex<HashMap<ProfileKey, Arc<StepProfile>>> {
 /// produce (a property-tested invariant).
 ///
 /// Nothing on the simulation path calls it: the engine reads the graph's
-/// own memoized tables instead. It stays as a timed layer of the
-/// benchmark harness.
+/// own memoized tables and candidate memo (`Engine::candidates`)
+/// instead. It stays as a timed layer of the benchmark harness.
 ///
 /// # Errors
 ///
@@ -193,40 +193,6 @@ pub fn profile_step_cached(graph: &Graph, cpu: &CpuDevice) -> Result<Arc<StepPro
         .expect("profile memo poisoned")
         .insert(key, Arc::clone(&fresh));
     Ok(fresh)
-}
-
-fn trace_profile_instant(profile: &StepProfile, tracer: &mut dyn pim_common::trace::TraceSink) {
-    if tracer.enabled() {
-        tracer.record(pim_common::trace::TraceEvent::Instant {
-            track: crate::engine::SCHED_TRACK,
-            name: "profile step".to_string(),
-            cat: "meta",
-            ts: Seconds::ZERO,
-            args: vec![
-                ("ops", profile.ops.len().into()),
-                ("cpu_seconds", profile.total_time().seconds().into()),
-                ("memory_accesses", profile.total_memory_accesses().into()),
-            ],
-        });
-    }
-}
-
-/// [`profile_step`] plus an instant on the scheduler trace track
-/// summarizing what the profiling pass produced. Recording happens only
-/// when the sink is enabled; with [`pim_common::NullTrace`] this is
-/// exactly `profile_step`.
-///
-/// # Errors
-///
-/// Propagates cost-model failures for malformed graphs.
-pub fn profile_step_traced(
-    graph: &Graph,
-    cpu: &CpuDevice,
-    tracer: &mut dyn pim_common::trace::TraceSink,
-) -> Result<StepProfile> {
-    let profile = profile_step(graph, cpu)?;
-    trace_profile_instant(&profile, tracer);
-    Ok(profile)
 }
 
 #[cfg(test)]

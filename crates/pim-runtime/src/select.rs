@@ -9,9 +9,13 @@
 //! time of one step (x = 90 in our evaluation)."
 
 use crate::fuzz::TieBreak;
-use crate::profiler::StepProfile;
+use crate::profiler::{profile_step, StepProfile};
 use pim_common::ids::OpId;
+use pim_common::trace::{TraceEvent, TraceSink};
 use pim_common::units::Seconds;
+use pim_common::Result;
+use pim_graph::Graph;
+use pim_hw::cpu::CpuDevice;
 use serde::Serialize;
 
 /// The paper's coverage parameter `x` (percent of step time the candidate
@@ -19,7 +23,7 @@ use serde::Serialize;
 pub const DEFAULT_COVERAGE: f64 = 0.90;
 
 /// The candidate set chosen for offloading.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CandidateSet {
     /// Ops selected for offloading, in global-index order (best first).
     pub ranked: Vec<OpId>,
@@ -136,31 +140,75 @@ pub fn select_candidates_tie(profile: &StepProfile, coverage: f64, tie: TieBreak
     set
 }
 
-/// [`select_candidates_tie`] plus an instant on the scheduler trace track
-/// summarizing the chosen candidate set. Recording happens only when the
-/// sink is enabled; with [`pim_common::NullTrace`] this is exactly
-/// `select_candidates_tie`.
-pub fn select_candidates_tie_traced(
-    profile: &StepProfile,
-    coverage: f64,
-    tie: TieBreak,
-    tracer: &mut dyn pim_common::trace::TraceSink,
-) -> CandidateSet {
-    let candidates = select_candidates_tie(profile, coverage, tie);
-    if tracer.enabled() {
-        tracer.record(pim_common::trace::TraceEvent::Instant {
+/// One graph's step-1 outcome under one engine: the candidate set plus
+/// the profile totals its trace instants report. Kept in the graph's
+/// [`Graph::memo`], so the profile and the selection run once per
+/// (graph, CPU parameters, coverage, tie-break), not once per run.
+#[derive(Clone)]
+pub(crate) struct Selection {
+    pub candidates: CandidateSet,
+    profiled_ops: usize,
+    cpu_time: Seconds,
+    memory_accesses: u64,
+}
+
+impl Selection {
+    /// `select_candidates_tie(profile_step(graph, cpu), coverage, tie)`
+    /// through the graph's memo. `cpu_fingerprint` is the `debug_hash` of
+    /// `cpu`'s parameters, computed once per engine.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cost-model failures for malformed graphs (never
+    /// memoized).
+    pub fn of(
+        graph: &Graph,
+        cpu: &CpuDevice,
+        cpu_fingerprint: u64,
+        coverage: f64,
+        tie: TieBreak,
+    ) -> Result<Selection> {
+        graph.memo((cpu_fingerprint, coverage.to_bits(), tie), || {
+            let profile = profile_step(graph, cpu)?;
+            Ok(Selection {
+                candidates: select_candidates_tie(&profile, coverage, tie),
+                profiled_ops: profile.ops.len(),
+                cpu_time: profile.total_time(),
+                memory_accesses: profile.total_memory_accesses(),
+            })
+        })
+    }
+
+    /// Records the "profile step" and "select candidates" instants on the
+    /// scheduler track, when the sink is enabled. A memo hit records the
+    /// same instants a fresh profile and selection would.
+    pub fn trace(&self, coverage: f64, tracer: &mut dyn TraceSink) {
+        if !tracer.enabled() {
+            return;
+        }
+        tracer.record(TraceEvent::Instant {
+            track: crate::engine::SCHED_TRACK,
+            name: "profile step".to_string(),
+            cat: "meta",
+            ts: Seconds::ZERO,
+            args: vec![
+                ("ops", self.profiled_ops.into()),
+                ("cpu_seconds", self.cpu_time.seconds().into()),
+                ("memory_accesses", self.memory_accesses.into()),
+            ],
+        });
+        tracer.record(TraceEvent::Instant {
             track: crate::engine::SCHED_TRACK,
             name: "select candidates".to_string(),
             cat: "meta",
             ts: Seconds::ZERO,
             args: vec![
-                ("candidates", candidates.ranked.len().into()),
+                ("candidates", self.candidates.ranked.len().into()),
                 ("requested_coverage", coverage.into()),
-                ("time_coverage", candidates.time_coverage.into()),
+                ("time_coverage", self.candidates.time_coverage.into()),
             ],
         });
     }
-    candidates
 }
 
 /// The four operation classes of Fig. 2 (compute intensity x memory

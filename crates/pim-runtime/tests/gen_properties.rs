@@ -1,13 +1,19 @@
 //! Property-based invariants over the seeded random-graph generator:
-//! report well-formedness, per-device busy-time bounds, and the profile
-//! memo returning exactly what a fresh profile computes.
+//! report well-formedness, per-device busy-time bounds, the profile memo
+//! returning exactly what a fresh profile computes, and the graph's
+//! candidate memo returning exactly what a fresh profile and selection
+//! compute.
 
 use pim_graph::gen::{random_dag, GenSpec};
+use pim_graph::node::{OpKind, TensorRole};
+use pim_graph::Graph;
 use pim_hw::cpu::CpuDevice;
 use pim_runtime::engine::{
     Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec, PROGR_KERNEL_SLOTS,
 };
 use pim_runtime::profiler::{profile_step, profile_step_cached};
+use pim_runtime::select::{select_candidates_tie, CandidateSet};
+use pim_runtime::TieBreak;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -20,6 +26,40 @@ fn run(graph: &pim_graph::Graph, preset: SystemPreset) -> pim_runtime::Execution
         }]))
         .unwrap()
         .into_report()
+}
+
+/// One engine per preset and coverage: the paper's 90% and a lower one.
+fn engines() -> Vec<Engine> {
+    let mut out = Vec::new();
+    for preset in SystemPreset::ALL {
+        for coverage in [0.9, 0.5] {
+            out.push(Engine::new(EngineConfig {
+                coverage,
+                ..EngineConfig::preset(preset)
+            }));
+        }
+    }
+    out
+}
+
+/// What the candidate memo must return: a fresh profile and selection.
+fn fresh_candidates(engine: &Engine, graph: &Graph, tie: TieBreak) -> CandidateSet {
+    let profile = profile_step(graph, engine.profiling_device()).unwrap();
+    select_candidates_tie(&profile, engine.config().coverage, tie)
+}
+
+/// Appends a Relu over the graph's first tensor: one more op, so a stale
+/// candidate set would have the wrong number of members.
+fn grow(graph: &mut Graph) {
+    let input = graph.tensors()[0].clone();
+    let output = graph.add_tensor(input.shape, TensorRole::Activation, "grown");
+    graph
+        .add_op(
+            OpKind::Activation(pim_tensor::ops::activation::Activation::Relu),
+            vec![input.id],
+            vec![output],
+        )
+        .unwrap();
 }
 
 proptest! {
@@ -72,5 +112,47 @@ proptest! {
         prop_assert!(*first == fresh, "memoized profile diverges from fresh");
         prop_assert!(*second == fresh);
         prop_assert!(Arc::ptr_eq(&first, &second), "repeat hit re-computed");
+    }
+
+    /// The graph's candidate memo — filled, then hit — returns exactly a
+    /// fresh `select_candidates_tie(profile_step(..))` for every preset,
+    /// coverage and tie kind; a graph mutated after the memo was filled
+    /// recomputes, and a clone mutated afterwards never sees the
+    /// original's entry.
+    #[test]
+    fn candidate_memo_equals_fresh_selection(seed in 0u64..10_000) {
+        let mut graph = random_dag(&GenSpec::from_seed(seed));
+        let ties = [TieBreak::Stable, TieBreak::Permuted(seed), TieBreak::Priority(seed)];
+        let engines = engines();
+        for engine in &engines {
+            for tie in ties {
+                let fresh = fresh_candidates(engine, &graph, tie);
+                prop_assert_eq!(&engine.candidates(&graph, tie).unwrap(), &fresh);
+                prop_assert_eq!(&engine.candidates(&graph, tie).unwrap(), &fresh);
+            }
+        }
+        let mut copy = graph.clone();
+        grow(&mut copy);
+        for engine in &engines {
+            for tie in ties {
+                prop_assert_eq!(
+                    &engine.candidates(&copy, tie).unwrap(),
+                    &fresh_candidates(engine, &copy, tie)
+                );
+                prop_assert_eq!(
+                    &engine.candidates(&graph, tie).unwrap(),
+                    &fresh_candidates(engine, &graph, tie)
+                );
+            }
+        }
+        grow(&mut graph);
+        for engine in &engines {
+            for tie in ties {
+                prop_assert_eq!(
+                    &engine.candidates(&graph, tie).unwrap(),
+                    &fresh_candidates(engine, &graph, tie)
+                );
+            }
+        }
     }
 }

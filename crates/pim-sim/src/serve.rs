@@ -10,6 +10,15 @@
 //! exactly once per process no matter how many tenants or connections
 //! ask for it.
 //!
+//! Per-preset setup happens once per process, not once per request. A
+//! process-wide table holds one `Engine` per preset plus its
+//! configuration's `Debug` text; `cache_key`, `execute` and the fault
+//! baselines all read it, and `cache_key` builds the canonical string
+//! from the cached text (`RunRequest::canonical_with`), so keys are the
+//! bytes `RunRequest::canonical` renders. Per-graph setup (the step-1
+//! profile and candidate selection) is memoized on the cached model
+//! graphs themselves (`pim_graph::Graph::memo`).
+//!
 //! Fault horizons: a wire request carries `(seed, rate)`, not a full
 //! `FaultPlan` — the plan's horizon is the cell's *zero-fault* makespan
 //! (the `repro faults` recipe), derived at execution time. The cache
@@ -34,7 +43,9 @@ use pim_common::units::Seconds;
 use pim_common::PimError;
 use pim_hw::faults::FaultPlan;
 use pim_models::{Model, ModelKind};
-use pim_runtime::{Engine, EngineConfig, RunLimits, RunOptions, RunRequest, WorkloadSpec};
+use pim_runtime::{
+    Engine, EngineConfig, RunLimits, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
+};
 use pim_serve::protocol::{render_report, Op, Request};
 use pim_serve::{JobError, JobRunner, StoredResult};
 use std::collections::HashMap;
@@ -72,9 +83,41 @@ pub const FUEL_PER_DEADLINE_MS: u64 = 1_000;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SimRunner;
 
-/// A validated request: the engine plus the (cached, shared) models.
-struct Job {
+/// One preset's engine plus its configuration's `Debug` text, the
+/// `config=` field of every canonical request string.
+struct PresetEngine {
     engine: Engine,
+    config_text: String,
+}
+
+/// The engine of `preset`, from a process-wide table of all six built
+/// on first use.
+fn preset_engine(preset: SystemPreset) -> &'static PresetEngine {
+    static ENGINES: OnceLock<Vec<PresetEngine>> = OnceLock::new();
+    let engines = ENGINES.get_or_init(|| {
+        SystemPreset::ALL
+            .iter()
+            .map(|&p| {
+                let engine = Engine::new(EngineConfig::preset(p));
+                let config_text = format!("{:?}", engine.config());
+                PresetEngine {
+                    engine,
+                    config_text,
+                }
+            })
+            .collect()
+    });
+    let index = SystemPreset::ALL
+        .iter()
+        .position(|&p| p == preset)
+        .expect("SystemPreset::ALL lists every preset");
+    &engines[index]
+}
+
+/// A validated request: the preset's engine plus the (cached, shared)
+/// models.
+struct Job {
+    preset: &'static PresetEngine,
     models: Vec<Arc<Model>>,
 }
 
@@ -113,23 +156,30 @@ fn prepare(req: &Request) -> Result<Job, JobError> {
         models.push(model);
     }
     Ok(Job {
-        engine: Engine::new(EngineConfig::preset(preset)),
+        preset: preset_engine(preset),
         models,
     })
+}
+
+/// The key of `base`'s baseline in [`baseline_horizon`]'s memo:
+/// `base.fingerprint(config)`, from the cached config text.
+fn baseline_key(preset: &PresetEngine, base: &RunRequest<'_>) -> u64 {
+    pim_common::fingerprint::debug_hash(&base.canonical_with(&preset.config_text))
 }
 
 /// The zero-fault makespan used as a fault plan's horizon, memoized
 /// privately per fault-free fingerprint (NOT the shared store — see the
 /// module docs for why).
-fn baseline_horizon(engine: &Engine, base: &RunRequest<'_>) -> Result<Seconds, JobError> {
+fn baseline_horizon(preset: &PresetEngine, base: &RunRequest<'_>) -> Result<Seconds, JobError> {
     static BASELINES: OnceLock<Mutex<HashMap<u64, f64>>> = OnceLock::new();
-    let key = base.fingerprint(engine.config());
+    let key = baseline_key(preset, base);
     let memo = BASELINES.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(&hit) = memo.lock().expect("baseline memo poisoned").get(&key) {
         return Ok(Seconds::new(hit));
     }
     // Simulate outside the lock; identical results race benignly.
-    let out = engine
+    let out = preset
+        .engine
         .execute(base)
         .map_err(|e| JobError::execution(e.to_string()))?;
     let horizon = out
@@ -147,7 +197,7 @@ impl JobRunner for SimRunner {
     fn cache_key(&self, req: &Request) -> Result<u64, JobError> {
         let job = prepare(req)?;
         let base = Job::base_request(&job.models, req);
-        let mut canon = base.canonical(job.engine.config());
+        let mut canon = base.canonical_with(&job.preset.config_text);
         if let Some(b) = req.batch {
             let _ = write!(canon, ";batch={b}");
         }
@@ -171,14 +221,15 @@ impl JobRunner for SimRunner {
 
     fn execute(&self, req: &Request) -> Result<StoredResult, JobError> {
         let job = prepare(req)?;
+        let engine = &job.preset.engine;
         let mut request = Job::base_request(&job.models, req);
         if let Some(f) = req.faults {
-            let horizon = baseline_horizon(&job.engine, &request)?;
+            let horizon = baseline_horizon(job.preset, &request)?;
             request = request.with_faults(FaultPlan::seeded(
                 f.seed,
                 f.rate,
                 horizon,
-                job.engine.config().ff_units,
+                engine.config().ff_units,
             ));
         }
         if let Some(ms) = req.deadline_ms {
@@ -188,7 +239,7 @@ impl JobRunner for SimRunner {
                 RunLimits::none().with_max_events(ms.saturating_mul(FUEL_PER_DEADLINE_MS)),
             );
         }
-        let out = job.engine.execute(&request).map_err(|e| match e {
+        let out = engine.execute(&request).map_err(|e| match e {
             PimError::BudgetExhausted { .. } | PimError::Cancelled { .. } => {
                 JobError::deadline(e.to_string())
             }
@@ -318,27 +369,71 @@ mod tests {
         }
     }
 
+    /// The served `execute` of every preset, plus one faulted request,
+    /// equals a run of a freshly built engine of that preset.
     #[test]
     fn execute_matches_direct_engine_run() {
-        let req = run_req(r#"{"id":"1","model":"dcgan","preset":"hetero","steps":2}"#);
-        let served = SimRunner.execute(&req).unwrap();
         let model = cache::model(ModelKind::Dcgan).unwrap();
         let spec = WorkloadSpec {
             graph: model.graph(),
             steps: 2,
             cpu_progr_only: false,
         };
-        let direct = Engine::new(EngineConfig::preset(pim_runtime::SystemPreset::Hetero))
-            .execute(&RunRequest::new(&[spec]))
-            .unwrap();
-        assert_eq!(served.reports, direct.reports);
-        assert_eq!(
-            render_reports(&served),
-            render_reports(&StoredResult {
-                reports: direct.reports,
-                degraded: None,
-            })
-        );
+        let mut cases: Vec<(SystemPreset, String)> =
+            ["cpu", "progr", "fixed", "hetero", "bare", "rc"]
+                .iter()
+                .map(|&key| {
+                    let line =
+                        format!(r#"{{"id":"1","model":"dcgan","preset":"{key}","steps":2}}"#);
+                    (parse_preset(key).unwrap(), line)
+                })
+                .collect();
+        cases.push((
+            SystemPreset::Hetero,
+            r#"{"id":"2","model":"dcgan","preset":"hetero","steps":2,"faults":{"seed":3,"rate":0.5}}"#
+                .to_string(),
+        ));
+        assert_eq!(cases.len(), SystemPreset::ALL.len() + 1);
+        for (preset, line) in cases {
+            let req = run_req(&line);
+            let served = SimRunner.execute(&req).unwrap();
+            let engine = Engine::new(EngineConfig::preset(preset));
+            let mut request = RunRequest::new(&[spec]);
+            if let Some(f) = req.faults {
+                let horizon = engine.execute(&request).unwrap().report().makespan;
+                let plan = FaultPlan::seeded(f.seed, f.rate, horizon, engine.config().ff_units);
+                request = request.with_faults(plan);
+            }
+            let direct = engine.execute(&request).unwrap();
+            assert_eq!(served.reports, direct.reports, "{line}");
+            assert_eq!(
+                render_reports(&served),
+                render_reports(&StoredResult {
+                    reports: direct.reports,
+                    degraded: direct.degraded.map(str::to_string),
+                }),
+                "{line}"
+            );
+        }
+    }
+
+    /// The cached config text keys the baseline memo exactly as
+    /// `RunRequest::fingerprint` over a fresh preset configuration does.
+    #[test]
+    fn baseline_keys_equal_fresh_fingerprints() {
+        for key in ["cpu", "progr", "fixed", "hetero", "bare", "rc"] {
+            let preset = parse_preset(key).unwrap();
+            let req = run_req(&format!(
+                r#"{{"id":"1","models":["alex","lstm"],"preset":"{key}","steps":3}}"#
+            ));
+            let job = prepare(&req).unwrap();
+            let base = Job::base_request(&job.models, &req);
+            assert_eq!(
+                baseline_key(preset_engine(preset), &base),
+                base.fingerprint(&EngineConfig::preset(preset)),
+                "{key}"
+            );
+        }
     }
 
     #[test]
