@@ -10,7 +10,9 @@
 //! * structured analysis diagnostics ([`diag`]),
 //! * runtime observability: spans, counters, Chrome-trace export ([`trace`]),
 //! * shared command-line parsing helpers for the workspace binaries
-//!   ([`cli`]).
+//!   ([`cli`]),
+//! * the seeded generators every deterministic stream draws from, and
+//!   the property-test harness ([`rng`]).
 //!
 //! # Examples
 //!
@@ -30,6 +32,7 @@ pub mod diag;
 pub mod error;
 pub mod fingerprint;
 pub mod ids;
+pub mod rng;
 pub mod trace;
 pub mod units;
 
