@@ -5,6 +5,23 @@
 set -euo pipefail
 
 cargo fmt --all --check
+
+# One generator module and no property-test stand-in: no manifest may
+# name `proptest`, and the xorshift* multiplier and the SplitMix64
+# finalizer constant appear in no Rust file but `pim_common::rng` (and
+# the `rand` stand-in, until its three users move onto the module).
+if grep -rlw --include=Cargo.toml --exclude-dir=target --exclude-dir=.bench_build \
+    proptest .; then
+    echo "ci: the Cargo.toml files above name proptest" >&2
+    exit 1
+fi
+stray=$(grep -rliE --include='*.rs' --exclude-dir=target --exclude-dir=.bench_build \
+    '2545_?F491_?4F6C_?DD1D|94D0_?49BB_?1331_?11EB' . |
+    grep -v -e '^\./crates/pim-common/src/rng\.rs$' -e '^\./vendor/rand/' || true)
+if [ -n "$stray" ]; then
+    echo "ci: generator constants outside pim_common::rng:" $stray >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Pedantic clippy with a curated allowlist. Every `-A` below is a

@@ -10,38 +10,11 @@
 
 use crate::graph::Graph;
 use crate::node::{OpKind, TensorRole};
+use pim_common::rng::Xorshift64Star;
 use pim_tensor::ops::activation::Activation;
 use pim_tensor::ops::elementwise::BinaryOp;
 use pim_tensor::ops::matmul::Transpose;
 use pim_tensor::Shape;
-
-/// A tiny xorshift* generator: deterministic, dependency-free, and stable
-/// across platforms. Not for cryptography or statistics — for naming test
-/// cases by seed.
-#[derive(Debug, Clone)]
-pub struct XorShiftRng {
-    state: u64,
-}
-
-impl XorShiftRng {
-    /// Seeds the generator (a zero seed is mapped to a nonzero state).
-    pub fn new(seed: u64) -> Self {
-        XorShiftRng { state: seed | 1 }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state ^= self.state >> 12;
-        self.state ^= self.state << 25;
-        self.state ^= self.state >> 27;
-        self.state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform-ish value in `0..m` (`m` must be nonzero).
-    pub fn below(&mut self, m: usize) -> usize {
-        (self.next_u64() % m as u64) as usize
-    }
-}
 
 /// Shape parameters of one generated DAG. The graph is a pure function of
 /// the spec: equal specs build byte-identical graphs.
@@ -63,7 +36,7 @@ impl GenSpec {
     /// in 1..=4, dim in {8, 16, 32, 64}. The one-number spelling the
     /// differential suite iterates over.
     pub fn from_seed(seed: u64) -> Self {
-        let mut rng = XorShiftRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut rng = Xorshift64Star::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
         GenSpec {
             layers: 1 + rng.below(8),
             width: 1 + rng.below(4),
@@ -98,7 +71,7 @@ pub fn random_dag(spec: &GenSpec) -> Graph {
     let mut frontier: Vec<_> = (0..spec.width)
         .map(|i| g.add_tensor(shape(), TensorRole::Input, format!("in{i}")))
         .collect();
-    let mut rng = XorShiftRng::new(spec.seed);
+    let mut rng = Xorshift64Star::new(spec.seed);
     for layer in 0..spec.layers {
         let mut new_frontier = Vec::new();
         for slot in 0..spec.width {

@@ -10,7 +10,8 @@
 //! Everything here is deterministic by construction:
 //!
 //! * the seeded generator ([`FaultPlan::seeded`]) derives every permanent
-//!   fault and straggler window from one xorshift* stream, and
+//!   fault and straggler window from one xorshift64* stream
+//!   ([`pim_common::rng::Xorshift64Star`]), and
 //! * the per-attempt decisions ([`FaultPlan::transient_fails`],
 //!   [`FaultPlan::times_out`], [`FaultPlan::fail_point`]) are pure
 //!   functions of `(seed, lane, workload, step, op, attempt)` — they do
@@ -22,36 +23,9 @@
 //! statically checkable (`pim-verify`'s fault-legality pass replays a
 //! timeline against the plan).
 
+use pim_common::rng::Xorshift64Star;
 use pim_common::units::Seconds;
 use serde::Serialize;
-
-/// The same xorshift* step the seeded graph generator uses: deterministic,
-/// dependency-free, stable across platforms. Not for cryptography — for
-/// naming fault scenarios by seed.
-#[derive(Debug, Clone)]
-pub struct FaultRng {
-    state: u64,
-}
-
-impl FaultRng {
-    /// Seeds the generator (a zero seed is mapped to a nonzero state).
-    pub fn new(seed: u64) -> Self {
-        FaultRng { state: seed | 1 }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state ^= self.state >> 12;
-        self.state ^= self.state << 25;
-        self.state ^= self.state >> 27;
-        self.state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform value in `[0, 1)` with 53-bit resolution.
-    pub fn frac(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// Which shared PIM resource a fault takes down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -180,7 +154,7 @@ impl FaultPlan {
         if rate == 0.0 {
             return FaultPlan::none();
         }
-        let mut rng = FaultRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut rng = Xorshift64Star::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
         let mut permanents = Vec::new();
         let quarantine_total = (rate * ff_units as f64).round() as usize;
         if quarantine_total > 0 {
@@ -268,7 +242,7 @@ impl FaultPlan {
                 .wrapping_mul(0xBF58_476D_1CE4_E5B9)
                 .rotate_left(31);
         }
-        FaultRng::new(state).frac()
+        Xorshift64Star::new(state).frac()
     }
 
     /// Does this attempt suffer a transient mid-flight failure on `lane`?

@@ -17,6 +17,7 @@
 //! Xeon/1080 Ti measurements) are not reproducible. Every constant is an
 //! explicit field here, not a buried magic number.
 
+use pim_common::rng::{fnv1a, splitmix64};
 use pim_common::units::{Bytes, Joules, Seconds, Watts};
 use pim_mem::energy::MemoryPath;
 use pim_mem::traffic::{bandwidth_efficiency, AccessPattern};
@@ -43,6 +44,36 @@ pub struct DeviceParams {
     pub dynamic_power: Watts,
     /// Which memory path this device's traffic takes (determines pJ/bit).
     pub memory_path: MemoryPath,
+}
+
+impl DeviceParams {
+    /// A fingerprint of every parameter, folded from the fields' bit
+    /// patterns (no formatting). The destructure is exhaustive, so a new
+    /// field fails to compile here until it is folded in.
+    pub fn fingerprint(&self) -> u64 {
+        let DeviceParams {
+            name,
+            ma_throughput,
+            other_throughput,
+            control_throughput,
+            bandwidth,
+            dispatch_overhead,
+            dynamic_power,
+            memory_path,
+        } = self;
+        let words = [
+            ma_throughput.to_bits(),
+            other_throughput.to_bits(),
+            control_throughput.to_bits(),
+            bandwidth.to_bits(),
+            dispatch_overhead.seconds().to_bits(),
+            dynamic_power.watts().to_bits(),
+            *memory_path as u64,
+        ];
+        words
+            .into_iter()
+            .fold(fnv1a(name), |h, word| splitmix64(h ^ word))
+    }
 }
 
 /// Timing/energy estimate for one operation on one device.

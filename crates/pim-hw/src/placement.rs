@@ -108,7 +108,7 @@ pub fn uniform_placement(units: usize, banks: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pim_common::rng::check;
 
     #[test]
     fn grid_for_32_banks_is_4x8() {
@@ -141,18 +141,17 @@ mod tests {
         assert!(at(BankPosition::Edge) > at(BankPosition::Center));
     }
 
-    proptest! {
-        #[test]
-        fn placements_always_sum_to_units(units in 1usize..2000, banks_pow in 2usize..7) {
+    #[test]
+    fn placements_always_sum_to_units() {
+        check(64, "placements_always_sum_to_units", |g| {
+            let units = g.draw(1usize..2000);
+            let banks_pow = g.draw(2usize..7);
             let banks = 1 << banks_pow;
-            prop_assert_eq!(
+            assert_eq!(
                 thermal_aware_placement(units, banks).iter().sum::<usize>(),
                 units
             );
-            prop_assert_eq!(
-                uniform_placement(units, banks).iter().sum::<usize>(),
-                units
-            );
-        }
+            assert_eq!(uniform_placement(units, banks).iter().sum::<usize>(), units);
+        });
     }
 }

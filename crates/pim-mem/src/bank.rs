@@ -151,7 +151,7 @@ pub fn hit_rate_for_stream(bank: &mut Bank, addresses: impl IntoIterator<Item = 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pim_common::rng::check;
 
     fn bank() -> Bank {
         Bank::new(BankId::new(0), &StackConfig::hmc2())
@@ -192,22 +192,26 @@ mod tests {
         assert!(b.stats().busy_time > t1);
     }
 
-    proptest! {
-        #[test]
-        fn stats_accesses_equal_stream_length(addrs in proptest::collection::vec(0u64..1_000_000, 1..200)) {
+    #[test]
+    fn stats_accesses_equal_stream_length() {
+        check(64, "stats_accesses_equal_stream_length", |g| {
+            let addrs = g.vec(1..200, |g| g.draw(0u64..1_000_000));
             let mut b = bank();
             let n = addrs.len() as u64;
             for a in addrs {
                 b.access(a);
             }
-            prop_assert_eq!(b.stats().accesses(), n);
-        }
+            assert_eq!(b.stats().accesses(), n);
+        });
+    }
 
-        #[test]
-        fn hit_rate_is_a_fraction(addrs in proptest::collection::vec(0u64..1_000_000, 0..200)) {
+    #[test]
+    fn hit_rate_is_a_fraction() {
+        check(64, "hit_rate_is_a_fraction", |g| {
+            let addrs = g.vec(0..200, |g| g.draw(0u64..1_000_000));
             let mut b = bank();
             let rate = hit_rate_for_stream(&mut b, addrs);
-            prop_assert!((0.0..=1.0).contains(&rate));
-        }
+            assert!((0.0..=1.0).contains(&rate));
+        });
     }
 }

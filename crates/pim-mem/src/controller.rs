@@ -12,6 +12,7 @@ use crate::bank::Bank;
 use crate::stack::StackConfig;
 use crate::traffic::AccessPattern;
 use pim_common::ids::BankId;
+use pim_common::rng::Xorshift64Star;
 use pim_common::units::Seconds;
 use serde::Serialize;
 
@@ -80,19 +81,12 @@ impl MemoryController {
         count: u64,
         seed: u64,
     ) -> StreamReport {
-        let mut state = seed | 1;
-        let mut next_random = move || {
-            // xorshift64*: deterministic, dependency-free address noise.
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
+        let mut rng = Xorshift64Star::new(seed);
         for i in 0..count {
             let address = match pattern {
                 AccessPattern::Sequential => i * self.line_bytes,
                 AccessPattern::Strided => i * self.line_bytes * 17,
-                AccessPattern::Random => next_random() % (1 << 30),
+                AccessPattern::Random => rng.next_u64() % (1 << 30),
             };
             self.access(address);
         }

@@ -53,7 +53,7 @@ impl MemoryPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pim_common::rng::check;
 
     #[test]
     fn internal_is_cheapest_path() {
@@ -76,24 +76,28 @@ mod tests {
         );
     }
 
-    proptest! {
-        #[test]
-        fn energy_is_linear_in_volume(bytes in 1.0f64..1e12) {
+    #[test]
+    fn energy_is_linear_in_volume() {
+        check(64, "energy_is_linear_in_volume", |g| {
+            let bytes = g.draw(1.0f64..1e12);
             let e1 = MemoryPath::StackInternal.transfer_energy(Bytes::new(bytes));
             let e2 = MemoryPath::StackInternal.transfer_energy(Bytes::new(2.0 * bytes));
-            prop_assert!((e2.joules() / e1.joules() - 2.0).abs() < 1e-9);
-        }
+            assert!((e2.joules() / e1.joules() - 2.0).abs() < 1e-9);
+        });
+    }
 
-        #[test]
-        fn energy_is_nonnegative(bytes in 0.0f64..1e12) {
+    #[test]
+    fn energy_is_nonnegative() {
+        check(64, "energy_is_nonnegative", |g| {
+            let bytes = g.draw(0.0f64..1e12);
             for path in [
                 MemoryPath::HostDdr4,
                 MemoryPath::GpuGddr5x,
                 MemoryPath::StackExternal,
                 MemoryPath::StackInternal,
             ] {
-                prop_assert!(path.transfer_energy(Bytes::new(bytes)).is_valid());
+                assert!(path.transfer_energy(Bytes::new(bytes)).is_valid());
             }
-        }
+        });
     }
 }

@@ -177,7 +177,7 @@ impl Default for StackConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pim_common::rng::check;
 
     #[test]
     fn hmc2_matches_paper_constants() {
@@ -225,22 +225,27 @@ mod tests {
         assert!(cfg.internal_transfer_time(v) < cfg.external_transfer_time(v));
     }
 
-    proptest! {
-        #[test]
-        fn higher_frequency_never_slower(mult in 1.0f64..8.0) {
+    #[test]
+    fn higher_frequency_never_slower() {
+        check(64, "higher_frequency_never_slower", |g| {
+            let mult = g.draw(1.0f64..8.0);
             let base = StackConfig::hmc2();
             let fast = base.with_frequency_multiplier(mult).unwrap();
             let v = Bytes::new(1e8);
-            prop_assert!(fast.internal_transfer_time(v) <= base.internal_transfer_time(v));
-            prop_assert!(fast.row_hit_latency() <= base.row_hit_latency());
-        }
+            assert!(fast.internal_transfer_time(v) <= base.internal_transfer_time(v));
+            assert!(fast.row_hit_latency() <= base.row_hit_latency());
+        });
+    }
 
-        #[test]
-        fn background_power_grows_with_frequency(a in 1.0f64..4.0, b in 4.0f64..8.0) {
+    #[test]
+    fn background_power_grows_with_frequency() {
+        check(64, "background_power_grows_with_frequency", |g| {
+            let a = g.draw(1.0f64..4.0);
+            let b = g.draw(4.0f64..8.0);
             let base = StackConfig::hmc2();
             let slow = base.with_frequency_multiplier(a).unwrap();
             let fast = base.with_frequency_multiplier(b).unwrap();
-            prop_assert!(fast.background_power() > slow.background_power());
-        }
+            assert!(fast.background_power() > slow.background_power());
+        });
     }
 }

@@ -1038,9 +1038,10 @@ pub fn run_device_serial(run: &DeviceRun<'_>, sink: &mut dyn TimelineSink) -> Ex
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig, SystemPreset, VecSink, WorkloadSpec};
+    use pim_common::rng::Xorshift64Star;
     use pim_common::units::Bytes;
     use pim_common::NullTrace;
-    use pim_graph::gen::{random_dag, GenSpec, XorShiftRng};
+    use pim_graph::gen::{random_dag, GenSpec};
     use pim_hw::cpu::CpuDevice;
     use pim_tensor::cost::{CostProfile, OffloadClass};
     use std::collections::BTreeSet;
@@ -1363,7 +1364,7 @@ mod tests {
                         }
                     }
                 }
-                let mut rng = XorShiftRng::new(steps.len() as u64);
+                let mut rng = Xorshift64Star::new(steps.len() as u64);
                 let (mut inflight, mut completed) = (Vec::new(), 0);
                 while completed < total {
                     // A random admitted mask over the classes; every class

@@ -316,8 +316,8 @@ impl IsaEstimator {
 pub(crate) struct Planner {
     pub cfg: EngineConfig,
     cpu: CpuDevice,
-    /// `debug_hash` of the CPU's parameters: the CPU part of the graph
-    /// memo key of the step-1 candidate selection.
+    /// [`pim_hw::params::DeviceParams::fingerprint`] of the CPU: the CPU part of the
+    /// graph memo key of the step-1 candidate selection.
     cpu_fingerprint: u64,
     progr: ProgrammablePim,
     /// Core pair used per kernel in scheduled mode: the programmable-PIM
@@ -340,7 +340,7 @@ impl Planner {
     /// hardcoded part.
     pub fn new(cfg: EngineConfig) -> Self {
         let cpu = cfg.host.clone();
-        let cpu_fingerprint = debug_hash(cpu.params());
+        let cpu_fingerprint = cpu.params().fingerprint();
         let progr = ProgrammablePim::cortex_a9(&cfg.stack, cfg.arm_cores);
         let progr_pair = ProgrammablePim::cortex_a9(&cfg.stack, cfg.arm_cores.div_ceil(2).max(1));
         let progr_pool = ProgrammablePool::unlimited(&cfg.stack);

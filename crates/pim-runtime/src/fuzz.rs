@@ -39,6 +39,7 @@
 
 use crate::engine::{Engine, RunOptions, RunRequest, TimelineEntry, WorkloadSpec};
 use pim_common::diag::Diagnostics;
+use pim_common::rng::{splitmix64, xorshift_star};
 use pim_common::Result;
 
 /// The diagnostics pass name for order-invariance findings (pass 5).
@@ -95,7 +96,7 @@ impl TieBreak {
     pub(crate) fn event_key(self, n: u64) -> u64 {
         match self {
             TieBreak::Stable | TieBreak::Permuted(_) => n,
-            TieBreak::Priority(seed) => xorshift_star(n ^ splitmix(seed)),
+            TieBreak::Priority(seed) => xorshift_star(n ^ splitmix64(seed)),
         }
     }
 
@@ -108,57 +109,22 @@ impl TieBreak {
             TieBreak::Stable => 0,
             TieBreak::Permuted(s) | TieBreak::Priority(s) => s,
         };
-        let mut h = splitmix(seed ^ DECISION_SALT);
+        let mut h = splitmix64(seed ^ DECISION_SALT);
         for &p in parts {
-            h = xorshift_star(h ^ splitmix(p));
+            h = xorshift_star(h ^ splitmix64(p));
         }
         h
     }
 }
 
-/// One splitmix64 finalization step — avalanches a seed into a
-/// well-mixed word (the idiom `pim_hw::faults` already uses).
-#[inline]
-pub(crate) fn splitmix(z: u64) -> u64 {
-    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// One xorshift* step. A bijection on `u64`: each xorshift is an
-/// invertible linear map over GF(2), and the final multiplier is odd,
-/// hence invertible mod 2^64 — so distinct inputs stay distinct, which
-/// is what lets [`TieBreak::event_key`] permute heap keys without ever
-/// colliding them.
-#[inline]
-pub(crate) fn xorshift_star(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Folds a string into a `u64` for tie-group hashing (an FNV-1a fold —
-/// deterministic across runs and platforms, unlike `DefaultHasher`).
-#[inline]
-pub(crate) fn hash_str(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Derives `n` distinct fuzz seeds from one base seed (a splitmix
-/// chain, matching the seed derivation idiom of `pim_hw::faults`).
+/// Derives `n` distinct fuzz seeds from one base seed (a
+/// [`splitmix64`] chain).
 #[must_use]
 pub fn derive_seeds(base: u64, n: usize) -> Vec<u64> {
     let mut out = Vec::with_capacity(n);
     let mut s = base;
     for _ in 0..n {
-        s = splitmix(s);
+        s = splitmix64(s);
         out.push(s);
     }
     out
@@ -430,14 +396,6 @@ fn describe_entry(e: &TimelineEntry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn xorshift_star_is_injective_on_a_window() {
-        let mut seen = std::collections::HashSet::new();
-        for n in 0..10_000u64 {
-            assert!(seen.insert(xorshift_star(n ^ splitmix(42))));
-        }
-    }
 
     #[test]
     fn stable_and_permuted_event_keys_are_identity() {

@@ -176,7 +176,7 @@ pub fn profile_step_cached(graph: &Graph, cpu: &CpuDevice) -> Result<Arc<StepPro
     let key = (
         graph.structural_hash(),
         graph.op_count(),
-        pim_common::fingerprint::debug_hash(cpu.params()),
+        cpu.params().fingerprint(),
     );
     if let Some(hit) = profile_memo()
         .lock()

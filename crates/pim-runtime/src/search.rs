@@ -17,7 +17,8 @@
 //! replay.
 
 use crate::engine::{Engine, RunOptions, RunRequest, TimelineEntry, WorkloadSpec};
-use crate::fuzz::{splitmix, TieBreak};
+use crate::fuzz::TieBreak;
+use pim_common::rng::splitmix64;
 use pim_common::units::Seconds;
 use pim_common::{PimError, Result};
 
@@ -121,7 +122,7 @@ pub fn beam_search(
             .iter()
             .flat_map(|&(_, parent)| {
                 (0..cfg.branching)
-                    .map(move |k| splitmix(parent ^ splitmix((round as u64) << 32 | k as u64)))
+                    .map(move |k| splitmix64(parent ^ splitmix64((round as u64) << 32 | k as u64)))
             })
             .filter(|&s| !seen.contains(&s))
             .collect();

@@ -134,7 +134,7 @@ pub fn select_candidates_tie(profile: &StepProfile, coverage: f64, tie: TieBreak
             profile.ops.iter().map(|p| (p.op, p.name)).collect();
         set.ranked.sort_by_cached_key(|op| {
             let name = name_of.get(op).copied().unwrap_or("");
-            tie.decision_hash(&[crate::fuzz::hash_str(name), op.index() as u64])
+            tie.decision_hash(&[pim_common::rng::fnv1a(name), op.index() as u64])
         });
     }
     set
@@ -154,8 +154,8 @@ pub(crate) struct Selection {
 
 impl Selection {
     /// `select_candidates_tie(profile_step(graph, cpu), coverage, tie)`
-    /// through the graph's memo. `cpu_fingerprint` is the `debug_hash` of
-    /// `cpu`'s parameters, computed once per engine.
+    /// through the graph's memo. `cpu_fingerprint` is
+    /// `cpu.params().fingerprint()`, computed once per engine.
     ///
     /// # Errors
     ///

@@ -3,6 +3,7 @@
 //! beat the critical path, never lose to the serial schedule, and produce
 //! internally consistent reports.
 
+use pim_common::rng::check;
 use pim_common::units::Seconds;
 use pim_graph::gen::{self, GenSpec};
 use pim_graph::graph::Graph;
@@ -11,7 +12,6 @@ use pim_models::{Model, ModelKind};
 use pim_runtime::engine::{
     Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, TimelineEntry, WorkloadSpec,
 };
-use proptest::prelude::*;
 
 /// Builds a random layered DAG through the shared seeded generator
 /// (`pim_graph::gen`), fixing the tensor dimension the original prototype
@@ -52,56 +52,55 @@ fn timeline_opts() -> RunOptions {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Reports are well-formed and the pipelined schedule never loses to
-    /// the serialized one by more than scheduling noise, for any DAG.
-    #[test]
-    fn scheduled_never_much_worse_than_serialized(
-        layers in 1usize..6,
-        width in 1usize..4,
-        seed in 0u64..1000,
-    ) {
+/// Reports are well-formed and the pipelined schedule never loses to
+/// the serialized one by more than scheduling noise, for any DAG.
+#[test]
+fn scheduled_never_much_worse_than_serialized() {
+    check(24, "scheduled_never_much_worse_than_serialized", |g| {
+        let layers = g.draw(1usize..6);
+        let width = g.draw(1usize..4);
+        let seed = g.draw(0u64..1000);
         let graph = random_dag(layers, width, seed);
         graph.validate().unwrap();
         let scheduled = run(&graph, EngineConfig::preset(SystemPreset::Hetero), 2);
         let serialized = run(&graph, EngineConfig::preset(SystemPreset::HeteroRc), 2);
-        prop_assert!(scheduled.is_well_formed());
-        prop_assert!(serialized.is_well_formed());
+        assert!(scheduled.is_well_formed());
+        assert!(serialized.is_well_formed());
         // The pipeline overlaps work; tiny graphs may pay small constant
         // overheads, so allow 25% slack.
-        prop_assert!(
+        assert!(
             scheduled.makespan.seconds() <= serialized.makespan.seconds() * 1.25,
             "scheduled {} vs serialized {}",
             scheduled.makespan.seconds(),
             serialized.makespan.seconds()
         );
-    }
+    });
+}
 
-    /// More steps never take less time, and never more than proportionally
-    /// plus fill overhead.
-    #[test]
-    fn makespan_is_monotone_and_subadditive_in_steps(
-        layers in 1usize..5,
-        width in 1usize..4,
-        seed in 0u64..1000,
-    ) {
+/// More steps never take less time, and never more than proportionally
+/// plus fill overhead.
+#[test]
+fn makespan_is_monotone_and_subadditive_in_steps() {
+    check(24, "makespan_is_monotone_and_subadditive_in_steps", |g| {
+        let layers = g.draw(1usize..5);
+        let width = g.draw(1usize..4);
+        let seed = g.draw(0u64..1000);
         let graph = random_dag(layers, width, seed);
         let one = run(&graph, EngineConfig::preset(SystemPreset::Hetero), 1).makespan;
         let three = run(&graph, EngineConfig::preset(SystemPreset::Hetero), 3).makespan;
-        prop_assert!(three >= one);
-        prop_assert!(three.seconds() <= 3.0 * one.seconds() + 1e-9);
-    }
+        assert!(three >= one);
+        assert!(three.seconds() <= 3.0 * one.seconds() + 1e-9);
+    });
+}
 
-    /// Every configuration completes every DAG (no wedges, no panics) with
-    /// a strictly positive makespan.
-    #[test]
-    fn all_configurations_complete_random_dags(
-        layers in 1usize..5,
-        width in 1usize..4,
-        seed in 0u64..1000,
-    ) {
+/// Every configuration completes every DAG (no wedges, no panics) with
+/// a strictly positive makespan.
+#[test]
+fn all_configurations_complete_random_dags() {
+    check(24, "all_configurations_complete_random_dags", |g| {
+        let layers = g.draw(1usize..5);
+        let width = g.draw(1usize..4);
+        let seed = g.draw(0u64..1000);
         let graph = random_dag(layers, width, seed);
         for cfg in [
             EngineConfig::preset(SystemPreset::CpuOnly),
@@ -111,25 +110,30 @@ proptest! {
             EngineConfig::preset(SystemPreset::Hetero),
         ] {
             let r = run(&graph, cfg, 1);
-            prop_assert!(r.makespan > Seconds::ZERO);
-            prop_assert!(r.is_well_formed());
+            assert!(r.makespan > Seconds::ZERO);
+            assert!(r.is_well_formed());
         }
-    }
+    });
+}
 
-    /// Restricting a workload to CPU + programmable PIM never uses the
-    /// fixed-function pool.
-    #[test]
-    fn restricted_workloads_never_touch_the_pool(
-        layers in 1usize..5,
-        seed in 0u64..1000,
-    ) {
+/// Restricting a workload to CPU + programmable PIM never uses the
+/// fixed-function pool.
+#[test]
+fn restricted_workloads_never_touch_the_pool() {
+    check(24, "restricted_workloads_never_touch_the_pool", |g| {
+        let layers = g.draw(1usize..5);
+        let seed = g.draw(0u64..1000);
         let graph = random_dag(layers, 2, seed);
         let r = Engine::new(EngineConfig::preset(SystemPreset::Hetero))
-            .execute(&RunRequest::new(&[WorkloadSpec { graph: &graph, steps: 2, cpu_progr_only: true }]))
+            .execute(&RunRequest::new(&[WorkloadSpec {
+                graph: &graph,
+                steps: 2,
+                cpu_progr_only: true,
+            }]))
             .unwrap()
             .into_report();
-        prop_assert_eq!(r.ff_utilization, 0.0);
-    }
+        assert_eq!(r.ff_utilization, 0.0);
+    });
 }
 
 /// A deterministic deep-chain case: the pipeline cannot reorder a pure
@@ -195,60 +199,70 @@ fn serialized_timeline_is_sequential() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Partitioned multi-workload execution produces
-    /// exactly the artifacts of running each workload alone in input
-    /// order, for any DAG mix: identical `ExecutionReport`s, a merged
-    /// timeline equal to the deterministic `(start, partition)` merge of
-    /// the solo timelines, and counters equal to the partition-ordered
-    /// merge of the solo registries. This is the contract that makes the
-    /// worker count (and `PIM_RUN_THREADS`) unobservable in the output.
-    #[test]
-    fn partitioned_runs_match_solo_runs(
-        layers in 1usize..5,
-        width in 1usize..4,
-        seed in 0u64..500,
-    ) {
+/// Partitioned multi-workload execution produces
+/// exactly the artifacts of running each workload alone in input
+/// order, for any DAG mix: identical `ExecutionReport`s, a merged
+/// timeline equal to the deterministic `(start, partition)` merge of
+/// the solo timelines, and counters equal to the partition-ordered
+/// merge of the solo registries. This is the contract that makes the
+/// worker count (and `PIM_RUN_THREADS`) unobservable in the output.
+#[test]
+fn partitioned_runs_match_solo_runs() {
+    check(16, "partitioned_runs_match_solo_runs", |g| {
+        let layers = g.draw(1usize..5);
+        let width = g.draw(1usize..4);
+        let seed = g.draw(0u64..500);
         use pim_common::trace::Counters;
 
         let g1 = random_dag(layers, width, seed);
         let g2 = random_dag(layers.max(2) - 1, width, seed.wrapping_add(1));
         let wls = [
-            WorkloadSpec { graph: &g1, steps: 2, cpu_progr_only: false },
-            WorkloadSpec { graph: &g2, steps: 1, cpu_progr_only: false },
-            WorkloadSpec { graph: &g1, steps: 1, cpu_progr_only: true },
+            WorkloadSpec {
+                graph: &g1,
+                steps: 2,
+                cpu_progr_only: false,
+            },
+            WorkloadSpec {
+                graph: &g2,
+                steps: 1,
+                cpu_progr_only: false,
+            },
+            WorkloadSpec {
+                graph: &g1,
+                steps: 1,
+                cpu_progr_only: true,
+            },
         ];
         let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
         let opts = timeline_opts();
 
-        let many = engine.execute(&RunRequest::new(&wls).with_options(opts).partitioned()).unwrap();
+        let many = engine
+            .execute(&RunRequest::new(&wls).with_options(opts).partitioned())
+            .unwrap();
 
         let mut solo_reports = Vec::new();
         let mut solo_counters = Counters::new();
         let mut solo_parts = Vec::new();
         for wl in &wls {
-            let mut out = engine.execute(&RunRequest::new(&[*wl]).with_options(opts)).unwrap();
+            let mut out = engine
+                .execute(&RunRequest::new(&[*wl]).with_options(opts))
+                .unwrap();
             solo_counters.merge(&out.counters);
             solo_parts.push(out.timeline.take().unwrap());
             solo_reports.push(out.into_report());
         }
-        prop_assert_eq!(&many.reports, &solo_reports);
-        prop_assert_eq!(&many.counters, &solo_counters);
+        assert_eq!(&many.reports, &solo_reports);
+        assert_eq!(&many.counters, &solo_counters);
 
         // The merged registry cross-checks against the summed reports.
         let diags = pim_runtime::stats::cross_check_many(&many.reports, &many.counters);
-        prop_assert!(diags.is_clean(), "{}", diags.render_text());
+        assert!(diags.is_clean(), "{}", diags.render_text());
 
         // The merged timeline holds every solo entry, retagged with its
         // partition, ordered by (quantized start, partition) with stable
         // within-partition order.
         let merged = many.timeline.as_ref().unwrap();
-        prop_assert_eq!(
-            merged.len(),
-            solo_parts.iter().map(Vec::len).sum::<usize>()
-        );
+        assert_eq!(merged.len(), solo_parts.iter().map(Vec::len).sum::<usize>());
         for (p, part) in solo_parts.iter().enumerate() {
             let replayed: Vec<_> = merged
                 .iter()
@@ -259,18 +273,20 @@ proptest! {
                 .iter()
                 .map(|e| (e.step, e.op, e.start, e.end, e.resource, e.ff_units))
                 .collect();
-            prop_assert_eq!(replayed, expected, "partition {} stream mangled", p);
+            assert_eq!(replayed, expected, "partition {p} stream mangled");
         }
         for pair in merged.windows(2) {
             let a = (pair[0].start.seconds() * 1e15) as u128;
             let b = (pair[1].start.seconds() * 1e15) as u128;
-            prop_assert!(a < b || (a == b && pair[0].workload <= pair[1].workload));
+            assert!(a < b || (a == b && pair[0].workload <= pair[1].workload));
         }
 
         // The merged timeline splits back into verifiable partitions.
-        let diags = engine.verify(&RunRequest::new(&wls).partitioned(), merged).unwrap();
-        prop_assert!(diags.is_clean(), "{}", diags.render_text());
-    }
+        let diags = engine
+            .verify(&RunRequest::new(&wls).partitioned(), merged)
+            .unwrap();
+        assert!(diags.is_clean(), "{}", diags.render_text());
+    });
 }
 
 /// A partitioned run under a fault plan replays clean through

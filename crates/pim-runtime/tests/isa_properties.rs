@@ -3,6 +3,7 @@
 //! retires within the validator's static cycle bound, and lowering is
 //! byte-idempotent.
 
+use pim_common::rng::check;
 use pim_graph::cost::graph_costs;
 use pim_graph::gen::{random_dag, GenSpec};
 use pim_hw::arm::ProgrammablePim;
@@ -10,7 +11,6 @@ use pim_isa::{lower_binary, lower_kernel, validate, Machine};
 use pim_mem::stack::StackConfig;
 use pim_opencl::binary::BinarySet;
 use pim_opencl::kir::KernelSource;
-use proptest::prelude::*;
 
 fn machine() -> Machine {
     Machine::for_arm(&ProgrammablePim::cortex_a9(&StackConfig::hmc2(), 4))
@@ -43,34 +43,36 @@ fn lowered_programs(seed: u64) -> Vec<(pim_isa::Program, pim_isa::Program)> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Lowering any generated kernel yields a program the structural
-    /// validator accepts — counted loops close, calls resolve, `halt`
-    /// terminates.
-    #[test]
-    fn generated_kernels_lower_validator_clean(seed in 0u64..10_000) {
+/// Lowering any generated kernel yields a program the structural
+/// validator accepts — counted loops close, calls resolve, `halt`
+/// terminates.
+#[test]
+fn generated_kernels_lower_validator_clean() {
+    check(24, "generated_kernels_lower_validator_clean", |g| {
+        let seed = g.draw(0u64..10_000);
         for (whole, progr) in lowered_programs(seed) {
-            prop_assert!(
+            assert!(
                 validate(&whole).is_ok(),
                 "{}: whole-kernel program invalid:\n{}",
                 whole.name,
                 whole.disassemble()
             );
-            prop_assert!(
+            assert!(
                 validate(&progr).is_ok(),
                 "{}: progr-binary program invalid:\n{}",
                 progr.name,
                 progr.disassemble()
             );
         }
-    }
+    });
+}
 
-    /// Interpretation terminates, retires exactly the validator's
-    /// multiplicity total, and never exceeds the static cycle bound.
-    #[test]
-    fn interpretation_stays_within_static_bounds(seed in 0u64..10_000) {
+/// Interpretation terminates, retires exactly the validator's
+/// multiplicity total, and never exceeds the static cycle bound.
+#[test]
+fn interpretation_stays_within_static_bounds() {
+    check(24, "interpretation_stays_within_static_bounds", |g| {
+        let seed = g.draw(0u64..10_000);
         let m = machine();
         for (which, program) in lowered_programs(seed)
             .into_iter()
@@ -80,29 +82,35 @@ proptest! {
             let summary = m.run(&program).unwrap_or_else(|e| {
                 panic!("{which} {}: {e}\n{}", program.name, program.disassemble())
             });
-            prop_assert_eq!(
+            assert_eq!(
                 summary.retired, info.retired_bound,
                 "{} {}: straight-line retirement must hit the bound exactly",
                 which, &program.name
             );
-            prop_assert!(
+            assert!(
                 summary.issue_cycles <= m.cycle_bound(&program, &info),
                 "{} {}: {} cycles over static bound {}",
-                which, &program.name, summary.issue_cycles, m.cycle_bound(&program, &info)
+                which,
+                &program.name,
+                summary.issue_cycles,
+                m.cycle_bound(&program, &info)
             );
         }
-    }
+    });
+}
 
-    /// Lowering is deterministic down to the encoded bytes: lowering the
-    /// same kernel twice yields bit-identical programs.
-    #[test]
-    fn lowering_is_byte_idempotent(seed in 0u64..10_000) {
+/// Lowering is deterministic down to the encoded bytes: lowering the
+/// same kernel twice yields bit-identical programs.
+#[test]
+fn lowering_is_byte_idempotent() {
+    check(24, "lowering_is_byte_idempotent", |g| {
+        let seed = g.draw(0u64..10_000);
         let a = lowered_programs(seed);
         let b = lowered_programs(seed);
-        prop_assert_eq!(a.len(), b.len());
+        assert_eq!(a.len(), b.len());
         for ((wa, pa), (wb, pb)) in a.into_iter().zip(b) {
-            prop_assert_eq!(wa.encode(), wb.encode(), "whole-kernel bytes diverged");
-            prop_assert_eq!(pa.encode(), pb.encode(), "progr-binary bytes diverged");
+            assert_eq!(wa.encode(), wb.encode(), "whole-kernel bytes diverged");
+            assert_eq!(pa.encode(), pb.encode(), "progr-binary bytes diverged");
         }
-    }
+    });
 }

@@ -20,15 +20,16 @@
 //!    terminates cleanly and deterministically.
 //!
 //! Everything is a pure function of `(seed, ops)`: the schedule comes
-//! from a xorshift64* generator, the synthetic runner fails by model
-//! name rather than by timing, and deadlines are request fields, never
-//! wall clock — so the summary (and the whole response stream) can be
-//! byte-diffed across runs, machines, and thread counts.
+//! from a [`pim_common::rng::XorshiftStar`] stream, the synthetic runner
+//! fails by model name rather than by timing, and deadlines are request
+//! fields, never wall clock — so the summary (and the whole response
+//! stream) can be byte-diffed across runs, machines, and thread counts.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerSet};
 use crate::daemon::{serve_lines, JobError, JobRunner, MemStore, ServeConfig, StoredResult};
 use crate::journal;
 use crate::protocol::Request;
+use pim_common::rng::XorshiftStar;
 use pim_common::units::Seconds;
 use pim_runtime::stats::ReportBuilder;
 use std::collections::HashMap;
@@ -100,32 +101,6 @@ impl JobRunner for ChaosRunner {
     }
 }
 
-/// xorshift64* — the repo's standard seeded generator.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.below(xs.len() as u64) as usize]
-    }
-}
-
 /// What one generated line is, for the invariant checks.
 enum LineMeta {
     /// A run request with a unique id, accounted to `tenant`.
@@ -192,7 +167,7 @@ fn render_run(id: &str, tenant: &str, f: &RunFields) -> String {
 }
 
 fn generate(seed: u64, ops: usize) -> GeneratedStream {
-    let mut rng = Rng::new(seed);
+    let mut rng = XorshiftStar::from_state(seed.max(1));
     let mut out = GeneratedStream {
         bytes: Vec::new(),
         meta: Vec::new(),
@@ -219,25 +194,25 @@ fn generate(seed: u64, ops: usize) -> GeneratedStream {
             let fields = if kind < 20 {
                 RunFields {
                     model: "boom".to_string(),
-                    steps: 1 + rng.below(4) as usize,
-                    priority: rng.below(10),
+                    steps: 1 + rng.below(4),
+                    priority: rng.below(10) as u64,
                     deadline_ms: None,
                     batch: Some(1 + i),
                 }
             } else if kind < 35 {
                 RunFields {
                     model: "slow".to_string(),
-                    steps: 1 + rng.below(4) as usize,
-                    priority: rng.below(10),
-                    deadline_ms: Some(1 + rng.below(50)),
+                    steps: 1 + rng.below(4),
+                    priority: rng.below(10) as u64,
+                    deadline_ms: Some(1 + rng.below(50) as u64),
                     batch: Some(1 + i),
                 }
             } else {
                 RunFields {
                     model: (*rng.pick(&GOOD_MODELS)).to_string(),
-                    steps: 1 + rng.below(4) as usize,
-                    priority: rng.below(10),
-                    deadline_ms: (rng.below(100) < 30).then(|| 1 + rng.below(50)),
+                    steps: 1 + rng.below(4),
+                    priority: rng.below(10) as u64,
+                    deadline_ms: (rng.below(100) < 30).then(|| 1 + rng.below(50) as u64),
                     batch: None,
                 }
             };
@@ -601,7 +576,7 @@ impl fmt::Display for ChaosSummary {
 /// A description of the first invariant violation found.
 pub fn run_chaos(seed: u64, ops: usize) -> Result<ChaosSummary, String> {
     let gen = generate(seed, ops.max(1));
-    let mut rng = Rng::new(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut rng = XorshiftStar::from_state((seed ^ 0x9e37_79b9_7f4a_7c15).max(1));
 
     // Baseline (workers from the environment, like production).
     let baseline = serve_bytes(&chaos_cfg(0, None), &gen.bytes)?;
@@ -637,7 +612,7 @@ pub fn run_chaos(seed: u64, ops: usize) -> Result<ChaosSummary, String> {
     }
     let mut cycles = 0usize;
     for c in 0..3usize {
-        let cut = boundaries[rng.below(boundaries.len() as u64) as usize];
+        let cut = boundaries[rng.below(boundaries.len())];
         recovery_cycle(
             &full_journal,
             cut,
@@ -648,14 +623,14 @@ pub fn run_chaos(seed: u64, ops: usize) -> Result<ChaosSummary, String> {
         )?;
         cycles += 1;
     }
-    let torn_base = boundaries[rng.below(boundaries.len() as u64) as usize];
-    let torn_cut = (torn_base + 1 + rng.below(6) as usize).min(full_journal.len());
+    let torn_base = boundaries[rng.below(boundaries.len())];
+    let torn_cut = (torn_base + 1 + rng.below(6)).min(full_journal.len());
     recovery_cycle(&full_journal, torn_cut, &gen, &baseline, "torn", seed)?;
     cycles += 1;
 
     // Invariant 5: a connection dying mid-line still drains cleanly and
     // deterministically.
-    let cut = 1 + rng.below(gen.bytes.len() as u64 - 1) as usize;
+    let cut = 1 + rng.below(gen.bytes.len() - 1);
     let partial_a = serve_bytes(&chaos_cfg(0, None), &gen.bytes[..cut])?;
     let partial_b = serve_bytes(&chaos_cfg(0, None), &gen.bytes[..cut])?;
     if partial_a != partial_b {

@@ -12,6 +12,7 @@
 //! for byte — replaying a trace twice through a cold daemon must
 //! byte-diff clean.
 
+use pim_common::rng::XorshiftStar;
 use std::fmt::Write as _;
 
 /// Lines between `stats` barriers (also the bound on admission slots a
@@ -25,32 +26,17 @@ pub const MODELS: [&str; 3] = ["alex", "dcgan", "lstm"];
 /// Preset names the generator draws from (the full §VI grid).
 pub const PRESETS: [&str; 6] = ["cpu", "progr", "fixed", "hetero", "bare", "rc"];
 
-/// xorshift64* step — the same splittable-PRNG recipe the fuzz harness
-/// uses; good enough to decorrelate trace fields, and dependency-free.
-fn next(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Draws uniformly from `0..n`.
-fn pick(state: &mut u64, n: usize) -> usize {
-    (next(state) % n as u64) as usize
-}
-
 /// Generates a deterministic trace of `jobs` run requests spread over
 /// `tenants` tenants, with a `stats` barrier every [`BARRIER_EVERY`]
 /// lines and a final one, as protocol request lines.
 pub fn generate(jobs: usize, seed: u64, tenants: usize) -> Vec<String> {
     let tenants = tenants.max(1);
-    let mut rng = seed ^ 0x9E37_79B9_7F4A_7C15;
+    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
     // Avoid the xorshift fixed point at zero.
-    if rng == 0 {
-        rng = 0x853C_49E6_748F_EA9B;
+    if state == 0 {
+        state = 0x853C_49E6_748F_EA9B;
     }
+    let mut rng = XorshiftStar::from_state(state);
     let mut lines = Vec::with_capacity(jobs + jobs / BARRIER_EVERY + 1);
     let mut barriers = 0usize;
     for j in 0..jobs {
@@ -62,38 +48,34 @@ pub fn generate(jobs: usize, seed: u64, tenants: usize) -> Vec<String> {
         let _ = write!(
             line,
             "\"id\":\"j{j}\",\"tenant\":\"t{}\",\"preset\":\"{}\",\"steps\":{}",
-            pick(&mut rng, tenants),
-            PRESETS[pick(&mut rng, PRESETS.len())],
-            1 + pick(&mut rng, 2),
+            rng.below(tenants),
+            PRESETS[rng.below(PRESETS.len())],
+            1 + rng.below(2),
         );
         // ~15% of jobs are two-model sweeps, half of them partitioned.
-        if pick(&mut rng, 100) < 15 {
-            let a = pick(&mut rng, MODELS.len());
-            let b = pick(&mut rng, MODELS.len());
+        if rng.below(100) < 15 {
+            let a = rng.below(MODELS.len());
+            let b = rng.below(MODELS.len());
             let _ = write!(line, ",\"models\":[\"{}\",\"{}\"]", MODELS[a], MODELS[b]);
-            if pick(&mut rng, 2) == 1 {
+            if rng.below(2) == 1 {
                 line.push_str(",\"partitioned\":true");
             }
         } else {
-            let _ = write!(
-                line,
-                ",\"model\":\"{}\"",
-                MODELS[pick(&mut rng, MODELS.len())]
-            );
+            let _ = write!(line, ",\"model\":\"{}\"", MODELS[rng.below(MODELS.len())]);
         }
-        let _ = write!(line, ",\"priority\":{}", pick(&mut rng, 10));
+        let _ = write!(line, ",\"priority\":{}", rng.below(10));
         // ~10% run under a seeded fault plan.
-        if pick(&mut rng, 100) < 10 {
+        if rng.below(100) < 10 {
             let _ = write!(
                 line,
                 ",\"faults\":{{\"seed\":{},\"rate\":{}}}",
-                pick(&mut rng, 4),
-                [0.5, 1.0][pick(&mut rng, 2)],
+                rng.below(4),
+                [0.5, 1.0][rng.below(2)],
             );
         }
         // ~10% use a permuted tie-break order.
-        if pick(&mut rng, 100) < 10 {
-            let _ = write!(line, ",\"tie\":{{\"permuted\":{}}}", pick(&mut rng, 3));
+        if rng.below(100) < 10 {
+            let _ = write!(line, ",\"tie\":{{\"permuted\":{}}}", rng.below(3));
         }
         line.push('}');
         lines.push(line);

@@ -174,7 +174,7 @@ pub fn dropout_cost(shape: &Shape) -> CostProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pim_common::rng::check;
 
     #[test]
     fn binary_ops_compute() {
@@ -223,37 +223,42 @@ mod tests {
         assert_eq!(y.data(), &[2.0, 0.0, 2.0, 0.0]);
     }
 
-    proptest! {
-        #[test]
-        fn slice_concat_roundtrip(
-            data in proptest::collection::vec(-10.0f32..10.0, 2..32),
-            cut_frac in 0.1f64..0.9,
-        ) {
+    #[test]
+    fn slice_concat_roundtrip() {
+        check(64, "slice_concat_roundtrip", |g| {
+            let data = g.vec(2..32, |g| g.draw(-10.0f32..10.0));
+            let cut_frac = g.draw(0.1f64..0.9);
             let n = data.len();
             let cut = ((n as f64 * cut_frac) as usize).clamp(1, n - 1);
             let t = Tensor::from_vec(Shape::new(vec![n]), data.clone()).unwrap();
             let left = slice(&t, 0, cut).unwrap();
             let right = slice(&t, cut, n - cut).unwrap();
             let rejoined = concat(&[&left, &right]);
-            prop_assert_eq!(rejoined.data(), &data[..]);
-        }
+            assert_eq!(rejoined.data(), &data[..]);
+        });
+    }
 
-        #[test]
-        fn mul_commutes(vals in proptest::collection::vec(-5.0f32..5.0, 1..16)) {
+    #[test]
+    fn mul_commutes() {
+        check(64, "mul_commutes", |g| {
+            let vals = g.vec(1..16, |g| g.draw(-5.0f32..5.0));
             let n = vals.len();
             let a = Tensor::from_vec(Shape::new(vec![n]), vals.clone()).unwrap();
             let b = Tensor::from_fn(Shape::new(vec![n]), |i| (i as f32) - 2.0);
             let ab = binary(&a, &b, BinaryOp::Mul).unwrap();
             let ba = binary(&b, &a, BinaryOp::Mul).unwrap();
-            prop_assert_eq!(ab, ba);
-        }
+            assert_eq!(ab, ba);
+        });
+    }
 
-        #[test]
-        fn binary_cost_tracks_op_kind(n in 1usize..10_000) {
+    #[test]
+    fn binary_cost_tracks_op_kind() {
+        check(64, "binary_cost_tracks_op_kind", |g| {
+            let n = g.draw(1usize..10_000);
             let shape = Shape::new(vec![n]);
-            prop_assert_eq!(binary_cost(&shape, BinaryOp::Mul).muls, n as f64);
-            prop_assert_eq!(binary_cost(&shape, BinaryOp::Add).adds, n as f64);
-            prop_assert!(binary_cost(&shape, BinaryOp::Sub).is_well_formed());
-        }
+            assert_eq!(binary_cost(&shape, BinaryOp::Mul).muls, n as f64);
+            assert_eq!(binary_cost(&shape, BinaryOp::Add).adds, n as f64);
+            assert!(binary_cost(&shape, BinaryOp::Sub).is_well_formed());
+        });
     }
 }

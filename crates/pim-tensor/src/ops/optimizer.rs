@@ -168,7 +168,7 @@ pub fn apply_sgd_cost(param: &Shape) -> CostProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pim_common::rng::check;
 
     #[test]
     fn sgd_moves_against_gradient() {
@@ -231,24 +231,30 @@ mod tests {
         assert_eq!(cost.class, OffloadClass::FullyMulAdd);
     }
 
-    proptest! {
-        #[test]
-        fn sgd_is_exact_axpy(w0 in -10.0f32..10.0, g in -10.0f32..10.0, lr in 0.0f32..1.0) {
+    #[test]
+    fn sgd_is_exact_axpy() {
+        check(64, "sgd_is_exact_axpy", |g| {
+            let w0 = g.draw(-10.0f32..10.0);
+            let g0 = g.draw(-10.0f32..10.0);
+            let lr = g.draw(0.0f32..1.0);
             let mut w = Tensor::full(Shape::new(vec![1]), w0);
-            let grad = Tensor::full(Shape::new(vec![1]), g);
+            let grad = Tensor::full(Shape::new(vec![1]), g0);
             apply_sgd(&mut w, &grad, lr).unwrap();
-            prop_assert!((w.data()[0] - (w0 - lr * g)).abs() < 1e-5);
-        }
+            assert!((w.data()[0] - (w0 - lr * g0)).abs() < 1e-5);
+        });
+    }
 
-        #[test]
-        fn adam_state_counter_increments(steps in 1u32..20) {
+    #[test]
+    fn adam_state_counter_increments() {
+        check(64, "adam_state_counter_increments", |g| {
+            let steps = g.draw(1u32..20);
             let mut w = Tensor::zeros(Shape::new(vec![4]));
             let mut state = AdamState::new(w.shape().clone());
             let grad = Tensor::full(w.shape().clone(), 0.1);
             for _ in 0..steps {
                 apply_adam(&mut w, &grad, &mut state, AdamParams::default()).unwrap();
             }
-            prop_assert_eq!(state.t, steps);
-        }
+            assert_eq!(state.t, steps);
+        });
     }
 }

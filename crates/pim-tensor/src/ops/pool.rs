@@ -201,7 +201,7 @@ pub fn avg_pool_cost(input: &Shape, geom: ConvGeometry) -> Result<CostProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pim_common::rng::check;
 
     #[test]
     fn max_pool_picks_window_maximum() {
@@ -258,31 +258,33 @@ mod tests {
         assert!(cost.other_flops > 0.0);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn max_pool_grad_conserves_gradient_mass(
-            hw in 2usize..8, c in 1usize..3,
-        ) {
+    #[test]
+    fn max_pool_grad_conserves_gradient_mass() {
+        check(32, "max_pool_grad_conserves_gradient_mass", |g| {
+            let hw = g.draw(2usize..8);
+            let c = g.draw(1usize..3);
             let geom = ConvGeometry::square(2, 2, 0);
-            let input = Tensor::from_fn(
-                Shape::new(vec![1, c, hw - hw % 2, hw - hw % 2]),
-                |i| ((i * 31) % 17) as f32,
-            );
+            let input = Tensor::from_fn(Shape::new(vec![1, c, hw - hw % 2, hw - hw % 2]), |i| {
+                ((i * 31) % 17) as f32
+            });
             let (out, argmax) = max_pool(&input, geom).unwrap();
             let grad_out = Tensor::full(out.shape().clone(), 1.0);
             let grad_in = max_pool_grad(input.shape(), &grad_out, &argmax).unwrap();
             // Every unit of output gradient lands somewhere in the input.
-            prop_assert!((grad_in.sum() - grad_out.sum()).abs() < 1e-6);
-        }
+            assert!((grad_in.sum() - grad_out.sum()).abs() < 1e-6);
+        });
+    }
 
-        #[test]
-        fn costs_are_well_formed(hw in 4usize..32, c in 1usize..8) {
+    #[test]
+    fn costs_are_well_formed() {
+        check(32, "costs_are_well_formed", |g| {
+            let hw = g.draw(4usize..32);
+            let c = g.draw(1usize..8);
             let shape = Shape::new(vec![2, c, hw, hw]);
             let geom = ConvGeometry::square(2, 2, 0);
-            prop_assert!(max_pool_cost(&shape, geom).unwrap().is_well_formed());
-            prop_assert!(max_pool_grad_cost(&shape, geom).unwrap().is_well_formed());
-            prop_assert!(avg_pool_cost(&shape, geom).unwrap().is_well_formed());
-        }
+            assert!(max_pool_cost(&shape, geom).unwrap().is_well_formed());
+            assert!(max_pool_grad_cost(&shape, geom).unwrap().is_well_formed());
+            assert!(avg_pool_cost(&shape, geom).unwrap().is_well_formed());
+        });
     }
 }

@@ -195,7 +195,7 @@ impl ConvGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pim_common::rng::check;
 
     #[test]
     fn numel_of_scalar_is_one() {
@@ -245,23 +245,25 @@ mod tests {
         assert_eq!(g.transpose_output_hw(7, 7), (14, 14));
     }
 
-    proptest! {
-        #[test]
-        fn transpose_inverts_forward(
-            h in 4usize..64,
-            stride in 1usize..3,
-        ) {
+    #[test]
+    fn transpose_inverts_forward() {
+        check(64, "transpose_inverts_forward", |g| {
+            let h = g.draw(4usize..64);
+            let stride = g.draw(1usize..3);
             // For kernel=stride (non-overlapping), transpose exactly inverts.
             let g = ConvGeometry::square(stride, stride, 0);
             let (oh, _) = g.output_hw(h * stride, h * stride);
             let (rh, _) = g.transpose_output_hw(oh, oh);
-            prop_assert_eq!(rh, h * stride);
-        }
+            assert_eq!(rh, h * stride);
+        });
+    }
 
-        #[test]
-        fn numel_matches_product(dims in proptest::collection::vec(1usize..8, 0..5)) {
+    #[test]
+    fn numel_matches_product() {
+        check(64, "numel_matches_product", |g| {
+            let dims = g.vec(0..5, |g| g.draw(1usize..8));
             let expected: usize = dims.iter().product();
-            prop_assert_eq!(Shape::new(dims).numel(), expected);
-        }
+            assert_eq!(Shape::new(dims).numel(), expected);
+        });
     }
 }
