@@ -40,7 +40,8 @@
 //! All drivers account time and energy through the same
 //! [`Accumulator`] and build their result exclusively via
 //! [`ReportBuilder`], and all emit per-op [`TimelineEntry`] records to a
-//! pluggable [`TimelineSink`]. The engine drivers additionally observe
+//! pluggable [`TimelineSink`] (the engine drivers only when the run
+//! collects a timeline). The engine drivers additionally observe
 //! execution through an [`Observer`]: counters always, Chrome-trace spans
 //! when the run asks for a trace.
 
@@ -49,8 +50,7 @@ use super::faults::{backoff_after, charge_until, AttemptOutcome, FaultContext, F
 use super::limits::RunLimits;
 use super::observe::{Observer, OpRecord, ResourceClass, TimelineEntry, TimelineSink};
 use super::placement::{
-    resource_class, Availability, DemandClass, PlanKind, PlannedOp, Planner, PLACEMENT_DECISION,
-    SIGNATURES,
+    Availability, DemandClass, PlanKind, PlannedOp, Planner, PLACEMENT_DECISION, SIGNATURES,
 };
 use super::{Prepared, SystemMode};
 use crate::fuzz::TieBreak;
@@ -78,23 +78,12 @@ fn commit(
 ) {
     acc.add(charge);
     obs.record_op(&OpRecord {
-        entry: TimelineEntry {
-            workload: rec.wl,
-            step: rec.step,
-            op: rec.op,
-            start: rec.start,
-            end,
-            resource: resource_class(&rec.charge),
-            ff_units: rec.units,
-            attempt: rec.attempt,
-            outcome,
-        },
+        attempt: rec,
+        end,
+        outcome,
         planned: charge,
-        kind: rec.kind,
         cost: &wl.costs[rec.op],
         graph: wl.spec.graph,
-        candidate: rec.candidate,
-        inflight: rec.inflight_at_dispatch,
     });
 }
 
@@ -395,6 +384,9 @@ struct ReadySet {
     /// Every op, sorted by `(rank, wl)`.
     places: Vec<Place>,
     classes: Vec<Class>,
+    /// One bit per class, set while its heap holds an instance, so
+    /// [`ReadySet::first`] peeks only admitted classes with a head.
+    nonempty: Vec<u64>,
     /// Per step, the ready instances past the window's end, packed as in
     /// [`Order`].
     parked: Vec<Vec<u64>>,
@@ -485,6 +477,7 @@ impl ReadySet {
             tie,
             place_of,
             places,
+            nonempty: vec![0; classes.len().div_ceil(64)],
             classes,
             parked: vec![Vec::new(); steps],
             closed: 0,
@@ -547,9 +540,9 @@ impl ReadySet {
                 u64::from(place.op),
             ]),
         };
-        self.classes[place.class as usize]
-            .heap
-            .push(Reverse((hash, packed)));
+        let c = place.class as usize;
+        self.classes[c].heap.push(Reverse((hash, packed)));
+        self.nonempty[c / 64] |= 1 << (c % 64);
     }
 
     /// The instance a packed class-heap word stands for.
@@ -619,11 +612,12 @@ impl ReadySet {
     }
 
     /// The class whose head comes first in dispatch order among the
-    /// classes whose bit is set in `admitted`.
+    /// classes whose bit is set in `admitted`. Only classes with a head
+    /// are visited.
     fn first(&self, admitted: &[u64]) -> Option<usize> {
         let mut best: Option<(Order, usize)> = None;
-        for (i, &admit) in admitted.iter().enumerate() {
-            for b in ones(admit) {
+        for (i, (&admit, &nonempty)) in admitted.iter().zip(&self.nonempty).enumerate() {
+            for b in ones(admit & nonempty) {
                 let c = i * 64 + b;
                 if let Some(&Reverse(order)) = self.classes[c].heap.peek() {
                     if best.is_none_or(|(first, _)| order < first) {
@@ -637,7 +631,11 @@ impl ReadySet {
 
     /// Takes class `c`'s head: the only way an instance leaves the set.
     fn pop(&mut self, c: usize) -> Option<Key> {
-        let Reverse((_, packed)) = self.classes[c].heap.pop()?;
+        let heap = &mut self.classes[c].heap;
+        let Reverse((_, packed)) = heap.pop()?;
+        if heap.is_empty() {
+            self.nonempty[c / 64] &= !(1 << (c % 64));
+        }
         self.ready -= 1;
         Some(self.key(packed))
     }
@@ -1328,12 +1326,14 @@ mod tests {
                             *head = Some(*key);
                         }
                     }
-                    for (class, want) in rs.classes.iter().zip(&heads) {
+                    for (c, (class, want)) in rs.classes.iter().zip(&heads).enumerate() {
                         let head = class
                             .heap
                             .peek()
                             .map(|&Reverse((_, packed))| rs.key(packed));
                         assert_eq!(head, *want, "{tie:?} steps {steps:?}");
+                        let bit = rs.nonempty[c / 64] >> (c % 64) & 1 == 1;
+                        assert_eq!(bit, want.is_some(), "class {c}'s non-empty bit");
                     }
                     let admits = |c: usize| mask[c / 64] >> (c % 64) & 1 == 1;
                     let first = expected

@@ -407,18 +407,22 @@ impl<'g> RunRequest<'g> {
     /// byte-diff stage of ci.sh holds this invariant), so two requests
     /// differing only in observability share one cache cell.
     pub fn canonical(&self, cfg: &EngineConfig) -> String {
-        self.canonical_with(&format!("{cfg:?}"))
+        Self::canonical_head(cfg) + &self.canonical_tail()
     }
 
-    /// [`RunRequest::canonical`] from the configuration's `Debug` text
-    /// (`format!("{cfg:?}")`) instead of the configuration: a caller
-    /// serving many requests under one configuration renders that text
-    /// once. The output is the same string.
-    pub fn canonical_with(&self, config_text: &str) -> String {
+    /// The part of [`RunRequest::canonical`] the configuration alone
+    /// decides: its version tag and the configuration's `Debug` text. A
+    /// caller serving many requests under one configuration renders (and
+    /// hashes) it once.
+    pub fn canonical_head(cfg: &EngineConfig) -> String {
+        format!("run-request-v1;config={cfg:?}")
+    }
+
+    /// The part of [`RunRequest::canonical`] after
+    /// [`RunRequest::canonical_head`]: everything the request decides.
+    pub fn canonical_tail(&self) -> String {
         use std::fmt::Write as _;
-        let mut s = String::from("run-request-v1;config=");
-        s.push_str(config_text);
-        s.push_str(";workloads=[");
+        let mut s = String::from(";workloads=[");
         for (i, wl) in self.workloads.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -793,11 +797,9 @@ impl Engine {
         let mut counters = Counters::new();
         let collect = opts.timeline || verify;
         let mut entries = VecSink::default();
-        let mut discard = NullSink;
-        let sink: &mut dyn TimelineSink = if collect { &mut entries } else { &mut discard };
         let report = {
             let mut obs = Observer::new(
-                sink,
+                collect.then_some(&mut entries as &mut dyn TimelineSink),
                 &mut counters,
                 self.planner.cfg.ff_units,
                 &mut *tracer,

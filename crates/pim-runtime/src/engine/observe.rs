@@ -5,9 +5,9 @@
 //! purely through the explicit `record_op`/`completed`/`stall`/... calls
 //! the drivers make as they advance.
 
-use super::components::Clock;
+use super::components::{Clock, InFlight};
 use super::faults::AttemptOutcome;
-use super::placement::{describe, Availability, PlanKind, PlannedOp};
+use super::placement::{describe, resource_class, Availability, PlanKind, PlannedOp};
 use crate::sync::kernel_calls;
 use pim_common::trace::{Counters, TraceEvent, Track};
 use pim_common::units::Seconds;
@@ -170,18 +170,35 @@ const OPS_COUNTER_KEYS: [&str; 6] = [
     "ops/Baseline",
 ];
 
-/// Everything the [`Observer`] needs to know about one committed op.
+/// Everything the [`Observer`] needs to know about one committed op: the
+/// attempt, when it ended and how. Its [`TimelineEntry`] is built only
+/// when a sink or the tracer reads it.
 pub(crate) struct OpRecord<'c> {
-    pub entry: TimelineEntry,
+    pub attempt: &'c InFlight,
+    pub end: Seconds,
+    pub outcome: AttemptOutcome,
     pub planned: &'c PlannedOp,
-    pub kind: PlanKind,
     pub cost: &'c CostProfile,
     /// The op's graph; the op's name is looked up only for a trace span.
     pub graph: &'c Graph,
-    pub candidate: bool,
-    /// Op instances in flight at commit time (OP pipeline occupancy,
-    /// including this one).
-    pub inflight: usize,
+}
+
+impl OpRecord<'_> {
+    /// The attempt's timeline entry.
+    fn entry(&self) -> TimelineEntry {
+        let rec = self.attempt;
+        TimelineEntry {
+            workload: rec.wl,
+            step: rec.step,
+            op: rec.op,
+            start: rec.start,
+            end: self.end,
+            resource: resource_class(&rec.charge),
+            ff_units: rec.units,
+            attempt: rec.attempt,
+            outcome: self.outcome,
+        }
+    }
 }
 
 /// Per-class greedy lane assignment for overlapping spans.
@@ -214,14 +231,16 @@ impl Lanes {
 
 /// The drivers' window into the observability layer.
 ///
-/// Always feeds the per-instance [`TimelineSink`], the [`Counters`]
-/// registry, and the [`TrafficStats`] accumulator; when its
+/// Always feeds the [`Counters`] registry and the [`TrafficStats`]
+/// accumulator, and the per-instance [`TimelineSink`] when the run
+/// collects a timeline (an untimed run has none, so it neither builds
+/// entries nor calls a sink per op); when its
 /// [`pim_common::trace::TraceSink`] is enabled it also emits Chrome-trace
 /// spans, instants, and counter samples to it. Whether it traces is read
 /// once, when the observer is built, so a disabled sink costs one branch
 /// on a field per call.
 pub(crate) struct Observer<'a> {
-    timeline: &'a mut dyn TimelineSink,
+    timeline: Option<&'a mut dyn TimelineSink>,
     counters: &'a mut Counters,
     traffic: TrafficStats,
     ff_units_total: usize,
@@ -309,10 +328,10 @@ impl HotCounters {
 }
 
 impl<'a> Observer<'a> {
-    /// Builds an observer over a timeline sink, a counters registry, and a
-    /// span tracer; `system` labels the trace process.
+    /// Builds an observer over an optional timeline sink, a counters
+    /// registry, and a span tracer; `system` labels the trace process.
     pub fn new(
-        timeline: &'a mut dyn TimelineSink,
+        timeline: Option<&'a mut dyn TimelineSink>,
         counters: &'a mut Counters,
         ff_units_total: usize,
         tracer: &'a mut dyn pim_common::trace::TraceSink,
@@ -349,9 +368,11 @@ impl<'a> Observer<'a> {
     /// Records one committed op instance: timeline entry, counters,
     /// traffic, and (when tracing) a span on its resource-class lane.
     pub fn record_op(&mut self, rec: &OpRecord<'_>) {
-        self.timeline.record(rec.entry);
+        if let Some(timeline) = self.timeline.as_deref_mut() {
+            timeline.record(rec.entry());
+        }
         self.hot.dispatched += 1;
-        let class = rec.entry.resource;
+        let class = resource_class(&rec.attempt.charge);
         self.hot.ops[class_index(class)] += 1;
         let planned = rec.planned;
         if planned.uses_cpu {
@@ -370,7 +391,8 @@ impl<'a> Observer<'a> {
         self.traffic
             .record(rec.cost.bytes_read, rec.cost.bytes_written);
         if self.tracing {
-            let (lane, fresh) = self.lanes.assign(class, rec.entry.start, rec.entry.end);
+            let entry = rec.entry();
+            let (lane, fresh) = self.lanes.assign(class, entry.start, entry.end);
             let track = Track::new(TRACE_PID, class_base_tid(class) + lane as u32);
             if fresh {
                 let label = class_label(class);
@@ -383,25 +405,26 @@ impl<'a> Observer<'a> {
                     },
                 });
             }
+            let kind = rec.attempt.kind;
             let mut args: pim_common::trace::Args = vec![
-                ("wl", rec.entry.workload.into()),
-                ("step", rec.entry.step.into()),
-                ("op", rec.entry.op.into()),
-                ("placement", describe(rec.kind).into()),
-                ("candidate", rec.candidate.into()),
-                ("inflight", rec.inflight.into()),
+                ("wl", entry.workload.into()),
+                ("step", entry.step.into()),
+                ("op", entry.op.into()),
+                ("placement", describe(kind).into()),
+                ("candidate", rec.attempt.candidate.into()),
+                ("inflight", rec.attempt.inflight_at_dispatch.into()),
             ];
-            if rec.entry.ff_units > 0 {
-                args.push(("ff_units", rec.entry.ff_units.into()));
+            if entry.ff_units > 0 {
+                args.push(("ff_units", entry.ff_units.into()));
             }
             // Fault-free entries carry no attempt args, keeping zero-fault
             // traces byte-identical to their pre-fault-model goldens.
-            if rec.entry.attempt > 0 || rec.entry.outcome != AttemptOutcome::Completed {
-                args.push(("attempt", (rec.entry.attempt as usize).into()));
-                args.push(("outcome", outcome_label(rec.entry.outcome).into()));
+            if entry.attempt > 0 || entry.outcome != AttemptOutcome::Completed {
+                args.push(("attempt", (entry.attempt as usize).into()));
+                args.push(("outcome", outcome_label(entry.outcome).into()));
             }
             if matches!(
-                rec.kind,
+                kind,
                 PlanKind::FixedWhole {
                     rc_runtime: true,
                     ..
@@ -411,10 +434,10 @@ impl<'a> Observer<'a> {
             }
             self.tracer.record(TraceEvent::Span {
                 track,
-                name: rec.graph.ops()[rec.entry.op].kind.tf_name().to_string(),
+                name: rec.graph.ops()[entry.op].kind.tf_name().to_string(),
                 cat: "op",
-                start: rec.entry.start,
-                end: rec.entry.end,
+                start: entry.start,
+                end: entry.end,
                 args,
             });
         }

@@ -17,6 +17,12 @@
 //! which thread ran which item, and in what order, is unobservable in the
 //! result. Output order always matches input order, whatever the worker
 //! count, so parallel sweeps stay deterministic.
+//!
+//! [`par_map_claiming`] hands the indices out in a caller-given order
+//! instead of input order: a sweep whose items differ widely in cost
+//! lists its heaviest first, so the longest item starts at once rather
+//! than after the workers have drained the cheap ones in front of it.
+//! Its results still come back in input order.
 
 use std::sync::OnceLock;
 
@@ -52,14 +58,52 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    fan_out(thread_limit(), items, f)
+    fan_out(thread_limit(), items, |claim| claim, f)
+}
+
+/// [`par_map`] that claims input indices in the order `order` lists them:
+/// the `k`-th claim, on whichever worker makes it, maps
+/// `items[order[k]]`. The serial mode maps them in that order too.
+/// Results are returned in input order, as [`par_map`] returns them.
+///
+/// # Panics
+///
+/// When `order` is not a permutation of `0..items.len()`; a panic in `f`
+/// is re-raised on the caller with its original payload.
+pub fn par_map_claiming<T, R, F>(items: &[T], order: &[usize], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    fan_out(thread_limit(), items, claim_order(order, items.len()), f)
+}
+
+/// `order` as a claim-to-index map, once it is checked to list every index
+/// of `0..len` exactly once.
+fn claim_order(order: &[usize], len: usize) -> impl Fn(usize) -> usize + Sync + '_ {
+    let mut seen = vec![false; len];
+    for &index in order {
+        assert!(
+            index < len && !std::mem::replace(&mut seen[index], true),
+            "claim order must list every index of 0..{len} once"
+        );
+    }
+    assert_eq!(order.len(), len, "claim order must list every index once");
+    |claim| order[claim]
 }
 
 /// [`par_map`] with an explicit worker cap: up to `workers` workers —
-/// the calling thread and `workers - 1` scoped threads — claim input
-/// indices from one counter until none are left. One worker (or at most
-/// one item) maps serially on the calling thread.
-fn fan_out<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+/// the calling thread and `workers - 1` scoped threads — take claims
+/// `0, 1, ...` from one counter until none are left, and claim `k` maps
+/// input index `index_of(k)`. One worker (or at most one item) maps
+/// serially on the calling thread, in claim order.
+fn fan_out<T, R, F>(
+    workers: usize,
+    items: &[T],
+    index_of: impl Fn(usize) -> usize + Sync,
+    f: F,
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -68,20 +112,21 @@ where
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let workers = workers.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
     let next = AtomicUsize::new(0);
     let claim = || {
         let mut done = Vec::new();
         loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(index) else {
+            let claim = next.fetch_add(1, Ordering::Relaxed);
+            if claim >= items.len() {
                 return done;
-            };
-            done.push((index, f(item)));
+            }
+            let index = index_of(claim);
+            done.push((index, f(&items[index])));
         }
     };
+    if workers <= 1 {
+        return place(items.len(), vec![claim()]);
+    }
     // A panic in the caller's own share unwinds out of the scope, which
     // joins the spawned workers first and then re-raises that payload.
     let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
@@ -95,8 +140,13 @@ where
         );
         claimed
     });
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
+    place(items.len(), claimed)
+}
+
+/// The workers' `(index, result)` pairs, placed at their input indices.
+fn place<R>(len: usize, claimed: Vec<Vec<(usize, R)>>) -> Vec<R> {
+    let mut results: Vec<Option<R>> = Vec::with_capacity(len);
+    results.resize_with(len, || None);
     for (index, result) in claimed.into_iter().flatten() {
         results[index] = Some(result);
     }
@@ -137,6 +187,55 @@ mod tests {
         assert_eq!(out, vec![Ok(1), Ok(2), Err("ccc".to_string())]);
     }
 
+    /// Any claim order, over 1, 2 and 3 workers: each item is mapped
+    /// exactly once and the results come back in input order.
+    #[test]
+    fn claiming_maps_each_item_once_in_input_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        pim_common::rng::check(64, "par_map_claiming", |g| {
+            let n = g.draw(0..40usize);
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, g.draw(0..=i));
+            }
+            for workers in 1..=3 {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let items: Vec<usize> = (0..n).collect();
+                let out = fan_out(workers, &items, claim_order(&order, n), |&i| {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    i * 10
+                });
+                assert_eq!(out, items.iter().map(|i| i * 10).collect::<Vec<_>>());
+                assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+            }
+        });
+    }
+
+    /// The serial mode maps items in claim order, not input order.
+    #[test]
+    fn one_worker_maps_in_claim_order() {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let order = [2, 0, 3, 1];
+        let out = fan_out(1, &[0, 1, 2, 3], claim_order(&order, 4), |&i: &usize| {
+            seen.lock().unwrap().push(i);
+            i + 1
+        });
+        assert_eq!(out, vec![1, 2, 3, 4]);
+        assert_eq!(seen.into_inner().unwrap(), order);
+    }
+
+    #[test]
+    #[should_panic(expected = "claim order")]
+    fn a_claim_order_that_repeats_an_index_is_refused() {
+        par_map_claiming(&[0, 1, 2], &[0, 1, 1], |&i: &usize| i);
+    }
+
+    #[test]
+    #[should_panic(expected = "claim order")]
+    fn a_claim_order_that_misses_an_index_is_refused() {
+        par_map_claiming(&[0, 1, 2], &[2, 0], |&i: &usize| i);
+    }
+
     mod claim_next {
         use super::super::fan_out;
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -154,22 +253,27 @@ mod tests {
                 let runs: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
                 let finished = AtomicUsize::new(0);
                 let items: Vec<usize> = (0..ITEMS).collect();
-                let out = fan_out(workers, &items, |&i| {
-                    runs[i].fetch_add(1, Ordering::SeqCst);
-                    if i == 0 {
-                        let deadline = Instant::now() + Duration::from_secs(10);
-                        while finished.load(Ordering::SeqCst) < ITEMS - 1 {
-                            assert!(
-                                Instant::now() < deadline,
-                                "{workers} workers left items unclaimed"
-                            );
-                            std::hint::spin_loop();
+                let out = fan_out(
+                    workers,
+                    &items,
+                    |k| k,
+                    |&i| {
+                        runs[i].fetch_add(1, Ordering::SeqCst);
+                        if i == 0 {
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while finished.load(Ordering::SeqCst) < ITEMS - 1 {
+                                assert!(
+                                    Instant::now() < deadline,
+                                    "{workers} workers left items unclaimed"
+                                );
+                                std::hint::spin_loop();
+                            }
+                        } else {
+                            finished.fetch_add(1, Ordering::SeqCst);
                         }
-                    } else {
-                        finished.fetch_add(1, Ordering::SeqCst);
-                    }
-                    i * 10
-                });
+                        i * 10
+                    },
+                );
                 assert_eq!(out, items.iter().map(|i| i * 10).collect::<Vec<_>>());
                 for (i, count) in runs.iter().enumerate() {
                     assert_eq!(
@@ -191,10 +295,15 @@ mod tests {
             let caller = std::thread::current().id();
             let seen = std::sync::Mutex::new(Vec::new());
             let items: Vec<usize> = (0..ITEMS).collect();
-            let out = fan_out(1, &items, |&i| {
-                seen.lock().unwrap().push((i, std::thread::current().id()));
-                i * 10
-            });
+            let out = fan_out(
+                1,
+                &items,
+                |k| k,
+                |&i| {
+                    seen.lock().unwrap().push((i, std::thread::current().id()));
+                    i * 10
+                },
+            );
             assert_eq!(out, items.iter().map(|i| i * 10).collect::<Vec<_>>());
             let expected: Vec<_> = items.iter().map(|&i| (i, caller)).collect();
             assert_eq!(seen.into_inner().unwrap(), expected);
@@ -212,22 +321,27 @@ mod tests {
                 let caller_ran = AtomicUsize::new(0);
                 let ran_on = std::sync::Mutex::new(vec![None; ITEMS]);
                 let items: Vec<usize> = (0..ITEMS).collect();
-                let out = fan_out(workers, &items, |&i| {
-                    let me = std::thread::current().id();
-                    if me == caller {
-                        caller_ran.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        let deadline = Instant::now() + Duration::from_secs(10);
-                        while caller_ran.load(Ordering::SeqCst) == 0 {
-                            assert!(Instant::now() < deadline, "the caller mapped nothing");
-                            std::hint::spin_loop();
+                let out = fan_out(
+                    workers,
+                    &items,
+                    |k| k,
+                    |&i| {
+                        let me = std::thread::current().id();
+                        if me == caller {
+                            caller_ran.fetch_add(1, Ordering::SeqCst);
+                        } else {
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while caller_ran.load(Ordering::SeqCst) == 0 {
+                                assert!(Instant::now() < deadline, "the caller mapped nothing");
+                                std::hint::spin_loop();
+                            }
                         }
-                    }
-                    let mut ran_on = ran_on.lock().unwrap();
-                    assert!(ran_on[i].is_none(), "item {i} mapped twice");
-                    ran_on[i] = Some(me);
-                    i * 10
-                });
+                        let mut ran_on = ran_on.lock().unwrap();
+                        assert!(ran_on[i].is_none(), "item {i} mapped twice");
+                        ran_on[i] = Some(me);
+                        i * 10
+                    },
+                );
                 assert_eq!(out, items.iter().map(|i| i * 10).collect::<Vec<_>>());
                 let ran_on = ran_on.into_inner().unwrap();
                 assert!(ran_on.iter().all(Option::is_some), "{workers} workers");
@@ -248,18 +362,23 @@ mod tests {
                 let claimed_by_caller = AtomicUsize::new(0);
                 let items: Vec<usize> = (0..ITEMS).collect();
                 let caught = catch_unwind(AssertUnwindSafe(|| {
-                    fan_out(workers, &items, |&i| {
-                        if std::thread::current().id() == caller {
-                            claimed_by_caller.store(1, Ordering::SeqCst);
-                            std::panic::panic_any(Boom(i));
-                        }
-                        let deadline = Instant::now() + Duration::from_secs(10);
-                        while claimed_by_caller.load(Ordering::SeqCst) == 0 {
-                            assert!(Instant::now() < deadline, "the caller claimed nothing");
-                            std::hint::spin_loop();
-                        }
-                        i
-                    })
+                    fan_out(
+                        workers,
+                        &items,
+                        |k| k,
+                        |&i| {
+                            if std::thread::current().id() == caller {
+                                claimed_by_caller.store(1, Ordering::SeqCst);
+                                std::panic::panic_any(Boom(i));
+                            }
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while claimed_by_caller.load(Ordering::SeqCst) == 0 {
+                                assert!(Instant::now() < deadline, "the caller claimed nothing");
+                                std::hint::spin_loop();
+                            }
+                            i
+                        },
+                    )
                 }))
                 .expect_err("the caller's item panics");
                 let boom = caught.downcast_ref::<Boom>().expect("the caller's payload");
@@ -272,12 +391,17 @@ mod tests {
             for workers in 1..=4 {
                 let items: Vec<usize> = (0..ITEMS).collect();
                 let caught = catch_unwind(AssertUnwindSafe(|| {
-                    fan_out(workers, &items, |&i| {
-                        if i == 7 {
-                            std::panic::panic_any(Boom(i));
-                        }
-                        i
-                    })
+                    fan_out(
+                        workers,
+                        &items,
+                        |k| k,
+                        |&i| {
+                            if i == 7 {
+                                std::panic::panic_any(Boom(i));
+                            }
+                            i
+                        },
+                    )
                 }))
                 .expect_err("item 7 panics");
                 assert_eq!(caught.downcast_ref::<Boom>(), Some(&Boom(7)));

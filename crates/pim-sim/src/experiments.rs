@@ -11,7 +11,7 @@ use crate::ablations::{batch_sweep, coverage_sweep, cube_scaling, gpu_attached};
 use crate::baselines::simulate_neurocube;
 use crate::cache;
 use crate::configs::SystemConfig;
-use crate::mixed::{corun, fig16_cases, CoRunResult};
+use crate::mixed::{corun_cases, fig16_cases, CoRunResult};
 use pim_common::units::edp;
 use pim_common::Result;
 use pim_hw::power::{progr_scaling_points, LogicDieBudget};
@@ -610,18 +610,20 @@ pub fn fig13_fig14_fig15() -> Result<String> {
     Ok(r.finish())
 }
 
-/// Gathers Fig. 16: mixed-workload co-running, one result per case.
+/// Gathers Fig. 16: mixed-workload co-running, one result per case, in
+/// case order.
 ///
-/// The six cases are independent, so they fan out across threads; each
-/// case stays one serial chain and the results come back in case order.
+/// The six cases run as one [`corun_cases`] fan-out over the sweep's
+/// cached models: phase 1 runs each of the five distinct models alone once
+/// (the CNNs for their steps, LSTM and Word2vec for the probe that sizes
+/// them), and phase 2 runs every case's sized co-runner alone and its
+/// co-run, heaviest first.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn fig16_data() -> Result<Vec<CoRunResult>> {
-    par_map(&fig16_cases(), |&(cnn, other)| corun(cnn, other, 2))
-        .into_iter()
-        .collect()
+    corun_cases(&fig16_cases(), 2)
 }
 
 /// Renders Fig. 16.
@@ -717,6 +719,7 @@ mod tests {
 
     #[test]
     fn fig16_fan_out_matches_serial_coruns_in_case_order() {
+        use crate::mixed::corun;
         let serial: Vec<CoRunResult> = fig16_cases()
             .into_iter()
             .map(|(cnn, other)| corun(cnn, other, 2).unwrap())

@@ -11,13 +11,15 @@
 //! ask for it.
 //!
 //! Per-preset setup happens once per process, not once per request. A
-//! process-wide table holds one `Engine` per preset plus its
-//! configuration's `Debug` text; `cache_key`, `execute` and the fault
-//! baselines all read it, and `cache_key` builds the canonical string
-//! from the cached text (`RunRequest::canonical_with`), so keys are the
-//! bytes `RunRequest::canonical` renders. Per-graph setup (the step-1
-//! profile and candidate selection) is memoized on the cached model
-//! graphs themselves (`pim_graph::Graph::memo`).
+//! process-wide table holds one `Engine` per preset plus the hasher state
+//! after its canonical head (`RunRequest::canonical_head`: the version
+//! tag and the configuration's `Debug` text, most of every canonical
+//! string); `cache_key`, `execute` and the fault baselines all read it,
+//! and a key hashes only the request's own tail on a clone of that state,
+//! so keys equal `debug_hash` of the bytes `RunRequest::canonical`
+//! renders. Per-graph setup (the step-1 profile and candidate selection)
+//! is memoized on the cached model graphs themselves
+//! (`pim_graph::Graph::memo`).
 //!
 //! Fault horizons: a wire request carries `(seed, rate)`, not a full
 //! `FaultPlan` — the plan's horizon is the cell's *zero-fault* makespan
@@ -39,6 +41,7 @@
 
 use crate::cache;
 use crate::orders::parse_preset;
+use pim_common::fingerprint::StrPrefixHash;
 use pim_common::units::Seconds;
 use pim_common::PimError;
 use pim_hw::faults::FaultPlan;
@@ -83,11 +86,11 @@ pub const FUEL_PER_DEADLINE_MS: u64 = 1_000;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SimRunner;
 
-/// One preset's engine plus its configuration's `Debug` text, the
-/// `config=` field of every canonical request string.
+/// One preset's engine plus the hasher state after its canonical head,
+/// the start of every canonical request string under the preset.
 struct PresetEngine {
     engine: Engine,
-    config_text: String,
+    head: StrPrefixHash,
 }
 
 /// The engine of `preset`, from a process-wide table of all six built
@@ -99,11 +102,8 @@ fn preset_engine(preset: SystemPreset) -> &'static PresetEngine {
             .iter()
             .map(|&p| {
                 let engine = Engine::new(EngineConfig::preset(p));
-                let config_text = format!("{:?}", engine.config());
-                PresetEngine {
-                    engine,
-                    config_text,
-                }
+                let head = StrPrefixHash::new(&RunRequest::canonical_head(engine.config()));
+                PresetEngine { engine, head }
             })
             .collect()
     });
@@ -162,9 +162,9 @@ fn prepare(req: &Request) -> Result<Job, JobError> {
 }
 
 /// The key of `base`'s baseline in [`baseline_horizon`]'s memo:
-/// `base.fingerprint(config)`, from the cached config text.
+/// `base.fingerprint(config)`, from the cached head state.
 fn baseline_key(preset: &PresetEngine, base: &RunRequest<'_>) -> u64 {
-    pim_common::fingerprint::debug_hash(&base.canonical_with(&preset.config_text))
+    preset.head.hash_with(&base.canonical_tail())
 }
 
 /// The zero-fault makespan used as a fault plan's horizon, memoized
@@ -197,7 +197,7 @@ impl JobRunner for SimRunner {
     fn cache_key(&self, req: &Request) -> Result<u64, JobError> {
         let job = prepare(req)?;
         let base = Job::base_request(&job.models, req);
-        let mut canon = base.canonical_with(&job.preset.config_text);
+        let mut canon = base.canonical_tail();
         if let Some(b) = req.batch {
             let _ = write!(canon, ";batch={b}");
         }
@@ -216,7 +216,7 @@ impl JobRunner for SimRunner {
             // cell with the undeadlined (or differently-deadlined) run.
             let _ = write!(canon, ";deadline_ms={ms}");
         }
-        Ok(pim_common::fingerprint::debug_hash(&canon))
+        Ok(job.preset.head.hash_with(&canon))
     }
 
     fn execute(&self, req: &Request) -> Result<StoredResult, JobError> {
@@ -417,7 +417,45 @@ mod tests {
         }
     }
 
-    /// The cached config text keys the baseline memo exactly as
+    /// Every preset's key, with and without `batch`, `faults` and
+    /// `deadline_ms`, is `debug_hash` of the full canonical string: the
+    /// request's canonical rendering plus the served suffixes.
+    #[test]
+    fn cache_keys_hash_the_full_canonical_string() {
+        use pim_common::fingerprint::debug_hash;
+        for key in ["cpu", "progr", "fixed", "hetero", "bare", "rc"] {
+            let preset = parse_preset(key).unwrap();
+            for extras in 0..8 {
+                let mut line = format!(r#"{{"id":"1","models":["alex","lstm"],"preset":"{key}""#);
+                let mut suffix = String::new();
+                if extras & 1 != 0 {
+                    line.push_str(r#","batch":8"#);
+                    suffix.push_str(";batch=8");
+                }
+                if extras & 2 != 0 {
+                    line.push_str(r#","faults":{"seed":3,"rate":0.25}"#);
+                    let rate = 0.25f64.to_bits();
+                    let _ = write!(suffix, ";faultspec={{seed=3,rate={rate:x}}}");
+                }
+                if extras & 4 != 0 {
+                    line.push_str(r#","deadline_ms":7"#);
+                    suffix.push_str(";deadline_ms=7");
+                }
+                line.push('}');
+                let req = run_req(&line);
+                let job = prepare(&req).unwrap();
+                let base = Job::base_request(&job.models, &req);
+                let canonical = base.canonical(&EngineConfig::preset(preset)) + &suffix;
+                assert_eq!(
+                    SimRunner.cache_key(&req).unwrap(),
+                    debug_hash(&canonical),
+                    "{line}"
+                );
+            }
+        }
+    }
+
+    /// The cached head state keys the baseline memo exactly as
     /// `RunRequest::fingerprint` over a fresh preset configuration does.
     #[test]
     fn baseline_keys_equal_fresh_fingerprints() {
