@@ -139,11 +139,15 @@ done
 # to the unpinned runs above. The odd count is where the order in which
 # workers claim the sweep's sections differs most from an even split.
 # Fig. 16's two-phase fan-out must equal its one-case runs, and the fan-out
-# helpers their serial map, at every count too.
+# helpers their serial map, at every count too. So must a warm engine's
+# runs equal a fresh engine's, with partitions and two serve workers
+# sharing one engine's table of uncontended plans.
 for threads in 1 2 3 4; do
     PIM_RUN_THREADS=$threads cargo test -q -p pim-sim --test differential
     PIM_RUN_THREADS=$threads cargo test -q -p pim-sim --lib fig16
     PIM_RUN_THREADS=$threads cargo test -q -p pim-runtime --lib par::
+    PIM_RUN_THREADS=$threads cargo test -q -p pim-runtime --test plan_table
+    PIM_RUN_THREADS=$threads cargo test -q -p pim-sim --test serve_determinism two_workers
     threads_out=$tmp/threads_$threads
     PIM_RUN_THREADS=$threads cargo run --release -q -p pim-sim --bin repro -- all > "$threads_out"
     diff "$repro_a" "$threads_out"

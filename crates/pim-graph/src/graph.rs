@@ -10,6 +10,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// A directed acyclic graph of operations over tensors, representing one
@@ -29,7 +30,9 @@ use std::sync::{Mutex, OnceLock};
 /// are pure functions of the tensors and ops (and the memo's key), are
 /// reset by [`Graph::add_tensor`] / [`Graph::add_op`], and are left out of
 /// `Debug` (so the hash, which renders the tensors and ops, is the same
-/// whether or not any of them was filled).
+/// whether or not any of them was filled). [`Graph::uid`] names one
+/// unmutated graph value within the process, for caches that outlive a
+/// run but not the graph.
 ///
 /// # Examples
 ///
@@ -61,6 +64,32 @@ pub struct Graph {
     hash: OnceLock<u64>,
     /// The table behind [`Graph::memo`].
     memo: MemoSlot,
+    /// [`Graph::uid`]; not rendered, hashed or serialized.
+    uid: Uid,
+}
+
+/// A process-unique graph identity from one atomic counter. A default
+/// and a clone each draw a fresh one, so no two graph values share a
+/// uid, and a uid is never reused after its graph is dropped.
+struct Uid(u64);
+
+impl Uid {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Uid(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for Uid {
+    fn default() -> Self {
+        Uid::fresh()
+    }
+}
+
+impl Clone for Uid {
+    fn clone(&self) -> Self {
+        Uid::fresh()
+    }
 }
 
 /// The type-erased table behind [`Graph::memo`]: a
@@ -111,12 +140,24 @@ impl Graph {
         Graph::default()
     }
 
-    /// Drops the memoized values; every mutation calls it.
+    /// Drops the memoized values and draws a fresh [`Graph::uid`]; every
+    /// mutation calls it.
     fn invalidate(&mut self) {
         self.costs.take();
         self.adjacency.take();
         self.hash.take();
         self.memo.0.take();
+        self.uid = Uid::fresh();
+    }
+
+    /// A process-unique identity of this graph value: stable across reads,
+    /// and fresh on construction, on `clone` and after every mutation. Two
+    /// reads that return the same uid saw the same tensors and ops, so a
+    /// cache keyed by it needs no structural hash (which renders the whole
+    /// graph). It is not part of `Debug`, [`Graph::structural_hash`] or the
+    /// serialized form.
+    pub fn uid(&self) -> u64 {
+        self.uid.0
     }
 
     /// Registers a tensor and returns its id.
@@ -521,6 +562,26 @@ mod tests {
     #[test]
     fn validate_passes_for_dag() {
         assert!(chain(10).validate().is_ok());
+    }
+
+    #[test]
+    fn uid_is_stable_across_reads_and_fresh_after_clone_and_mutation() {
+        let mut g = chain(3);
+        let uid = g.uid();
+        assert_eq!(g.uid(), uid);
+        let hash = g.structural_hash();
+        let copy = g.clone();
+        assert_ne!(copy.uid(), uid);
+        assert_eq!(g.uid(), uid, "cloning leaves the source's uid alone");
+        assert_eq!(copy.structural_hash(), hash, "the uid is not hashed");
+        assert_eq!(format!("{copy:?}"), format!("{g:?}"), "nor rendered");
+        let input = g.tensors()[0].id;
+        let out = g.add_tensor(Shape::new(vec![4]), TensorRole::Activation, "out");
+        let after_tensor = g.uid();
+        assert_ne!(after_tensor, uid, "add_tensor draws a fresh uid");
+        g.add_op(relu(), vec![input], vec![out]).unwrap();
+        assert_ne!(g.uid(), after_tensor, "add_op draws a fresh uid");
+        assert_ne!(Graph::new().uid(), Graph::new().uid());
     }
 
     #[test]

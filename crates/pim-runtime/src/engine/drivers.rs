@@ -52,7 +52,7 @@ use super::observe::{Observer, OpRecord, ResourceClass, TimelineEntry, TimelineS
 use super::placement::{
     Availability, DemandClass, PlanKind, PlannedOp, Planner, PLACEMENT_DECISION, SIGNATURES,
 };
-use super::{Prepared, SystemMode};
+use super::{PlanTable, Prepared, SystemMode};
 use crate::fuzz::TieBreak;
 use crate::stats::{ExecutionReport, ReportBuilder};
 use crate::sync::STEP_BARRIER;
@@ -134,8 +134,16 @@ fn resources_at_start<P: FaultPolicy>(
 /// exponential backoff, timeout re-dispatch, and permanent strikes taking
 /// effect at their scheduled times. A killed attempt is charged for the
 /// fraction of the work the device actually performed.
+///
+/// One op at a time means every resource is free at each placement, so
+/// the fault-free plans are the uncontended ones: the driver reads them
+/// from the engine's `plans` table, filled on the graph's first
+/// serialized run, instead of planning per run. Only while a strike has
+/// quarantined part of the machine does it re-plan each attempt against
+/// what survives.
 pub(crate) fn run_serialized<P: FaultPolicy>(
     planner: &Planner,
+    plans: &PlanTable,
     prepared: &[Prepared<'_>],
     obs: &mut Observer<'_>,
     policy: &P,
@@ -152,28 +160,12 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
     let mut next_strike = 0usize;
     for (w, wl) in prepared.iter().enumerate() {
         // With everything free, placement is availability-independent:
-        // choose and plan once per op and reuse the plan across steps and
-        // attempts while nothing is quarantined (both are pure, so the
-        // replayed numbers are bit-identical).
-        let plans: Vec<(PlanKind, PlannedOp, bool)> = wl
-            .topo
-            .iter()
-            .map(|&op| {
-                let cost = &wl.costs[op];
-                let is_candidate = wl.candidates.contains(OpId::new(op));
-                let kind = planner
-                    .choose(
-                        cost,
-                        is_candidate,
-                        wl.spec.cpu_progr_only,
-                        Availability::all_free(ff_units),
-                    )
-                    .ok_or_else(|| PimError::internal("serialized placement found no device"))?;
-                Ok((kind, planner.plan_cost(kind, cost), is_candidate))
-            })
-            .collect::<Result<_>>()?;
+        // the engine's table holds each op's uncontended plan, and every
+        // step and attempt reuses it while nothing is quarantined.
+        let plans = plans.get(planner, wl)?;
         for step in 0..wl.spec.steps {
-            for (i, &op) in wl.topo.iter().enumerate() {
+            for &op in wl.topo {
+                let candidate = wl.candidates.contains(OpId::new(op));
                 let mut attempt = 0u32;
                 loop {
                     // Strikes due by now take effect before placement.
@@ -184,20 +176,17 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                         quarantine(&mut resources, s.target, obs, s.at)?;
                         next_strike += 1;
                     }
-                    let (kind, planned, candidate) = match P::FAULTY
-                        .then(|| resources.availability())
-                    {
+                    let (kind, planned) = match P::FAULTY.then(|| resources.availability()) {
                         Some(avail) if (avail.ff_alive, avail.progr_alive) != (ff_units, true) => {
-                            let candidate = plans[i].2;
                             let cost = &wl.costs[op];
                             let kind = planner
                                 .choose(cost, candidate, wl.spec.cpu_progr_only, avail)
                                 .ok_or_else(|| {
                                     PimError::internal("serialized placement found no device")
                                 })?;
-                            (kind, planner.plan_cost(kind, cost), candidate)
+                            (kind, planner.plan_cost(kind, cost))
                         }
-                        _ => plans[i],
+                        _ => plans[op],
                     };
                     let start = clock.now();
                     let (mut charge, mut outcome) =

@@ -55,15 +55,17 @@ use faults::{FaultContext, FaultPolicy, NoFaults};
 use observe::Observer;
 use pim_common::trace::{Counters, NullTrace, TraceRecording};
 use pim_common::units::Seconds;
-use pim_common::{Diagnostics, PimError, Result};
+use pim_common::{Diagnostics, Result};
 use pim_graph::Graph;
 use pim_hw::cpu::CpuDevice;
 use pim_hw::faults::{FaultPlan, FaultTarget};
 use pim_hw::fixed::FixedFunctionPool;
 use pim_mem::stack::StackConfig;
 use pim_tensor::cost::CostProfile;
-use placement::{describe, Availability, Planner};
+use placement::{describe, PlanKind, PlannedOp, Planner};
 use serde::Serialize;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// Which compute complement the simulated system has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -290,6 +292,50 @@ pub(crate) struct Prepared<'g> {
     pub rank: &'g [usize],
 }
 
+/// An engine's uncontended placements ([`Planner::uncontended`]) per
+/// (graph uid, restriction flag): the serialized driver's fault-free
+/// plans, computed on a graph's first serialized run and read by every
+/// later one on the same engine. The key needs nothing else:
+/// the planner configuration is the engine's, the costs and the candidate
+/// set are functions of the graph (membership is the stable selection's
+/// under every tie-break), and a mutated or cloned graph has a fresh
+/// [`Graph::uid`]. An entry is filled outside the lock, so concurrent
+/// first runs may both plan and the first stored result is kept; a
+/// failure is never stored.
+#[derive(Default)]
+pub(crate) struct PlanTable(Mutex<HashMap<(u64, bool), UncontendedPlans>>);
+
+/// One graph's uncontended placements, indexed by op id.
+type UncontendedPlans = Arc<[(PlanKind, PlannedOp)]>;
+
+impl PlanTable {
+    /// Graphs held before the table starts over. A stale entry (its graph
+    /// dropped) is never hit again, so an engine that outlives many
+    /// graphs empties the table rather than keep them all.
+    const CAPACITY: usize = 64;
+
+    /// `wl`'s uncontended placements, indexed by op id.
+    ///
+    /// # Errors
+    ///
+    /// The first failed item of [`Planner::uncontended`] (a planner bug).
+    pub fn get(&self, planner: &Planner, wl: &Prepared<'_>) -> Result<UncontendedPlans> {
+        let key = (wl.spec.graph.uid(), wl.spec.cpu_progr_only);
+        if let Some(hit) = self.0.lock().expect("plan table poisoned").get(&key) {
+            return Ok(Arc::clone(hit));
+        }
+        let mut fresh = Vec::with_capacity(wl.costs.len());
+        for plan in planner.uncontended(wl.costs, &wl.candidates, wl.spec.cpu_progr_only) {
+            fresh.push(plan?);
+        }
+        let mut table = self.0.lock().expect("plan table poisoned");
+        if table.len() >= Self::CAPACITY && !table.contains_key(&key) {
+            table.clear();
+        }
+        Ok(Arc::clone(table.entry(key).or_insert_with(|| fresh.into())))
+    }
+}
+
 /// Knobs for one [`RunRequest`]: which observability artifacts to
 /// materialize alongside the report, and the tie-break policy.
 ///
@@ -505,9 +551,14 @@ impl RunOutput {
     }
 }
 
-/// The engine: devices + policy for one configuration.
+/// The engine: devices + policy for one configuration, plus the
+/// uncontended placements of every graph it has run serialized. A
+/// long-lived engine plans a graph once, as the paper's runtime decides
+/// in step 1 and reuses the decisions (§III-C); the table dies with the
+/// engine, and no run's bytes depend on whether it was warm.
 pub struct Engine {
     planner: Planner,
+    plans: PlanTable,
 }
 
 impl Engine {
@@ -515,6 +566,7 @@ impl Engine {
     pub fn new(cfg: EngineConfig) -> Self {
         Engine {
             planner: Planner::new(cfg),
+            plans: PlanTable::default(),
         }
     }
 
@@ -852,7 +904,7 @@ impl Engine {
         if self.planner.cfg.operation_pipeline {
             drivers::run_scheduled(&self.planner, prepared, obs, policy, tie, limits)
         } else {
-            drivers::run_serialized(&self.planner, prepared, obs, policy, limits)
+            drivers::run_serialized(&self.planner, &self.plans, prepared, obs, policy, limits)
         }
     }
 
@@ -894,33 +946,23 @@ impl Engine {
     /// Previews the placement decision for every op of a graph under this
     /// configuration, with all resources free (no contention) — the
     /// explainability view of the scheduler (C-INTERMEDIATE: expose the
-    /// intermediate results the simulation is built from).
+    /// intermediate results the simulation is built from). It plans
+    /// afresh on every call, bypassing the engine's table.
     ///
     /// # Errors
     ///
     /// Propagates profiling/cost failures.
     pub fn plan_preview(&self, graph: &Graph) -> Result<Vec<PlanRow>> {
-        let costs = graph.costs()?;
         let candidates = self.selection(graph, TieBreak::Stable)?.candidates;
+        let plans = self.planner.uncontended(graph.costs()?, &candidates, false);
         let mut rows = Vec::with_capacity(graph.op_count());
-        for node in graph.ops() {
-            let cost = &costs[node.id.index()];
-            let candidate = candidates.contains(node.id);
-            let kind = self
-                .planner
-                .choose(
-                    cost,
-                    candidate,
-                    false,
-                    Availability::all_free(self.planner.cfg.ff_units),
-                )
-                .ok_or_else(|| PimError::internal("uncontended placement must exist"))?;
-            let planned = self.planner.plan_cost(kind, cost);
+        for (node, plan) in graph.ops().iter().zip(plans) {
+            let (kind, planned) = plan?;
             rows.push(PlanRow {
                 op: node.id,
                 name: node.kind.tf_name(),
                 placement: describe(kind),
-                candidate,
+                candidate: candidates.contains(node.id),
                 seconds: planned.duration.seconds(),
             });
         }

@@ -16,12 +16,15 @@
 
 use super::observe::ResourceClass;
 use super::{EngineConfig, ProgrBackend, SystemMode};
+use crate::select::CandidateSet;
 use crate::stats::normalized_parts;
 use crate::sync::{
     kernel_calls, HOST_CALL, HOST_FF_SYNC, HOST_PROGR_SYNC, PIM_CALL, PIM_INTERNAL_SYNC,
 };
 use pim_common::fingerprint::debug_hash;
+use pim_common::ids::OpId;
 use pim_common::units::{Joules, Seconds};
+use pim_common::{PimError, Result};
 use pim_hw::arm::{ProgrammablePim, ProgrammablePool};
 use pim_hw::cpu::CpuDevice;
 use pim_hw::device::Device;
@@ -769,6 +772,31 @@ impl Planner {
                 }
             }
         }
+    }
+
+    /// Every op's uncontended placement, in op-id order: what
+    /// [`Planner::choose`] picks with every resource free, costed by
+    /// [`Planner::plan_cost`]. Both are pure, so the plans are a function
+    /// of the configuration, the costs, candidate membership and the
+    /// restriction flag alone. Lazy, so a caller that only reads the plans
+    /// once builds no table of them.
+    ///
+    /// An item is an internal error if its op has no device with
+    /// everything free (a planner bug: every complement has a fallback).
+    pub fn uncontended<'a>(
+        &'a self,
+        costs: &'a [CostProfile],
+        candidates: &'a CandidateSet,
+        restricted: bool,
+    ) -> impl Iterator<Item = Result<(PlanKind, PlannedOp)>> + 'a {
+        let avail = Availability::all_free(self.cfg.ff_units);
+        costs.iter().enumerate().map(move |(op, cost)| {
+            let candidate = candidates.contains(OpId::new(op));
+            let kind = self
+                .choose(cost, candidate, restricted, avail)
+                .ok_or_else(|| PimError::internal("uncontended placement found no device"))?;
+            Ok((kind, self.plan_cost(kind, cost)))
+        })
     }
 }
 

@@ -2,6 +2,7 @@
 //! own unit tests for the event core and the placement policy).
 
 use super::*;
+use pim_common::PimError;
 use pim_models::{Model, ModelKind};
 
 fn run(cfg: EngineConfig, kind: ModelKind, steps: usize) -> ExecutionReport {

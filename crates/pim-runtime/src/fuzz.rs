@@ -65,13 +65,6 @@ pub enum TieBreak {
 }
 
 impl TieBreak {
-    /// True for the zero-overhead default path.
-    #[inline]
-    #[must_use]
-    pub fn is_stable(self) -> bool {
-        matches!(self, TieBreak::Stable)
-    }
-
     /// A short display form for diagnostics and tables.
     #[must_use]
     pub fn describe(self) -> String {

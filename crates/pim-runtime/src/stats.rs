@@ -199,12 +199,6 @@ impl ExecutionReport {
         )
     }
 
-    /// Total time of this report relative to another (speedup of `other`
-    /// over `self` when > 1).
-    pub fn slowdown_vs(&self, other: &ExecutionReport) -> f64 {
-        self.makespan / other.makespan
-    }
-
     /// Breakdown fractions `(op, data movement, sync)` summing to 1.
     pub fn breakdown_fractions(&self) -> (f64, f64, f64) {
         let total = self.op_time + self.data_movement_time + self.sync_time;

@@ -133,9 +133,9 @@ fn run_sections(which: &str) {
     // The figures are independent simulations: sweep them across threads
     // (`PIM_RUN_THREADS=1` runs them serially) and print in the fixed
     // section order so the output stays deterministic. Fig. 16 is claimed
-    // first: a cold sweep simulates 104,526 of its 168,822 op instances
-    // there (fig8 and fig13 come next at 19,716 each), so started last it
-    // would set the sweep's wall time alone. The rest keep section order.
+    // first: its co-runs and sized solo runs simulate more op instances
+    // than any other section, so started last it would set the sweep's
+    // wall time alone. The rest keep section order.
     let mut order: Vec<usize> = (0..selected.len()).collect();
     order.sort_by_key(|&i| selected[i].0 != "fig16");
     let results = pim_runtime::par::par_map_claiming(&selected, &order, |(_, f)| f());

@@ -10,15 +10,12 @@ use pim_sim::cache::SharedStore;
 use pim_sim::serve::{render_reports, verify_samples, SimRunner};
 
 fn serve(store: &dyn pim_serve::ResultStore, input: &str) -> Vec<String> {
+    serve_with(&ServeConfig::default(), store, input)
+}
+
+fn serve_with(cfg: &ServeConfig, store: &dyn pim_serve::ResultStore, input: &str) -> Vec<String> {
     let mut out = Vec::new();
-    serve_lines(
-        &ServeConfig::default(),
-        &SimRunner,
-        store,
-        input.as_bytes(),
-        &mut out,
-    )
-    .expect("daemon I/O");
+    serve_lines(cfg, &SimRunner, store, input.as_bytes(), &mut out).expect("daemon I/O");
     String::from_utf8(out)
         .expect("utf8 responses")
         .lines()
@@ -129,5 +126,63 @@ fn load_trace_replays_byte_identically_with_and_without_warm_store() {
         if w.contains("\"reports\":") {
             assert_eq!(reports_payload(w), reports_payload(c));
         }
+    }
+}
+
+/// Two workers share each preset's engine, and with it the engine's table
+/// of uncontended plans: every serialized-preset job, restricted or not,
+/// run cold or warm, must match a fresh engine's report.
+#[test]
+fn two_workers_sharing_preset_engines_match_fresh_engines() {
+    let presets = [
+        ("cpu", SystemPreset::CpuOnly),
+        ("progr", SystemPreset::ProgrOnly),
+        ("fixed", SystemPreset::FixedHost),
+        ("bare", SystemPreset::HeteroBare),
+        ("rc", SystemPreset::HeteroRc),
+    ];
+    let models = [("lstm", ModelKind::Lstm), ("alex", ModelKind::AlexNet)];
+    let mut jobs = Vec::new();
+    for steps in [1, 2] {
+        for (preset, p) in presets {
+            for (model, kind) in models {
+                for restricted in [false, true] {
+                    jobs.push((
+                        format!(
+                            "{{\"id\":\"j{}\",\"tenant\":\"t{}\",\"model\":\"{model}\",\
+                             \"preset\":\"{preset}\",\"steps\":{steps},\
+                             \"cpu_progr_only\":{restricted}}}",
+                            jobs.len(),
+                            jobs.len() % 4
+                        ),
+                        (p, kind, steps, restricted),
+                    ));
+                }
+            }
+        }
+    }
+    let lines: Vec<&str> = jobs.iter().map(|(line, _)| line.as_str()).collect();
+    let input = lines.join("\n") + "\n";
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let responses = serve_with(&cfg, &MemStore::default(), &input);
+    assert_eq!(responses.len(), jobs.len());
+    for (response, (line, (preset, kind, steps, restricted))) in responses.iter().zip(&jobs) {
+        assert!(response.contains("\"status\":\"ok\""), "{line}: {response}");
+        let model = pim_sim::cache::model(*kind).unwrap();
+        let direct = Engine::new(EngineConfig::preset(*preset))
+            .execute(&RunRequest::new(&[WorkloadSpec {
+                graph: model.graph(),
+                steps: *steps,
+                cpu_progr_only: *restricted,
+            }]))
+            .unwrap();
+        let want = render_reports(&pim_serve::StoredResult {
+            reports: direct.reports,
+            degraded: None,
+        });
+        assert_eq!(reports_payload(response), want, "{line}");
     }
 }

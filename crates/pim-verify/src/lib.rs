@@ -190,17 +190,3 @@ pub fn verify_model_isa(kind: ModelKind, batch: usize) -> Result<Diagnostics> {
     let model = Model::build_with_batch(kind, batch)?;
     Ok(verify_isa(kind.name(), model.graph()))
 }
-
-/// [`verify_model`] over all seven evaluated workloads at their paper
-/// batch sizes.
-///
-/// # Errors
-///
-/// Propagates model-construction failures.
-pub fn verify_all_models(steps: usize) -> Result<Diagnostics> {
-    let mut diags = Diagnostics::new();
-    for kind in ModelKind::ALL {
-        diags.extend(verify_model(kind, kind.paper_batch_size(), steps)?);
-    }
-    Ok(diags)
-}
