@@ -20,6 +20,7 @@ use pim_runtime::engine::{
 use pim_runtime::fuzz::TieBreak;
 use pim_serve::protocol::parse_request;
 use pim_serve::JobRunner;
+use pim_sim::baselines::simulate_neurocube;
 use pim_sim::configs::{simulate, SystemConfig};
 use pim_sim::mixed::{corun, fig16_cases};
 use pim_sim::serve::SimRunner;
@@ -86,6 +87,45 @@ fn sweep_reports_match_golden_table() {
         );
         unreachable!("strings differ but no line did");
     }
+}
+
+const BASELINE_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/baseline_reports.txt"
+);
+
+/// Renders every paper model on the two standalone baselines, GPU and
+/// Neurocube, one line per report holding its whole `{:?}` rendering
+/// (every field, `device_busy` included, each f64 at round-trip
+/// precision).
+fn render_baselines() -> String {
+    let mut out = String::from("# model | report\n");
+    for kind in ModelKind::ALL {
+        let model = Model::build(kind).unwrap();
+        let gpu = simulate(&model, &SystemConfig::Gpu, STEPS).unwrap();
+        let nc = simulate_neurocube(&model, STEPS).unwrap();
+        for r in [gpu, nc] {
+            writeln!(out, "{} | {r:?}", kind.name()).unwrap();
+        }
+    }
+    out
+}
+
+/// Pins the GPU and Neurocube reports bit for bit; `repro all` prints
+/// them only rounded. Regenerate with `UPDATE_GOLDEN=1`.
+#[test]
+fn baseline_reports_match_golden_table() {
+    let actual = render_baselines();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(BASELINE_GOLDEN_PATH, &actual).expect("write baseline golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(BASELINE_GOLDEN_PATH)
+        .expect("baseline golden missing — regenerate with UPDATE_GOLDEN=1");
+    for (n, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(e, a, "baseline golden mismatch at line {}", n + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count());
 }
 
 /// Steps per workload in the scheduled golden: past the pipeline depth
