@@ -22,6 +22,37 @@ if [ -n "$stray" ]; then
     echo "ci: generator constants outside pim_common::rng:" $stray >&2
     exit 1
 fi
+# No test-only public functions (ROADMAP item 3(e)). A hit is a `pub fn`
+# that no other Rust file names and that its own file's non-test code
+# (everything before its `#[cfg(test)] mod ... {` block, docs included)
+# names only at its definition: only that file's tests reach it. Delete it
+# with the tests that exist only for it, or allowlist it here with a
+# one-line reason.
+scan_allow='
+hit_rate_for_stream  pim_mem::bank, the memory referee item 9 rules on
+hottest_bank         pim_mem::controller, the memory referee item 9 rules on
+conv2d_gemm          the independent check of direct convolution
+'
+rs_files=$(find crates src tests examples perfbench/src -name '*.rs' -not -path '*/target/*' | sort)
+# Identifiers named by exactly one file.
+named_once=$(for f in $rs_files; do grep -ow '[A-Za-z_][A-Za-z0-9_]*' "$f" | sort -u; done |
+    sort | uniq -c | awk '$1 == 1 { print $2 }')
+test_only=
+for f in $rs_files; do
+    body=$(awk '/^mod [A-Za-z_]+ \{/ && prev ~ /^#\[cfg\(test\)\]/ { exit }
+        { print; prev = $0 }' "$f")
+    for name in $(sed -n 's/^ *pub fn \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' <<<"$body"); do
+        if grep -qx "$name" <<<"$named_once" &&
+            [ "$(grep -ow "$name" <<<"$body" | wc -l)" -eq 1 ] &&
+            ! awk -v n="$name" '$1 == n { found = 1 } END { exit !found }' <<<"$scan_allow"; then
+            test_only="$test_only $f:$name"
+        fi
+    done
+done
+if [ -n "$test_only" ]; then
+    echo "ci: public functions only their own file's tests reach:$test_only" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Pedantic clippy with a curated allowlist. Every `-A` below is a

@@ -165,11 +165,6 @@ impl Diagnostics {
         self.items.is_empty()
     }
 
-    /// Findings produced by one pass.
-    pub fn for_pass<'a>(&'a self, pass: &'a str) -> impl Iterator<Item = &'a Diagnostic> + 'a {
-        self.items.iter().filter(move |d| d.pass == pass)
-    }
-
     /// Renders every finding as one line of text each.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -205,6 +200,7 @@ impl Diagnostics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{parse_json, Json};
 
     #[test]
     fn severity_ordering_puts_error_last() {
@@ -222,7 +218,6 @@ mod tests {
         assert_eq!(d.count(Severity::Warning), 1);
         assert_eq!(d.count(Severity::Info), 1);
         assert!(!d.is_clean());
-        assert_eq!(d.for_pass("graph").count(), 2);
     }
 
     #[test]
@@ -254,52 +249,6 @@ mod tests {
         assert!(Diagnostics::new().is_clean());
     }
 
-    /// Decodes one JSON string literal starting at `s[i]` (which must be
-    /// the opening quote); returns the decoded text and the index one
-    /// past the closing quote. Test-local: the workspace ships no JSON
-    /// parser, and the round-trip tests below need one.
-    fn parse_json_string(s: &str, i: usize) -> (String, usize) {
-        let bytes: Vec<char> = s.chars().collect();
-        assert_eq!(bytes[i], '"', "expected a string literal at {i}");
-        let mut out = String::new();
-        let mut j = i + 1;
-        loop {
-            match bytes[j] {
-                '"' => return (out, j + 1),
-                '\\' => {
-                    j += 1;
-                    match bytes[j] {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let hex: String = bytes[j + 1..j + 5].iter().collect();
-                            let code = u32::from_str_radix(&hex, 16).unwrap();
-                            out.push(char::from_u32(code).unwrap());
-                            j += 4;
-                        }
-                        other => panic!("unexpected escape \\{other}"),
-                    }
-                }
-                c => {
-                    assert!(c as u32 >= 0x20, "raw control character {:#x}", c as u32);
-                    out.push(c);
-                }
-            }
-            j += 1;
-        }
-    }
-
-    /// Extracts the value of a `"key":"..."` string field from a JSON
-    /// object rendering.
-    fn field(json: &str, key: &str) -> String {
-        let tag = format!("\"{key}\":");
-        let at = json.find(&tag).unwrap_or_else(|| panic!("no field {key}")) + tag.len();
-        parse_json_string(json, json[..at].chars().count()).0
-    }
-
     #[test]
     fn json_round_trips_hostile_subjects_and_messages() {
         let cases = [
@@ -316,8 +265,11 @@ mod tests {
             let mut d = Diagnostics::new();
             d.error("schedule", case, case);
             let json = d.to_json();
-            assert_eq!(field(&json, "subject"), case, "subject drifted: {json}");
-            assert_eq!(field(&json, "message"), case, "message drifted: {json}");
+            let doc = parse_json(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+            let finding = &doc.as_arr().unwrap()[0];
+            let field = |key| finding.field(key).and_then(Json::as_str);
+            assert_eq!(field("subject"), Some(case), "subject drifted: {json}");
+            assert_eq!(field("message"), Some(case), "message drifted: {json}");
         }
     }
 

@@ -713,23 +713,6 @@ impl NetBuilder {
         Ok(self.graph)
     }
 
-    /// Seals the network with an externally supplied loss gradient (used by
-    /// GAN-style models where the loss is not a plain classifier).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the recorded layers.
-    pub fn finish_with_gradient(
-        mut self,
-        output: TensorId,
-        grad: TensorId,
-        opt: OptimizerKind,
-    ) -> Result<Graph> {
-        self.emit_backward(output, grad, opt)?;
-        self.graph.validate()?;
-        Ok(self.graph)
-    }
-
     /// True when a tensor should receive a gradient (activations only;
     /// inputs, labels, masks and parameters are handled elsewhere).
     fn wants_grad(&self, id: TensorId) -> Result<bool> {

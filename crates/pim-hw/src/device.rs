@@ -1,10 +1,10 @@
 //! The unified compute-device abstraction every simulated element
 //! implements.
 //!
-//! The engine's placement policy, the shared event core, and the analytic
-//! baselines (GPU, Neurocube) all consume devices through this trait, so a
-//! single measurement path produces every `ExecutionReport` of the
-//! evaluation. A device answers three questions:
+//! The engine's placement policy and event core, and the analytic
+//! baselines' serial loop (GPU, Neurocube), all consume devices through
+//! this trait, so every `ExecutionReport` of the evaluation is priced by
+//! the same device estimates. A device answers three questions:
 //!
 //! 1. *estimate* — how long and how much energy one operation takes
 //!    ([`Device::estimate`]),
@@ -126,7 +126,7 @@ impl Device for Neurocube {
 /// The GPU baseline as a schedulable device: a [`GpuDevice`] pinned at the
 /// model-specific average utilization the paper measured (§V-D). Step-level
 /// PCIe effects (minibatch staging, working-set spill) stay with the
-/// baseline harness in `pim-sim`, which folds them into the event core's
+/// baseline harness in `pim-sim`, which folds them into its serial loop's
 /// per-step epilogue.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnalyticGpu {

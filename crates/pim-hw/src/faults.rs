@@ -227,12 +227,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds one straggler window.
-    pub fn with_straggler(mut self, window: StragglerWindow) -> Self {
-        self.stragglers.push(window);
-        self
-    }
-
     /// The decision draw for one salted coordinate tuple, in `[0, 1)` —
     /// a pure function, independent of query order.
     fn draw(&self, salt: u64, wl: usize, step: usize, op: usize, attempt: u32) -> f64 {
@@ -390,7 +384,8 @@ mod tests {
 
     #[test]
     fn straggler_windows_multiply_only_inside() {
-        let plan = FaultPlan::none().with_straggler(StragglerWindow {
+        let mut plan = FaultPlan::none();
+        plan.stragglers.push(StragglerWindow {
             lane: FaultLane::Progr,
             from: Seconds::new(1.0),
             until: Seconds::new(2.0),

@@ -10,7 +10,7 @@
 
 use crate::params::{ComputeEstimate, DeviceParams};
 use crate::placement::thermal_aware_placement;
-use pim_common::units::{Bytes, Joules, Seconds, Watts};
+use pim_common::units::{Seconds, Watts};
 use pim_common::{PimError, Result};
 use pim_mem::energy::MemoryPath;
 use pim_mem::stack::StackConfig;
@@ -199,18 +199,6 @@ impl FixedFunctionPool {
             dynamic_power: self.config.per_unit_power * self.config.total_units as f64,
             memory_path: MemoryPath::StackInternal,
         }
-    }
-
-    /// Dynamic energy of keeping `units` busy for `time` (used by the
-    /// engine's utilization accounting).
-    pub fn busy_energy(&self, units: usize, time: Seconds) -> Joules {
-        (self.config.per_unit_power * units as f64) * time
-    }
-
-    /// Total bytes the pool can stream in `time` — used to sanity-check
-    /// pipeline admission.
-    pub fn streamable(&self, time: Seconds) -> Bytes {
-        Bytes::new(self.config.bandwidth * time.seconds())
     }
 }
 

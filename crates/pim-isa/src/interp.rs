@@ -308,11 +308,6 @@ impl ExecSummary {
         self.executed_adds + self.offloaded_adds
     }
 
-    /// Total multiply/add tally (executed + offloaded).
-    pub fn total_ma(&self) -> u64 {
-        self.total_muls() + self.total_adds()
-    }
-
     /// Renders the summary as deterministic text for golden snapshots.
     pub fn render(&self) -> String {
         format!(
@@ -399,7 +394,6 @@ mod tests {
         assert_eq!(s.executed_adds, 500);
         assert_eq!(s.offloaded_muls, 500);
         assert_eq!(s.offloaded_adds, 400);
-        assert_eq!(s.total_ma(), 1907);
         assert_eq!(s.traffic_bytes(), 5120);
         assert_eq!(s.calls, 3);
     }

@@ -112,11 +112,6 @@ impl TrafficStats {
         self.transfers
     }
 
-    /// 64-byte main-memory lines the total volume touches.
-    pub fn lines_touched(&self) -> u64 {
-        self.total().lines()
-    }
-
     /// Writes the totals into a counters registry under `bytes/read`,
     /// `bytes/written`, and `bytes/transfers`.
     pub fn apply(&self, counters: &mut Counters) {
@@ -140,7 +135,6 @@ mod tests {
         assert_eq!(t.bytes_read().bytes(), 138.0);
         assert_eq!(t.bytes_written().bytes(), 84.0);
         assert_eq!(t.transfers(), 2);
-        assert_eq!(t.lines_touched(), Bytes::new(222.0).lines());
         let mut c = Counters::new();
         t.apply(&mut c);
         assert_eq!(c.get("bytes/read"), 138.0);

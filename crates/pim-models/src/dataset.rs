@@ -61,36 +61,6 @@ pub fn image_batch(
     ImageBatch { images, labels }
 }
 
-/// ImageNet-shaped batch (224x224 RGB, 1000 classes).
-pub fn imagenet_like(n: usize, seed: u64) -> ImageBatch {
-    image_batch(n, 3, 224, 224, 1000, seed)
-}
-
-/// MNIST-shaped batch (28x28 grayscale, 10 classes).
-pub fn mnist_like(n: usize, seed: u64) -> ImageBatch {
-    image_batch(n, 1, 28, 28, 10, seed)
-}
-
-/// A PTB-like token stream: `len` token ids below `vocab`.
-pub fn token_stream(len: usize, vocab: usize, seed: u64) -> Vec<usize> {
-    let mut rng = seeded_rng(seed);
-    // Zipf-flavored distribution: low ids are much more frequent, matching
-    // natural-language token statistics that drive embedding access skew.
-    (0..len)
-        .map(|_| {
-            let u: f64 = rng.random_range(0.0..1.0);
-            let id = ((vocab as f64).powf(u) - 1.0) as usize;
-            id.min(vocab - 1)
-        })
-        .collect()
-}
-
-/// Skip-gram (center, context) pairs from a synthetic corpus.
-pub fn skipgram_pairs(count: usize, vocab: usize, seed: u64) -> Vec<(usize, usize)> {
-    let stream = token_stream(count + 1, vocab, seed);
-    stream.windows(2).map(|w| (w[0], w[1])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,23 +75,8 @@ mod tests {
 
     #[test]
     fn labels_are_in_range() {
-        let b = mnist_like(32, 3);
+        let b = image_batch(32, 1, 28, 28, 10, 3);
         assert!(b.labels.iter().all(|&l| l < 10));
         assert_eq!(b.images.shape().dims(), &[32, 1, 28, 28]);
-    }
-
-    #[test]
-    fn token_stream_is_skewed_toward_low_ids() {
-        let tokens = token_stream(10_000, 1000, 5);
-        let low = tokens.iter().filter(|&&t| t < 100).count();
-        assert!(low > 3_000, "low-id tokens: {low}");
-        assert!(tokens.iter().all(|&t| t < 1000));
-    }
-
-    #[test]
-    fn skipgram_pairs_link_neighbors() {
-        let pairs = skipgram_pairs(64, 100, 1);
-        assert_eq!(pairs.len(), 64);
-        assert!(pairs.iter().all(|&(a, b)| a < 100 && b < 100));
     }
 }

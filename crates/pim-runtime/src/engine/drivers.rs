@@ -1,14 +1,15 @@
 //! The execution drivers, running over the discrete-event core.
 //!
-//! Three drivers cover the whole evaluation:
+//! Two drivers cover every engine configuration:
 //!
 //! * [`run_serialized`] — one op at a time in topological order (the
 //!   "without runtime scheduling" configurations),
-//! * [`run_scheduled`] — the event-driven operation pipeline (§III-C),
-//! * [`run_device_serial`] — a single [`Device`] executing the step stream
-//!   back-to-back (the analytic GPU and Neurocube baselines in `pim-sim`).
+//! * [`run_scheduled`] — the event-driven operation pipeline (§III-C).
 //!
-//! The two engine drivers are generic over a [`FaultPolicy`]: the
+//! (The standalone GPU and Neurocube baselines need no scheduler; they run
+//! a plain serial loop in `pim-sim`.)
+//!
+//! Both drivers are generic over a [`FaultPolicy`]: the
 //! zero-sized [`NoFaults`](super::faults::NoFaults) compiles every fault
 //! hook away, while [`FaultContext`](super::faults::FaultContext) injects
 //! the plan's faults and recovers from them. The policy's `FAULTY` constant
@@ -37,29 +38,27 @@
 //! each, indexed through a per-workload base, and a retry event carries
 //! the instance's row in them.
 //!
-//! All drivers account time and energy through the same
-//! [`Accumulator`] and build their result exclusively via
-//! [`ReportBuilder`], and all emit per-op [`TimelineEntry`] records to a
-//! pluggable [`TimelineSink`] (the engine drivers only when the run
-//! collects a timeline). The engine drivers additionally observe
-//! execution through an [`Observer`]: counters always, Chrome-trace spans
-//! when the run asks for a trace.
+//! Both drivers account time and energy through the same
+//! [`Accumulator`], build their result via
+//! [`ReportBuilder`](crate::stats::ReportBuilder), and observe execution
+//! through an [`Observer`]: counters always, a
+//! [`TimelineEntry`](super::TimelineEntry) per committed attempt when the run collects a
+//! timeline, and Chrome-trace spans when the run asks for a trace.
 
 use super::components::{Accumulator, Clock, DeviceLanes, Event, EventHeap, InFlight, ResourceSoA};
 use super::faults::{backoff_after, charge_until, AttemptOutcome, FaultContext, FaultPolicy};
 use super::limits::RunLimits;
-use super::observe::{Observer, OpRecord, ResourceClass, TimelineEntry, TimelineSink};
+use super::observe::{Observer, OpRecord};
 use super::placement::{
     Availability, DemandClass, PlanKind, PlannedOp, Planner, PLACEMENT_DECISION, SIGNATURES,
 };
 use super::{PlanTable, Prepared, SystemMode};
 use crate::fuzz::TieBreak;
-use crate::stats::{ExecutionReport, ReportBuilder};
+use crate::stats::ExecutionReport;
 use crate::sync::STEP_BARRIER;
 use pim_common::ids::OpId;
-use pim_common::units::{Joules, Seconds};
+use pim_common::units::Seconds;
 use pim_common::{PimError, Result};
-use pim_hw::device::Device;
 use pim_hw::faults::FaultTarget;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -952,126 +951,15 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
     Ok(acc.into_report(planner, steps, makespan))
 }
 
-/// One standalone device executing a step stream back-to-back — the
-/// analytic baselines (GPU, Neurocube) driven through the same event core
-/// and report path as the engine configurations.
-pub struct DeviceRun<'a> {
-    /// Configuration name for the report.
-    pub system: &'a str,
-    /// The device executing every op.
-    pub device: &'a dyn Device,
-    /// Per-op cost profiles in execution order.
-    pub costs: &'a [pim_tensor::cost::CostProfile],
-    /// Training steps.
-    pub steps: usize,
-    /// Extra data-movement time appended to each step (e.g. the GPU's
-    /// unhidden PCIe staging and working-set spill).
-    pub step_epilogue_dm: Seconds,
-    /// Extra energy charged per step (e.g. PCIe transfer energy).
-    pub step_epilogue_energy: Joules,
-}
-
-/// Runs one device serially over `steps` repetitions of its op stream.
-///
-/// Per op: `op = compute time`, `dm = memory-bound excess`,
-/// `sync = dispatch`, with the device's own estimate deciding each split;
-/// the step epilogue is accounted as data movement. Host idle power is
-/// always charged — a standalone accelerator leaves the host package
-/// powered but out of the compute path.
-pub fn run_device_serial(run: &DeviceRun<'_>, sink: &mut dyn TimelineSink) -> ExecutionReport {
-    let mut clock = Clock::new();
-    let mut op_raw = Seconds::ZERO;
-    let mut dm_raw = Seconds::ZERO;
-    let mut sync_raw = Seconds::ZERO;
-    let mut energy = Joules::ZERO;
-    for step in 0..run.steps {
-        for (op, cost) in run.costs.iter().enumerate() {
-            debug_assert!(run.device.accepts(cost), "device rejects op {op}");
-            let est = run.device.estimate(cost);
-            let busy = est.compute_time.max(est.memory_time);
-            let duration = busy + est.dispatch_time;
-            op_raw += est.compute_time;
-            dm_raw += busy - est.compute_time;
-            sync_raw += est.dispatch_time;
-            energy += est.energy;
-            sink.record(TimelineEntry {
-                workload: 0,
-                step,
-                op,
-                start: clock.now(),
-                end: clock.now() + duration,
-                resource: ResourceClass::Baseline,
-                ff_units: 0,
-                attempt: 0,
-                outcome: AttemptOutcome::Completed,
-            });
-            clock.advance(duration);
-        }
-        clock.advance(run.step_epilogue_dm);
-        dm_raw += run.step_epilogue_dm;
-        energy += run.step_epilogue_energy;
-    }
-    let makespan = clock.now();
-    ReportBuilder::new(run.system, run.steps)
-        .makespan(makespan)
-        .raw_parts(op_raw, dm_raw, sync_raw)
-        .device_energy(energy)
-        .charge_host_idle()
-        .device_busy(run.device.name(), makespan)
-        .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineConfig, SystemPreset, VecSink, WorkloadSpec};
+    use crate::engine::{Engine, EngineConfig, SystemPreset, WorkloadSpec};
     use pim_common::rng::Xorshift64Star;
-    use pim_common::units::Bytes;
     use pim_common::NullTrace;
     use pim_graph::gen::{random_dag, GenSpec};
-    use pim_hw::cpu::CpuDevice;
     use pim_tensor::cost::{CostProfile, OffloadClass};
     use std::collections::BTreeSet;
-
-    #[test]
-    fn device_serial_run_traces_and_balances() {
-        let cpu = CpuDevice::xeon_e5_2630_v3();
-        let costs = vec![
-            CostProfile::compute(
-                1e9,
-                1e9,
-                0.0,
-                Bytes::new(1e7),
-                Bytes::new(1e7),
-                OffloadClass::FullyMulAdd,
-                64,
-            );
-            3
-        ];
-        let run = DeviceRun {
-            system: "test-baseline",
-            device: &cpu,
-            costs: &costs,
-            steps: 2,
-            step_epilogue_dm: Seconds::new(1e-3),
-            step_epilogue_energy: Joules::new(0.5),
-        };
-        let mut sink = VecSink::default();
-        let report = run_device_serial(&run, &mut sink);
-        let timeline = sink.into_entries();
-        assert_eq!(timeline.len(), 6);
-        assert!(timeline
-            .iter()
-            .all(|e| e.resource == ResourceClass::Baseline));
-        // Contiguous, non-overlapping execution within each step.
-        for pair in timeline.windows(2) {
-            assert!(pair[1].start >= pair[0].end);
-        }
-        assert!(report.is_well_formed());
-        // The per-step epilogue is billed as data movement.
-        assert!(report.data_movement_time >= Seconds::new(2e-3));
-        assert_eq!(report.device_busy[cpu.params().name], report.makespan);
-    }
 
     /// Every flat instance row locates back to its `(wl, step, op)`, with
     /// workloads that have no steps or no ops among the co-runners.

@@ -25,10 +25,10 @@
 //!   principles costed through the `pim-hw` `Device` trait,
 //! * `components` — the discrete-event core (clock, the one event heap
 //!   of the scheduled driver, the device-lane slab, SoA resource state),
-//! * `observe` — timeline sinks and the observability `Observer`,
+//! * `observe` — the timeline entry type and the observability
+//!   `Observer`,
 //! * `drivers` — one serialized and one scheduled driver, each generic
-//!   over the fault policy of [`faults`], plus [`run_device_serial`],
-//!   which the `pim-sim` baselines use.
+//!   over the fault policy of [`faults`].
 
 mod components;
 mod drivers;
@@ -42,10 +42,9 @@ mod tests;
 pub use limits::{CancelToken, RunLimits};
 
 pub use components::PROGR_KERNEL_SLOTS;
-pub use drivers::{run_device_serial, DeviceRun};
 pub use faults::{backoff_after, AttemptOutcome, BACKOFF_BASE, LINK_TIMEOUT, MAX_ATTEMPTS};
 pub(crate) use observe::SCHED_TRACK;
-pub use observe::{NullSink, ResourceClass, TimelineEntry, TimelineSink, VecSink};
+pub use observe::{ResourceClass, TimelineEntry};
 
 use crate::fuzz::TieBreak;
 use crate::select::{CandidateSet, Selection};
@@ -848,10 +847,10 @@ impl Engine {
         let prepared = self.prepare(&request.workloads, &mut *tracer, opts.tie)?;
         let mut counters = Counters::new();
         let collect = opts.timeline || verify;
-        let mut entries = VecSink::default();
+        let mut entries = Vec::new();
         let report = {
             let mut obs = Observer::new(
-                collect.then_some(&mut entries as &mut dyn TimelineSink),
+                collect.then_some(&mut entries),
                 &mut counters,
                 self.planner.cfg.ff_units,
                 &mut *tracer,
@@ -864,7 +863,7 @@ impl Engine {
             obs.finish();
             report
         };
-        let entries = collect.then(|| entries.into_entries());
+        let entries = collect.then_some(entries);
 
         if verify {
             let entries = entries.as_deref().unwrap_or(&[]);

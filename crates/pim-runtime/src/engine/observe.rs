@@ -1,5 +1,5 @@
-//! Observability: timeline sinks, the counter registry hot path, and the
-//! driver-facing [`Observer`].
+//! Observability: the timeline entry type, the counter registry hot path,
+//! and the driver-facing [`Observer`].
 //!
 //! The observer has no pending events of its own: it takes part in a run
 //! purely through the explicit `record_op`/`completed`/`stall`/... calls
@@ -29,9 +29,6 @@ pub enum ResourceClass {
     CpuAndFixed,
     /// Programmable PIM + fixed-function units (recursive kernel).
     ProgrAndFixed,
-    /// A standalone baseline device (GPU, Neurocube) outside the
-    /// heterogeneous stack.
-    Baseline,
 }
 
 /// One scheduled op instance on the execution timeline.
@@ -50,52 +47,13 @@ pub struct TimelineEntry {
     /// Resource class occupied.
     pub resource: ResourceClass,
     /// Fixed-function units held for the whole interval (0 for pure
-    /// CPU/programmable placements and baseline devices).
+    /// CPU/programmable placements).
     pub ff_units: usize,
     /// Which attempt of the instance this is (0 in fault-free runs).
     pub attempt: u32,
     /// How the attempt ended ([`AttemptOutcome::Completed`] in fault-free
     /// runs).
     pub outcome: AttemptOutcome,
-}
-
-/// Receives one [`TimelineEntry`] per executed op instance.
-///
-/// The drivers emit entries as they commit ops to the clock; a sink can
-/// collect them ([`VecSink`]), stream them elsewhere, or drop them
-/// ([`NullSink`]) when only the report matters. (Span-level tracing for
-/// Chrome-trace export is a separate concern — see
-/// [`pim_common::trace::TraceSink`].)
-pub trait TimelineSink {
-    /// Records one committed op instance.
-    fn record(&mut self, entry: TimelineEntry);
-}
-
-/// Discards every entry — timeline collection disabled.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TimelineSink for NullSink {
-    fn record(&mut self, _entry: TimelineEntry) {}
-}
-
-/// Collects the full timeline in memory.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    entries: Vec<TimelineEntry>,
-}
-
-impl TimelineSink for VecSink {
-    fn record(&mut self, entry: TimelineEntry) {
-        self.entries.push(entry);
-    }
-}
-
-impl VecSink {
-    /// The collected timeline, in commit order.
-    pub fn into_entries(self) -> Vec<TimelineEntry> {
-        self.entries
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -120,7 +78,6 @@ fn class_base_tid(class: ResourceClass) -> u32 {
         ResourceClass::Fixed => 3000,
         ResourceClass::CpuAndFixed => 4000,
         ResourceClass::ProgrAndFixed => 5000,
-        ResourceClass::Baseline => 6000,
     }
 }
 
@@ -133,7 +90,6 @@ pub(crate) fn class_label(class: ResourceClass) -> &'static str {
         ResourceClass::Fixed => "Fixed PIM",
         ResourceClass::CpuAndFixed => "CPU+Fixed",
         ResourceClass::ProgrAndFixed => "Progr+Fixed",
-        ResourceClass::Baseline => "Baseline",
     }
 }
 
@@ -155,24 +111,22 @@ fn class_index(class: ResourceClass) -> usize {
         ResourceClass::Fixed => 2,
         ResourceClass::CpuAndFixed => 3,
         ResourceClass::ProgrAndFixed => 4,
-        ResourceClass::Baseline => 5,
     }
 }
 
 /// Interned `ops/<class>` counter keys — the hot path must not build a
 /// fresh `String` per committed op.
-const OPS_COUNTER_KEYS: [&str; 6] = [
+const OPS_COUNTER_KEYS: [&str; 5] = [
     "ops/CPU",
     "ops/Progr PIM",
     "ops/Fixed PIM",
     "ops/CPU+Fixed",
     "ops/Progr+Fixed",
-    "ops/Baseline",
 ];
 
 /// Everything the [`Observer`] needs to know about one committed op: the
 /// attempt, when it ended and how. Its [`TimelineEntry`] is built only
-/// when a sink or the tracer reads it.
+/// when the run collects a timeline or traces.
 pub(crate) struct OpRecord<'c> {
     pub attempt: &'c InFlight,
     pub end: Seconds,
@@ -209,7 +163,7 @@ impl OpRecord<'_> {
 #[derive(Default)]
 struct Lanes {
     /// Quantized end time of the last span per lane, per resource class.
-    ends: [Vec<u128>; 6],
+    ends: [Vec<u128>; 5],
 }
 
 impl Lanes {
@@ -232,15 +186,15 @@ impl Lanes {
 /// The drivers' window into the observability layer.
 ///
 /// Always feeds the [`Counters`] registry and the [`TrafficStats`]
-/// accumulator, and the per-instance [`TimelineSink`] when the run
-/// collects a timeline (an untimed run has none, so it neither builds
-/// entries nor calls a sink per op); when its
+/// accumulator, and appends one [`TimelineEntry`] per committed attempt
+/// when the run collects a timeline (an untimed run builds no entries);
+/// when its
 /// [`pim_common::trace::TraceSink`] is enabled it also emits Chrome-trace
 /// spans, instants, and counter samples to it. Whether it traces is read
 /// once, when the observer is built, so a disabled sink costs one branch
 /// on a field per call.
 pub(crate) struct Observer<'a> {
-    timeline: Option<&'a mut dyn TimelineSink>,
+    timeline: Option<&'a mut Vec<TimelineEntry>>,
     counters: &'a mut Counters,
     traffic: TrafficStats,
     ff_units_total: usize,
@@ -263,7 +217,7 @@ struct HotCounters {
     dispatched: u64,
     completed: u64,
     stalls: u64,
-    ops: [u64; 6],
+    ops: [u64; 5],
     busy_cpu: f64,
     busy_cpu_touched: bool,
     busy_progr: f64,
@@ -328,10 +282,10 @@ impl HotCounters {
 }
 
 impl<'a> Observer<'a> {
-    /// Builds an observer over an optional timeline sink, a counters
+    /// Builds an observer over an optional timeline, a counters
     /// registry, and a span tracer; `system` labels the trace process.
     pub fn new(
-        timeline: Option<&'a mut dyn TimelineSink>,
+        timeline: Option<&'a mut Vec<TimelineEntry>>,
         counters: &'a mut Counters,
         ff_units_total: usize,
         tracer: &'a mut dyn pim_common::trace::TraceSink,
@@ -369,7 +323,7 @@ impl<'a> Observer<'a> {
     /// traffic, and (when tracing) a span on its resource-class lane.
     pub fn record_op(&mut self, rec: &OpRecord<'_>) {
         if let Some(timeline) = self.timeline.as_deref_mut() {
-            timeline.record(rec.entry());
+            timeline.push(rec.entry());
         }
         self.hot.dispatched += 1;
         let class = resource_class(&rec.attempt.charge);

@@ -102,7 +102,8 @@ fn needs_fixed_part(class: ResourceClass) -> bool {
 /// Entry order within each partition is preserved — the merge is stable —
 /// so each returned stream is exactly the timeline that partition's
 /// single-workload run recorded, re-tagged to local workload index 0 and
-/// ready for [`check_timeline`] against that workload's facts alone.
+/// ready for [`check_timeline_faulted`] against that workload's facts
+/// alone.
 /// Entries tagged beyond `partitions` are dropped; callers detect them by
 /// comparing entry counts.
 pub fn split_partitions(timeline: &[TimelineEntry], partitions: usize) -> Vec<Vec<TimelineEntry>> {
@@ -117,23 +118,6 @@ pub fn split_partitions(timeline: &[TimelineEntry], partitions: usize) -> Vec<Ve
     parts
 }
 
-/// Checks one recorded timeline against the workload facts, resource
-/// budgets, and the fixed-function pool's capability rule.
-///
-/// `fixed` is the device model answering [`Device::accepts`] for
-/// whole-kernel fixed-function placements ([`ResourceClass::Fixed`]);
-/// split placements only require the cost to have a multiply/add part.
-/// [`ResourceClass::Baseline`] entries belong to standalone devices
-/// outside the heterogeneous stack and are checked for time validity only.
-pub fn check_timeline(
-    facts: &[WorkloadFacts],
-    timeline: &[TimelineEntry],
-    limits: &ResourceLimits,
-    fixed: &dyn Device,
-) -> Diagnostics {
-    check_timeline_faulted(facts, timeline, limits, fixed, None)
-}
-
 /// The fault lane an entry's recorded resources live on, mirroring the
 /// engine's dispatch-side classification.
 fn entry_lane(e: &TimelineEntry) -> Option<FaultLane> {
@@ -146,9 +130,15 @@ fn entry_lane(e: &TimelineEntry) -> Option<FaultLane> {
     }
 }
 
-/// [`check_timeline`] extended with fault-awareness. With `plan: None`
-/// the timeline must be fault-free: every entry attempt 0, outcome
-/// `Completed`. With a plan, the checker additionally validates:
+/// Checks one recorded timeline against the workload facts, resource
+/// budgets, the fixed-function pool's capability rule, and the fault plan.
+///
+/// `fixed` is the device model answering [`Device::accepts`] for
+/// whole-kernel fixed-function placements ([`ResourceClass::Fixed`]);
+/// split placements only require the cost to have a multiply/add part.
+/// With `plan: None` the timeline must be fault-free: every entry attempt
+/// 0, outcome `Completed`. With a plan, the checker additionally
+/// validates:
 ///
 /// * **attempt chains** — contiguous attempt numbers per instance, with
 ///   exactly the last attempt completing, transient retries spaced by at
@@ -218,9 +208,6 @@ pub fn check_timeline_faulted(
                 );
             }
             _ => {}
-        }
-        if e.resource == ResourceClass::Baseline {
-            continue; // standalone device: no graph/resource mapping
         }
         let Some(f) = facts.get(e.workload) else {
             diags.error(PASS, subj, "workload index out of bounds");
@@ -716,7 +703,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(1, 1.0, 2.0, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline_faulted(&facts(), &timeline, &limits(), &pool(), None);
         assert!(diags.is_clean(), "{}", diags.render_text());
     }
 
@@ -726,7 +713,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(1, 0.5, 1.5, ResourceClass::Cpu), // starts before its dep ends
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline_faulted(&facts(), &timeline, &limits(), &pool(), None);
         assert_eq!(diags.error_count(), 1);
         assert!(diags.render_text().contains("before dependency op0"));
     }
@@ -739,7 +726,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Cpu),
             entry(1, 0.5, 1.5, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts, &timeline, &limits(), &pool());
+        let diags = check_timeline_faulted(&facts, &timeline, &limits(), &pool(), None);
         assert_eq!(diags.error_count(), 1);
         assert!(diags.render_text().contains("double-books the CPU"));
     }
@@ -750,7 +737,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(0, 1.0, 2.0, ResourceClass::Fixed),
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline_faulted(&facts(), &timeline, &limits(), &pool(), None);
         let text = diags.render_text();
         assert!(text.contains("more than once"), "{text}");
         assert!(text.contains("never scheduled"), "{text}");
@@ -762,7 +749,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(1, 1.0, 2.0, ResourceClass::Fixed), // Relu on the pool
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline_faulted(&facts(), &timeline, &limits(), &pool(), None);
         assert_eq!(diags.error_count(), 1);
         assert!(diags.render_text().contains("rejects class"));
     }
@@ -775,7 +762,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Fixed),
             entry(1, 1.0, 2.0, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts, &timeline, &limits(), &pool());
+        let diags = check_timeline_faulted(&facts, &timeline, &limits(), &pool(), None);
         assert!(diags.render_text().contains("restricted workload"));
     }
 
@@ -787,7 +774,7 @@ mod tests {
             entry(0, 0.0, 1.0, ResourceClass::Cpu),
             entry(1, 1.0, 2.0, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts, &timeline, &limits(), &pool());
+        let diags = check_timeline_faulted(&facts, &timeline, &limits(), &pool(), None);
         assert!(diags.is_clean(), "{}", diags.render_text());
     }
 
@@ -812,7 +799,7 @@ mod tests {
             ),
             entry(1, 2.1, 3.1, ResourceClass::Cpu),
         ];
-        let diags = check_timeline(&facts(), &timeline, &limits(), &pool());
+        let diags = check_timeline_faulted(&facts(), &timeline, &limits(), &pool(), None);
         let text = diags.render_text();
         assert!(
             text.contains("fault-free timeline carries attempt"),

@@ -1,23 +1,70 @@
-//! Additional comparison baselines: Neurocube (Fig. 10).
+//! The standalone comparison baselines: Neurocube (Fig. 10), and the
+//! serial device loop it shares with the GPU baseline (`crate::gpu`).
 
 use pim_common::units::{Joules, Seconds};
 use pim_common::Result;
+use pim_hw::device::Device;
 use pim_hw::neurocube::Neurocube;
 use pim_mem::stack::StackConfig;
 use pim_models::Model;
-use pim_runtime::engine::{run_device_serial, DeviceRun, NullSink};
-use pim_runtime::stats::ExecutionReport;
+use pim_runtime::stats::{ExecutionReport, ReportBuilder};
+use pim_tensor::cost::CostProfile;
+
+/// Runs one standalone device over `steps` back-to-back repetitions of its
+/// op stream, with no runtime scheduler in between.
+///
+/// Per op: `op = compute time`, `dm = memory-bound excess`,
+/// `sync = dispatch`, with the device's own estimate deciding each split;
+/// each step ends with `epilogue_dm` of data movement and
+/// `epilogue_energy`. Host idle power is always charged: a standalone
+/// accelerator leaves the host package powered but out of the compute
+/// path.
+pub(crate) fn run_serial(
+    system: &str,
+    device: &dyn Device,
+    costs: &[CostProfile],
+    steps: usize,
+    epilogue_dm: Seconds,
+    epilogue_energy: Joules,
+) -> ExecutionReport {
+    let mut now = Seconds::ZERO;
+    let mut op_raw = Seconds::ZERO;
+    let mut dm_raw = Seconds::ZERO;
+    let mut sync_raw = Seconds::ZERO;
+    let mut energy = Joules::ZERO;
+    for _ in 0..steps {
+        for (op, cost) in costs.iter().enumerate() {
+            debug_assert!(device.accepts(cost), "device rejects op {op}");
+            let est = device.estimate(cost);
+            let busy = est.compute_time.max(est.memory_time);
+            op_raw += est.compute_time;
+            dm_raw += busy - est.compute_time;
+            sync_raw += est.dispatch_time;
+            energy += est.energy;
+            now += busy + est.dispatch_time;
+        }
+        now += epilogue_dm;
+        dm_raw += epilogue_dm;
+        energy += epilogue_energy;
+    }
+    ReportBuilder::new(system, steps)
+        .makespan(now)
+        .raw_parts(op_raw, dm_raw, sync_raw)
+        .device_energy(energy)
+        .charge_host_idle()
+        .device_busy(device.name(), now)
+        .build()
+}
 
 /// Simulates Neurocube executing the training step on its 16 programmable
 /// vault PEs, sequentially (no dynamic runtime scheduling — the §VI-C
 /// difference the paper calls out).
 ///
-/// The op stream runs through the shared event core via Neurocube's
+/// The op stream runs through the serial device loop via Neurocube's
 /// `Device` implementation, so the op/data-movement/sync breakdown is
 /// derived from its own timing estimates — per op, compute time is
 /// operation time, the memory-bound excess over compute is data movement,
-/// and PE dispatch is synchronization — rather than an assumed fixed
-/// split.
+/// and PE dispatch is synchronization — rather than an assumed fixed split.
 ///
 /// # Errors
 ///
@@ -25,16 +72,13 @@ use pim_runtime::stats::ExecutionReport;
 pub fn simulate_neurocube(model: &Model, steps: usize) -> Result<ExecutionReport> {
     let nc = Neurocube::isca16(&StackConfig::hmc2());
     let costs = model.graph().costs()?;
-    Ok(run_device_serial(
-        &DeviceRun {
-            system: "Neurocube",
-            device: &nc,
-            costs,
-            steps,
-            step_epilogue_dm: Seconds::ZERO,
-            step_epilogue_energy: Joules::ZERO,
-        },
-        &mut NullSink,
+    Ok(run_serial(
+        "Neurocube",
+        &nc,
+        costs,
+        steps,
+        Seconds::ZERO,
+        Joules::ZERO,
     ))
 }
 
@@ -42,7 +86,39 @@ pub fn simulate_neurocube(model: &Model, steps: usize) -> Result<ExecutionReport
 mod tests {
     use super::*;
     use crate::configs::{simulate, SystemConfig};
+    use pim_common::units::Bytes;
+    use pim_hw::cpu::CpuDevice;
     use pim_models::ModelKind;
+    use pim_tensor::cost::OffloadClass;
+
+    #[test]
+    fn device_serial_run_balances() {
+        let cpu = CpuDevice::xeon_e5_2630_v3();
+        let costs = vec![
+            CostProfile::compute(
+                1e9,
+                1e9,
+                0.0,
+                Bytes::new(1e7),
+                Bytes::new(1e7),
+                OffloadClass::FullyMulAdd,
+                64,
+            );
+            3
+        ];
+        let report = run_serial(
+            "test-baseline",
+            &cpu,
+            &costs,
+            2,
+            Seconds::new(1e-3),
+            Joules::new(0.5),
+        );
+        assert!(report.is_well_formed());
+        // The per-step epilogue is billed as data movement.
+        assert!(report.data_movement_time >= Seconds::new(2e-3));
+        assert_eq!(report.device_busy[cpu.params().name], report.makespan);
+    }
 
     #[test]
     fn hetero_beats_neurocube_by_at_least_3x() {

@@ -116,8 +116,9 @@ fn median_of(sorted_ms: &[f64]) -> f64 {
     }
 }
 
-/// Times every (model x preset) cell: one untimed warmup (which also
-/// warms the profiler's step memo, matching sweep steady state), then
+/// Times every (model x preset) cell: one untimed warmup (which fills the
+/// graph's memoized tables, `Graph::costs` and `Graph::memo`, matching
+/// sweep steady state), then
 /// `iterations` timed simulations, reduced to median/min.
 ///
 /// # Errors

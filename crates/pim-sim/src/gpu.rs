@@ -4,18 +4,18 @@
 //! model-specific average utilization the paper measured, plus the
 //! step-level effects it discusses: unhidden minibatch staging over PCIe
 //! and working-set spill when the training footprint exceeds device memory
-//! (the ResNet-50 case). The kernel stream itself runs through the shared
-//! event core (`run_device_serial`) via the [`AnalyticGpu`] device, so the
-//! GPU's report comes from the same measurement path as every other
-//! configuration.
+//! (the ResNet-50 case). The kernel stream runs back to back through the
+//! baselines' serial device loop via the [`AnalyticGpu`] device, and the
+//! report is built by the same `ReportBuilder` as every other
+//! configuration's.
 
+use crate::baselines::run_serial;
 use pim_common::units::Bytes;
 use pim_common::Result;
 use pim_graph::{Graph, TensorRole};
 use pim_hw::device::AnalyticGpu;
 use pim_hw::gpu::GpuDevice;
 use pim_models::Model;
-use pim_runtime::engine::{run_device_serial, DeviceRun, NullSink};
 use pim_runtime::stats::ExecutionReport;
 
 /// Fraction of per-tensor activation footprint that TensorFlow's buffer
@@ -65,16 +65,13 @@ pub fn simulate_gpu(model: &Model, gpu: &GpuDevice, steps: usize) -> Result<Exec
     let pcie_volume = minibatch_bytes(graph)
         + Bytes::new((working_set(graph).bytes() - gpu.capacity().bytes()).max(0.0) * 2.0);
 
-    Ok(run_device_serial(
-        &DeviceRun {
-            system: "GPU",
-            device: &device,
-            costs,
-            steps,
-            step_epilogue_dm: staging + spill,
-            step_epilogue_energy: gpu.transfer_energy(pcie_volume),
-        },
-        &mut NullSink,
+    Ok(run_serial(
+        "GPU",
+        &device,
+        costs,
+        steps,
+        staging + spill,
+        gpu.transfer_energy(pcie_volume),
     ))
 }
 

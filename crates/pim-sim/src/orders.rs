@@ -16,7 +16,7 @@ use pim_common::diag::Diagnostics;
 use pim_common::Result;
 use pim_models::ModelKind;
 use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
-use pim_runtime::fuzz::{fuzz_orders, TieBreak};
+use pim_runtime::fuzz::fuzz_orders;
 use pim_runtime::search::{beam_search, SearchConfig};
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -267,34 +267,10 @@ pub fn oracle_gap_table(
     Ok(out)
 }
 
-/// The negative control for pass 5: a [`TieBreak::Priority`] order is
-/// legal but schedule-changing, so feeding it through the comparison
-/// machinery must produce a divergence diagnostic naming the first
-/// divergent timeline entry. Returns the diagnostics for inspection.
-///
-/// # Errors
-///
-/// Propagates model-construction and simulation failures.
-pub fn negative_control(kind: ModelKind, seed: u64, steps: usize) -> Result<Diagnostics> {
-    let model = cache::model(kind)?;
-    let spec = [WorkloadSpec {
-        graph: model.graph(),
-        steps,
-        cpu_progr_only: false,
-    }];
-    let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-    let outcome = pim_runtime::fuzz::check_order_invariance(
-        &engine,
-        &spec,
-        &[TieBreak::Priority(seed)],
-        &format!("{kind}@Hetero"),
-    )?;
-    Ok(outcome.diags)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_runtime::fuzz::TieBreak;
 
     #[test]
     fn fuzz_sweep_is_clean_and_deterministic_on_alexnet() {
@@ -342,7 +318,21 @@ mod tests {
         // A Priority order legally reorders the schedule; the pass-5
         // comparison must flag it and name the first divergent entry —
         // exactly how a reintroduced HashMap-tie bug would surface.
-        let diags = negative_control(ModelKind::AlexNet, 7, 2).unwrap();
+        let model = cache::model(ModelKind::AlexNet).unwrap();
+        let spec = [WorkloadSpec {
+            graph: model.graph(),
+            steps: 2,
+            cpu_progr_only: false,
+        }];
+        let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
+        let diags = pim_runtime::fuzz::check_order_invariance(
+            &engine,
+            &spec,
+            &[TieBreak::Priority(7)],
+            "AlexNet@Hetero",
+        )
+        .unwrap()
+        .diags;
         assert!(!diags.is_clean(), "priority order must diverge");
         let text = diags.render_text();
         assert!(

@@ -94,21 +94,6 @@ pub fn conv2d_gemm(input: &Tensor, filter: &Tensor, geom: ConvGeometry) -> Resul
     Ok(out)
 }
 
-/// The unfold's read amplification: how many times the average input
-/// element is re-read relative to a single sweep. This is the quantity the
-/// conv cost model approximates with its `IM2COL_AMPLIFICATION` constant
-/// (after cache reuse).
-///
-/// # Errors
-///
-/// Returns a shape error for non-4-D inputs.
-pub fn unfold_amplification(input: &Shape, geom: ConvGeometry) -> Result<f64> {
-    let (n, c, h, w) = input.as_nchw()?;
-    let (oh, ow) = geom.output_hw(h, w);
-    let unfolded_elems = (c * geom.window_len()) as f64 * (n * oh * ow) as f64;
-    Ok(unfolded_elems / (n * c * h * w) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,29 +110,6 @@ mod tests {
         let direct = conv2d(&input, &filter, geom).unwrap();
         let gemm = conv2d_gemm(&input, &filter, geom).unwrap();
         assert!(direct.max_abs_diff(&gemm).unwrap() < 1e-4);
-    }
-
-    #[test]
-    fn amplification_matches_window_for_unit_stride() {
-        // Stride-1 same-padded 3x3: every element read ~9 times.
-        let geom = ConvGeometry::square(3, 1, 1);
-        let amp = unfold_amplification(&Shape::new(vec![1, 8, 32, 32]), geom).unwrap();
-        assert!((amp - 9.0).abs() < 0.01, "amp = {amp}");
-    }
-
-    #[test]
-    fn strided_convs_amplify_less() {
-        let dense = unfold_amplification(
-            &Shape::new(vec![1, 3, 224, 224]),
-            ConvGeometry::square(3, 1, 1),
-        )
-        .unwrap();
-        let strided = unfold_amplification(
-            &Shape::new(vec![1, 3, 227, 227]),
-            ConvGeometry::square(11, 4, 0),
-        )
-        .unwrap();
-        assert!(strided < dense);
     }
 
     #[test]
