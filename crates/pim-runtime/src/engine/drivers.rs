@@ -42,8 +42,9 @@
 //! [`Accumulator`], build their result via
 //! [`ReportBuilder`](crate::stats::ReportBuilder), and observe execution
 //! through an [`Observer`]: counters always, a
-//! [`TimelineEntry`](super::TimelineEntry) per committed attempt when the run collects a
-//! timeline, and Chrome-trace spans when the run asks for a trace.
+//! [`TimelineEntry`](super::TimelineEntry) per committed attempt when the
+//! run collects a timeline, and Chrome-trace spans when the run asks for a
+//! trace.
 
 use super::components::{Accumulator, Clock, DeviceLanes, Event, EventHeap, InFlight, ResourceSoA};
 use super::faults::{backoff_after, charge_until, AttemptOutcome, FaultContext, FaultPolicy};
