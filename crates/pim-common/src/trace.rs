@@ -467,9 +467,9 @@ pub fn json_string(s: &str) -> String {
 /// use pim_common::trace::Counters;
 ///
 /// let mut c = Counters::new();
-/// c.inc("events/dispatched");
+/// c.add("events/dispatched", 1.0);
 /// c.add("bytes/moved", 4096.0);
-/// c.inc("events/dispatched");
+/// c.add("events/dispatched", 1.0);
 /// assert_eq!(c.get("events/dispatched"), 2.0);
 /// assert_eq!(c.get("missing"), 0.0);
 /// assert!(c.to_json().starts_with('{'));
@@ -492,11 +492,6 @@ impl Counters {
         } else {
             self.map.insert(name.to_string(), delta);
         }
-    }
-
-    /// Increments a counter by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1.0);
     }
 
     /// Current value of a counter (0 when never touched).
@@ -665,6 +660,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -672,6 +668,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            text: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -772,12 +769,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters, multi-byte ones included,
+                    // goes over as one slice: it ends at the next `"` or
+                    // `\`, both ASCII and so both char boundaries.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -1052,10 +1052,37 @@ mod tests {
     }
 
     #[test]
+    fn json_strings_keep_multi_byte_runs_and_escapes_at_their_edges() {
+        let parse_str = |doc: &str| parse_json(doc).map(|j| j.as_str().unwrap().to_string());
+        for plain in ["é", "café", "日本語テキスト", "🦀🦀", "aé日🦀z", ""] {
+            assert_eq!(parse_str(&json_string(plain)).unwrap(), plain);
+        }
+        // Escapes right before, right after and between runs.
+        assert_eq!(parse_str(r#""\"é\\""#).unwrap(), "\"é\\");
+        assert_eq!(parse_str(r#""\n日本\t🦀\/""#).unwrap(), "\n日本\t🦀/");
+        assert_eq!(parse_str(r#""a\\\\b""#).unwrap(), "a\\\\b");
+        // `\u` escapes, alone and against multi-byte runs.
+        assert_eq!(parse_str(r#""\u00e9""#).unwrap(), "é");
+        assert_eq!(parse_str(r#""\u65e5日本\u0041""#).unwrap(), "日日本A");
+        assert_eq!(parse_str(r#""\u0001🦀""#).unwrap(), "\u{1}🦀");
+        assert!(parse_str(r#""\u00g9""#)
+            .unwrap_err()
+            .starts_with("bad \\u escape"));
+        // An unterminated string is the same error whatever it ends in.
+        for bad in [r#""abc"#, r#""日本"#, r#""🦀\""#, r#"{"k":"é"#, "\""] {
+            assert_eq!(parse_json(bad).unwrap_err(), "unterminated string", "{bad}");
+        }
+        // Keys take the same path as values.
+        let doc = parse_json(r#"{"ключ":"значение","k\"2":"🦀"}"#).unwrap();
+        assert_eq!(doc.field("ключ").unwrap().as_str(), Some("значение"));
+        assert_eq!(doc.field("k\"2").unwrap().as_str(), Some("🦀"));
+    }
+
+    #[test]
     fn counters_accumulate_and_render_in_key_order() {
         let mut c = Counters::new();
         c.add("ops/CPU", 3.0);
-        c.inc("ops/CPU");
+        c.add("ops/CPU", 1.0);
         c.add("bytes/moved", 1024.0);
         assert_eq!(c.get("ops/CPU"), 4.0);
         assert_eq!(c.len(), 2);

@@ -172,11 +172,6 @@ impl Seconds {
 }
 
 impl Bytes {
-    /// Builds a byte count from a number of 64-byte cache lines.
-    pub fn from_lines(lines: u64) -> Self {
-        Bytes::new(lines as f64 * 64.0)
-    }
-
     /// Number of 64-byte main-memory lines this volume touches, rounded up.
     pub fn lines(self) -> u64 {
         (self.0 / 64.0).ceil() as u64
@@ -251,7 +246,6 @@ mod tests {
 
     #[test]
     fn bytes_line_roundtrip() {
-        assert_eq!(Bytes::from_lines(4).bytes(), 256.0);
         assert_eq!(Bytes::new(100.0).lines(), 2);
         assert_eq!(Bytes::new(128.0).lines(), 2);
         assert_eq!(Bytes::ZERO.lines(), 0);

@@ -377,15 +377,6 @@ impl NetBuilder {
         self.activation(x, Activation::Tanh)
     }
 
-    /// Appends `Sigmoid`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the input tensor.
-    pub fn sigmoid(&mut self, x: TensorId) -> Result<TensorId> {
-        self.activation(x, Activation::Sigmoid)
-    }
-
     /// Appends a rectangular `Conv2D` (Inception's 1x7/7x1 factorization).
     ///
     /// # Errors

@@ -1,10 +1,12 @@
 //! Tensor liveness analysis: peak live memory of one training step.
 //!
-//! The GPU baseline's working-set spill (the reason ResNet-50 favors the
-//! PIM, §VI-A) needs an estimate of how much memory a step keeps live. A
-//! topological sweep with last-use tracking gives the schedule-dependent
+//! A topological sweep with last-use tracking gives the schedule-dependent
 //! peak: a tensor becomes live when produced and dies after its last
-//! consumer.
+//! consumer. Its one consumer is `pim-verify`'s graph pass, which checks
+//! that the peak never exceeds the no-reuse total. The GPU baseline's
+//! working-set spill (the reason ResNet-50 favors the PIM, §VI-A) does
+//! not use it: `pim_sim::gpu::working_set` applies a fixed
+//! `ACTIVATION_REUSE` of 0.5 to the summed activation bytes instead.
 
 use crate::graph::Graph;
 use crate::node::TensorRole;

@@ -18,13 +18,14 @@
 //!
 //! ```
 //! use pim_mem::stack::StackConfig;
+//! use pim_mem::traffic::{transfer_time, AccessPattern};
 //! use pim_common::units::Bytes;
 //!
 //! let stack = StackConfig::hmc2();
 //! // Internal (PIM-side) bandwidth far exceeds the external link: that gap is
 //! // the data-movement argument of the whole paper.
 //! assert!(stack.internal_bandwidth() > stack.external_bandwidth());
-//! let t = stack.internal_transfer_time(Bytes::new(1e9));
+//! let t = transfer_time(Bytes::new(1e9), stack.internal_bandwidth(), AccessPattern::Sequential);
 //! assert!(t.seconds() > 0.0);
 //! ```
 #![forbid(unsafe_code)]

@@ -4,9 +4,8 @@
 //! for our evaluation of 3D memory stack. Baseline memory frequency is set to
 //! 312.5 MHz … also used as the working frequency of our heterogeneous PIM."
 
-use crate::traffic::{transfer_time, AccessPattern};
 use pim_common::ids::BankId;
-use pim_common::units::{Bytes, Seconds};
+use pim_common::units::Seconds;
 use pim_common::{PimError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -144,11 +143,6 @@ impl StackConfig {
             self.frequency_hz(),
         )
     }
-
-    /// Time for PIM logic to stream `volume` through the TSVs.
-    pub fn internal_transfer_time(&self, volume: Bytes) -> Seconds {
-        transfer_time(volume, self.internal_bandwidth(), AccessPattern::Sequential)
-    }
 }
 
 impl Default for StackConfig {
@@ -160,7 +154,9 @@ impl Default for StackConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::{transfer_time, AccessPattern};
     use pim_common::rng::check;
+    use pim_common::units::Bytes;
 
     #[test]
     fn hmc2_matches_paper_constants() {
@@ -214,7 +210,10 @@ mod tests {
             let base = StackConfig::hmc2();
             let fast = base.with_frequency_multiplier(mult).unwrap();
             let v = Bytes::new(1e8);
-            assert!(fast.internal_transfer_time(v) <= base.internal_transfer_time(v));
+            let time = |cfg: &StackConfig| {
+                transfer_time(v, cfg.internal_bandwidth(), AccessPattern::Sequential)
+            };
+            assert!(time(&fast) <= time(&base));
             assert!(fast.row_hit_latency() <= base.row_hit_latency());
         });
     }

@@ -65,7 +65,7 @@ pub fn transfer_time(volume: Bytes, peak_bytes_per_sec: f64, pattern: AccessPatt
 /// let mut t = TrafficStats::new();
 /// t.record(Bytes::new(256.0), Bytes::new(64.0));
 /// t.record(Bytes::new(128.0), Bytes::ZERO);
-/// assert_eq!(t.total().bytes(), 448.0);
+/// assert_eq!(t.bytes_read().bytes() + t.bytes_written().bytes(), 448.0);
 /// assert_eq!(t.transfers(), 2);
 ///
 /// let mut c = Counters::new();
@@ -102,11 +102,6 @@ impl TrafficStats {
         self.bytes_written
     }
 
-    /// Total bytes moved in either direction.
-    pub fn total(&self) -> Bytes {
-        self.bytes_read + self.bytes_written
-    }
-
     /// Number of recorded transfers (op executions).
     pub fn transfers(&self) -> u64 {
         self.transfers
@@ -130,7 +125,7 @@ mod tests {
     fn traffic_stats_accumulate_and_apply() {
         let mut t = TrafficStats::new();
         assert_eq!(t, TrafficStats::default());
-        t.record(Bytes::from_lines(2), Bytes::from_lines(1));
+        t.record(Bytes::new(128.0), Bytes::new(64.0));
         t.record(Bytes::new(10.0), Bytes::new(20.0));
         assert_eq!(t.bytes_read().bytes(), 138.0);
         assert_eq!(t.bytes_written().bytes(), 84.0);

@@ -33,13 +33,6 @@ pub struct ComputeDevice {
     pub pes_per_unit: Vec<usize>,
 }
 
-impl ComputeDevice {
-    /// Total processing elements.
-    pub fn total_pes(&self) -> usize {
-        self.pes_per_unit.iter().sum()
-    }
-}
-
 /// The platform: host plus heterogeneous accelerators.
 ///
 /// # Examples
@@ -55,9 +48,10 @@ impl ComputeDevice {
 ///     4,
 /// );
 /// assert_eq!(platform.devices().len(), 3);
-/// let fixed = platform.device_of_kind(DeviceKind::FixedFunction).unwrap();
+/// let fixed = &platform.devices()[1];
+/// assert_eq!(fixed.kind, DeviceKind::FixedFunction);
 /// assert_eq!(fixed.compute_units, 32); // one CU per bank
-/// assert_eq!(fixed.total_pes(), 444);  // one PE per unit
+/// assert_eq!(fixed.pes_per_unit.iter().sum::<usize>(), 444); // one PE per unit
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Platform {
@@ -96,11 +90,6 @@ impl Platform {
     pub fn devices(&self) -> &[ComputeDevice] {
         &self.devices
     }
-
-    /// The first device of a kind, if any.
-    pub fn device_of_kind(&self, kind: DeviceKind) -> Option<&ComputeDevice> {
-        self.devices.iter().find(|d| d.kind == kind)
-    }
 }
 
 #[cfg(test)]
@@ -112,12 +101,16 @@ mod tests {
         Platform::hetero_pim(8, &FixedPoolConfig::paper_default(&StackConfig::hmc2()), 4)
     }
 
+    fn device(p: &Platform, kind: DeviceKind) -> &ComputeDevice {
+        p.devices().iter().find(|d| d.kind == kind).unwrap()
+    }
+
     #[test]
     fn fixed_device_mirrors_bank_placement() {
         let p = platform();
-        let fixed = p.device_of_kind(DeviceKind::FixedFunction).unwrap();
+        let fixed = device(&p, DeviceKind::FixedFunction);
         assert_eq!(fixed.compute_units, 32);
-        assert_eq!(fixed.total_pes(), 444);
+        assert_eq!(fixed.pes_per_unit.iter().sum::<usize>(), 444);
         // Edge/corner CUs hold more PEs than central ones.
         assert!(fixed.pes_per_unit[0] > fixed.pes_per_unit[9]);
     }
@@ -125,9 +118,9 @@ mod tests {
     #[test]
     fn programmable_device_has_core_pes() {
         let p = platform();
-        let progr = p.device_of_kind(DeviceKind::Programmable).unwrap();
+        let progr = device(&p, DeviceKind::Programmable);
         assert_eq!(progr.compute_units, 1);
-        assert_eq!(progr.total_pes(), 4);
+        assert_eq!(progr.pes_per_unit, [4]);
     }
 
     #[test]

@@ -50,16 +50,6 @@ impl Default for BreakerConfig {
     }
 }
 
-impl BreakerConfig {
-    /// A configuration with breakers switched off.
-    pub fn disabled() -> Self {
-        BreakerConfig {
-            threshold: 0,
-            cooldown: 0,
-        }
-    }
-}
-
 /// One tenant's breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
@@ -307,7 +297,10 @@ mod tests {
 
     #[test]
     fn zero_threshold_disables_everything() {
-        let mut b = BreakerSet::new(BreakerConfig::disabled());
+        let mut b = BreakerSet::new(BreakerConfig {
+            threshold: 0,
+            cooldown: 0,
+        });
         for _ in 0..100 {
             assert_eq!(b.admit("t"), Admission::Admit);
             b.observe("t", false, false);

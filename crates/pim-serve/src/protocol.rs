@@ -454,7 +454,8 @@ pub fn render_report(r: &pim_runtime::ExecutionReport) -> String {
     out
 }
 
-/// Renders a successful `run` response.
+/// Renders a successful `run` response: [`render_ok_body`]'s per-cell
+/// body spliced after the per-request head by [`render_ok_spliced`].
 pub fn render_ok(
     id: &str,
     tenant: &str,
@@ -462,15 +463,20 @@ pub fn render_ok(
     reports: &[pim_runtime::ExecutionReport],
     degraded: Option<&str>,
 ) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"id\":{},\"status\":\"ok\",\"tenant\":{},\"cache\":\"{}\",\"degraded\":{},\"reports\":[",
-        json_string(id),
-        json_string(tenant),
-        if cache_hit { "hit" } else { "miss" },
-        degraded.map_or_else(|| "null".to_string(), json_string),
-    );
+    render_ok_spliced(id, tenant, cache_hit, &render_ok_body(reports, degraded))
+}
+
+/// The per-cell part of a `run` response,
+/// `"degraded":…,"reports":[…]}`: a pure function of the cell's result,
+/// so the daemon renders it once per cell and splices it into every
+/// response that cell answers.
+pub fn render_ok_body(reports: &[pim_runtime::ExecutionReport], degraded: Option<&str>) -> String {
+    let mut out = String::from("\"degraded\":");
+    match degraded {
+        Some(name) => out.push_str(&json_string(name)),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"reports\":[");
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -478,6 +484,22 @@ pub fn render_ok(
         out.push_str(&render_report(r));
     }
     out.push_str("]}");
+    out
+}
+
+/// A `run` response from its per-request head,
+/// `{"id":…,"status":"ok","tenant":…,"cache":"hit|miss",`, and a body
+/// rendered by [`render_ok_body`].
+pub fn render_ok_spliced(id: &str, tenant: &str, cache_hit: bool, body: &str) -> String {
+    let id = json_string(id);
+    let tenant = json_string(tenant);
+    let mut out = String::with_capacity(48 + id.len() + tenant.len() + body.len());
+    let _ = write!(
+        out,
+        "{{\"id\":{id},\"status\":\"ok\",\"tenant\":{tenant},\"cache\":\"{}\",",
+        if cache_hit { "hit" } else { "miss" },
+    );
+    out.push_str(body);
     out
 }
 
@@ -544,6 +566,10 @@ pub fn render_stats(id: &str, c: &ServiceCounters) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_common::rng::{check, Gen};
+    use pim_common::units::{Joules, Seconds};
+    use pim_runtime::stats::ReportBuilder;
+    use pim_runtime::ExecutionReport;
 
     #[test]
     fn parses_a_minimal_run_request() {
@@ -650,6 +676,89 @@ mod tests {
         let e = parse_request(r#"{"model":"alex"}"#).unwrap_err();
         assert_eq!(e.kind, kind::BAD_REQUEST);
         assert_eq!(e.id, None);
+    }
+
+    /// A string drawn from characters that stress the JSON escaper:
+    /// quotes, backslashes, control characters and non-ASCII.
+    fn hostile(g: &mut Gen) -> String {
+        const CHARS: [char; 12] = [
+            'a', 'Z', '7', '"', '\\', '\n', '\t', '\u{1}', '\u{1f}', 'é', '日', '🦀',
+        ];
+        g.vec(0..8, |g| CHARS[g.draw(0..CHARS.len())])
+            .into_iter()
+            .collect()
+    }
+
+    fn report(g: &mut Gen) -> ExecutionReport {
+        let mut b = ReportBuilder::new(hostile(g), g.draw(1..5usize))
+            .makespan(Seconds::new(g.draw(1e-6..10.0)))
+            .raw_parts(
+                Seconds::new(g.draw(0.0..1.0)),
+                Seconds::new(g.draw(0.0..1.0)),
+                Seconds::new(g.draw(0.0..1.0)),
+            )
+            .device_energy(Joules::new(g.draw(0.0..100.0)))
+            .ff_utilization(g.draw(0.0..1.0));
+        for _ in 0..g.draw(0..3usize) {
+            b = b.device_busy(hostile(g), Seconds::new(g.draw(0.0..1.0)));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn render_ok_is_a_request_head_then_a_cell_body() {
+        check(200, "render_ok_is_a_request_head_then_a_cell_body", |g| {
+            let id = hostile(g);
+            let tenant = hostile(g);
+            let hit = g.draw(0..2usize) == 1;
+            let reports = g.vec(0..4, report);
+            let degraded = (g.draw(0..2usize) == 1).then(|| hostile(g));
+
+            let body = render_ok_body(&reports, degraded.as_deref());
+            let line = render_ok(&id, &tenant, hit, &reports, degraded.as_deref());
+            assert_eq!(line, render_ok_spliced(&id, &tenant, hit, &body));
+
+            // Both halves, spelled out independently of the renderers.
+            let head = format!(
+                "{{\"id\":{},\"status\":\"ok\",\"tenant\":{},\"cache\":\"{}\",",
+                json_string(&id),
+                json_string(&tenant),
+                if hit { "hit" } else { "miss" },
+            );
+            let rendered: Vec<String> = reports.iter().map(render_report).collect();
+            let want_body = format!(
+                "\"degraded\":{},\"reports\":[{}]}}",
+                degraded
+                    .as_deref()
+                    .map_or_else(|| "null".to_string(), json_string),
+                rendered.join(","),
+            );
+            assert_eq!(body, want_body);
+            assert_eq!(line, head + &want_body);
+
+            // The line is one JSON object that reads back what went in.
+            assert!(!line.contains('\n'));
+            let doc = parse_json(&line).unwrap();
+            assert_eq!(doc.field("id").and_then(Json::as_str), Some(id.as_str()));
+            assert_eq!(
+                doc.field("tenant").and_then(Json::as_str),
+                Some(tenant.as_str())
+            );
+            let cache = doc.field("cache").and_then(Json::as_str);
+            assert_eq!(cache, Some(if hit { "hit" } else { "miss" }));
+            assert_eq!(
+                doc.field("degraded").and_then(Json::as_str),
+                degraded.as_deref()
+            );
+            let got = doc.field("reports").and_then(Json::as_arr).unwrap();
+            assert_eq!(got.len(), reports.len());
+            for (r, j) in reports.iter().zip(got) {
+                assert_eq!(
+                    j.field("system").and_then(Json::as_str),
+                    Some(r.system.as_str())
+                );
+            }
+        });
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl<T> AdmissionQueue<T> {
     pub fn outstanding(&self) -> usize {
         self.outstanding
     }
-
-    /// Jobs enqueued and not yet popped.
-    pub fn queued(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +192,7 @@ mod tests {
         q.push(1, "b");
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), Some("b"));
-        assert_eq!(q.queued(), 0);
+        assert_eq!(q.pop(), None);
         assert_eq!(q.admit("t"), Err(RejectReason::OverCapacity));
         q.release("t");
         q.release("t");

@@ -76,7 +76,7 @@ impl OffloadClass {
 ///     41,
 /// );
 /// assert_eq!(c.ma_flops(), 1999.0);
-/// assert!(c.arithmetic_intensity() > 0.0);
+/// assert_eq!(c.total_bytes().bytes(), 12000.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostProfile {
@@ -185,16 +185,6 @@ impl CostProfile {
     /// "number of main memory accesses" metric.
     pub fn memory_accesses(&self) -> u64 {
         self.total_bytes().lines()
-    }
-
-    /// Flops per byte of main-memory traffic (0 when traffic-free).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = self.total_bytes().bytes();
-        if bytes == 0.0 {
-            0.0
-        } else {
-            self.total_flops() / bytes
-        }
     }
 
     /// Accumulates another profile into this one (used to total a kernel
@@ -317,7 +307,6 @@ mod tests {
             AccessPattern::Sequential,
         );
         assert_eq!(m.total_flops(), 0.0);
-        assert_eq!(m.arithmetic_intensity(), 0.0);
         assert!(m.control_ops > 0.0);
     }
 

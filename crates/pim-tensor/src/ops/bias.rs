@@ -194,8 +194,9 @@ mod tests {
     fn grad_is_memory_intensive() {
         let shape = Shape::new(vec![32, 64, 56, 56]);
         let cost = bias_add_grad_cost(&shape).unwrap();
-        // Very low arithmetic intensity is the signature of this op.
-        assert!(cost.arithmetic_intensity() < 0.25);
+        // Very low arithmetic intensity (flops per byte moved) is the
+        // signature of this op.
+        assert!(cost.total_flops() < 0.25 * cost.total_bytes().bytes());
         assert_eq!(cost.class, OffloadClass::FullyMulAdd);
     }
 
