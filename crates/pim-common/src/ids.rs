@@ -73,12 +73,6 @@ define_id!(
 );
 
 define_id!(
-    /// Identifies a compute device registered with the OpenCL platform.
-    DeviceId,
-    "dev"
-);
-
-define_id!(
     /// Identifies a compiled kernel binary.
     KernelId,
     "kern"
@@ -121,7 +115,6 @@ mod tests {
     #[test]
     fn display_uses_prefix() {
         assert_eq!(TensorId::new(0).to_string(), "t0");
-        assert_eq!(DeviceId::new(4).to_string(), "dev4");
         assert_eq!(StepId::new(9).to_string(), "step9");
         assert_eq!(WorkloadId::new(2).to_string(), "wl2");
         assert_eq!(KernelId::new(2).to_string(), "kern2");

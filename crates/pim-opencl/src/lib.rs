@@ -1,8 +1,5 @@
 //! The extended OpenCL programming model for heterogeneous PIM (Table II).
 //!
-//! * [`platform`] — the platform mapping of Fig. 5(b): fixed-function PIMs
-//!   per bank form compute units of one device; the programmable PIM is a
-//!   second device,
 //! * [`kir`] — a miniature kernel IR so binary generation is a real code
 //!   transformation,
 //! * [`binary`] — the four-binary compilation pass of Fig. 4, including the
@@ -33,8 +30,6 @@
 
 pub mod binary;
 pub mod kir;
-pub mod platform;
 
 pub use binary::BinarySet;
 pub use kir::KernelSource;
-pub use platform::{DeviceKind, Platform};

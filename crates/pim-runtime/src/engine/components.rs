@@ -31,7 +31,7 @@
 //! allocator.
 
 use super::placement::{Availability, PlanKind, PlannedOp, Planner};
-use super::SystemMode;
+use super::{Survivors, SystemMode};
 use crate::stats::{ExecutionReport, ReportBuilder};
 use pim_common::units::{Joules, Seconds};
 use pim_common::Result;
@@ -333,6 +333,11 @@ impl ResourceSoA {
     /// Units still alive (free or busy, but not quarantined).
     pub fn alive_ff(&self) -> usize {
         self.pool.total_units() - self.quarantined_ff
+    }
+
+    /// What the quarantines so far leave of the machine.
+    pub fn survivors(&self) -> Survivors {
+        (self.alive_ff(), self.progr_alive)
     }
 
     /// Permanently removes `units` idle fixed-function units. The grant is

@@ -135,15 +135,16 @@ fn resources_at_start<P: FaultPolicy>(
 /// effect at their scheduled times. A killed attempt is charged for the
 /// fraction of the work the device actually performed.
 ///
-/// One op at a time means every resource is free at each placement, so
-/// the fault-free plans are the uncontended ones: the driver reads them
-/// from the engine's `plans` table, filled on the graph's first
-/// serialized run, instead of planning per run. Only while a strike has
-/// quarantined part of the machine does it re-plan each attempt against
-/// what survives.
+/// One op at a time means everything that survives is free at each
+/// placement, so each op's plan depends only on what the quarantines so
+/// far leave of the machine. The driver reads it from the engine's
+/// `table`, keyed by that state: it fetches the current state's plans
+/// when each workload starts (a before-run quarantine is already in the
+/// ledger) and again after a strike changes the state, and never plans
+/// an attempt itself.
 pub(crate) fn run_serialized<P: FaultPolicy>(
     planner: &Planner,
-    plans: &PlanTable,
+    table: &PlanTable,
     prepared: &[Prepared<'_>],
     obs: &mut Observer<'_>,
     policy: &P,
@@ -152,17 +153,14 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
     let mut acc = Accumulator::default();
     let mut clock = Clock::new();
     let mut gauge = limits.gauge();
-    let ff_units = planner.cfg.ff_units;
     // One op runs at a time and holds nothing in the ledger, which only
     // tracks quarantine here: its availability is everything alive.
     let mut resources = resources_at_start(planner, policy, obs)?;
     let strikes = policy.strikes();
     let mut next_strike = 0usize;
     for (w, wl) in prepared.iter().enumerate() {
-        // With everything free, placement is availability-independent:
-        // the engine's table holds each op's uncontended plan, and every
-        // step and attempt reuses it while nothing is quarantined.
-        let plans = plans.get(planner, wl)?;
+        let mut alive = resources.survivors();
+        let mut plans = table.get(planner, wl, alive)?;
         for step in 0..wl.spec.steps {
             for &op in wl.topo {
                 let candidate = wl.candidates.contains(OpId::new(op));
@@ -176,18 +174,16 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                         quarantine(&mut resources, s.target, obs, s.at)?;
                         next_strike += 1;
                     }
-                    let (kind, planned) = match P::FAULTY.then(|| resources.availability()) {
-                        Some(avail) if (avail.ff_alive, avail.progr_alive) != (ff_units, true) => {
-                            let cost = &wl.costs[op];
-                            let kind = planner
-                                .choose(cost, candidate, wl.spec.cpu_progr_only, avail)
-                                .ok_or_else(|| {
-                                    PimError::internal("serialized placement found no device")
-                                })?;
-                            (kind, planner.plan_cost(kind, cost))
-                        }
-                        _ => plans[op],
-                    };
+                    // Only a faulted run strikes, so only it changes state.
+                    if P::FAULTY && resources.survivors() != alive {
+                        alive = resources.survivors();
+                        plans = table.get(planner, wl, alive)?;
+                    }
+                    debug_assert_eq!(
+                        resources.availability(),
+                        Availability::surviving(alive.0, alive.1)
+                    );
+                    let (kind, planned) = plans[op];
                     let start = clock.now();
                     let (mut charge, mut outcome) =
                         policy.attempt(planned, (w, step, op), attempt, start);

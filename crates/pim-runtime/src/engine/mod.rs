@@ -61,7 +61,7 @@ use pim_hw::faults::{FaultPlan, FaultTarget};
 use pim_hw::fixed::FixedFunctionPool;
 use pim_mem::stack::StackConfig;
 use pim_tensor::cost::CostProfile;
-use placement::{describe, PlanKind, PlannedOp, Planner};
+use placement::{describe, Availability, PlanKind, PlannedOp, Planner};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -292,20 +292,36 @@ pub(crate) struct Prepared<'g> {
 }
 
 /// An engine's uncontended placements ([`Planner::uncontended`]) per
-/// (graph uid, restriction flag): the serialized driver's fault-free
-/// plans, computed on a graph's first serialized run and read by every
-/// later one on the same engine. The key needs nothing else:
-/// the planner configuration is the engine's, the costs and the candidate
-/// set are functions of the graph (membership is the stable selection's
-/// under every tie-break), and a mutated or cloned graph has a fresh
-/// [`Graph::uid`]. An entry is filled outside the lock, so concurrent
-/// first runs may both plan and the first stored result is kept; a
-/// failure is never stored.
+/// (graph uid, restriction flag, `ff_alive`, `progr_alive`): the
+/// serialized driver's plans, computed on the first serialized run that
+/// places the graph on that much of the machine and read by every later
+/// one on the same engine. One op runs at a time, so everything that
+/// survives is free at each placement ([`Availability::surviving`]) and
+/// the plan depends on nothing else: the planner configuration is the
+/// engine's, the costs and the candidate set are functions of the graph
+/// (membership is the stable selection's under every tie-break), and a
+/// mutated or cloned graph has a fresh [`Graph::uid`]. The fault-free
+/// entry is the `(ff_units, true)` state.
+///
+/// A state whose placements ([`PlanKind`]s) equal those of a state
+/// already stored for the same graph and restriction shares that entry's
+/// rows: [`Planner::plan_cost`] is pure in the kind and the cost, so the
+/// costed column follows. On the CPU preset every state shares the
+/// fault-free rows, and on the Progr preset every progr-alive state does.
+///
+/// An entry is filled outside the lock, so concurrent first runs may both
+/// plan and the first stored result is kept; a failure is never stored.
 #[derive(Default)]
-pub(crate) struct PlanTable(Mutex<HashMap<(u64, bool), UncontendedPlans>>);
+pub(crate) struct PlanTable(Mutex<HashMap<(u64, bool), Vec<StatePlans>>>);
+
+/// What a quarantine leaves of the machine: `(ff_alive, progr_alive)`.
+pub(crate) type Survivors = (usize, bool);
 
 /// One graph's uncontended placements, indexed by op id.
 type UncontendedPlans = Arc<[(PlanKind, PlannedOp)]>;
+
+/// A graph's placements on what one state leaves of the machine.
+type StatePlans = (Survivors, UncontendedPlans);
 
 impl PlanTable {
     /// Graphs held before the table starts over. A stale entry (its graph
@@ -313,25 +329,49 @@ impl PlanTable {
     /// graphs empties the table rather than keep them all.
     const CAPACITY: usize = 64;
 
-    /// `wl`'s uncontended placements, indexed by op id.
+    /// `wl`'s uncontended placements on what `alive` leaves of the
+    /// machine, indexed by op id.
     ///
     /// # Errors
     ///
     /// The first failed item of [`Planner::uncontended`] (a planner bug).
-    pub fn get(&self, planner: &Planner, wl: &Prepared<'_>) -> Result<UncontendedPlans> {
-        let key = (wl.spec.graph.uid(), wl.spec.cpu_progr_only);
-        if let Some(hit) = self.0.lock().expect("plan table poisoned").get(&key) {
-            return Ok(Arc::clone(hit));
+    pub fn get(
+        &self,
+        planner: &Planner,
+        wl: &Prepared<'_>,
+        alive: Survivors,
+    ) -> Result<UncontendedPlans> {
+        let graph = (wl.spec.graph.uid(), wl.spec.cpu_progr_only);
+        let stored = |states: &[StatePlans]| {
+            let hit = states.iter().find(|(state, _)| *state == alive);
+            hit.map(|(_, plans)| Arc::clone(plans))
+        };
+        let table = self.0.lock().expect("plan table poisoned");
+        if let Some(hit) = table.get(&graph).and_then(|states| stored(states)) {
+            return Ok(hit);
         }
+        drop(table);
+        let avail = Availability::surviving(alive.0, alive.1);
         let mut fresh = Vec::with_capacity(wl.costs.len());
-        for plan in planner.uncontended(wl.costs, &wl.candidates, wl.spec.cpu_progr_only) {
+        for plan in planner.uncontended(wl.costs, &wl.candidates, wl.spec.cpu_progr_only, avail) {
             fresh.push(plan?);
         }
         let mut table = self.0.lock().expect("plan table poisoned");
-        if table.len() >= Self::CAPACITY && !table.contains_key(&key) {
+        if table.len() >= Self::CAPACITY && !table.contains_key(&graph) {
             table.clear();
         }
-        Ok(Arc::clone(table.entry(key).or_insert_with(|| fresh.into())))
+        let states = table.entry(graph).or_default();
+        if let Some(hit) = stored(states) {
+            return Ok(hit);
+        }
+        let same_kinds =
+            |plans: &UncontendedPlans| plans.iter().map(|p| p.0).eq(fresh.iter().map(|p| p.0));
+        let plans = match states.iter().find(|(_, plans)| same_kinds(plans)) {
+            Some((_, shared)) => Arc::clone(shared),
+            None => fresh.into(),
+        };
+        states.push((alive, Arc::clone(&plans)));
+        Ok(plans)
     }
 }
 
@@ -551,10 +591,11 @@ impl RunOutput {
 }
 
 /// The engine: devices + policy for one configuration, plus the
-/// uncontended placements of every graph it has run serialized. A
-/// long-lived engine plans a graph once, as the paper's runtime decides
-/// in step 1 and reuses the decisions (§III-C); the table dies with the
-/// engine, and no run's bytes depend on whether it was warm.
+/// uncontended placements of every graph it has run serialized, one set
+/// per surviving machine a run placed it on. A long-lived engine plans a
+/// graph once per such state, as the paper's runtime decides in step 1
+/// and reuses the decisions (§III-C); the table dies with the engine,
+/// and no run's bytes depend on whether it was warm.
 pub struct Engine {
     planner: Planner,
     plans: PlanTable,
@@ -953,7 +994,10 @@ impl Engine {
     /// Propagates profiling/cost failures.
     pub fn plan_preview(&self, graph: &Graph) -> Result<Vec<PlanRow>> {
         let candidates = self.selection(graph, TieBreak::Stable)?.candidates;
-        let plans = self.planner.uncontended(graph.costs()?, &candidates, false);
+        let all_free = Availability::surviving(self.planner.cfg.ff_units, true);
+        let plans = self
+            .planner
+            .uncontended(graph.costs()?, &candidates, false, all_free);
         let mut rows = Vec::with_capacity(graph.op_count());
         for (node, plan) in graph.ops().iter().zip(plans) {
             let (kind, planned) = plan?;

@@ -108,7 +108,7 @@ pub(crate) fn resource_class(planned: &PlannedOp) -> ResourceClass {
 /// is worth waiting for, a quarantined one never comes back, and the
 /// graceful-degradation branches of [`Planner::choose`] fire only on the
 /// latter — so fault-free decisions are untouched.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Availability {
     pub cpu_free: bool,
     pub progr_free: bool,
@@ -120,14 +120,18 @@ pub(crate) struct Availability {
 }
 
 impl Availability {
-    /// Everything free (uncontended previews and serialized execution).
-    pub fn all_free(ff_units: usize) -> Self {
+    /// Everything that survives free: what one op sees when it runs
+    /// alone on a machine with `ff_alive` fixed-function units and, if
+    /// `progr_alive`, the programmable PIM left (uncontended previews and
+    /// serialized execution). `surviving(ff_units, true)` is the whole
+    /// machine free.
+    pub fn surviving(ff_alive: usize, progr_alive: bool) -> Self {
         Availability {
             cpu_free: true,
-            progr_free: true,
-            ff_free: ff_units,
-            ff_alive: ff_units,
-            progr_alive: true,
+            progr_free: progr_alive,
+            ff_free: ff_alive,
+            ff_alive,
+            progr_alive,
         }
     }
 
@@ -774,22 +778,24 @@ impl Planner {
         }
     }
 
-    /// Every op's uncontended placement, in op-id order: what
-    /// [`Planner::choose`] picks with every resource free, costed by
+    /// Every op's uncontended placement under `avail`, in op-id order:
+    /// what [`Planner::choose`] picks when the op runs alone on what
+    /// `avail` leaves ([`Availability::surviving`]), costed by
     /// [`Planner::plan_cost`]. Both are pure, so the plans are a function
-    /// of the configuration, the costs, candidate membership and the
-    /// restriction flag alone. Lazy, so a caller that only reads the plans
-    /// once builds no table of them.
+    /// of the configuration, the costs, candidate membership, the
+    /// restriction flag and `avail` alone. Lazy, so a caller that only
+    /// reads the plans once builds no table of them.
     ///
-    /// An item is an internal error if its op has no device with
-    /// everything free (a planner bug: every complement has a fallback).
+    /// An item is an internal error if its op has no device under
+    /// `avail` (a planner bug: every complement has a fallback, and the
+    /// host never fails).
     pub fn uncontended<'a>(
         &'a self,
         costs: &'a [CostProfile],
         candidates: &'a CandidateSet,
         restricted: bool,
+        avail: Availability,
     ) -> impl Iterator<Item = Result<(PlanKind, PlannedOp)>> + 'a {
-        let avail = Availability::all_free(self.cfg.ff_units);
         costs.iter().enumerate().map(move |(op, cost)| {
             let candidate = candidates.contains(OpId::new(op));
             let kind = self
@@ -954,7 +960,7 @@ mod tests {
 
     #[test]
     fn choose_follows_the_mode_restrictions() {
-        let all = Availability::all_free(444);
+        let all = Availability::surviving(444, true);
         let ma = cost(OffloadClass::FullyMulAdd, 128);
         let cpu_only = planner(EngineConfig::preset(SystemPreset::CpuOnly));
         assert_eq!(cpu_only.choose(&ma, true, false, all), Some(PlanKind::Cpu));
@@ -978,12 +984,12 @@ mod tests {
         let hetero = planner(EngineConfig::preset(SystemPreset::Hetero));
         let ma = cost(OffloadClass::FullyMulAdd, 128);
         assert_eq!(
-            hetero.choose(&ma, true, true, Availability::all_free(444)),
+            hetero.choose(&ma, true, true, Availability::surviving(444, true)),
             Some(PlanKind::Cpu)
         );
         let no_cpu = Availability {
             cpu_free: false,
-            ..Availability::all_free(444)
+            ..Availability::surviving(444, true)
         };
         assert_eq!(
             hetero.choose(&ma, true, true, no_cpu),
@@ -992,7 +998,7 @@ mod tests {
         let nothing = Availability {
             cpu_free: false,
             progr_free: false,
-            ..Availability::all_free(444)
+            ..Availability::surviving(444, true)
         };
         assert_eq!(hetero.choose(&ma, true, true, nothing), None);
     }
@@ -1003,7 +1009,7 @@ mod tests {
         let ma = cost(OffloadClass::FullyMulAdd, 128);
         let pool_busy = Availability {
             ff_free: 0,
-            ..Availability::all_free(444)
+            ..Availability::surviving(444, true)
         };
         // Under the operation pipeline a heavy candidate waits instead of
         // falling back to the CPU.
@@ -1026,7 +1032,7 @@ mod tests {
         let pool_dead = Availability {
             ff_free: 0,
             ff_alive: 0,
-            ..Availability::all_free(444)
+            ..Availability::surviving(444, true)
         };
         assert_eq!(
             hetero.choose(&ma, true, false, pool_dead),
@@ -1038,7 +1044,7 @@ mod tests {
             ff_alive: 0,
             progr_free: false,
             progr_alive: false,
-            ..Availability::all_free(444)
+            ..Availability::surviving(444, true)
         };
         assert_eq!(
             hetero.choose(&ma, true, false, only_cpu),
@@ -1050,7 +1056,7 @@ mod tests {
         let progr_dead = Availability {
             progr_free: false,
             progr_alive: false,
-            ..Availability::all_free(444)
+            ..Availability::surviving(444, true)
         };
         assert_eq!(
             hetero.choose(&split, true, false, progr_dead),
@@ -1065,13 +1071,13 @@ mod tests {
         let dead = Availability {
             progr_free: false,
             progr_alive: false,
-            ..Availability::all_free(444)
+            ..Availability::surviving(444, true)
         };
         assert_eq!(progr.choose(&ma, true, false, dead), Some(PlanKind::Cpu));
         // Merely busy still waits for a slot.
         let busy = Availability {
             progr_free: false,
-            ..Availability::all_free(444)
+            ..Availability::surviving(444, true)
         };
         assert_eq!(progr.choose(&ma, true, false, busy), None);
     }

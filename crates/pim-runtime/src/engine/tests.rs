@@ -672,3 +672,97 @@ mod isa_tests {
         assert_eq!(analytic.dynamic_energy, isa.dynamic_energy);
     }
 }
+
+mod plan_table_tests {
+    use super::*;
+    use crate::engine::components::ResourceSoA;
+    use crate::engine::placement::PlannedOp;
+    use pim_common::ids::OpId;
+
+    /// Every field of a costed plan, floats as bits.
+    fn bits(p: &PlannedOp) -> [u64; 9] {
+        [
+            p.duration.seconds().to_bits(),
+            p.op_part.seconds().to_bits(),
+            p.dm_part.seconds().to_bits(),
+            p.sync_part.seconds().to_bits(),
+            p.energy.joules().to_bits(),
+            p.ff_units as u64,
+            p.ff_busy.seconds().to_bits(),
+            u64::from(p.uses_cpu),
+            u64::from(p.uses_progr),
+        ]
+    }
+
+    /// The serialized driver's state table against planning each attempt
+    /// on the ledger, as the driver did before it had the table. For
+    /// every serialized preset, paper model, restriction flag and
+    /// surviving state a seeded plan reaches, each row must be bit-equal
+    /// to what `choose` picks on a ledger quarantined down to that state,
+    /// costed by `plan_cost`, and every op must place. One engine serves
+    /// the states in turn, fault-free first as in a run, so a table keyed
+    /// or shared on less than the whole state hands a later state an
+    /// earlier one's rows.
+    #[test]
+    fn state_table_rows_equal_planning_on_a_quarantined_ledger() {
+        let models: Vec<Model> = ModelKind::ALL
+            .iter()
+            .map(|&k| Model::build(k).unwrap())
+            .collect();
+        let mut serialized = 0;
+        for preset in SystemPreset::ALL {
+            let engine = Engine::new(EngineConfig::preset(preset));
+            let cfg = &engine.planner.cfg;
+            if cfg.operation_pipeline {
+                continue;
+            }
+            serialized += 1;
+            let ff_units = cfg.ff_units;
+            assert_eq!(ff_units, 444, "{preset:?}");
+            for model in &models {
+                for restricted in [false, true] {
+                    let spec = WorkloadSpec {
+                        graph: model.graph(),
+                        steps: 1,
+                        cpu_progr_only: restricted,
+                    };
+                    let prepared = engine
+                        .prepare(&[spec], &mut NullTrace, TieBreak::Stable)
+                        .unwrap();
+                    let wl = &prepared[0];
+                    for progr_alive in [true, false] {
+                        for ff_alive in [444, 333, 222, 0] {
+                            let mut ledger = ResourceSoA::new(&engine.planner);
+                            ledger.quarantine_ff(ff_units - ff_alive).unwrap();
+                            if !progr_alive {
+                                ledger.quarantine_progr();
+                            }
+                            assert_eq!(ledger.survivors(), (ff_alive, progr_alive));
+                            let rows = engine
+                                .plans
+                                .get(&engine.planner, wl, ledger.survivors())
+                                .unwrap();
+                            assert_eq!(rows.len(), wl.costs.len());
+                            let what = format!(
+                                "{preset:?} {} restricted={restricted} \
+                                 ff_alive={ff_alive} progr_alive={progr_alive}",
+                                model.kind().name()
+                            );
+                            for (op, cost) in wl.costs.iter().enumerate() {
+                                let candidate = wl.candidates.contains(OpId::new(op));
+                                let kind = engine
+                                    .planner
+                                    .choose(cost, candidate, restricted, ledger.availability())
+                                    .unwrap_or_else(|| panic!("{what}: op {op} places nowhere"));
+                                let planned = engine.planner.plan_cost(kind, cost);
+                                assert_eq!(rows[op].0, kind, "{what}: op {op}");
+                                assert_eq!(bits(&rows[op].1), bits(&planned), "{what}: op {op}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(serialized, 5, "serialized presets");
+    }
+}

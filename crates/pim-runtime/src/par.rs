@@ -23,18 +23,52 @@
 //! lists its heaviest first, so the longest item starts at once rather
 //! than after the workers have drained the cheap ones in front of it.
 //! Its results still come back in input order.
+//!
+//! A thread that is already one of a fixed pool of workers sharing the
+//! machine (a daemon worker) runs inside [`on_worker`]: every fan-out it
+//! starts maps serially on it, in claim order, rather than spawn threads
+//! onto cores its fellow workers already hold. `par`'s own scoped threads
+//! are not marked, so a fan-out nested inside a fan-out still spreads.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// Worker cap for one fan-out: the `PIM_RUN_THREADS` environment
-/// variable when set to a positive integer, otherwise the machine's
-/// available parallelism. Pinning `PIM_RUN_THREADS=1` takes the serial
-/// path — the thread-matrix CI stage uses this to check that results do
-/// not depend on the worker count. The variable is read on every call
+thread_local! {
+    /// Set on a thread inside [`on_worker`].
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with the calling thread marked as a worker: every
+/// [`par_map`] or [`par_map_claiming`] inside `f` maps serially on this
+/// thread, in claim order, whatever `PIM_RUN_THREADS` says. Results are
+/// the same as unmarked (see the module docs), only who runs the items
+/// changes. The previous mark comes back when `f` returns or unwinds, so
+/// scopes nest.
+pub fn on_worker<R>(f: impl FnOnce() -> R) -> R {
+    /// Puts the mark it holds back on drop.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ON_WORKER.set(self.0);
+        }
+    }
+    let _restore = Restore(ON_WORKER.replace(true));
+    f()
+}
+
+/// Worker cap for one fan-out: 1 on a thread inside [`on_worker`],
+/// otherwise the `PIM_RUN_THREADS` environment variable when set to a
+/// positive integer, otherwise the machine's available parallelism.
+/// Pinning `PIM_RUN_THREADS=1` takes the serial path — the thread-matrix
+/// CI stage uses this to check that results do not depend on the worker
+/// count. The variable is read on every call
 /// (tests set it at run time); the machine's parallelism, a cgroup file
 /// read on Linux, is read once per process.
 fn thread_limit() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
+    if ON_WORKER.get() {
+        return 1;
+    }
     std::env::var("PIM_RUN_THREADS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
@@ -222,6 +256,54 @@ mod tests {
         });
         assert_eq!(out, vec![1, 2, 3, 4]);
         assert_eq!(seen.into_inner().unwrap(), order);
+    }
+
+    /// On a marked thread a fan-out maps every item on the caller, with
+    /// the results it gives unmarked; the mark is off again afterwards.
+    #[test]
+    fn a_worker_maps_every_item_on_its_own_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..64).collect();
+        let square = |&i: &usize| (i * i, std::thread::current().id());
+        let unmarked: Vec<usize> = par_map(&items, square).into_iter().map(|r| r.0).collect();
+        let marked = on_worker(|| par_map(&items, square));
+        assert!(
+            marked.iter().all(|r| r.1 == caller),
+            "a marked fan-out left the caller"
+        );
+        assert_eq!(
+            marked.into_iter().map(|r| r.0).collect::<Vec<_>>(),
+            unmarked
+        );
+        let order: Vec<usize> = (0..64).rev().collect();
+        let seen = std::sync::Mutex::new(Vec::new());
+        on_worker(|| {
+            par_map_claiming(&items, &order, |&i| seen.lock().unwrap().push(i));
+        });
+        assert_eq!(
+            seen.into_inner().unwrap(),
+            order,
+            "a marked fan-out maps in claim order"
+        );
+        assert!(!ON_WORKER.get());
+    }
+
+    /// A nested scope and a panic inside one both put the previous mark
+    /// back.
+    #[test]
+    fn a_worker_scope_restores_the_previous_mark() {
+        assert!(!ON_WORKER.get());
+        on_worker(|| {
+            on_worker(|| assert!(ON_WORKER.get()));
+            assert!(ON_WORKER.get(), "a nested scope cleared its parent's mark");
+            let caught = std::panic::catch_unwind(|| on_worker(|| panic!("boom")));
+            assert!(caught.is_err());
+            assert!(ON_WORKER.get(), "a panicking nested scope cleared the mark");
+        });
+        assert!(!ON_WORKER.get());
+        let caught = std::panic::catch_unwind(|| on_worker(|| panic!("boom")));
+        assert!(caught.is_err());
+        assert!(!ON_WORKER.get(), "a panicking scope left the mark set");
     }
 
     #[test]

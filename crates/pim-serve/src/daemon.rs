@@ -631,7 +631,9 @@ pub fn serve_session(
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| core.worker_loop(runner, store));
+            // The pool already holds the cores: a job's own fan-out
+            // (a partitioned request) maps on its worker's thread.
+            scope.spawn(|| pim_runtime::par::on_worker(|| core.worker_loop(runner, store)));
         }
         let mut emit = Emit {
             out: &mut output,
