@@ -41,8 +41,6 @@ invocation_counts       the op census the model structure tests count with
 is_cnn                  the CNN/non-CNN split the Fig. 16 case tests check
 quarantine_ff_at_start  builds the hand-made fault plans of the engine and verify tests
 with_permanent          builds the hand-made fault plans of the engine and verify tests
-with_deadline           the simulated-time run limit the engine limit tests drive
-with_cancel             the cancel-token run limit the engine limit tests drive
 '
 rs_files=$(find crates src tests examples perfbench/src -name '*.rs' -not -path '*/target/*' | sort)
 test_mods=$(for f in $rs_files; do
@@ -130,8 +128,9 @@ cargo test -q
 cargo test --workspace -q
 
 # The engine's unit tests again under release codegen, the build the
-# benchmark times: the packed ready-set keys and the staged event-queue
-# pop must hold with optimizations and without overflow checks too.
+# benchmark times: the packed ready-set keys and the sorted class and
+# event queues must hold with optimizations and without overflow checks
+# too.
 cargo test --release -q -p pim-runtime --lib engine::
 
 # The benchmark harness (its own workspace) builds against crates/ by

@@ -77,20 +77,12 @@ pub enum PimError {
         /// Number of extracted fixed-function kernels actually available.
         available: usize,
     },
-    /// Execution observed a cooperative cancellation request and stopped
-    /// at the next check site (an event popped off the engine's queue).
-    Cancelled {
-        /// Events the run had retired when the cancellation was observed.
-        after_events: u64,
-    },
     /// Execution exceeded a deterministic resource budget — an
-    /// event-count fuel limit or a simulated-time deadline — and stopped
-    /// at the next check site. Budgets are pure functions of the run
-    /// request, so this outcome byte-replays across processes and thread
-    /// counts.
+    /// event-count fuel limit — and stopped at the next check site.
+    /// Budgets are pure functions of the run request, so this outcome
+    /// byte-replays across processes and thread counts.
     BudgetExhausted {
-        /// Which budget tripped: `"events"` (fuel in retired events) or
-        /// `"deadline-us"` (simulated-time horizon in microseconds).
+        /// Which budget tripped: `"events"` (fuel in retired events).
         budget: &'static str,
         /// The configured limit, in the budget's unit.
         limit: u64,
@@ -142,9 +134,6 @@ impl fmt::Display for PimError {
                 "kernel {kernel} calls fixed-function kernel {index}, \
                  but only {available} were extracted"
             ),
-            PimError::Cancelled { after_events } => {
-                write!(f, "run cancelled after {after_events} events")
-            }
             PimError::BudgetExhausted { budget, limit } => {
                 write!(f, "run exceeded its {budget} budget of {limit}")
             }
@@ -211,9 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_and_budget_displays_carry_the_numbers() {
-        let c = PimError::Cancelled { after_events: 42 };
-        assert_eq!(c.to_string(), "run cancelled after 42 events");
+    fn budget_display_carries_the_numbers() {
         let b = PimError::BudgetExhausted {
             budget: "events",
             limit: 1000,

@@ -1,14 +1,15 @@
 //! The discrete-event core: the clock, one event queue, the device lanes
 //! and the resource state.
 //!
-//! The scheduled driver owns one [`EventHeap`] of [`Event`]s keyed by
+//! The scheduled driver owns one [`EventQueue`] of [`Event`]s keyed by
 //! `(femtoseconds, seq)`. Device-lane completions, retry-backoff expiries
 //! and permanent strikes all wait in it; the driver pops the earliest,
 //! advances the clock to it and reacts. An [`Event::Op`] carries only a
 //! slot of [`DeviceLanes`], the slab the dispatched attempts park in, so
 //! retiring one reads its record in place. Every payload is a `u32`, so a
-//! heap entry `(u128, u64, Event)` is 32 bytes. The queue stages its newest
-//! push outside the heap and pops the earlier of it and the heap's top.
+//! queue entry `(u128, u64, Event)` is 32 bytes. The queue holds a handful
+//! of pending events at a time, so it is a small vector kept sorted latest
+//! first: a push inserts at its place, a pop takes the last entry.
 //! The flat [`ResourceSoA`] is the one resource ledger: its counters are
 //! the Fig. 7 busy/idle state the placement policy queries.
 //!
@@ -18,14 +19,13 @@
 //! loop, one per dispatch, one per transient retry. Under
 //! [`crate::fuzz::TieBreak::Stable`] the key is the counter itself, so
 //! simultaneous events pop in push (FIFO) order; the seeded modes remap it
-//! through a bijection. Either way every key is unique, so the heap never
-//! tie-breaks on anything machine-dependent, the staged pop returns what
-//! the plain heap would, and the pop order is a pure function of the
-//! dispatch order.
+//! through a bijection. Either way every key is unique, so the queue never
+//! tie-breaks on anything machine-dependent and the pop order is a pure
+//! function of the dispatch order.
 //!
 //! # Allocation-free steady state
 //!
-//! All hot-path stores recycle: the heap keeps its capacity and in-flight
+//! All hot-path stores recycle: the queue keeps its capacity and in-flight
 //! records live in a slab with a LIFO free list, so a long run allocates
 //! only up to its peak in-flight count and then stops touching the
 //! allocator.
@@ -36,15 +36,13 @@ use crate::stats::{ExecutionReport, ReportBuilder};
 use pim_common::units::{Joules, Seconds};
 use pim_common::Result;
 use pim_hw::fixed::FixedFunctionPool;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use super::faults::AttemptOutcome;
 
 /// The simulation clock.
 ///
 /// Event-driven execution quantizes completion times to integer
-/// femtoseconds so heap ordering, timeline intervals, and resource hold
+/// femtoseconds so queue ordering, timeline intervals, and resource hold
 /// times agree exactly; sequential execution just accumulates.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Clock {
@@ -108,29 +106,27 @@ fn wide_from_fs(fs: u128) -> f64 {
     fs as f64
 }
 
-/// Min-heap of pending events, FIFO-ordered among simultaneous ones.
+/// Pending events, earliest first and FIFO-ordered among simultaneous
+/// ones.
 ///
-/// The heap key is `(time, seq, payload)` and `seq` — allocated by the
-/// caller from one counter — is unique, so the payload, stored inline in
-/// the entry, never takes part in a tie-break.
+/// The key is `(time, seq, payload)` and `seq` — allocated by the caller
+/// from one counter — is unique, so the payload, stored inline in the
+/// entry, never takes part in a comparison.
 ///
-/// The newest push is *staged* outside the heap, and `pop` returns the
-/// earlier of it and the heap's top. The driver pops right after the
-/// pushes of one dispatch pass, so the staged entry often is the earliest
-/// and never enters the heap; when the top is earlier, the staged entry
-/// replaces it in place, one sift instead of a pop's and a push's. Keys
-/// are unique, so the pop order is the plain heap's.
+/// The driver keeps only a few events pending (2–5 per pop over the seven
+/// paper models), so the queue is a vector sorted latest first rather
+/// than a heap: `push` inserts at the boundary found scanning from the
+/// earliest end, and `pop` takes the last entry. Keys are unique, so it
+/// pops in exactly the order a min-heap would.
 #[derive(Debug)]
-pub(crate) struct EventHeap<T> {
-    heap: BinaryHeap<Reverse<(u128, u64, T)>>,
-    staged: Option<Reverse<(u128, u64, T)>>,
+pub(crate) struct EventQueue<T> {
+    queue: Vec<(u128, u64, T)>,
 }
 
-impl<T: Ord> EventHeap<T> {
+impl<T> EventQueue<T> {
     pub fn new() -> Self {
-        EventHeap {
-            heap: BinaryHeap::with_capacity(16),
-            staged: None,
+        EventQueue {
+            queue: Vec::with_capacity(16),
         }
     }
 
@@ -138,24 +134,18 @@ impl<T: Ord> EventHeap<T> {
     /// the quantized time so callers can mirror it (e.g. in the timeline).
     pub fn push(&mut self, at: Seconds, payload: T, seq: u64) -> u128 {
         let fs = Clock::to_fs(at);
-        if let Some(older) = self.staged.replace(Reverse((fs, seq, payload))) {
-            self.heap.push(older);
-        }
+        let at = self
+            .queue
+            .iter()
+            .rposition(|&(f, s, _)| (f, s) > (fs, seq))
+            .map_or(0, |i| i + 1);
+        self.queue.insert(at, (fs, seq, payload));
         fs
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(u128, T)> {
-        let entry = match self.staged.take() {
-            None => self.heap.pop()?,
-            // `Reverse` flips the order: a greater top is an earlier key.
-            Some(staged) => match self.heap.peek_mut() {
-                Some(mut top) if *top > staged => std::mem::replace(&mut *top, staged),
-                _ => staged,
-            },
-        };
-        let Reverse((fs, _, payload)) = entry;
-        Some((fs, payload))
+        self.queue.pop().map(|(fs, _, payload)| (fs, payload))
     }
 }
 
@@ -187,10 +177,9 @@ pub(crate) struct InFlight {
     pub live: bool,
 }
 
-/// One pending event of the scheduled driver's queue. `Ord` only lets it
-/// sit in the [`EventHeap`] key; the unique `seq` before it decides every
-/// comparison. Payloads are `u32` so a heap entry stays 32 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// One pending event of the scheduled driver's queue. Payloads are `u32`
+/// so a queue entry stays 32 bytes.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
     /// The attempt parked in this [`DeviceLanes`] slot reaches its
     /// scheduled end.
@@ -202,7 +191,7 @@ pub(crate) enum Event {
     Strike(u32),
 }
 
-const _: () = assert!(std::mem::size_of::<Reverse<(u128, u64, Event)>>() <= 32);
+const _: () = assert!(std::mem::size_of::<(u128, u64, Event)>() <= 32);
 
 /// The per-device completion lanes: every dispatched attempt parks here
 /// until its [`Event::Op`] pops.
@@ -500,53 +489,55 @@ mod tests {
     use std::collections::BTreeMap;
 
     #[test]
-    fn event_heap_orders_by_time_then_fifo() {
-        let mut heap: EventHeap<usize> = EventHeap::new();
-        heap.push(Seconds::new(2e-6), 0, 0);
-        heap.push(Seconds::new(1e-6), 1, 1);
-        heap.push(Seconds::new(1e-6), 2, 2);
-        let order: Vec<usize> = std::iter::from_fn(|| heap.pop().map(|(_, p)| p)).collect();
+    fn event_queue_orders_by_time_then_fifo() {
+        let mut queue: EventQueue<usize> = EventQueue::new();
+        queue.push(Seconds::new(2e-6), 0, 0);
+        queue.push(Seconds::new(1e-6), 1, 1);
+        queue.push(Seconds::new(1e-6), 2, 2);
+        let order: Vec<usize> = std::iter::from_fn(|| queue.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec![1, 2, 0]);
     }
 
-    /// The staged heap pops exactly what a sorted `(fs, seq)` reference
-    /// pops, under random push/pop interleavings with many
-    /// simultaneous events, pops on an empty queue and pushes after a
-    /// drain, with `seq` drawn from `event_key` as the driver draws it.
+    /// The queue pops exactly what a sorted `(fs, seq)` reference pops,
+    /// under random push/pop interleavings with many simultaneous events,
+    /// pops on an empty queue and pushes after a drain, with `seq` drawn
+    /// from `event_key` as the driver draws it. Two pushes in three keep
+    /// a backlog of up to a hundred or so entries, far past the handful
+    /// the driver holds.
     #[test]
-    fn staged_event_heap_pops_like_a_sorted_reference() {
-        check(64, "staged_event_heap_pops_like_a_sorted_reference", |g| {
+    fn event_queue_pops_like_a_sorted_reference() {
+        check(64, "event_queue_pops_like_a_sorted_reference", |g| {
             let mode = g.draw(0u8..3);
             let seed = g.draw(0u64..1000);
-            // 0-3 push at one of four instants, so most pushes tie on time
-            // with a pending event; 4-6 pop.
-            let script = g.vec(0..200, |g| g.draw(0u8..7));
+            // 0-7 push at one of eight instants, so most pushes tie on time
+            // with a pending event; 8-11 pop.
+            let script = g.vec(0..400, |g| g.draw(0u8..12));
             let tie = match mode {
                 0 => TieBreak::Stable,
                 1 => TieBreak::Permuted(seed),
                 _ => TieBreak::Priority(seed),
             };
-            let mut heap: EventHeap<u32> = EventHeap::new();
+            let mut queue: EventQueue<u32> = EventQueue::new();
             let mut reference = BTreeMap::new();
             let mut pushed = 0u32;
             // The script, a full drain (and one pop more), the script again.
-            let drain = std::iter::repeat_n(6, script.len() + 1);
+            let drain = std::iter::repeat_n(11, script.len() + 1);
             for step in script
                 .iter()
                 .copied()
                 .chain(drain)
                 .chain(script.iter().copied())
             {
-                if step < 4 {
+                if step < 8 {
                     let seq = tie.event_key(u64::from(pushed));
-                    let fs = heap.push(Seconds::new(f64::from(step) * 1e-6), pushed, seq);
+                    let fs = queue.push(Seconds::new(f64::from(step) * 1e-6), pushed, seq);
                     reference.insert((fs, seq), pushed);
                     pushed += 1;
                 } else {
                     let want = reference
                         .pop_first()
                         .map(|((fs, _), payload)| (fs, payload));
-                    assert_eq!(heap.pop(), want);
+                    assert_eq!(queue.pop(), want);
                 }
             }
         });
@@ -690,7 +681,7 @@ mod tests {
     }
 
     /// Drains `events`, retiring op events through `lanes`, as labels.
-    fn drain(events: &mut EventHeap<Event>, lanes: &mut DeviceLanes) -> Vec<String> {
+    fn drain(events: &mut EventQueue<Event>, lanes: &mut DeviceLanes) -> Vec<String> {
         std::iter::from_fn(|| events.pop())
             .map(|(_, event)| match event {
                 Event::Op(slot) => match lanes.retire(slot) {
@@ -711,7 +702,7 @@ mod tests {
         let t1 = Seconds::new(1e-6);
         let t2 = Seconds::new(2e-6);
         let push_four = |tie: TieBreak| {
-            let mut events = EventHeap::new();
+            let mut events = EventQueue::new();
             let mut lanes = DeviceLanes::new();
             let mut keys = Vec::new();
             let four = [(t2, "op"), (t1, "retry7"), (t1, "op"), (t1, "strike3")];

@@ -15,28 +15,31 @@
 //! the plan's faults and recovers from them. The policy's `FAULTY` constant
 //! fixes when an attempt is charged and recorded (see [`FaultPolicy`]).
 //!
-//! The event-driven driver owns one [`EventHeap`] of [`Event`]s — op
+//! The event-driven driver owns one [`EventQueue`] of [`Event`]s — op
 //! completions, retry wakes and permanent strikes — and loops on its
 //! earliest `(time, seq)` key; see the [`components`](super::components)
 //! module docs for the determinism argument.
 //!
 //! Its dispatch pass works by *demand class* ([`DemandClass`]): the part
 //! of an op that decides whether [`Planner::choose`] can place it at all.
-//! The ready set keeps one min-heap per class of the ready instances
-//! inside their pipeline window, and parks the rest until their window
-//! reaches them. An admission table answers, once per availability
-//! signature, which classes fit. The pass pops the first admitted head
-//! until nothing fits, so it never visits an op whose class cannot be
-//! placed. DESIGN.md §4.9 shows it places exactly what one in-order pass
-//! over every ready op would.
+//! The ready set keeps one queue per class of the ready instances inside
+//! their pipeline window, and parks the rest until their window reaches
+//! them. An admission table answers, once per availability signature,
+//! which classes fit. The pass pops the first admitted head until nothing
+//! fits, so it never visits an op whose class cannot be placed. DESIGN.md
+//! §4.9 shows it places exactly what one in-order pass over every ready op
+//! would.
 //!
-//! The loop's state is small and flat. A class-heap entry is 16 bytes:
-//! the tie-break hash and `step << 32 | place`, where the place table
-//! sorts every op by `(rank, wl)`, so the word orders like
-//! `(step, rank, wl)`. The per-instance tables (remaining dependencies,
-//! attempts), the per-step counts and the per-op plan memo are one `Vec`
-//! each, indexed through a per-workload base, and a retry event carries
-//! the instance's row in them.
+//! The loop's state is small and flat. A class queue holds a few entries
+//! at a time (1–5 on average when popped, over the paper's models and
+//! co-runs), so it is a `Vec` sorted in descending dispatch order rather
+//! than a heap: its head is the last entry. An entry is 16 bytes: the
+//! tie-break hash and `step << 32 | place`, where the place table sorts
+//! every op by `(rank, wl)`, so the word orders like `(step, rank, wl)`.
+//! The per-instance tables (remaining dependencies, attempts), the
+//! per-step counts and the per-op plan memo are one `Vec` each, indexed
+//! through a per-workload base, and a retry event carries the instance's
+//! row in them.
 //!
 //! Both drivers account time and energy through the same
 //! [`Accumulator`], build their result via
@@ -46,10 +49,12 @@
 //! run collects a timeline, and Chrome-trace spans when the run asks for a
 //! trace.
 
-use super::components::{Accumulator, Clock, DeviceLanes, Event, EventHeap, InFlight, ResourceSoA};
+use super::components::{
+    Accumulator, Clock, DeviceLanes, Event, EventQueue, InFlight, ResourceSoA,
+};
 use super::faults::{backoff_after, charge_until, AttemptOutcome, FaultContext, FaultPolicy};
 use super::limits::RunLimits;
-use super::observe::{Observer, OpRecord};
+use super::observe::{Observer, OpEnd, OpRecord};
 use super::placement::{
     Availability, DemandClass, PlanKind, PlannedOp, Planner, PLACEMENT_DECISION, SIGNATURES,
 };
@@ -61,8 +66,6 @@ use pim_common::ids::OpId;
 use pim_common::units::Seconds;
 use pim_common::{PimError, Result};
 use pim_hw::faults::FaultTarget;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Charges one attempt to the accumulator and records it with the
@@ -72,7 +75,7 @@ fn commit(
     obs: &mut Observer<'_>,
     wl: &Prepared<'_>,
     rec: &InFlight,
-    end: Seconds,
+    end: OpEnd,
     charge: &PlannedOp,
     outcome: AttemptOutcome,
 ) {
@@ -230,7 +233,7 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                         candidate,
                         live: true,
                     };
-                    commit(&mut acc, obs, wl, &rec, end, &charge, outcome);
+                    commit(&mut acc, obs, wl, &rec, OpEnd::At(end), &charge, outcome);
                     if charge.ff_units > 0 {
                         obs.ff_delta(start, charge.ff_units as isize);
                     }
@@ -247,7 +250,7 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                     // queue, so the budget check rides the serial loop
                     // (retries and re-dispatches count — fuel must bound a
                     // run that never completes).
-                    gauge.tick(clock.now())?;
+                    gauge.tick()?;
                     if charge.ff_units > 0 {
                         obs.ff_delta(clock.now(), -(charge.ff_units as isize));
                     }
@@ -300,7 +303,7 @@ struct Key {
     op: usize,
 }
 
-/// A class-heap entry's place in the dispatch order: the tie-break hash,
+/// A class-queue entry's place in the dispatch order: the tie-break hash,
 /// then `step << 32 | place`, where `place` indexes the place table. The
 /// table is sorted by `(rank, wl)`, so the packed word orders exactly like
 /// `(step, rank, wl)`. The hash is zero except under
@@ -308,7 +311,7 @@ struct Key {
 /// ties in [`Key`] order.
 type Order = (u64, u64);
 
-const _: () = assert!(std::mem::size_of::<Reverse<Order>>() == 16);
+const _: () = assert!(std::mem::size_of::<Order>() == 16);
 
 /// One row of the place table: an op, its topological rank and its demand
 /// class.
@@ -332,22 +335,24 @@ struct Base {
 }
 
 /// The ready instances of one demand class that lie inside their own
-/// workload's pipeline window, as a min-heap in dispatch order.
+/// workload's pipeline window.
 struct Class {
     demand: DemandClass,
     /// A member `(wl, op)` whose placeability stands for the class's.
     rep: (usize, usize),
-    heap: BinaryHeap<Reverse<Order>>,
+    /// Sorted in descending dispatch order, so the head is the last entry.
+    queue: Vec<Order>,
 }
 
 /// Dependency/readiness bookkeeping of the scheduled driver.
 ///
-/// Each demand class keeps its in-window ready instances in a min-heap, so
-/// its head is its first in-window instance in dispatch order. A ready
-/// instance past its workload's window end is parked until the window
-/// reaches its step. The dispatch pass asks which classes fit the current
-/// availability and pops the first head among them, so it never visits an
-/// instance whose class cannot be placed.
+/// Each demand class keeps its in-window ready instances in a vector
+/// sorted in descending dispatch order, so its last entry is its first
+/// in-window instance in dispatch order. A ready instance past its
+/// workload's window end is parked until the window reaches its step. The
+/// dispatch pass asks which classes fit the current availability and pops
+/// the first head among them, so it never visits an instance whose class
+/// cannot be placed.
 ///
 /// Every table is one flat `Vec`, indexed through the workload's [`Base`].
 struct ReadySet {
@@ -369,7 +374,7 @@ struct ReadySet {
     /// Every op, sorted by `(rank, wl)`.
     places: Vec<Place>,
     classes: Vec<Class>,
-    /// One bit per class, set while its heap holds an instance, so
+    /// One bit per class, set while its queue holds an instance, so
     /// [`ReadySet::first`] peeks only admitted classes with a head.
     nonempty: Vec<u64>,
     /// Per step, the ready instances past the window's end, packed as in
@@ -434,7 +439,7 @@ impl ReadySet {
                         classes.push(Class {
                             demand,
                             rep: (w, op),
-                            heap: BinaryHeap::new(),
+                            queue: Vec::new(),
                         });
                         classes.len() - 1
                     });
@@ -513,7 +518,9 @@ impl ReadySet {
         }
     }
 
-    /// Pushes an in-window instance onto its class heap.
+    /// Inserts an in-window instance into its class queue. The new entry
+    /// goes below every entry after it in dispatch order: keys are unique,
+    /// so the queue pops in exactly a min-heap's order.
     fn enqueue(&mut self, packed: u64) {
         let place = self.places[packed as u32 as usize];
         let hash = match self.tie {
@@ -526,11 +533,14 @@ impl ReadySet {
             ]),
         };
         let c = place.class as usize;
-        self.classes[c].heap.push(Reverse((hash, packed)));
+        let order = (hash, packed);
+        let queue = &mut self.classes[c].queue;
+        let at = queue.iter().rposition(|&o| o > order).map_or(0, |i| i + 1);
+        queue.insert(at, order);
         self.nonempty[c / 64] |= 1 << (c % 64);
     }
 
-    /// The instance a packed class-heap word stands for.
+    /// The instance a packed class-queue word stands for.
     fn key(&self, packed: u64) -> Key {
         let place = self.places[packed as u32 as usize];
         Key {
@@ -604,7 +614,7 @@ impl ReadySet {
         for (i, (&admit, &nonempty)) in admitted.iter().zip(&self.nonempty).enumerate() {
             for b in ones(admit & nonempty) {
                 let c = i * 64 + b;
-                if let Some(&Reverse(order)) = self.classes[c].heap.peek() {
+                if let Some(&order) = self.classes[c].queue.last() {
                     if best.is_none_or(|(first, _)| order < first) {
                         best = Some((order, c));
                     }
@@ -616,9 +626,9 @@ impl ReadySet {
 
     /// Takes class `c`'s head: the only way an instance leaves the set.
     fn pop(&mut self, c: usize) -> Option<Key> {
-        let heap = &mut self.classes[c].heap;
-        let Reverse((_, packed)) = heap.pop()?;
-        if heap.is_empty() {
+        let queue = &mut self.classes[c].queue;
+        let (_, packed) = queue.pop()?;
+        if queue.is_empty() {
             self.nonempty[c / 64] &= !(1 << (c % 64));
         }
         self.ready -= 1;
@@ -663,6 +673,7 @@ impl Admission {
     }
 
     /// The classes placeable under `avail`, as a bit mask.
+    #[inline]
     fn mask(
         &mut self,
         planner: &Planner,
@@ -670,31 +681,46 @@ impl Admission {
         rs: &ReadySet,
         avail: Availability,
     ) -> &[u64] {
+        let sig = avail.signature();
+        if !self.filled[sig] || (avail.ff_alive, avail.progr_alive) != self.alive {
+            self.fill(planner, prepared, rs, avail);
+        }
+        &self.masks[sig * self.words..(sig + 1) * self.words]
+    }
+
+    /// Fills `avail`'s signature, first dropping every mask when the
+    /// alive counts moved since the masks were filled.
+    #[cold]
+    #[inline(never)]
+    fn fill(
+        &mut self,
+        planner: &Planner,
+        prepared: &[Prepared<'_>],
+        rs: &ReadySet,
+        avail: Availability,
+    ) {
         if (avail.ff_alive, avail.progr_alive) != self.alive {
             self.alive = (avail.ff_alive, avail.progr_alive);
             self.filled.fill(false);
         }
         let sig = avail.signature();
+        self.filled[sig] = true;
         let mask = &mut self.masks[sig * self.words..(sig + 1) * self.words];
-        if !self.filled[sig] {
-            self.filled[sig] = true;
-            mask.fill(0);
-            for (c, class) in rs.classes.iter().enumerate() {
-                let (w, op) = class.rep;
-                let DemandClass {
-                    candidate,
-                    restricted,
-                    ..
-                } = class.demand;
-                if planner
-                    .choose(&prepared[w].costs[op], candidate, restricted, avail)
-                    .is_some()
-                {
-                    mask[c / 64] |= 1 << (c % 64);
-                }
+        mask.fill(0);
+        for (c, class) in rs.classes.iter().enumerate() {
+            let (w, op) = class.rep;
+            let DemandClass {
+                candidate,
+                restricted,
+                ..
+            } = class.demand;
+            if planner
+                .choose(&prepared[w].costs[op], candidate, restricted, avail)
+                .is_some()
+            {
+                mask[c / 64] |= 1 << (c % 64);
             }
         }
-        mask
     }
 }
 
@@ -727,7 +753,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
 
     let mut resources = resources_at_start(planner, policy, obs)?;
     let mut lanes = DeviceLanes::new();
-    let mut events: EventHeap<Event> = EventHeap::new();
+    let mut events: EventQueue<Event> = EventQueue::new();
     // One sequence counter keys every event, drawn in program order:
     // strikes first, then one per dispatch and one per transient retry.
     let mut pushed = 0u64;
@@ -805,9 +831,9 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
             if !P::FAULTY {
                 // A fault-free attempt always completes as planned: commit
                 // it now, ending at the same femtosecond quantization the
-                // event heap uses, so timeline intervals match the actual
+                // event queue uses, so timeline intervals match the actual
                 // resource hold times exactly.
-                let end = Clock::from_fs(end_fs);
+                let end = OpEnd::Fs(end_fs);
                 commit(&mut acc, obs, wl, lanes.get(slot), end, &charge, outcome);
             }
             if units > 0 {
@@ -832,9 +858,8 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
         // The budget check site: once per popped event (retry wakes,
         // strikes and a killed attempt's stale event count too, so fuel
         // bounds a run that keeps faulting forever). On the unbounded
-        // default this is a counter increment plus two never-true
-        // compares.
-        gauge.tick(clock.now())?;
+        // default this is a counter increment plus a never-true compare.
+        gauge.tick()?;
         match event {
             Event::Op(slot) => {
                 // `None`: a strike killed the attempt and accounted it.
@@ -853,7 +878,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                         obs,
                         wl,
                         rec,
-                        clock.now(),
+                        OpEnd::At(clock.now()),
                         &rec.charge,
                         rec.outcome,
                     );
@@ -918,7 +943,15 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                     let wl = &prepared[rec.wl];
                     let partial = charge_until(&rec.charge, rec.start, clock.now());
                     let outcome = AttemptOutcome::Killed;
-                    commit(&mut acc, obs, wl, rec, clock.now(), &partial, outcome);
+                    commit(
+                        &mut acc,
+                        obs,
+                        wl,
+                        rec,
+                        OpEnd::At(clock.now()),
+                        &partial,
+                        outcome,
+                    );
                     obs.killed(clock.now(), rec.wl, rec.step, rec.op);
                     obs.retried();
                     attempts[rs.instance(rec.wl, rec.step, rec.op)] += 1;
@@ -1059,24 +1092,28 @@ mod tests {
     /// apart and a co-run of one graph twice, whose keys tie on
     /// `(step, rank)` and differ only in workload. Dispatch pops the head
     /// `first` picks under a random admitted mask, the only removal the
-    /// driver makes. The reference orders unpacked keys by
-    /// `(hash, step, rank, wl)`; at every step the packed class heaps are
+    /// driver makes. A wide graph (128 ops per rank) puts up to ~70
+    /// instances in one class queue at once, where the narrow graphs reach
+    /// ~14 and the paper's models hold a few. The reference orders unpacked
+    /// keys by
+    /// `(hash, step, rank, wl)`; at every step the packed class queues are
     /// decoded and checked against it, filtered by each key's own workload
     /// window:
     ///
     /// * (a) each class head is the reference's first in-window key of
     ///   that class in dispatch order, and `first(mask)` is the class of
     ///   the first in-window key whose class the mask admits;
-    /// * (b) the class heaps hold exactly the in-window key set;
+    /// * (b) the class queues hold exactly the in-window key set, each
+    ///   sorted in strictly descending dispatch order;
     /// * (c) the ready and window-closed counts;
     /// * (d) a head requeued right after its pop is the head again.
     #[test]
     fn ready_set_heads_match_a_filtered_btree_reference() {
         const DEPTH: usize = 4;
         let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-        // 36, 6 and 24 ops: under spread demands the three-workload
+        // 36, 6, 24 and 256 ops: under spread demands the three-workload
         // co-run has more classes than one mask word holds.
-        let graphs: Vec<_> = [(9, 4, 11u64), (3, 2, 23), (6, 4, 37)]
+        let graphs: Vec<_> = [(9, 4, 11u64), (3, 2, 23), (6, 4, 37), (2, 128, 41)]
             .iter()
             .map(|&(layers, width, seed)| {
                 random_dag(&GenSpec {
@@ -1093,6 +1130,7 @@ mod tests {
             &[(0, 2), (1, 200)],
             &[(0, 200), (1, 2), (2, 20)],
             &[(2, 20), (2, 20)],
+            &[(3, 12)],
         ];
         for (run, spread) in runs.iter().flat_map(|r| [(*r, false), (*r, true)]) {
             let steps: Vec<usize> = run.iter().map(|&(_, steps)| steps).collect();
@@ -1187,10 +1225,13 @@ mod tests {
                     let mut held: Vec<Key> = rs
                         .classes
                         .iter()
-                        .flat_map(|c| c.heap.iter().map(|&Reverse((_, packed))| rs.key(packed)))
+                        .flat_map(|c| c.queue.iter().map(|&(_, packed)| rs.key(packed)))
                         .collect();
                     held.sort_unstable();
                     assert_eq!(held, expected, "{tie:?} steps {steps:?}");
+                    for class in &rs.classes {
+                        assert!(class.queue.windows(2).all(|w| w[0] > w[1]));
+                    }
                     assert_eq!(rs.len(), reference.ready.len());
                     assert_eq!(rs.window_closed(), reference.ready.len() - expected.len());
                     let mut heads: Vec<Option<Key>> = vec![None; classes];
@@ -1201,10 +1242,7 @@ mod tests {
                         }
                     }
                     for (c, (class, want)) in rs.classes.iter().zip(&heads).enumerate() {
-                        let head = class
-                            .heap
-                            .peek()
-                            .map(|&Reverse((_, packed))| rs.key(packed));
+                        let head = class.queue.last().map(|&(_, packed)| rs.key(packed));
                         assert_eq!(head, *want, "{tie:?} steps {steps:?}");
                         let bit = rs.nonempty[c / 64] >> (c % 64) & 1 == 1;
                         assert_eq!(bit, want.is_some(), "class {c}'s non-empty bit");

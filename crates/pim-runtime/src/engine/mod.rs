@@ -39,7 +39,7 @@ mod placement;
 #[cfg(test)]
 mod tests;
 
-pub use limits::{CancelToken, RunLimits};
+pub use limits::RunLimits;
 
 pub use components::PROGR_KERNEL_SLOTS;
 pub use faults::{backoff_after, AttemptOutcome, BACKOFF_BASE, LINK_TIMEOUT, MAX_ATTEMPTS};
@@ -421,8 +421,8 @@ pub struct RunRequest<'g> {
     pub faults: FaultPlan,
     /// Shared co-run vs. independent partitions.
     pub partitioning: Partitioning,
-    /// Execution bounds: event-count fuel, simulated-time deadline, and/or
-    /// a cooperative [`CancelToken`]. Unbounded by default. Deliberately
+    /// Execution bounds: an event-count fuel budget. Unbounded by default.
+    /// Deliberately
     /// excluded from [`RunRequest::canonical`]: limits only decide whether
     /// a run *finishes*, never what a finished run produces, so a
     /// completed bounded run shares its cache cell with the unbounded run
@@ -709,10 +709,9 @@ impl Engine {
     /// Propagates cost/profiling failures, or an internal error if the
     /// scheduler wedges (a bug, guarded explicitly). A request carrying
     /// [`RunLimits`] additionally returns `PimError::BudgetExhausted`
-    /// when its event fuel or simulated-time deadline trips, and
-    /// `PimError::Cancelled` when its [`CancelToken`] fires — both
-    /// observed at the drivers' per-event check sites, so bounded runs
-    /// that *complete* stay byte-identical to unbounded ones.
+    /// when its event fuel trips, observed at the drivers' per-event check
+    /// sites, so bounded runs that *complete* stay byte-identical to
+    /// unbounded ones.
     /// Partitioned requests propagate the first failure among the
     /// partitions, in input order.
     pub fn execute(&self, request: &RunRequest<'_>) -> Result<RunOutput> {
@@ -726,10 +725,9 @@ impl Engine {
                 None => self.run_shared(request, &request.faults),
             },
             Partitioning::Partitioned => {
-                // Each partition gets its own gauge over the same limits —
-                // a shared fuel counter would make the trip point depend on
-                // worker interleaving — while the cancel token inside the
-                // clone stays shared, so one cancel stops every partition.
+                // Each partition gets its own gauge over the same limits: a
+                // shared fuel counter would make the trip point depend on
+                // worker interleaving.
                 let outs: Vec<RunOutput> = crate::par::par_map(&request.workloads, |wl| {
                     self.execute(&request.partition(*wl))
                 })

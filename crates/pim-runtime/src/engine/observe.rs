@@ -124,12 +124,31 @@ const OPS_COUNTER_KEYS: [&str; 5] = [
     "ops/Progr+Fixed",
 ];
 
+/// When a committed attempt ended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OpEnd {
+    /// A simulated time.
+    At(Seconds),
+    /// The quantized femtosecond time its completion event is keyed by,
+    /// converted to seconds only when an entry is built.
+    Fs(u128),
+}
+
+impl OpEnd {
+    fn seconds(self) -> Seconds {
+        match self {
+            OpEnd::At(t) => t,
+            OpEnd::Fs(fs) => Clock::from_fs(fs),
+        }
+    }
+}
+
 /// Everything the [`Observer`] needs to know about one committed op: the
 /// attempt, when it ended and how. Its [`TimelineEntry`] is built only
 /// when the run collects a timeline or traces.
 pub(crate) struct OpRecord<'c> {
     pub attempt: &'c InFlight,
-    pub end: Seconds,
+    pub end: OpEnd,
     pub outcome: AttemptOutcome,
     pub planned: &'c PlannedOp,
     pub cost: &'c CostProfile,
@@ -146,7 +165,7 @@ impl OpRecord<'_> {
             step: rec.step,
             op: rec.op,
             start: rec.start,
-            end: self.end,
+            end: self.end.seconds(),
             resource: resource_class(&rec.charge),
             ff_units: rec.units,
             attempt: rec.attempt,
@@ -321,6 +340,7 @@ impl<'a> Observer<'a> {
 
     /// Records one committed op instance: timeline entry, counters,
     /// traffic, and (when tracing) a span on its resource-class lane.
+    #[inline]
     pub fn record_op(&mut self, rec: &OpRecord<'_>) {
         if let Some(timeline) = self.timeline.as_deref_mut() {
             timeline.push(rec.entry());
@@ -345,59 +365,66 @@ impl<'a> Observer<'a> {
         self.traffic
             .record(rec.cost.bytes_read, rec.cost.bytes_written);
         if self.tracing {
-            let entry = rec.entry();
-            let (lane, fresh) = self.lanes.assign(class, entry.start, entry.end);
-            let track = Track::new(TRACE_PID, class_base_tid(class) + lane as u32);
-            if fresh {
-                let label = class_label(class);
-                self.tracer.record(TraceEvent::ThreadName {
-                    track,
-                    name: if lane == 0 {
-                        label.to_string()
-                    } else {
-                        format!("{label} #{}", lane + 1)
-                    },
-                });
-            }
-            let kind = rec.attempt.kind;
-            let mut args: pim_common::trace::Args = vec![
-                ("wl", entry.workload.into()),
-                ("step", entry.step.into()),
-                ("op", entry.op.into()),
-                ("placement", describe(kind).into()),
-                ("candidate", rec.attempt.candidate.into()),
-                ("inflight", rec.attempt.inflight_at_dispatch.into()),
-            ];
-            if entry.ff_units > 0 {
-                args.push(("ff_units", entry.ff_units.into()));
-            }
-            // Fault-free entries carry no attempt args, keeping zero-fault
-            // traces byte-identical to their pre-fault-model goldens.
-            if entry.attempt > 0 || entry.outcome != AttemptOutcome::Completed {
-                args.push(("attempt", (entry.attempt as usize).into()));
-                args.push(("outcome", outcome_label(entry.outcome).into()));
-            }
-            if matches!(
-                kind,
-                PlanKind::FixedWhole {
-                    rc_runtime: true,
-                    ..
-                } | PlanKind::Recursive { .. }
-            ) {
-                args.push(("rc_calls", kernel_calls(rec.cost.ma_flops()).into()));
-            }
-            self.tracer.record(TraceEvent::Span {
-                track,
-                name: rec.graph.ops()[entry.op].kind.tf_name().to_string(),
-                cat: "op",
-                start: entry.start,
-                end: entry.end,
-                args,
-            });
+            self.span(rec, class);
         }
     }
 
-    /// Records one completion event popped off the heap (or, in the
+    /// Emits a committed op's span on its resource-class lane.
+    #[cold]
+    #[inline(never)]
+    fn span(&mut self, rec: &OpRecord<'_>, class: ResourceClass) {
+        let entry = rec.entry();
+        let (lane, fresh) = self.lanes.assign(class, entry.start, entry.end);
+        let track = Track::new(TRACE_PID, class_base_tid(class) + lane as u32);
+        if fresh {
+            let label = class_label(class);
+            self.tracer.record(TraceEvent::ThreadName {
+                track,
+                name: if lane == 0 {
+                    label.to_string()
+                } else {
+                    format!("{label} #{}", lane + 1)
+                },
+            });
+        }
+        let kind = rec.attempt.kind;
+        let mut args: pim_common::trace::Args = vec![
+            ("wl", entry.workload.into()),
+            ("step", entry.step.into()),
+            ("op", entry.op.into()),
+            ("placement", describe(kind).into()),
+            ("candidate", rec.attempt.candidate.into()),
+            ("inflight", rec.attempt.inflight_at_dispatch.into()),
+        ];
+        if entry.ff_units > 0 {
+            args.push(("ff_units", entry.ff_units.into()));
+        }
+        // Fault-free entries carry no attempt args, keeping zero-fault
+        // traces byte-identical to their pre-fault-model goldens.
+        if entry.attempt > 0 || entry.outcome != AttemptOutcome::Completed {
+            args.push(("attempt", (entry.attempt as usize).into()));
+            args.push(("outcome", outcome_label(entry.outcome).into()));
+        }
+        if matches!(
+            kind,
+            PlanKind::FixedWhole {
+                rc_runtime: true,
+                ..
+            } | PlanKind::Recursive { .. }
+        ) {
+            args.push(("rc_calls", kernel_calls(rec.cost.ma_flops()).into()));
+        }
+        self.tracer.record(TraceEvent::Span {
+            track,
+            name: rec.graph.ops()[entry.op].kind.tf_name().to_string(),
+            cat: "op",
+            start: entry.start,
+            end: entry.end,
+            args,
+        });
+    }
+
+    /// Records one completion event popped off the queue (or, in the
     /// serialized driver, an op retiring).
     pub fn completed(&mut self) {
         self.hot.completed += 1;

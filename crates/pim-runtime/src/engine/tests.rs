@@ -388,15 +388,11 @@ mod limit_tests {
             let engine = Engine::new(EngineConfig::preset(preset));
             let base = RunRequest::new(&[spec(&model, 2)]).with_options(opts);
             let plain = engine.execute(&base).unwrap();
-            let token = CancelToken::new();
             let bounded = engine
                 .execute(
-                    &base.clone().with_limits(
-                        RunLimits::none()
-                            .with_max_events(u64::MAX / 2)
-                            .with_deadline(Seconds::new(1e6))
-                            .with_cancel(&token),
-                    ),
+                    &base
+                        .clone()
+                        .with_limits(RunLimits::none().with_max_events(u64::MAX / 2)),
                 )
                 .unwrap();
             assert_eq!(plain.report(), bounded.report(), "{preset:?}");
@@ -440,56 +436,6 @@ mod limit_tests {
                 limit: 5
             }
         );
-    }
-
-    #[test]
-    fn simulated_deadline_cuts_a_run_short() {
-        let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
-        let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-        let full = engine
-            .execute(&RunRequest::new(&[spec(&model, 2)]))
-            .unwrap()
-            .into_report()
-            .makespan;
-        let err = engine
-            .execute(
-                &RunRequest::new(&[spec(&model, 2)])
-                    .with_limits(RunLimits::none().with_deadline(full * 0.01)),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                PimError::BudgetExhausted {
-                    budget: "deadline-us",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-        // A deadline past the makespan changes nothing.
-        let ok = engine
-            .execute(
-                &RunRequest::new(&[spec(&model, 2)])
-                    .with_limits(RunLimits::none().with_deadline(full * 2.0)),
-            )
-            .unwrap();
-        assert_eq!(ok.report().makespan, full);
-    }
-
-    #[test]
-    fn pre_fired_cancel_token_stops_the_run() {
-        let model = Model::build_with_batch(ModelKind::AlexNet, 16).unwrap();
-        let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-        let token = CancelToken::new();
-        token.cancel();
-        let err = engine
-            .execute(
-                &RunRequest::new(&[spec(&model, 2)])
-                    .with_limits(RunLimits::none().with_cancel(&token)),
-            )
-            .unwrap_err();
-        assert!(matches!(err, PimError::Cancelled { .. }), "{err:?}");
     }
 
     #[test]

@@ -51,9 +51,8 @@ pub mod sync;
 pub mod verify;
 
 pub use engine::{
-    CancelToken, Engine, EngineConfig, Partitioning, PlanRow, ProgrBackend, ResourceClass,
-    RunLimits, RunOptions, RunOutput, RunRequest, SystemMode, SystemPreset, TimelineEntry,
-    WorkloadSpec,
+    Engine, EngineConfig, Partitioning, PlanRow, ProgrBackend, ResourceClass, RunLimits,
+    RunOptions, RunOutput, RunRequest, SystemMode, SystemPreset, TimelineEntry, WorkloadSpec,
 };
 pub use fuzz::TieBreak;
 pub use stats::ExecutionReport;

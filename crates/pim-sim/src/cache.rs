@@ -10,9 +10,12 @@
 //! the CI byte-diff pin down), so caching is behavior-invisible: a hit
 //! returns exactly the report a fresh run would produce.
 //!
-//! Keys are structural fingerprints ([`Graph::structural_hash`],
-//! [`pim_common::fingerprint::debug_hash`] of the configuration), not
-//! addresses, so independently built but identical models share cells.
+//! A cell is keyed by its graph's identity ([`Graph::uid`]), the
+//! configuration's fingerprint ([`pim_common::fingerprint::debug_hash`])
+//! and the step count. A uid names one graph value and is never reused,
+//! so reading it costs nothing and a mutated graph misses. Every sweep
+//! section reads its models from [`model`], so the sections share cells
+//! through the one graph each model is built into.
 
 use crate::configs::{simulate, SystemConfig};
 use pim_common::Result;
@@ -85,16 +88,14 @@ pub fn model_with_batch(kind: ModelKind, batch: usize) -> Result<Arc<Model>> {
     })
 }
 
-/// Cell key: graph fingerprint + op count (collision discriminant),
-/// configuration fingerprint, steps.
-type CellKey = (u64, usize, u64, usize);
+/// Cell key: graph uid, configuration fingerprint, steps.
+type CellKey = (u64, u64, usize);
 
 static CELLS: Memo<CellKey, ExecutionReport> = Memo::new();
 
 fn cell_key(graph: &Graph, config: &SystemConfig, steps: usize) -> CellKey {
     (
-        graph.structural_hash(),
-        graph.op_count(),
+        graph.uid(),
         pim_common::fingerprint::debug_hash(config),
         steps,
     )
@@ -143,6 +144,8 @@ impl pim_serve::ResultStore for SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_graph::TensorRole;
+    use pim_tensor::Shape;
 
     #[test]
     fn cached_cell_equals_fresh_simulation() {
@@ -153,6 +156,26 @@ mod tests {
         let fresh = simulate(&m, &cfg, 2).unwrap();
         assert_eq!(first, hit);
         assert_eq!(first, fresh);
+    }
+
+    #[test]
+    fn a_mutated_copy_of_a_cached_graph_misses() {
+        let m = model(ModelKind::Lstm).unwrap();
+        let cfg = SystemConfig::Cpu;
+        let cached = cell_report(&m, &cfg, 1).unwrap();
+        let hit = CELLS.get_or_fill(cell_key(m.graph(), &cfg, 1), || {
+            panic!("the cached graph must hit its cell")
+        });
+        assert_eq!(hit.unwrap(), cached);
+        let mut copy = m.graph().clone();
+        copy.add_tensor(Shape::new(vec![4]), TensorRole::Activation, "extra");
+        let mut filled = false;
+        let miss = CELLS.get_or_fill(cell_key(&copy, &cfg, 1), || {
+            filled = true;
+            Ok(cached.clone())
+        });
+        assert_eq!(miss.unwrap(), cached);
+        assert!(filled, "a mutated copy of a cached graph hit its cell");
     }
 
     #[test]

@@ -240,9 +240,7 @@ impl JobRunner for SimRunner {
             );
         }
         let out = engine.execute(&request).map_err(|e| match e {
-            PimError::BudgetExhausted { .. } | PimError::Cancelled { .. } => {
-                JobError::deadline(e.to_string())
-            }
+            PimError::BudgetExhausted { .. } => JobError::deadline(e.to_string()),
             other => JobError::execution(other.to_string()),
         })?;
         Ok(StoredResult {
