@@ -134,12 +134,12 @@ impl<T> EventQueue<T> {
     /// the quantized time so callers can mirror it (e.g. in the timeline).
     pub fn push(&mut self, at: Seconds, payload: T, seq: u64) -> u128 {
         let fs = Clock::to_fs(at);
-        let at = self
+        let slot = self
             .queue
             .iter()
             .rposition(|&(f, s, _)| (f, s) > (fs, seq))
             .map_or(0, |i| i + 1);
-        self.queue.insert(at, (fs, seq, payload));
+        self.queue.insert(slot, (fs, seq, payload));
         fs
     }
 

@@ -422,11 +422,11 @@ pub struct RunRequest<'g> {
     /// Shared co-run vs. independent partitions.
     pub partitioning: Partitioning,
     /// Execution bounds: an event-count fuel budget. Unbounded by default.
-    /// Deliberately
-    /// excluded from [`RunRequest::canonical`]: limits only decide whether
-    /// a run *finishes*, never what a finished run produces, so a
-    /// completed bounded run shares its cache cell with the unbounded run
-    /// (and a tripped run returns an error, which is never cached).
+    /// Deliberately excluded from [`RunRequest::canonical`]: limits only
+    /// decide whether a run *finishes*, never what a finished run
+    /// produces, so a completed bounded run shares its cache cell with the
+    /// unbounded run (and a tripped run returns an error, which is never
+    /// cached).
     pub limits: RunLimits,
 }
 
