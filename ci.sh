@@ -22,14 +22,15 @@ if [ -n "$stray" ]; then
     echo "ci: generator constants outside pim_common::rng:" $stray >&2
     exit 1
 fi
-# No test-only public functions (ROADMAP item 3(e)). A file's production
-# text is everything before its `#[cfg(test)] mod ... {` block, less its
-# `//` comment lines (docs and doc examples included); a file that is
-# itself a `#[cfg(test)] mod name;` module has none. A hit is a `pub fn`
-# that no other file's production text names and that its own file's
-# production text names only at its definition: only tests reach it.
-# Delete it with the tests that exist only for it, or allowlist it here
-# with a one-line reason.
+# No test-only public functions or constants (ROADMAP item 3(e)). A
+# file's production text is everything before its `#[cfg(test)] mod ... {`
+# block, less its `//` comment lines (docs and doc examples included); a
+# file that is itself a `#[cfg(test)] mod name;` module, or an integration
+# test under `tests/` or `crates/*/tests/`, has none. A hit is a `pub fn`,
+# `pub const fn` or `pub const` that no other file's production text names
+# and that its own file's production text names only at its definition:
+# only tests reach it. Delete it with the tests that exist only for it, or
+# allowlist it here with a one-line reason.
 scan_allow='
 hit_rate_for_stream     pim_mem::bank, the memory referee item 9 rules on
 hottest_bank            pim_mem::controller, the memory referee item 9 rules on
@@ -41,6 +42,13 @@ invocation_counts       the op census the model structure tests count with
 is_cnn                  the CNN/non-CNN split the Fig. 16 case tests check
 quarantine_ff_at_start  builds the hand-made fault plans of the engine and verify tests
 with_permanent          builds the hand-made fault plans of the engine and verify tests
+from_seed               pim_graph::gen, the seeded DAGs the property and differential suites draw
+random_dag              pim_graph::gen, the seeded DAGs the property and differential suites draw
+custom                  CpuDevice, the one non-Xeon host for EngineConfig::host; the memo-key tests use it
+cycle_bound             the static issue-cycle bound the ISA property test checks the interpreter against
+disassemble             the program text the ISA golden pins and failing ISA properties print
+supports_recursive_kernel  the Fig. 4 recursive-kernel predicate the binary-generation tests check
+cross_check_many        the partitioned-report referee the engine property test checks a split run with
 '
 rs_files=$(find crates src tests examples perfbench/src -name '*.rs' -not -path '*/target/*' | sort)
 test_mods=$(for f in $rs_files; do
@@ -52,6 +60,7 @@ done)
 declare -A prod
 for f in $rs_files; do
     grep -qxF "$f" <<<"$test_mods" && continue
+    case $f in tests/* | crates/*/tests/*) continue ;; esac
     prod[$f]=$(awk '/^mod [A-Za-z_]+ \{/ && prev ~ /^#\[cfg\(test\)\]/ { exit }
         { prev = $0 } !/^[[:space:]]*\/\// { print }' "$f")
 done
@@ -62,7 +71,8 @@ test_only=
 for f in $rs_files; do
     [ -n "${prod[$f]+set}" ] || continue
     body=${prod[$f]}
-    for name in $(sed -n 's/^ *pub fn \([A-Za-z_][A-Za-z0-9_]*\).*/\1/p' <<<"$body"); do
+    for name in $(sed -n -e 's/^ *pub \(const \)\{0,1\}fn \([A-Za-z_][A-Za-z0-9_]*\).*/\2/p' \
+        -e 's/^ *pub const \([A-Za-z_][A-Za-z0-9_]*\) *:.*/\1/p' <<<"$body"); do
         if grep -qx "$name" <<<"$named_once" &&
             [ "$(grep -ow "$name" <<<"$body" | wc -l)" -eq 1 ] &&
             ! awk -v n="$name" '$1 == n { found = 1 } END { exit !found }' <<<"$scan_allow"; then

@@ -106,6 +106,9 @@ impl StepResult {
     }
 }
 
+/// The learning rate of every `ApplySgd` op.
+const SGD_LEARNING_RATE: f32 = 0.05;
+
 /// The eager executor holding persistent training state.
 ///
 /// # Examples
@@ -116,7 +119,6 @@ pub struct Executor {
     params: HashMap<TensorId, Tensor>,
     adam: HashMap<TensorId, AdamState>,
     hyper: AdamParams,
-    sgd_learning_rate: f32,
 }
 
 impl Executor {
@@ -153,18 +155,12 @@ impl Executor {
             params,
             adam: HashMap::new(),
             hyper: AdamParams::default(),
-            sgd_learning_rate: 0.05,
         }
     }
 
     /// Overrides the Adam hyperparameters.
     pub fn set_adam(&mut self, hyper: AdamParams) {
         self.hyper = hyper;
-    }
-
-    /// Overrides the SGD learning rate.
-    pub fn set_sgd_learning_rate(&mut self, lr: f32) {
-        self.sgd_learning_rate = lr;
     }
 
     /// Reads a parameter's current value.
@@ -362,7 +358,7 @@ impl Executor {
                     kind: "parameter",
                     index: param_id.index(),
                 })?;
-                apply_sgd(param, &grad, self.sgd_learning_rate)?;
+                apply_sgd(param, &grad, SGD_LEARNING_RATE)?;
                 Self::store(env, op, 0, Value::Scalar(0.0))
             }
             OpKind::Binary(b) => {

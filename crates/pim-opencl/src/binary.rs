@@ -131,12 +131,6 @@ impl BinarySet {
                 .any(|r| matches!(r, Region::CallFixed { .. }))
     }
 
-    /// True when the whole operation can be dispatched directly to the
-    /// fixed-function pool from the host.
-    pub fn runs_whole_on_fixed(&self) -> bool {
-        self.fixed_whole.is_some()
-    }
-
     /// Multiply/add flops moved into fixed kernels by the extraction.
     pub fn extracted_flops(&self) -> f64 {
         self.fixed_kernels.iter().map(|k| k.muls + k.adds).sum()
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn pure_mul_add_gets_all_four_binaries() {
         let set = BinarySet::generate(kernel(OffloadClass::FullyMulAdd)).unwrap();
-        assert!(set.runs_whole_on_fixed());
+        assert!(set.fixed_whole.is_some());
         assert!(set.supports_recursive_kernel());
         assert_eq!(set.extracted_flops(), 128.0);
     }
@@ -173,7 +167,7 @@ mod tests {
     #[test]
     fn non_mul_add_gets_no_fixed_binaries() {
         let set = BinarySet::generate(kernel(OffloadClass::NonMulAdd)).unwrap();
-        assert!(!set.runs_whole_on_fixed());
+        assert!(set.fixed_whole.is_none());
         assert!(!set.supports_recursive_kernel());
         assert!(set.fixed_kernels.is_empty());
     }

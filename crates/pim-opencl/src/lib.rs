@@ -21,7 +21,7 @@
 //!     OffloadClass::FullyMulAdd, 63,
 //! );
 //! let set = BinarySet::generate(KernelSource::from_cost("MatMul", &cost))?;
-//! assert!(set.runs_whole_on_fixed());
+//! assert!(set.fixed_whole.is_some());
 //! assert!(set.supports_recursive_kernel());
 //! # Ok(())
 //! # }

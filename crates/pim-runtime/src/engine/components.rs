@@ -11,7 +11,9 @@
 //! of pending events at a time, so it is a small vector kept sorted latest
 //! first: a push inserts at its place, a pop takes the last entry.
 //! The flat [`ResourceSoA`] is the one resource ledger: its counters are
-//! the Fig. 7 busy/idle state the placement policy queries.
+//! the Fig. 7 busy/idle state the placement policy queries. It acquires
+//! and releases what a [`PlanKind`] holds, and an [`InFlight`] record
+//! keeps the kind, not a copy of its units and slots.
 //!
 //! # Determinism
 //!
@@ -154,6 +156,8 @@ impl<T> EventQueue<T> {
 pub const PROGR_KERNEL_SLOTS: usize = 2;
 
 /// One dispatched attempt occupying resources until its completion event.
+/// What it holds is its `kind`'s ([`PlanKind::units`],
+/// [`PlanKind::uses_cpu`], [`PlanKind::uses_progr`]).
 ///
 /// Fault-free dispatches simply carry `attempt == 0`,
 /// `outcome == Completed`, and stay `live` until retirement.
@@ -166,7 +170,6 @@ pub(crate) struct InFlight {
     /// Fate-adjusted planned op (the charge if the attempt runs to its
     /// scheduled end).
     pub charge: PlannedOp,
-    pub units: usize,
     pub attempt: u32,
     pub outcome: AttemptOutcome,
     pub start: Seconds,
@@ -192,6 +195,10 @@ pub(crate) enum Event {
 }
 
 const _: () = assert!(std::mem::size_of::<(u128, u64, Event)>() <= 32);
+// A plan-table row and an in-flight record carry the kind once: the holds
+// are the kind's, not copied beside it.
+const _: () = assert!(std::mem::size_of::<(PlanKind, PlannedOp)>() <= 64);
+const _: () = assert!(std::mem::size_of::<InFlight>() <= 112);
 
 /// The per-device completion lanes: every dispatched attempt parks here
 /// until its [`Event::Op`] pops.
@@ -352,41 +359,34 @@ impl ResourceSoA {
         self.progr_slots_free = 0;
     }
 
-    /// Reserves the resources a chosen placement needs; returns the
-    /// fixed-function units held (0 for CPU/programmable placements).
+    /// Reserves the resources a placement of `kind` holds.
     ///
     /// # Errors
     ///
     /// Propagates a pool-grant failure (a scheduler bug: [`Planner::choose`]
     /// only proposes grants that fit).
-    pub fn acquire(&mut self, kind: PlanKind, planned: &PlannedOp) -> Result<usize> {
-        let units = match kind {
-            PlanKind::FixedWhole { units, .. }
-            | PlanKind::HostSplit { units }
-            | PlanKind::Recursive { units } => {
-                self.pool.grant(units)?;
-                units
-            }
-            _ => 0,
-        };
-        if planned.uses_cpu {
+    pub fn acquire(&mut self, kind: PlanKind) -> Result<()> {
+        if kind.units() > 0 {
+            self.pool.grant(kind.units())?;
+        }
+        if kind.uses_cpu() {
             self.cpu_slots_free -= 1;
         }
-        if planned.uses_progr {
+        if kind.uses_progr() {
             self.progr_slots_free -= 1;
         }
-        Ok(units)
+        Ok(())
     }
 
-    /// Returns a completed op's resources.
-    pub fn release(&mut self, units: usize, uses_cpu: bool, uses_progr: bool) {
-        if units > 0 {
-            self.pool.release(units);
+    /// Returns what a placement of `kind` held.
+    pub fn release(&mut self, kind: PlanKind) {
+        if kind.units() > 0 {
+            self.pool.release(kind.units());
         }
-        if uses_cpu {
+        if kind.uses_cpu() {
             self.cpu_slots_free += 1;
         }
-        if uses_progr {
+        if kind.uses_progr() {
             self.progr_slots_free += 1;
         }
     }
@@ -431,18 +431,19 @@ pub(crate) struct Accumulator {
 }
 
 impl Accumulator {
-    pub fn add(&mut self, planned: &PlannedOp) {
+    /// Charges `planned`, billed to what a placement of `kind` holds.
+    pub fn add(&mut self, kind: PlanKind, planned: &PlannedOp) {
         self.op_raw += planned.op_part;
         self.dm_raw += planned.dm_part;
         self.sync_raw += planned.sync_part;
         self.energy += planned.energy;
-        if planned.uses_cpu {
+        if kind.uses_cpu() {
             self.cpu_busy += planned.duration;
         }
-        if planned.uses_progr {
+        if kind.uses_progr() {
             self.progr_busy += planned.duration;
         }
-        self.ff_unit_seconds += planned.ff_units as f64 * planned.ff_busy.seconds();
+        self.ff_unit_seconds += kind.units() as f64 * planned.ff_busy.seconds();
     }
 
     pub fn into_report(
@@ -587,22 +588,11 @@ mod tests {
         assert!(state.availability().cpu_free);
         assert_eq!(seen(&state), (total, total, true, true));
 
-        let cost = CostProfile::compute(
-            1e9,
-            1e9,
-            0.0,
-            Bytes::new(1e7),
-            Bytes::new(1e7),
-            OffloadClass::FullyMulAdd,
-            128,
-        );
         let kind = PlanKind::FixedWhole {
             rc_runtime: true,
             units: 128,
         };
-        let planned = planner.plan_cost(kind, &cost);
-        let units = state.acquire(kind, &planned).unwrap();
-        assert_eq!(units, 128);
+        state.acquire(kind).unwrap();
         assert_eq!(seen(&state), (total - 128, total, true, true));
 
         // Quarantine takes idle units out of both counts; busy ones stay
@@ -611,7 +601,7 @@ mod tests {
         assert_eq!(seen(&state), (total - 228, total - 100, true, true));
         state.quarantine_ff(0).unwrap();
         assert_eq!(seen(&state), (total - 228, total - 100, true, true));
-        state.release(units, false, false);
+        state.release(kind);
         assert_eq!(seen(&state), (total - 100, total - 100, true, true));
         assert_eq!(state.free_ff(), total - 100);
         assert_eq!(state.alive_ff(), total - 100);
@@ -626,24 +616,14 @@ mod tests {
         let planner = Planner::new(EngineConfig::preset(SystemPreset::Hetero));
         let total = planner.pool_cfg().total_units;
         let mut state = ResourceSoA::new(&planner);
-        let cost = CostProfile::compute(
-            0.0,
-            0.0,
-            1e8,
-            Bytes::new(1e6),
-            Bytes::new(1e6),
-            OffloadClass::NonMulAdd,
-            0,
-        );
-        let planned = planner.plan_cost(PlanKind::Progr, &cost);
         for _ in 0..PROGR_KERNEL_SLOTS {
             assert!(state.availability().progr_free);
-            state.acquire(PlanKind::Progr, &planned).unwrap();
+            state.acquire(PlanKind::Progr).unwrap();
         }
         assert_eq!(seen(&state), (total, total, false, true));
-        state.release(0, false, true);
+        state.release(PlanKind::Progr);
         assert_eq!(seen(&state), (total, total, true, true));
-        state.release(0, false, true);
+        state.release(PlanKind::Progr);
 
         // Quarantine (with every kernel slot free) clears both bits for
         // good and leaves the fixed-function counts alone.
@@ -670,7 +650,6 @@ mod tests {
                     0,
                 ),
             ),
-            units: 0,
             attempt: 0,
             outcome: AttemptOutcome::Completed,
             start,

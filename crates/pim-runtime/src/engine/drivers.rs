@@ -41,6 +41,11 @@
 //! through a per-workload base, and a retry event carries the instance's
 //! row in them.
 //!
+//! What an attempt holds is its [`PlanKind`]'s: both drivers acquire,
+//! release, bill busy time, decide strike kills and move the
+//! fixed-function occupancy counter from the kind, and a [`PlannedOp`]
+//! carries only the costs.
+//!
 //! Both drivers account time and energy through the same
 //! [`Accumulator`], build their result via
 //! [`ReportBuilder`](crate::stats::ReportBuilder), and observe execution
@@ -79,7 +84,7 @@ fn commit(
     charge: &PlannedOp,
     outcome: AttemptOutcome,
 ) {
-    acc.add(charge);
+    acc.add(rec.kind, charge);
     obs.record_op(&OpRecord {
         attempt: rec,
         end,
@@ -189,7 +194,7 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                     let (kind, planned) = plans[op];
                     let start = clock.now();
                     let (mut charge, mut outcome) =
-                        policy.attempt(planned, (w, step, op), attempt, start);
+                        policy.attempt(kind, planned, (w, step, op), attempt, start);
                     let mut end = start + charge.duration;
                     // A strike landing inside the attempt kills it at the
                     // strike instant when it takes the resources under it.
@@ -199,16 +204,11 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                         }
                         let idle = match s.target {
                             FaultTarget::FixedUnits(_) => {
-                                resources.alive_ff().saturating_sub(charge.ff_units)
+                                resources.alive_ff().saturating_sub(kind.units())
                             }
                             FaultTarget::ProgrPim => 0,
                         };
-                        let kills = FaultContext::strike_kills(
-                            s.target,
-                            charge.ff_units,
-                            charge.uses_progr,
-                            idle,
-                        );
+                        let kills = FaultContext::strike_kills(s.target, kind, idle);
                         quarantine(&mut resources, s.target, obs, s.at)?;
                         next_strike += 1;
                         if kills {
@@ -225,7 +225,6 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                         op,
                         kind,
                         charge,
-                        units: charge.ff_units,
                         attempt,
                         outcome,
                         start,
@@ -234,9 +233,7 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                         live: true,
                     };
                     commit(&mut acc, obs, wl, &rec, OpEnd::At(end), &charge, outcome);
-                    if charge.ff_units > 0 {
-                        obs.ff_delta(start, charge.ff_units as isize);
-                    }
+                    obs.ff_delta(start, kind.units() as isize);
                     // The fault-free policy advances by the planned
                     // duration, the faulted one by the recorded interval
                     // (it may end early at a strike); the two sums can
@@ -251,9 +248,7 @@ pub(crate) fn run_serialized<P: FaultPolicy>(
                     // (retries and re-dispatches count — fuel must bound a
                     // run that never completes).
                     gauge.tick()?;
-                    if charge.ff_units > 0 {
-                        obs.ff_delta(clock.now(), -(charge.ff_units as isize));
-                    }
+                    obs.ff_delta(clock.now(), -(kind.units() as isize));
                     if planner.cfg.mode == SystemMode::Hetero {
                         clock.advance(PLACEMENT_DECISION);
                         acc.sync_raw += PLACEMENT_DECISION;
@@ -809,9 +804,14 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
             } else {
                 0
             };
-            let (charge, outcome) =
-                policy.attempt(planned, (key.wl, key.step, key.op), attempt, clock.now());
-            let units = resources.acquire(kind, &charge)?;
+            let (charge, outcome) = policy.attempt(
+                kind,
+                planned,
+                (key.wl, key.step, key.op),
+                attempt,
+                clock.now(),
+            );
+            resources.acquire(kind)?;
             inflight += 1;
             let slot = lanes.park(InFlight {
                 wl: key.wl,
@@ -819,7 +819,6 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                 op: key.op,
                 kind,
                 charge,
-                units,
                 attempt,
                 outcome,
                 start: clock.now(),
@@ -836,9 +835,7 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                 let end = OpEnd::Fs(end_fs);
                 commit(&mut acc, obs, wl, lanes.get(slot), end, &charge, outcome);
             }
-            if units > 0 {
-                obs.ff_delta(clock.now(), units as isize);
-            }
+            obs.ff_delta(clock.now(), kind.units() as isize);
         };
 
         // Anything still ready is stalled: either no free resource fits
@@ -866,11 +863,9 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                 let Some(rec) = lanes.retire(slot) else {
                     continue;
                 };
-                resources.release(rec.units, rec.charge.uses_cpu, rec.charge.uses_progr);
+                resources.release(rec.kind);
                 inflight -= 1;
-                if rec.units > 0 {
-                    obs.ff_delta(clock.now(), -(rec.units as isize));
-                }
+                obs.ff_delta(clock.now(), -(rec.kind.units() as isize));
                 let wl = &prepared[rec.wl];
                 if P::FAULTY {
                     commit(
@@ -924,22 +919,20 @@ pub(crate) fn run_scheduled<P: FaultPolicy>(
                 loop {
                     let need_kill = match s.target {
                         FaultTarget::FixedUnits(_) => resources.free_ff() < lost,
-                        FaultTarget::ProgrPim => lanes.any_live(|r| r.charge.uses_progr),
+                        FaultTarget::ProgrPim => lanes.any_live(|r| r.kind.uses_progr()),
                     };
                     if !need_kill {
                         break;
                     }
                     let victim = lanes.victim(|r| match s.target {
-                        FaultTarget::FixedUnits(_) => r.units > 0,
-                        FaultTarget::ProgrPim => r.charge.uses_progr,
+                        FaultTarget::FixedUnits(_) => r.kind.units() > 0,
+                        FaultTarget::ProgrPim => r.kind.uses_progr(),
                     });
                     let Some(v) = victim else { break };
                     let rec = lanes.kill(v);
-                    resources.release(rec.units, rec.charge.uses_cpu, rec.charge.uses_progr);
+                    resources.release(rec.kind);
                     inflight -= 1;
-                    if rec.units > 0 {
-                        obs.ff_delta(clock.now(), -(rec.units as isize));
-                    }
+                    obs.ff_delta(clock.now(), -(rec.kind.units() as isize));
                     let wl = &prepared[rec.wl];
                     let partial = charge_until(&rec.charge, rec.start, clock.now());
                     let outcome = AttemptOutcome::Killed;

@@ -24,7 +24,7 @@
 //! beside the device-lane completions, drawing `seq` from the same
 //! counter, so faulted and fault-free runs pop events in one order.
 
-use super::placement::PlannedOp;
+use super::placement::{PlanKind, PlannedOp};
 use pim_common::units::Seconds;
 use pim_hw::faults::{FaultLane, FaultPlan, FaultTarget, PermanentFault};
 use serde::Serialize;
@@ -62,12 +62,12 @@ pub enum AttemptOutcome {
     Killed,
 }
 
-/// The fault lane an entry's resources live on, if any — pure-CPU
+/// The fault lane a placement's resources live on, if any — pure-CPU
 /// placements never fault (the host is the reliability anchor).
-pub fn lane_for(ff_units: usize, uses_progr: bool) -> Option<FaultLane> {
-    if ff_units > 0 {
+pub(crate) fn lane_for(kind: PlanKind) -> Option<FaultLane> {
+    if kind.units() > 0 {
         Some(FaultLane::Fixed)
-    } else if uses_progr {
+    } else if kind.uses_progr() {
         Some(FaultLane::Progr)
     } else {
         None
@@ -117,7 +117,6 @@ pub(crate) fn scale_planned(p: &PlannedOp, f: f64) -> PlannedOp {
         sync_part: p.sync_part * f,
         energy: p.energy * f,
         ff_busy: p.ff_busy * f,
-        ..*p
     }
 }
 
@@ -125,12 +124,8 @@ pub(crate) fn scale_planned(p: &PlannedOp, f: f64) -> PlannedOp {
 /// device performs the same work, so energy is unchanged.
 pub(crate) fn stretch_planned(p: &PlannedOp, f: f64) -> PlannedOp {
     PlannedOp {
-        duration: p.duration * f,
-        op_part: p.op_part * f,
-        dm_part: p.dm_part * f,
-        sync_part: p.sync_part * f,
-        ff_busy: p.ff_busy * f,
-        ..*p
+        energy: p.energy,
+        ..scale_planned(p, f)
     }
 }
 
@@ -178,11 +173,12 @@ pub(crate) trait FaultPolicy {
     /// Mid-run fail-stop faults, in strike order.
     fn strikes(&self) -> &[PermanentFault];
 
-    /// The fate of attempt `attempt` of `(wl, step, op)` dispatched at
-    /// `now` with planned charge `charge`: the fate-adjusted charge and
-    /// how the attempt ends.
+    /// The fate of attempt `attempt` of `(wl, step, op)` placed as `kind`
+    /// and dispatched at `now` with planned charge `charge`: the
+    /// fate-adjusted charge and how the attempt ends.
     fn attempt(
         &self,
+        kind: PlanKind,
         charge: PlannedOp,
         coords: (usize, usize, usize),
         attempt: u32,
@@ -211,6 +207,7 @@ impl FaultPolicy for NoFaults {
 
     fn attempt(
         &self,
+        _kind: PlanKind,
         charge: PlannedOp,
         _coords: (usize, usize, usize),
         _attempt: u32,
@@ -248,16 +245,12 @@ impl FaultContext {
         }
     }
 
-    /// Does this strike take down the resources a running op holds?
-    pub fn strike_kills(
-        target: FaultTarget,
-        ff_units: usize,
-        uses_progr: bool,
-        idle_ff: usize,
-    ) -> bool {
+    /// Does this strike take down the resources a running op placed as
+    /// `kind` holds?
+    pub fn strike_kills(target: FaultTarget, kind: PlanKind, idle_ff: usize) -> bool {
         match target {
-            FaultTarget::FixedUnits(n) => ff_units > 0 && n > idle_ff,
-            FaultTarget::ProgrPim => uses_progr,
+            FaultTarget::FixedUnits(n) => kind.units() > 0 && n > idle_ff,
+            FaultTarget::ProgrPim => kind.uses_progr(),
         }
     }
 }
@@ -281,12 +274,13 @@ impl FaultPolicy for FaultContext {
     /// applies the attempt's fate.
     fn attempt(
         &self,
+        kind: PlanKind,
         mut charge: PlannedOp,
         (wl, step, op): (usize, usize, usize),
         attempt: u32,
         now: Seconds,
     ) -> (PlannedOp, AttemptOutcome) {
-        let lane = lane_for(charge.ff_units, charge.uses_progr);
+        let lane = lane_for(kind);
         if let Some(l) = lane {
             let m = self.plan.latency_multiplier(l, now);
             if m > 1.0 {
@@ -347,31 +341,38 @@ mod tests {
 
     #[test]
     fn strike_kill_rule_spares_ops_covered_by_idle_units() {
+        let fixed = PlanKind::FixedWhole {
+            rc_runtime: true,
+            units: 64,
+        };
         // 100 units lost, 150 idle: running work survives.
         assert!(!FaultContext::strike_kills(
             FaultTarget::FixedUnits(100),
-            64,
-            false,
+            fixed,
             150
         ));
         // 100 lost, 50 idle: someone holding units must die.
         assert!(FaultContext::strike_kills(
             FaultTarget::FixedUnits(100),
-            64,
-            false,
+            fixed,
             50
+        ));
+        // Work holding no units never dies of a unit strike.
+        assert!(!FaultContext::strike_kills(
+            FaultTarget::FixedUnits(100),
+            PlanKind::Progr,
+            0
         ));
         assert!(FaultContext::strike_kills(
             FaultTarget::ProgrPim,
-            0,
-            true,
+            PlanKind::Progr,
             444
         ));
-        assert!(!FaultContext::strike_kills(
+        assert!(FaultContext::strike_kills(
             FaultTarget::ProgrPim,
-            64,
-            false,
-            0
+            PlanKind::Recursive { units: 64 },
+            444
         ));
+        assert!(!FaultContext::strike_kills(FaultTarget::ProgrPim, fixed, 0));
     }
 }

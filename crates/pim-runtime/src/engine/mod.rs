@@ -212,7 +212,7 @@ impl EngineConfig {
             recursive_kernels: rc,
             operation_pipeline: op,
             pipeline_depth: 4,
-            coverage: 0.90,
+            coverage: crate::select::DEFAULT_COVERAGE,
             stack: StackConfig::hmc2(),
             arm_cores: 4,
             ff_units: pim_hw::fixed::DEFAULT_UNITS,
@@ -231,13 +231,6 @@ impl EngineConfig {
     pub fn with_pim_complement(mut self, arm_cores: usize, ff_units: usize) -> Self {
         self.arm_cores = arm_cores;
         self.ff_units = ff_units;
-        self
-    }
-
-    /// Returns a copy with a different host CPU device; profiling and CPU
-    /// placements follow it.
-    pub fn with_host_cpu(mut self, host: CpuDevice) -> Self {
-        self.host = host;
         self
     }
 
@@ -317,7 +310,8 @@ pub(crate) struct PlanTable(Mutex<HashMap<(u64, bool), Vec<StatePlans>>>);
 /// What a quarantine leaves of the machine: `(ff_alive, progr_alive)`.
 pub(crate) type Survivors = (usize, bool);
 
-/// One graph's uncontended placements, indexed by op id.
+/// One graph's uncontended placements, indexed by op id. A row is the
+/// kind, which fixes what the placement holds, and its costs: 64 bytes.
 type UncontendedPlans = Arc<[(PlanKind, PlannedOp)]>;
 
 /// A graph's placements on what one state leaves of the machine.

@@ -7,7 +7,7 @@
 
 use super::components::{Clock, InFlight};
 use super::faults::AttemptOutcome;
-use super::placement::{describe, resource_class, Availability, PlanKind, PlannedOp};
+use super::placement::{describe, Availability, PlanKind, PlannedOp};
 use crate::sync::kernel_calls;
 use pim_common::trace::{Counters, TraceEvent, Track};
 use pim_common::units::Seconds;
@@ -166,8 +166,8 @@ impl OpRecord<'_> {
             op: rec.op,
             start: rec.start,
             end: self.end.seconds(),
-            resource: resource_class(&rec.charge),
-            ff_units: rec.units,
+            resource: rec.kind.resource_class(),
+            ff_units: rec.kind.units(),
             attempt: rec.attempt,
             outcome: self.outcome,
         }
@@ -346,20 +346,21 @@ impl<'a> Observer<'a> {
             timeline.push(rec.entry());
         }
         self.hot.dispatched += 1;
-        let class = resource_class(&rec.attempt.charge);
+        let kind = rec.attempt.kind;
+        let class = kind.resource_class();
         self.hot.ops[class_index(class)] += 1;
         let planned = rec.planned;
-        if planned.uses_cpu {
+        if kind.uses_cpu() {
             self.hot.busy_cpu += planned.duration.seconds();
             self.hot.busy_cpu_touched = true;
         }
-        if planned.uses_progr {
+        if kind.uses_progr() {
             self.hot.busy_progr += planned.duration.seconds();
             self.hot.busy_progr_touched = true;
         }
-        if planned.ff_units > 0 {
-            self.hot.busy_ff += planned.ff_units as f64 * planned.ff_busy.seconds()
-                / self.ff_units_total.max(1) as f64;
+        if kind.units() > 0 {
+            self.hot.busy_ff +=
+                kind.units() as f64 * planned.ff_busy.seconds() / self.ff_units_total.max(1) as f64;
             self.hot.busy_ff_touched = true;
         }
         self.traffic
@@ -431,8 +432,13 @@ impl<'a> Observer<'a> {
     }
 
     /// Applies a fixed-function occupancy change and samples the counter
-    /// track.
+    /// track. A change of zero units (a placement holding none) records
+    /// nothing.
+    #[inline]
     pub fn ff_delta(&mut self, now: Seconds, grant: isize) {
+        if grant == 0 {
+            return;
+        }
         self.ff_busy_units = (self.ff_busy_units as isize + grant).max(0) as usize;
         if self.tracing {
             self.tracer.record(TraceEvent::Counter {

@@ -7,7 +7,7 @@
 //! * [`Planner::choose`] — *where* an op runs given current availability
 //!   (the three scheduling principles, plus the RC and OP toggles), and
 //! * [`Planner::plan_cost`] — *what it costs* there: duration, op/dm/sync
-//!   decomposition, energy, and the resources it holds.
+//!   decomposition and energy. What it holds there is its [`PlanKind`]'s.
 //!
 //! Device timing always flows through [`Device::estimate`]; the one
 //! exception is the fixed-function pool's partial-grant path
@@ -43,7 +43,9 @@ use std::sync::Mutex;
 /// scheduler itself, paid only by the heterogeneous configuration.
 pub(crate) const PLACEMENT_DECISION: Seconds = Seconds::new(25e-6);
 
-/// Where an operation is placed.
+/// Where an operation is placed. The kind alone fixes what the placement
+/// holds while it runs: [`PlanKind::units`], [`PlanKind::uses_cpu`] and
+/// [`PlanKind::uses_progr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PlanKind {
     Cpu,
@@ -54,7 +56,46 @@ pub(crate) enum PlanKind {
     Recursive { units: usize },
 }
 
-/// Fully costed placement of one op instance.
+impl PlanKind {
+    /// Fixed-function units held (0 for CPU/programmable placements).
+    pub fn units(self) -> usize {
+        match self {
+            PlanKind::FixedWhole { units, .. }
+            | PlanKind::HostSplit { units }
+            | PlanKind::Recursive { units } => units,
+            PlanKind::Cpu | PlanKind::ProgrPool | PlanKind::Progr => 0,
+        }
+    }
+
+    /// Whether the host CPU slot is held.
+    pub fn uses_cpu(self) -> bool {
+        matches!(self, PlanKind::Cpu | PlanKind::HostSplit { .. })
+    }
+
+    /// Whether a programmable-PIM kernel slot is held. Fixed-function
+    /// dispatch through the progr runtime only enqueues the kernel; it
+    /// does not occupy an ARM core pair.
+    pub fn uses_progr(self) -> bool {
+        matches!(
+            self,
+            PlanKind::ProgrPool | PlanKind::Progr | PlanKind::Recursive { .. }
+        )
+    }
+
+    /// Which exclusive resource class the placement occupies.
+    pub fn resource_class(self) -> ResourceClass {
+        match (self.uses_cpu(), self.uses_progr(), self.units() > 0) {
+            (true, _, true) => ResourceClass::CpuAndFixed,
+            (true, _, false) => ResourceClass::Cpu,
+            (false, true, true) => ResourceClass::ProgrAndFixed,
+            (false, true, false) => ResourceClass::Progr,
+            _ => ResourceClass::Fixed,
+        }
+    }
+}
+
+/// Fully costed placement of one op instance: its durations and energy.
+/// What it holds is its [`PlanKind`]'s.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlannedOp {
     pub duration: Seconds,
@@ -62,12 +103,9 @@ pub(crate) struct PlannedOp {
     pub dm_part: Seconds,
     pub sync_part: Seconds,
     pub energy: Joules,
-    pub ff_units: usize,
     /// Time the granted fixed-function units actually compute (utilization
     /// accounting counts useful busy time, not reservation time).
     pub ff_busy: Seconds,
-    pub uses_cpu: bool,
-    pub uses_progr: bool,
 }
 
 /// Human-readable description of a placement — the vocabulary shared by
@@ -88,17 +126,6 @@ pub(crate) fn describe(kind: PlanKind) -> String {
         PlanKind::Recursive { units } => {
             format!("Recursive: Progr PIM + Fixed PIM ({units} units)")
         }
-    }
-}
-
-/// Which exclusive resource class a planned op occupies.
-pub(crate) fn resource_class(planned: &PlannedOp) -> ResourceClass {
-    match (planned.uses_cpu, planned.uses_progr, planned.ff_units > 0) {
-        (true, _, true) => ResourceClass::CpuAndFixed,
-        (true, _, false) => ResourceClass::Cpu,
-        (false, true, true) => ResourceClass::ProgrAndFixed,
-        (false, true, false) => ResourceClass::Progr,
-        _ => ResourceClass::Fixed,
     }
 }
 
@@ -440,7 +467,7 @@ impl Planner {
         }
     }
 
-    /// Costs a placement fully: duration, breakdown, energy, holds.
+    /// Costs a placement fully: duration, breakdown and energy.
     pub fn plan_cost(&self, kind: PlanKind, cost: &CostProfile) -> PlannedOp {
         match kind {
             PlanKind::Cpu => {
@@ -458,10 +485,7 @@ impl Planner {
                     dm_part: dm,
                     sync_part: sync,
                     energy: est.energy,
-                    ff_units: 0,
                     ff_busy: Seconds::ZERO,
-                    uses_cpu: true,
-                    uses_progr: false,
                 }
             }
             PlanKind::ProgrPool | PlanKind::Progr => {
@@ -485,10 +509,7 @@ impl Planner {
                     dm_part: dm,
                     sync_part: sync,
                     energy: est.energy,
-                    ff_units: 0,
                     ff_busy: Seconds::ZERO,
-                    uses_cpu: false,
-                    uses_progr: true,
                 }
             }
             PlanKind::FixedWhole { rc_runtime, units } => {
@@ -518,12 +539,7 @@ impl Planner {
                     dm_part: dm,
                     sync_part: sync,
                     energy: est.energy + host_energy,
-                    ff_units: units,
                     ff_busy: busy,
-                    uses_cpu: false,
-                    // Dispatch through the progr runtime only enqueues the
-                    // kernel; it does not occupy an ARM core pair.
-                    uses_progr: false,
                 }
             }
             PlanKind::HostSplit { units } => {
@@ -548,10 +564,7 @@ impl Planner {
                     dm_part: dm,
                     sync_part: sync,
                     energy: ff.energy + host.energy + self.cpu.dynamic_power() * call_time,
-                    ff_units: units,
                     ff_busy,
-                    uses_cpu: true,
-                    uses_progr: false,
                 }
             }
             PlanKind::Recursive { units } => {
@@ -575,10 +588,7 @@ impl Planner {
                     dm_part: dm,
                     sync_part: sync,
                     energy: ff.energy + arm.energy,
-                    ff_units: units,
                     ff_busy,
-                    uses_cpu: false,
-                    uses_progr: true,
                 }
             }
         }
@@ -1115,15 +1125,82 @@ mod tests {
 
     #[test]
     fn recursive_kernel_holds_progr_but_not_cpu() {
-        let hetero = planner(EngineConfig::preset(SystemPreset::Hetero));
-        let c = cost(OffloadClass::PartiallyMulAdd { ma_fraction: 0.9 }, 128);
-        let p = hetero.plan_cost(PlanKind::Recursive { units: 128 }, &c);
-        assert!(p.uses_progr);
-        assert!(!p.uses_cpu);
-        assert_eq!(p.ff_units, 128);
-        assert_eq!(resource_class(&p), ResourceClass::ProgrAndFixed);
-        let host = hetero.plan_cost(PlanKind::HostSplit { units: 128 }, &c);
-        assert!(host.uses_cpu);
-        assert_eq!(resource_class(&host), ResourceClass::CpuAndFixed);
+        let recursive = PlanKind::Recursive { units: 128 };
+        assert!(recursive.uses_progr());
+        assert!(!recursive.uses_cpu());
+        assert_eq!(recursive.units(), 128);
+        assert_eq!(recursive.resource_class(), ResourceClass::ProgrAndFixed);
+        let host = PlanKind::HostSplit { units: 128 };
+        assert!(host.uses_cpu());
+        assert_eq!(host.resource_class(), ResourceClass::CpuAndFixed);
+    }
+
+    #[test]
+    fn each_kind_fixes_its_holds_class_and_fault_lane() {
+        use crate::engine::faults::lane_for;
+        use pim_hw::faults::FaultLane;
+        let fixed = |rc_runtime| PlanKind::FixedWhole {
+            rc_runtime,
+            units: 96,
+        };
+        // (kind, units, uses_cpu, uses_progr, class, lane)
+        let table = [
+            (PlanKind::Cpu, 0, true, false, ResourceClass::Cpu, None),
+            (
+                PlanKind::ProgrPool,
+                0,
+                false,
+                true,
+                ResourceClass::Progr,
+                Some(FaultLane::Progr),
+            ),
+            (
+                PlanKind::Progr,
+                0,
+                false,
+                true,
+                ResourceClass::Progr,
+                Some(FaultLane::Progr),
+            ),
+            (
+                fixed(true),
+                96,
+                false,
+                false,
+                ResourceClass::Fixed,
+                Some(FaultLane::Fixed),
+            ),
+            (
+                fixed(false),
+                96,
+                false,
+                false,
+                ResourceClass::Fixed,
+                Some(FaultLane::Fixed),
+            ),
+            (
+                PlanKind::HostSplit { units: 7 },
+                7,
+                true,
+                false,
+                ResourceClass::CpuAndFixed,
+                Some(FaultLane::Fixed),
+            ),
+            (
+                PlanKind::Recursive { units: 444 },
+                444,
+                false,
+                true,
+                ResourceClass::ProgrAndFixed,
+                Some(FaultLane::Fixed),
+            ),
+        ];
+        for (kind, units, cpu, progr, class, lane) in table {
+            assert_eq!(kind.units(), units, "{kind:?}");
+            assert_eq!(kind.uses_cpu(), cpu, "{kind:?}");
+            assert_eq!(kind.uses_progr(), progr, "{kind:?}");
+            assert_eq!(kind.resource_class(), class, "{kind:?}");
+            assert_eq!(lane_for(kind), lane, "{kind:?}");
+        }
     }
 }

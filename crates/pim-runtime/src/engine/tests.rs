@@ -118,9 +118,10 @@ fn step_one_profiles_on_the_configured_host() {
             .unwrap()
             .total_time()
     };
-    let fast = profile_total(
-        EngineConfig::preset(SystemPreset::Hetero).with_host_cpu(CpuDevice::custom(params)),
-    );
+    let fast = profile_total(EngineConfig {
+        host: CpuDevice::custom(params),
+        ..EngineConfig::preset(SystemPreset::Hetero)
+    });
     let base = profile_total(EngineConfig::preset(SystemPreset::Hetero));
     assert!(fast < base);
 }
@@ -626,17 +627,14 @@ mod plan_table_tests {
     use pim_common::ids::OpId;
 
     /// Every field of a costed plan, floats as bits.
-    fn bits(p: &PlannedOp) -> [u64; 9] {
+    fn bits(p: &PlannedOp) -> [u64; 6] {
         [
             p.duration.seconds().to_bits(),
             p.op_part.seconds().to_bits(),
             p.dm_part.seconds().to_bits(),
             p.sync_part.seconds().to_bits(),
             p.energy.joules().to_bits(),
-            p.ff_units as u64,
             p.ff_busy.seconds().to_bits(),
-            u64::from(p.uses_cpu),
-            u64::from(p.uses_progr),
         ]
     }
 

@@ -187,8 +187,12 @@ fn hosts_differing_in_one_parameter_get_their_own_candidates() {
     let mut params = xeon.params().clone();
     params.other_throughput /= 100.0;
     let hosts = [xeon, CpuDevice::custom(params)];
-    let engines = hosts
-        .map(|host| Engine::new(EngineConfig::preset(SystemPreset::Hetero).with_host_cpu(host)));
+    let engines = hosts.map(|host| {
+        Engine::new(EngineConfig {
+            host,
+            ..EngineConfig::preset(SystemPreset::Hetero)
+        })
+    });
     let fresh = engines
         .each_ref()
         .map(|engine| fresh_candidates(engine, &graph, TieBreak::Stable));

@@ -67,24 +67,12 @@ fn usage_error(msg: &str) -> ! {
     pim_common::cli::usage_error("repro", msg, USAGE)
 }
 
-/// Resolves a model flag; absent means AlexNet, unknown names are usage
-/// errors (they used to silently fall back to AlexNet).
+/// Resolves a model flag through the daemon's name table
+/// ([`pim_sim::serve::model_kind`]); absent means AlexNet, unknown names
+/// are usage errors.
 fn model_arg(arg: Option<&str>) -> ModelKind {
-    let Some(name) = arg else {
-        return ModelKind::AlexNet;
-    };
-    match name {
-        "alex" => ModelKind::AlexNet,
-        "vgg" => ModelKind::Vgg19,
-        "dcgan" => ModelKind::Dcgan,
-        "resnet" => ModelKind::ResNet50,
-        "inception" => ModelKind::InceptionV3,
-        "lstm" => ModelKind::Lstm,
-        "w2v" => ModelKind::Word2vec,
-        other => usage_error(&format!(
-            "unknown model `{other}` (expected alex, vgg, dcgan, resnet, inception, lstm, or w2v)"
-        )),
-    }
+    arg.map_or(Ok(ModelKind::AlexNet), pim_sim::serve::model_kind)
+        .unwrap_or_else(|e| usage_error(&e.message))
 }
 
 fn main() {

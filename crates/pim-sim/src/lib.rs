@@ -1,5 +1,5 @@
-//! System configurations, trace generation, baselines, and the experiment
-//! harness regenerating every table and figure of the paper's evaluation.
+//! System configurations, baselines, and the experiment harness
+//! regenerating every table and figure of the paper's evaluation.
 //!
 //! * [`configs`] — the five evaluated system configurations (§VI) and the
 //!   [`simulate`] entry point,
@@ -8,8 +8,6 @@
 //! * [`baselines`] — the Neurocube comparison point (Fig. 10),
 //! * [`ablations`] — coverage-parameter sweep, multi-cube scaling, and the
 //!   §II-D GPU-attached-PIM estimate,
-//! * [`trace`] / [`tracegen`] — the Pin-substitute trace format and
-//!   generator (§V-A),
 //! * [`chrome`] — Chrome trace-event export of an engine run's span
 //!   recording (`repro --trace`),
 //! * [`mixed`] — CNN + non-CNN co-running (§VI-F),
@@ -55,7 +53,5 @@ pub mod mixed;
 pub mod orders;
 pub mod report;
 pub mod serve;
-pub mod trace;
-pub mod tracegen;
 
 pub use configs::{simulate, SystemConfig};

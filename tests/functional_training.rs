@@ -82,7 +82,6 @@ fn sgd_classifier_trains() {
     let graph = net.finish_classifier(logits, OptimizerKind::Sgd).unwrap();
 
     let mut exec = Executor::new(&graph, 3);
-    exec.set_sgd_learning_rate(0.05);
     let mut first = None;
     let mut last = f32::MAX;
     for step in 0..60 {
