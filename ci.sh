@@ -30,25 +30,27 @@ fi
 # `pub const fn` or `pub const` that no other file's production text names
 # and that its own file's production text names only at its definition:
 # only tests reach it. Delete it with the tests that exist only for it, or
-# allowlist it here with a one-line reason.
+# allowlist it here as `path:name`, the form a hit is reported in, with a
+# one-line reason; an entry exempts that one definition and no other of
+# the same name.
 scan_allow='
-hit_rate_for_stream     pim_mem::bank, the memory referee item 9 rules on
-hottest_bank            pim_mem::controller, the memory referee item 9 rules on
-precharge               pim_mem::bank, the memory referee item 9 rules on
-replay_pattern          pim_mem::controller, the memory referee item 9 rules on
-conv2d_gemm             the independent check of direct convolution
-external_bandwidth      the host link the internal-bandwidth premise is checked against
-invocation_counts       the op census the model structure tests count with
-is_cnn                  the CNN/non-CNN split the Fig. 16 case tests check
-quarantine_ff_at_start  builds the hand-made fault plans of the engine and verify tests
-with_permanent          builds the hand-made fault plans of the engine and verify tests
-from_seed               pim_graph::gen, the seeded DAGs the property and differential suites draw
-random_dag              pim_graph::gen, the seeded DAGs the property and differential suites draw
-custom                  CpuDevice, the one non-Xeon host for EngineConfig::host; the memo-key tests use it
-cycle_bound             the static issue-cycle bound the ISA property test checks the interpreter against
-disassemble             the program text the ISA golden pins and failing ISA properties print
-supports_recursive_kernel  the Fig. 4 recursive-kernel predicate the binary-generation tests check
-cross_check_many        the partitioned-report referee the engine property test checks a split run with
+crates/pim-mem/src/bank.rs:hit_rate_for_stream             pim_mem::bank, the memory referee item 9 rules on
+crates/pim-mem/src/controller.rs:hottest_bank              pim_mem::controller, the memory referee item 9 rules on
+crates/pim-mem/src/bank.rs:precharge                       pim_mem::bank, the memory referee item 9 rules on
+crates/pim-mem/src/controller.rs:replay_pattern            pim_mem::controller, the memory referee item 9 rules on
+crates/pim-tensor/src/ops/im2col.rs:conv2d_gemm            the independent check of direct convolution
+crates/pim-mem/src/stack.rs:external_bandwidth             the host link the internal-bandwidth premise is checked against
+crates/pim-graph/src/graph.rs:invocation_counts            the op census the model structure tests count with
+crates/pim-models/src/zoo.rs:is_cnn                        the CNN/non-CNN split the Fig. 16 case tests check
+crates/pim-hw/src/faults.rs:quarantine_ff_at_start         builds the hand-made fault plans of the engine and verify tests
+crates/pim-hw/src/faults.rs:with_permanent                 builds the hand-made fault plans of the engine and verify tests
+crates/pim-graph/src/gen.rs:from_seed                      pim_graph::gen, the seeded DAGs the property and differential suites draw
+crates/pim-graph/src/gen.rs:random_dag                     pim_graph::gen, the seeded DAGs the property and differential suites draw
+crates/pim-hw/src/cpu.rs:custom                            CpuDevice, the one non-Xeon host for EngineConfig::host; the memo-key tests use it
+crates/pim-isa/src/interp.rs:cycle_bound                   the static issue-cycle bound the ISA property test checks the interpreter against
+crates/pim-isa/src/isa.rs:disassemble                      the program text the ISA golden pins and failing ISA properties print
+crates/pim-opencl/src/binary.rs:supports_recursive_kernel  the Fig. 4 recursive-kernel predicate the binary-generation tests check
+crates/pim-runtime/src/stats.rs:cross_check_many           the partitioned-report referee the engine property test checks a split run with
 '
 rs_files=$(find crates src tests examples perfbench/src -name '*.rs' -not -path '*/target/*' | sort)
 test_mods=$(for f in $rs_files; do
@@ -75,7 +77,7 @@ for f in $rs_files; do
         -e 's/^ *pub const \([A-Za-z_][A-Za-z0-9_]*\) *:.*/\1/p' <<<"$body"); do
         if grep -qx "$name" <<<"$named_once" &&
             [ "$(grep -ow "$name" <<<"$body" | wc -l)" -eq 1 ] &&
-            ! awk -v n="$name" '$1 == n { found = 1 } END { exit !found }' <<<"$scan_allow"; then
+            ! awk -v n="$f:$name" '$1 == n { found = 1 } END { exit !found }' <<<"$scan_allow"; then
             test_only="$test_only $f:$name"
         fi
     done

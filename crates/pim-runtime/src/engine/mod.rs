@@ -129,6 +129,24 @@ impl SystemPreset {
         }
     }
 
+    /// The short, space-free key the wire protocol and the `repro` CLI
+    /// name this preset by.
+    pub fn key(self) -> &'static str {
+        match self {
+            SystemPreset::CpuOnly => "cpu",
+            SystemPreset::ProgrOnly => "progr",
+            SystemPreset::FixedHost => "fixed",
+            SystemPreset::Hetero => "hetero",
+            SystemPreset::HeteroBare => "bare",
+            SystemPreset::HeteroRc => "rc",
+        }
+    }
+
+    /// The preset whose [`key`](Self::key) is `key`.
+    pub fn from_key(key: &str) -> Option<SystemPreset> {
+        SystemPreset::ALL.into_iter().find(|p| p.key() == key)
+    }
+
     /// The compute complement this preset runs on.
     pub fn mode(self) -> SystemMode {
         match self {

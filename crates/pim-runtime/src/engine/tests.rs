@@ -19,6 +19,15 @@ fn run(cfg: EngineConfig, kind: ModelKind, steps: usize) -> ExecutionReport {
 }
 
 #[test]
+fn preset_keys_round_trip_and_reject_unknown() {
+    for preset in SystemPreset::ALL {
+        assert_eq!(SystemPreset::from_key(preset.key()), Some(preset));
+    }
+    assert_eq!(SystemPreset::from_key("gpu"), None);
+    assert_eq!(SystemPreset::from_key("Hetero PIM"), None);
+}
+
+#[test]
 fn cpu_config_runs_and_is_well_formed() {
     let r = run(
         EngineConfig::preset(SystemPreset::CpuOnly),

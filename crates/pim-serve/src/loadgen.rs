@@ -1,7 +1,7 @@
 //! Deterministic load generator for the daemon.
 //!
 //! [`generate`] expands a seed into a mixed multi-tenant request trace:
-//! a few cheap models across all six presets, occasional fault plans,
+//! a few cheap models across every [`SystemPreset`], occasional fault plans,
 //! permuted tie-breaks, and multi-model partitioned sweeps, with a
 //! `stats` barrier inserted every [`BARRIER_EVERY`] lines. The barrier
 //! cadence is chosen so the default [`crate::daemon::ServeConfig`]
@@ -13,6 +13,7 @@
 //! byte-diff clean.
 
 use pim_common::rng::XorshiftStar;
+use pim_runtime::SystemPreset;
 use std::fmt::Write as _;
 
 /// Lines between `stats` barriers (also the bound on admission slots a
@@ -22,9 +23,6 @@ pub const BARRIER_EVERY: usize = 64;
 /// Models the generator draws from — the cheap end of the evaluation
 /// set, so thousand-job traces stay fast.
 pub const MODELS: [&str; 3] = ["alex", "dcgan", "lstm"];
-
-/// Preset names the generator draws from (the full §VI grid).
-pub const PRESETS: [&str; 6] = ["cpu", "progr", "fixed", "hetero", "bare", "rc"];
 
 /// Generates a deterministic trace of `jobs` run requests spread over
 /// `tenants` tenants, with a `stats` barrier every [`BARRIER_EVERY`]
@@ -49,7 +47,7 @@ pub fn generate(jobs: usize, seed: u64, tenants: usize) -> Vec<String> {
             line,
             "\"id\":\"j{j}\",\"tenant\":\"t{}\",\"preset\":\"{}\",\"steps\":{}",
             rng.below(tenants),
-            PRESETS[rng.below(PRESETS.len())],
+            SystemPreset::ALL[rng.below(SystemPreset::ALL.len())].key(),
             1 + rng.below(2),
         );
         // ~15% of jobs are two-model sweeps, half of them partitioned.
@@ -108,6 +106,16 @@ mod tests {
         assert_eq!(runs, 300);
         assert_eq!(barriers, 300 / BARRIER_EVERY + 1);
         assert!(a.last().unwrap().contains("stats"));
+    }
+
+    /// Jobs draw presets from `SystemPreset::ALL` by index, so its key
+    /// order is part of every generated trace.
+    #[test]
+    fn presets_are_drawn_in_the_trace_key_order() {
+        assert_eq!(
+            SystemPreset::ALL.map(SystemPreset::key),
+            ["cpu", "progr", "fixed", "hetero", "bare", "rc"]
+        );
     }
 
     #[test]

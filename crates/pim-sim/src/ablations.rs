@@ -41,7 +41,7 @@ pub fn coverage_sweep(model: &Model, points: &[f64], steps: usize) -> Result<Vec
         .map(|&coverage| {
             let mut cfg = EngineConfig::preset(SystemPreset::Hetero);
             cfg.coverage = coverage;
-            let r = simulate(model, &SystemConfig::HeteroPim(cfg), steps)?;
+            let r = simulate(model, &SystemConfig::Engine(cfg), steps)?;
             Ok(CoveragePoint {
                 coverage,
                 step_seconds: r.per_step_time().seconds(),
@@ -72,7 +72,7 @@ pub fn cube_scaling(model: &Model, steps: usize) -> Result<Vec<CubePoint>> {
             let units = pim_hw::fixed::DEFAULT_UNITS * cubes;
             let cfg =
                 EngineConfig::preset(SystemPreset::Hetero).with_pim_complement(4 * cubes, units);
-            let r = simulate(model, &SystemConfig::HeteroPim(cfg), steps)?;
+            let r = simulate(model, &SystemConfig::Engine(cfg), steps)?;
             Ok(CubePoint {
                 cubes,
                 ff_units: units,
@@ -108,7 +108,7 @@ pub fn batch_sweep(
         .iter()
         .map(|&batch| {
             let model = Model::build_with_batch(kind, batch)?;
-            let r = simulate(&model, &SystemConfig::hetero_pim(), steps)?;
+            let r = simulate(&model, &SystemPreset::Hetero.into(), steps)?;
             let step = r.per_step_time().seconds();
             Ok(BatchPoint {
                 batch,

@@ -85,10 +85,11 @@ pub fn simulate_neurocube(model: &Model, steps: usize) -> Result<ExecutionReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::configs::{simulate, SystemConfig};
+    use crate::configs::simulate;
     use pim_common::units::Bytes;
     use pim_hw::cpu::CpuDevice;
     use pim_models::ModelKind;
+    use pim_runtime::engine::SystemPreset;
     use pim_tensor::cost::OffloadClass;
 
     #[test]
@@ -128,7 +129,7 @@ mod tests {
         for kind in [ModelKind::Dcgan, ModelKind::AlexNet] {
             let model = Model::build(kind).unwrap();
             let nc = simulate_neurocube(&model, 2).unwrap();
-            let hetero = simulate(&model, &SystemConfig::hetero_pim(), 2).unwrap();
+            let hetero = simulate(&model, &SystemPreset::Hetero.into(), 2).unwrap();
             let speedup = nc.makespan / hetero.makespan;
             assert!(speedup >= 3.0, "{kind}: speedup only {speedup}");
             let energy_ratio = nc.dynamic_energy / hetero.dynamic_energy;

@@ -33,9 +33,10 @@
 //! `pre.median / post.median`.
 
 use crate::configs::{simulate, SystemConfig};
+use pim_common::trace::json_string;
 use pim_common::{PimError, Result};
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{EngineConfig, SystemPreset};
+use pim_runtime::engine::SystemPreset;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -138,7 +139,7 @@ pub fn bench_cells(
         let model = Model::build(kind)?;
         let ops = model.graph().op_count();
         for &preset in presets {
-            let config = SystemConfig::HeteroPim(EngineConfig::preset(preset));
+            let config = SystemConfig::from(preset);
             simulate(&model, &config, steps)?; // warmup
             let mut samples_ms = Vec::with_capacity(iterations);
             for _ in 0..iterations {
@@ -204,25 +205,13 @@ pub fn repro_all_timing(pre_median_ms: f64, pre_min_ms: f64, post_ms: &[f64]) ->
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Serializes a bench run to the `hetero-pim-bench-v1` document, with a
 /// fixed key order so diffs between trajectory files stay readable.
 pub fn to_json(file: &BenchFile) -> String {
     let mut out = String::new();
     writeln!(out, "{{").ok();
     writeln!(out, "  \"schema\": \"{BENCH_SCHEMA}\",").ok();
-    writeln!(out, "  \"commit\": \"{}\",", json_escape(&file.commit)).ok();
+    writeln!(out, "  \"commit\": {},", json_string(&file.commit)).ok();
     writeln!(
         out,
         "  \"machine\": {{\"os\": \"{}\", \"arch\": \"{}\", \"cores\": {}}},",
@@ -238,10 +227,10 @@ pub fn to_json(file: &BenchFile) -> String {
         let comma = if i + 1 < file.cells.len() { "," } else { "" };
         writeln!(
             out,
-            "    {{\"model\": \"{}\", \"preset\": \"{}\", \"ops\": {}, \
+            "    {{\"model\": {}, \"preset\": {}, \"ops\": {}, \
              \"median_ms\": {:.3}, \"min_ms\": {:.3}, \"ops_per_sec\": {:.1}}}{comma}",
-            json_escape(c.model),
-            json_escape(c.preset),
+            json_string(c.model),
+            json_string(c.preset),
             c.ops,
             c.median_ms,
             c.min_ms,

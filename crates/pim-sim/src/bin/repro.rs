@@ -365,8 +365,7 @@ fn run_fuzz_cli() {
                 presets = v
                     .split(',')
                     .map(|p| {
-                        orders::parse_preset(p.trim())
-                            .unwrap_or_else(|e| usage_error(&e.to_string()))
+                        pim_sim::serve::preset(p.trim()).unwrap_or_else(|e| usage_error(&e.message))
                     })
                     .collect();
             }

@@ -3,8 +3,9 @@
 //!
 //! `repro all` evaluates the same cells repeatedly — Fig. 8/9 runs the
 //! Hetero PIM once for its energy baseline and again inside the
-//! evaluation set, Figs. 10–13 re-run it per model, and every section
-//! rebuilds its models from scratch. Both the model builder and the
+//! evaluation set, Figs. 10–13 re-run it per model, Fig. 13's Progr and
+//! Fixed rows re-run Fig. 8's columns, and every section would otherwise
+//! rebuild its models. Both the model builder and the
 //! simulator are pure functions of their inputs (the engine is
 //! deterministic by construction, a property the differential suite and
 //! the CI byte-diff pin down), so caching is behavior-invisible: a hit
@@ -15,7 +16,9 @@
 //! and the step count. A uid names one graph value and is never reused,
 //! so reading it costs nothing and a mutated graph misses. Every sweep
 //! section reads its models from [`model`], so the sections share cells
-//! through the one graph each model is built into.
+//! through the one graph each model is built into; every engine-backed
+//! system is a [`SystemConfig::Engine`], so a preset has one fingerprint
+//! whichever section names it.
 
 use crate::configs::{simulate, SystemConfig};
 use pim_common::Result;
@@ -61,29 +64,27 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 }
 
-static MODELS: Memo<ModelKind, Arc<Model>> = Memo::new();
+static MODELS: Memo<(ModelKind, usize), Arc<Model>> = Memo::new();
 
-/// [`Model::build`] behind a process-wide cache (paper batch sizes only;
-/// custom-batch studies build their own).
+/// [`Model::build`] behind the process-wide model cache: the model at its
+/// paper batch size, the same instance [`model_with_batch`] returns for
+/// that batch.
 ///
 /// # Errors
 ///
 /// Propagates model-construction failures (never cached).
 pub fn model(kind: ModelKind) -> Result<Arc<Model>> {
-    MODELS.get_or_fill(kind, || Model::build(kind).map(Arc::new))
+    model_with_batch(kind, kind.paper_batch_size())
 }
 
-static BATCH_MODELS: Memo<(ModelKind, usize), Arc<Model>> = Memo::new();
-
-/// [`Model::build_with_batch`] behind a process-wide cache — the
-/// custom-batch twin of [`model`], used by serve requests carrying a
-/// `batch` override.
+/// [`Model::build_with_batch`] behind the process-wide model cache, one
+/// shared instance per (kind, batch).
 ///
 /// # Errors
 ///
 /// Propagates model-construction failures (never cached).
 pub fn model_with_batch(kind: ModelKind, batch: usize) -> Result<Arc<Model>> {
-    BATCH_MODELS.get_or_fill((kind, batch), || {
+    MODELS.get_or_fill((kind, batch), || {
         Model::build_with_batch(kind, batch).map(Arc::new)
     })
 }
@@ -145,12 +146,13 @@ impl pim_serve::ResultStore for SharedStore {
 mod tests {
     use super::*;
     use pim_graph::TensorRole;
+    use pim_runtime::engine::SystemPreset;
     use pim_tensor::Shape;
 
     #[test]
     fn cached_cell_equals_fresh_simulation() {
         let m = Model::build_with_batch(ModelKind::AlexNet, 4).unwrap();
-        let cfg = SystemConfig::hetero_pim();
+        let cfg = SystemConfig::from(SystemPreset::Hetero);
         let first = cell_report(&m, &cfg, 2).unwrap();
         let hit = cell_report(&m, &cfg, 2).unwrap();
         let fresh = simulate(&m, &cfg, 2).unwrap();
@@ -161,7 +163,7 @@ mod tests {
     #[test]
     fn a_mutated_copy_of_a_cached_graph_misses() {
         let m = model(ModelKind::Lstm).unwrap();
-        let cfg = SystemConfig::Cpu;
+        let cfg = SystemConfig::from(SystemPreset::CpuOnly);
         let cached = cell_report(&m, &cfg, 1).unwrap();
         let hit = CELLS.get_or_fill(cell_key(m.graph(), &cfg, 1), || {
             panic!("the cached graph must hit its cell")
@@ -178,10 +180,35 @@ mod tests {
         assert!(filled, "a mutated copy of a cached graph hit its cell");
     }
 
+    /// Fig. 8's evaluation set and Fig. 13's preset rows name a system
+    /// the same way, so they share its cells.
+    #[test]
+    fn evaluation_set_keys_cells_like_its_presets() {
+        let m = model(ModelKind::AlexNet).unwrap();
+        let engine_configs: Vec<SystemConfig> = SystemConfig::evaluation_set()
+            .into_iter()
+            .filter(|c| !matches!(c, SystemConfig::Gpu))
+            .collect();
+        let presets = [
+            SystemPreset::CpuOnly,
+            SystemPreset::ProgrOnly,
+            SystemPreset::FixedHost,
+            SystemPreset::Hetero,
+        ];
+        assert_eq!(engine_configs.len(), presets.len());
+        for (config, preset) in engine_configs.iter().zip(presets) {
+            assert_eq!(
+                cell_key(m.graph(), config, 3),
+                cell_key(m.graph(), &preset.into(), 3),
+                "{preset:?}"
+            );
+        }
+    }
+
     #[test]
     fn distinct_steps_are_distinct_cells() {
         let m = Model::build_with_batch(ModelKind::Dcgan, 4).unwrap();
-        let cfg = SystemConfig::Cpu;
+        let cfg = SystemConfig::from(SystemPreset::CpuOnly);
         let one = cell_report(&m, &cfg, 1).unwrap();
         let two = cell_report(&m, &cfg, 2).unwrap();
         assert!(two.makespan > one.makespan);
@@ -213,6 +240,10 @@ mod tests {
         let a = model(ModelKind::AlexNet).unwrap();
         let b = model(ModelKind::AlexNet).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        for kind in ModelKind::ALL {
+            let paper = model_with_batch(kind, kind.paper_batch_size()).unwrap();
+            assert!(Arc::ptr_eq(&model(kind).unwrap(), &paper), "{kind:?}");
+        }
         assert_eq!(
             a.graph().structural_hash(),
             Model::build(ModelKind::AlexNet)

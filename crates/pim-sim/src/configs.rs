@@ -1,4 +1,4 @@
-//! The five system configurations of §VI and the simulation entry point.
+//! The simulated systems of §VI and the simulation entry point.
 
 use crate::gpu::simulate_gpu;
 use pim_common::Result;
@@ -9,36 +9,33 @@ use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, Worklo
 use pim_runtime::stats::ExecutionReport;
 use serde::Serialize;
 
-/// One of the evaluated system configurations.
+/// One simulated system: the analytic GPU baseline, or an engine
+/// configuration. Every engine-backed system of §VI and Fig. 13 is a
+/// [`SystemPreset`], named and built once in `pim-runtime`.
 #[derive(Debug, Clone, Serialize)]
 pub enum SystemConfig {
-    /// All operations on the host CPU.
-    Cpu,
     /// All operations on the GTX 1080 Ti.
     Gpu,
-    /// Programmable PIMs only, no runtime scheduling.
-    ProgrPim,
-    /// Fixed-function PIMs + CPU, no runtime scheduling.
-    FixedPim,
-    /// The full heterogeneous PIM with a custom engine configuration.
-    HeteroPim(EngineConfig),
+    /// A system the engine simulates.
+    Engine(EngineConfig),
+}
+
+impl From<SystemPreset> for SystemConfig {
+    fn from(preset: SystemPreset) -> Self {
+        SystemConfig::Engine(EngineConfig::preset(preset))
+    }
 }
 
 impl SystemConfig {
     /// The paper's five configurations in presentation order.
     pub fn evaluation_set() -> Vec<SystemConfig> {
         vec![
-            SystemConfig::Cpu,
+            SystemPreset::CpuOnly.into(),
             SystemConfig::Gpu,
-            SystemConfig::ProgrPim,
-            SystemConfig::FixedPim,
-            SystemConfig::hetero_pim(),
+            SystemPreset::ProgrOnly.into(),
+            SystemPreset::FixedHost.into(),
+            SystemPreset::Hetero.into(),
         ]
-    }
-
-    /// The full Hetero PIM (RC + OP) at baseline frequency.
-    pub fn hetero_pim() -> SystemConfig {
-        SystemConfig::HeteroPim(EngineConfig::preset(SystemPreset::Hetero))
     }
 
     /// Hetero PIM at a scaled stack frequency (§VI-D).
@@ -48,7 +45,7 @@ impl SystemConfig {
     /// Propagates invalid multipliers.
     pub fn hetero_pim_at_frequency(multiplier: f64) -> Result<SystemConfig> {
         let stack = StackConfig::hmc2().with_frequency_multiplier(multiplier)?;
-        Ok(SystemConfig::HeteroPim(
+        Ok(SystemConfig::Engine(
             EngineConfig::preset(SystemPreset::Hetero).with_stack(stack),
         ))
     }
@@ -56,11 +53,8 @@ impl SystemConfig {
     /// Display name matching the paper's figures.
     pub fn name(&self) -> &str {
         match self {
-            SystemConfig::Cpu => "CPU",
             SystemConfig::Gpu => "GPU",
-            SystemConfig::ProgrPim => "Progr PIM",
-            SystemConfig::FixedPim => "Fixed PIM",
-            SystemConfig::HeteroPim(cfg) => &cfg.name,
+            SystemConfig::Engine(cfg) => &cfg.name,
         }
     }
 }
@@ -70,13 +64,14 @@ impl SystemConfig {
 /// # Examples
 ///
 /// ```
-/// use pim_sim::configs::{simulate, SystemConfig};
+/// use pim_runtime::engine::SystemPreset;
+/// use pim_sim::configs::simulate;
 /// use pim_models::{Model, ModelKind};
 ///
 /// # fn main() -> pim_common::Result<()> {
 /// let model = Model::build_with_batch(ModelKind::AlexNet, 4)?;
-/// let hetero = simulate(&model, &SystemConfig::hetero_pim(), 2)?;
-/// let cpu = simulate(&model, &SystemConfig::Cpu, 2)?;
+/// let hetero = simulate(&model, &SystemPreset::Hetero.into(), 2)?;
+/// let cpu = simulate(&model, &SystemPreset::CpuOnly.into(), 2)?;
 /// assert!(hetero.makespan < cpu.makespan);
 /// # Ok(())
 /// # }
@@ -87,13 +82,8 @@ impl SystemConfig {
 /// Propagates engine or cost-model failures.
 pub fn simulate(model: &Model, config: &SystemConfig, steps: usize) -> Result<ExecutionReport> {
     let engine_cfg = match config {
-        SystemConfig::Cpu => EngineConfig::preset(SystemPreset::CpuOnly),
-        SystemConfig::Gpu => {
-            return simulate_gpu(model, &GpuDevice::gtx_1080_ti(), steps);
-        }
-        SystemConfig::ProgrPim => EngineConfig::preset(SystemPreset::ProgrOnly),
-        SystemConfig::FixedPim => EngineConfig::preset(SystemPreset::FixedHost),
-        SystemConfig::HeteroPim(cfg) => cfg.clone(),
+        SystemConfig::Gpu => return simulate_gpu(model, &GpuDevice::gtx_1080_ti(), steps),
+        SystemConfig::Engine(cfg) => cfg.clone(),
     };
     let request = RunRequest::new(&[WorkloadSpec {
         graph: model.graph(),
@@ -101,23 +91,6 @@ pub fn simulate(model: &Model, config: &SystemConfig, steps: usize) -> Result<Ex
         cpu_progr_only: false,
     }]);
     Ok(Engine::new(engine_cfg).execute(&request)?.into_report())
-}
-
-/// Simulates a raw training-step graph (not a zoo model) on the full
-/// heterogeneous PIM — the path user-built graphs take.
-///
-/// # Errors
-///
-/// Propagates engine failures.
-pub fn simulate_graph_hetero(graph: &pim_graph::Graph, steps: usize) -> Result<ExecutionReport> {
-    let request = RunRequest::new(&[WorkloadSpec {
-        graph,
-        steps,
-        cpu_progr_only: false,
-    }]);
-    Ok(Engine::new(EngineConfig::preset(SystemPreset::Hetero))
-        .execute(&request)?
-        .into_report())
 }
 
 /// The Table IV host/GPU configuration summary rows.
@@ -156,12 +129,13 @@ mod tests {
     #[test]
     fn hetero_is_fastest_pim_configuration() {
         let model = Model::build_with_batch(ModelKind::AlexNet, 8).unwrap();
-        let hetero = simulate(&model, &SystemConfig::hetero_pim(), 2).unwrap();
-        for config in [
-            SystemConfig::Cpu,
-            SystemConfig::ProgrPim,
-            SystemConfig::FixedPim,
+        let hetero = simulate(&model, &SystemPreset::Hetero.into(), 2).unwrap();
+        for preset in [
+            SystemPreset::CpuOnly,
+            SystemPreset::ProgrOnly,
+            SystemPreset::FixedHost,
         ] {
+            let config = SystemConfig::from(preset);
             let r = simulate(&model, &config, 2).unwrap();
             assert!(
                 r.makespan > hetero.makespan,

@@ -270,7 +270,7 @@ pub fn fig8_fig9_data() -> Result<Vec<ModelBreakdown>> {
     let mut breakdowns = Vec::new();
     let mut cells = cells.into_iter();
     for kind in ModelKind::CNNS {
-        let hetero = run_model(kind, &SystemConfig::hetero_pim(), STEPS)?;
+        let hetero = run_model(kind, &SystemPreset::Hetero.into(), STEPS)?;
         let mut rows = Vec::new();
         for config in &set {
             let r = cells.next().expect("one cell per grid entry")?;
@@ -336,7 +336,7 @@ pub fn fig10_data() -> Result<Vec<NeurocubeRatio>> {
     let mut ratios = Vec::new();
     for kind in ModelKind::CNNS {
         let model = cache::model(kind)?;
-        let hetero = cache::cell_report(&model, &SystemConfig::hetero_pim(), STEPS)?;
+        let hetero = cache::cell_report(&model, &SystemPreset::Hetero.into(), STEPS)?;
         let nc = simulate_neurocube(&model, STEPS)?;
         ratios.push(NeurocubeRatio {
             kind,
@@ -484,7 +484,7 @@ pub fn fig12_data() -> Result<Vec<ProgrScaling>> {
         let model = cache::model(kind)?;
         let mut rows = Vec::new();
         for p in &points {
-            let cfg = SystemConfig::HeteroPim(
+            let cfg = SystemConfig::Engine(
                 EngineConfig::preset(SystemPreset::Hetero)
                     .with_pim_complement(p.arm_cores, p.ff_units),
             );
@@ -557,14 +557,9 @@ pub fn fig13_fig14_fig15_data() -> Result<Vec<SoftwareAblation>> {
     let mut ablations = Vec::new();
     for kind in ModelKind::CNNS {
         let model = cache::model(kind)?;
-        // simulate() wraps the graph in the same single-workload spec the
-        // engine ran directly here before, so every preset row is a plain
-        // sweep cell — and `full` (the Hetero preset) a guaranteed hit.
-        let full = cache::cell_report(
-            &model,
-            &SystemConfig::HeteroPim(EngineConfig::preset(SystemPreset::Hetero)),
-            STEPS,
-        )?;
+        // Every preset row is a plain sweep cell: the Progr and Fixed rows
+        // and `full` (the Hetero preset) are hits on Fig. 8/9's cells.
+        let full = cache::cell_report(&model, &SystemPreset::Hetero.into(), STEPS)?;
         let mut rows = Vec::new();
         for preset in [
             SystemPreset::ProgrOnly,
@@ -573,11 +568,9 @@ pub fn fig13_fig14_fig15_data() -> Result<Vec<SoftwareAblation>> {
             SystemPreset::HeteroRc,
             SystemPreset::Hetero,
         ] {
-            let cfg = EngineConfig::preset(preset);
-            let name = cfg.name.clone();
-            let r = cache::cell_report(&model, &SystemConfig::HeteroPim(cfg), STEPS)?;
+            let r = cache::cell_report(&model, &preset.into(), STEPS)?;
             rows.push(AblationRow {
-                config: name,
+                config: preset.name().to_string(),
                 step_seconds: r.per_step_time().seconds(),
                 ratio_vs_full: r.makespan / full.makespan,
                 energy_norm: r.dynamic_energy / full.dynamic_energy,

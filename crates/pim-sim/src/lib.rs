@@ -1,8 +1,9 @@
 //! System configurations, baselines, and the experiment harness
 //! regenerating every table and figure of the paper's evaluation.
 //!
-//! * [`configs`] — the five evaluated system configurations (§VI) and the
-//!   [`simulate`] entry point,
+//! * [`configs`] — [`SystemConfig`], the GPU baseline or an engine
+//!   configuration (every engine-backed system of §VI is a
+//!   `SystemPreset`), and the [`simulate`] entry point,
 //! * [`gpu`] — the GPU baseline step simulation (utilization, PCIe staging,
 //!   working-set spill),
 //! * [`baselines`] — the Neurocube comparison point (Fig. 10),
@@ -26,13 +27,14 @@
 //! # Examples
 //!
 //! ```
-//! use pim_sim::configs::{simulate, SystemConfig};
 //! use pim_models::{Model, ModelKind};
+//! use pim_runtime::engine::SystemPreset;
+//! use pim_sim::configs::simulate;
 //!
 //! # fn main() -> pim_common::Result<()> {
 //! let model = Model::build_with_batch(ModelKind::Dcgan, 8)?;
-//! let hetero = simulate(&model, &SystemConfig::hetero_pim(), 2)?;
-//! let cpu = simulate(&model, &SystemConfig::Cpu, 2)?;
+//! let hetero = simulate(&model, &SystemPreset::Hetero.into(), 2)?;
+//! let cpu = simulate(&model, &SystemPreset::CpuOnly.into(), 2)?;
 //! assert!(hetero.makespan < cpu.makespan);
 //! # Ok(())
 //! # }

@@ -64,11 +64,8 @@ impl Solo {
     /// cache, so a figure's cases share one build (and one graph memo) per
     /// model with each other and with the rest of `repro all`.
     fn model(self) -> Result<Arc<Model>> {
-        if self.corunner || self.kind.paper_batch_size() <= 32 {
-            cache::model(self.kind)
-        } else {
-            cache::model_with_batch(self.kind, 32)
-        }
+        let paper = self.kind.paper_batch_size();
+        cache::model_with_batch(self.kind, if self.corunner { paper } else { paper.min(32) })
     }
 
     /// The solo's workload over `model` for `steps` steps.

@@ -30,29 +30,6 @@ pub const DEFAULT_FUZZ_MODELS: [ModelKind; 2] = [ModelKind::AlexNet, ModelKind::
 pub const DEFAULT_SEARCH_MODELS: [ModelKind; 3] =
     [ModelKind::AlexNet, ModelKind::Dcgan, ModelKind::Lstm];
 
-/// Parses a `repro fuzz --presets` key into a [`SystemPreset`].
-///
-/// Keys are short and space-free (the display names are not): `cpu`,
-/// `progr`, `fixed`, `hetero`, `bare`, `rc`.
-///
-/// # Errors
-///
-/// Returns an invalid-argument error naming the accepted keys.
-pub fn parse_preset(key: &str) -> Result<SystemPreset> {
-    match key {
-        "cpu" => Ok(SystemPreset::CpuOnly),
-        "progr" => Ok(SystemPreset::ProgrOnly),
-        "fixed" => Ok(SystemPreset::FixedHost),
-        "hetero" => Ok(SystemPreset::Hetero),
-        "bare" => Ok(SystemPreset::HeteroBare),
-        "rc" => Ok(SystemPreset::HeteroRc),
-        other => Err(pim_common::PimError::invalid(
-            "repro_fuzz",
-            format!("unknown preset `{other}` (expected cpu, progr, fixed, hetero, bare, or rc)"),
-        )),
-    }
-}
-
 /// One cell of the fuzz sweep: a (model, preset) pair fuzzed across N
 /// permuted orders.
 #[derive(Debug, Clone, Serialize)]
@@ -279,22 +256,6 @@ mod tests {
         let b = fuzz_table(&kinds, &SystemPreset::ALL, 4, 1, 2).unwrap();
         assert_eq!(a, b, "same seed must render byte-identically");
         assert!(a.contains("order invariance: PASS"), "{a}");
-    }
-
-    #[test]
-    fn preset_keys_round_trip_and_reject_unknown() {
-        for (key, preset) in [
-            ("cpu", SystemPreset::CpuOnly),
-            ("progr", SystemPreset::ProgrOnly),
-            ("fixed", SystemPreset::FixedHost),
-            ("hetero", SystemPreset::Hetero),
-            ("bare", SystemPreset::HeteroBare),
-            ("rc", SystemPreset::HeteroRc),
-        ] {
-            assert_eq!(parse_preset(key).unwrap(), preset);
-        }
-        let err = parse_preset("gpu").unwrap_err().to_string();
-        assert!(err.contains("unknown preset `gpu`"), "{err}");
     }
 
     #[test]

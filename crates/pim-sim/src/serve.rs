@@ -40,7 +40,6 @@
 //! fault spec.
 
 use crate::cache;
-use crate::orders::parse_preset;
 use pim_common::fingerprint::StrPrefixHash;
 use pim_common::units::Seconds;
 use pim_common::PimError;
@@ -74,6 +73,21 @@ pub fn model_kind(name: &str) -> Result<ModelKind, JobError> {
             "unknown model `{other}` (expected alex, vgg, dcgan, resnet, inception, lstm, or w2v)"
         ))),
     }
+}
+
+/// Maps a wire preset key onto its [`SystemPreset`] (also the `repro
+/// fuzz --presets` vocabulary).
+///
+/// # Errors
+///
+/// `bad_request` naming the accepted keys.
+pub fn preset(key: &str) -> Result<SystemPreset, JobError> {
+    SystemPreset::from_key(key).ok_or_else(|| {
+        JobError::bad_request(format!(
+            "invalid argument in repro_fuzz: unknown preset `{key}` \
+             (expected cpu, progr, fixed, hetero, bare, or rc)"
+        ))
+    })
 }
 
 /// Fuel granted per millisecond of a request's `deadline_ms`: the wire
@@ -144,7 +158,7 @@ impl Job {
 }
 
 fn prepare(req: &Request) -> Result<Job, JobError> {
-    let preset = parse_preset(&req.preset).map_err(|e| JobError::bad_request(e.to_string()))?;
+    let preset = preset(&req.preset)?;
     let mut models = Vec::with_capacity(req.models.len());
     for name in &req.models {
         let kind = model_kind(name)?;
@@ -365,6 +379,11 @@ mod tests {
             let e = SimRunner.cache_key(&run_req(line)).unwrap_err();
             assert_eq!(e.kind, "bad_request", "{line}");
         }
+        assert_eq!(
+            preset("gpu").unwrap_err().message,
+            "invalid argument in repro_fuzz: unknown preset `gpu` \
+             (expected cpu, progr, fixed, hetero, bare, or rc)"
+        );
     }
 
     /// The served `execute` of every preset, plus one faulted request,
@@ -377,15 +396,14 @@ mod tests {
             steps: 2,
             cpu_progr_only: false,
         };
-        let mut cases: Vec<(SystemPreset, String)> =
-            ["cpu", "progr", "fixed", "hetero", "bare", "rc"]
-                .iter()
-                .map(|&key| {
-                    let line =
-                        format!(r#"{{"id":"1","model":"dcgan","preset":"{key}","steps":2}}"#);
-                    (parse_preset(key).unwrap(), line)
-                })
-                .collect();
+        let mut cases: Vec<(SystemPreset, String)> = SystemPreset::ALL
+            .into_iter()
+            .map(|preset| {
+                let key = preset.key();
+                let line = format!(r#"{{"id":"1","model":"dcgan","preset":"{key}","steps":2}}"#);
+                (preset, line)
+            })
+            .collect();
         cases.push((
             SystemPreset::Hetero,
             r#"{"id":"2","model":"dcgan","preset":"hetero","steps":2,"faults":{"seed":3,"rate":0.5}}"#
@@ -421,8 +439,8 @@ mod tests {
     #[test]
     fn cache_keys_hash_the_full_canonical_string() {
         use pim_common::fingerprint::debug_hash;
-        for key in ["cpu", "progr", "fixed", "hetero", "bare", "rc"] {
-            let preset = parse_preset(key).unwrap();
+        for preset in SystemPreset::ALL {
+            let key = preset.key();
             for extras in 0..8 {
                 let mut line = format!(r#"{{"id":"1","models":["alex","lstm"],"preset":"{key}""#);
                 let mut suffix = String::new();
@@ -457,8 +475,8 @@ mod tests {
     /// `RunRequest::fingerprint` over a fresh preset configuration does.
     #[test]
     fn baseline_keys_equal_fresh_fingerprints() {
-        for key in ["cpu", "progr", "fixed", "hetero", "bare", "rc"] {
-            let preset = parse_preset(key).unwrap();
+        for preset in SystemPreset::ALL {
+            let key = preset.key();
             let req = run_req(&format!(
                 r#"{{"id":"1","models":["alex","lstm"],"preset":"{key}","steps":3}}"#
             ));

@@ -6,21 +6,9 @@
 //! shared construction path.
 
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{EngineConfig, SystemPreset};
+use pim_runtime::engine::SystemPreset;
 use pim_sim::baselines::simulate_neurocube;
 use pim_sim::configs::{simulate, SystemConfig};
-
-/// Every engine-driven configuration, including the ablation points.
-fn engine_configs() -> Vec<SystemConfig> {
-    vec![
-        SystemConfig::Cpu,
-        SystemConfig::ProgrPim,
-        SystemConfig::FixedPim,
-        SystemConfig::HeteroPim(EngineConfig::preset(SystemPreset::HeteroBare)),
-        SystemConfig::HeteroPim(EngineConfig::preset(SystemPreset::HeteroRc)),
-        SystemConfig::hetero_pim(),
-    ]
-}
 
 #[test]
 fn every_config_on_every_model_yields_a_partitioned_report() {
@@ -31,7 +19,7 @@ fn every_config_on_every_model_yields_a_partitioned_report() {
             "Neurocube".to_string(),
             simulate_neurocube(&model, 1).unwrap(),
         )];
-        for config in engine_configs() {
+        for config in SystemPreset::ALL.map(SystemConfig::from) {
             reports.push((
                 config.name().to_string(),
                 simulate(&model, &config, 1).unwrap(),
@@ -67,8 +55,8 @@ fn fig8_ordering_pim_configurations_beat_cpu() {
         ModelKind::InceptionV3,
     ] {
         let model = Model::build(kind).unwrap();
-        let cpu = simulate(&model, &SystemConfig::Cpu, 2).unwrap();
-        for config in [SystemConfig::FixedPim, SystemConfig::hetero_pim()] {
+        let cpu = simulate(&model, &SystemPreset::CpuOnly.into(), 2).unwrap();
+        for config in [SystemPreset::FixedHost, SystemPreset::Hetero].map(SystemConfig::from) {
             let r = simulate(&model, &config, 2).unwrap();
             assert!(
                 r.makespan < cpu.makespan,
@@ -89,7 +77,7 @@ fn fig10_ordering_hetero_beats_neurocube_by_3x() {
     for kind in [ModelKind::Dcgan, ModelKind::Vgg19] {
         let model = Model::build(kind).unwrap();
         let nc = simulate_neurocube(&model, 2).unwrap();
-        let hetero = simulate(&model, &SystemConfig::hetero_pim(), 2).unwrap();
+        let hetero = simulate(&model, &SystemPreset::Hetero.into(), 2).unwrap();
         assert!(
             nc.makespan / hetero.makespan >= 3.0,
             "{kind}: time ratio {}",

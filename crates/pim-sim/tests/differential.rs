@@ -170,7 +170,7 @@ fn sweep_cells_match_single_run_reference() {
     for (kind, batch) in [(ModelKind::AlexNet, 4), (ModelKind::Dcgan, 4)] {
         let model = Model::build_with_batch(kind, batch).unwrap();
         for preset in SystemPreset::ALL {
-            let config = SystemConfig::HeteroPim(EngineConfig::preset(preset));
+            let config = SystemConfig::from(preset);
             let miss = cache::cell_report(&model, &config, STEPS).unwrap();
             let hit = cache::cell_report(&model, &config, STEPS).unwrap();
             let fresh = simulate(&model, &config, STEPS).unwrap();

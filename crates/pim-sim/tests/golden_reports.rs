@@ -46,8 +46,7 @@ fn render_sweep() -> String {
     for kind in ModelKind::ALL {
         let model = Model::build(kind).unwrap();
         for preset in SystemPreset::ALL {
-            let config = SystemConfig::HeteroPim(EngineConfig::preset(preset));
-            let r = simulate(&model, &config, STEPS).unwrap();
+            let r = simulate(&model, &preset.into(), STEPS).unwrap();
             writeln!(
                 out,
                 "{} | {} | {:?} | {:?} | {:?} | {:?} | {:?} | {:?}",

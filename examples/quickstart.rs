@@ -1,5 +1,6 @@
-//! Quickstart: build a workload, simulate it on the five system
-//! configurations of the paper, and print the comparison.
+//! Quickstart: build a workload, simulate it on the five systems the
+//! paper evaluates (the GPU and four `SystemPreset`s), and print the
+//! comparison.
 //!
 //! Run with: `cargo run --release --example quickstart`
 

@@ -9,7 +9,7 @@ use hetero_pim::graph::builder::{NetBuilder, OptimizerKind};
 use hetero_pim::graph::executor::{Executor, Value};
 use hetero_pim::graph::TensorRole;
 use hetero_pim::models::dataset::image_batch;
-use hetero_pim::sim::configs::{simulate_graph_hetero, SystemConfig};
+use hetero_pim::runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use hetero_pim::tensor::ops::optimizer::AdamParams;
 use std::collections::HashMap;
 
@@ -72,12 +72,18 @@ fn main() -> pim_common::Result<()> {
     assert!(last < first * 0.5, "training must reduce the loss");
 
     // Now hand the very same training-step graph to the PIM simulator.
-    let report = simulate_graph_hetero(&graph, 3)?;
+    let workload = WorkloadSpec {
+        graph: &graph,
+        steps: 3,
+        cpu_progr_only: false,
+    };
+    let report = Engine::new(EngineConfig::preset(SystemPreset::Hetero))
+        .execute(&RunRequest::new(&[workload]))?
+        .into_report();
     println!(
         "the same step scheduled on Hetero PIM: {:.3} ms/step at {:.0}% fixed-function utilization",
         report.per_step_time().seconds() * 1e3,
         report.ff_utilization * 100.0
     );
-    let _ = SystemConfig::hetero_pim(); // see quickstart for the full sweep
     Ok(())
 }

@@ -23,11 +23,12 @@
 //!
 //! ```
 //! use hetero_pim::models::{Model, ModelKind};
-//! use hetero_pim::sim::{simulate, SystemConfig};
+//! use hetero_pim::runtime::engine::SystemPreset;
+//! use hetero_pim::sim::simulate;
 //!
 //! # fn main() -> pim_common::Result<()> {
 //! let model = Model::build_with_batch(ModelKind::AlexNet, 8)?;
-//! let report = simulate(&model, &SystemConfig::hetero_pim(), 2)?;
+//! let report = simulate(&model, &SystemPreset::Hetero.into(), 2)?;
 //! assert!(report.makespan.seconds() > 0.0);
 //! # Ok(())
 //! # }

@@ -2,6 +2,7 @@
 //! batch sizes, across the full crate stack.
 
 use hetero_pim::models::{Model, ModelKind};
+use hetero_pim::runtime::engine::SystemPreset;
 use hetero_pim::sim::baselines::simulate_neurocube;
 use hetero_pim::sim::configs::{simulate, SystemConfig};
 
@@ -20,12 +21,14 @@ fn step_seconds(kind: ModelKind, config: &SystemConfig) -> f64 {
 #[test]
 fn pim_designs_beat_cpu() {
     for kind in ModelKind::CNNS {
-        let cpu = step_seconds(kind, &SystemConfig::Cpu);
+        let cpu = step_seconds(kind, &SystemPreset::CpuOnly.into());
         for config in [
-            SystemConfig::ProgrPim,
-            SystemConfig::FixedPim,
-            SystemConfig::hetero_pim(),
-        ] {
+            SystemPreset::ProgrOnly,
+            SystemPreset::FixedHost,
+            SystemPreset::Hetero,
+        ]
+        .map(SystemConfig::from)
+        {
             let pim = step_seconds(kind, &config);
             let speedup = cpu / pim;
             assert!(
@@ -47,9 +50,9 @@ fn pim_designs_beat_cpu() {
 #[test]
 fn hetero_beats_the_homogeneous_pims_in_the_reported_ranges() {
     for kind in ModelKind::CNNS {
-        let hetero = step_seconds(kind, &SystemConfig::hetero_pim());
-        let progr = step_seconds(kind, &SystemConfig::ProgrPim);
-        let fixed = step_seconds(kind, &SystemConfig::FixedPim);
+        let hetero = step_seconds(kind, &SystemPreset::Hetero.into());
+        let progr = step_seconds(kind, &SystemPreset::ProgrOnly.into());
+        let fixed = step_seconds(kind, &SystemPreset::FixedHost.into());
         let vs_progr = progr / hetero;
         let vs_fixed = fixed / hetero;
         assert!(
@@ -68,14 +71,14 @@ fn hetero_beats_the_homogeneous_pims_in_the_reported_ranges() {
 #[test]
 fn gpu_crossover_matches_the_paper() {
     let dcgan_gpu = step_seconds(ModelKind::Dcgan, &SystemConfig::Gpu);
-    let dcgan_het = step_seconds(ModelKind::Dcgan, &SystemConfig::hetero_pim());
+    let dcgan_het = step_seconds(ModelKind::Dcgan, &SystemPreset::Hetero.into());
     assert!(
         dcgan_het > dcgan_gpu,
         "DCGAN: hetero ({dcgan_het:.4}s) must lose to the GPU ({dcgan_gpu:.4}s)"
     );
 
     let resnet_gpu = step_seconds(ModelKind::ResNet50, &SystemConfig::Gpu);
-    let resnet_het = step_seconds(ModelKind::ResNet50, &SystemConfig::hetero_pim());
+    let resnet_het = step_seconds(ModelKind::ResNet50, &SystemPreset::Hetero.into());
     assert!(
         resnet_het < resnet_gpu,
         "ResNet-50: hetero ({resnet_het:.4}s) must beat the GPU ({resnet_gpu:.4}s)"
@@ -84,7 +87,7 @@ fn gpu_crossover_matches_the_paper() {
     // VGG-19 lands close to the GPU (the paper says within 10%; we land
     // within 20% — see EXPERIMENTS.md).
     let vgg_gpu = step_seconds(ModelKind::Vgg19, &SystemConfig::Gpu);
-    let vgg_het = step_seconds(ModelKind::Vgg19, &SystemConfig::hetero_pim());
+    let vgg_het = step_seconds(ModelKind::Vgg19, &SystemPreset::Hetero.into());
     let ratio = vgg_het / vgg_gpu;
     assert!((0.8..=1.25).contains(&ratio), "VGG ratio {ratio:.2}");
 }
@@ -95,10 +98,10 @@ fn gpu_crossover_matches_the_paper() {
 fn energy_ratios_match_figure_9() {
     for kind in ModelKind::CNNS {
         let model = Model::build(kind).unwrap();
-        let hetero = simulate(&model, &SystemConfig::hetero_pim(), STEPS).unwrap();
-        let cpu = simulate(&model, &SystemConfig::Cpu, STEPS).unwrap();
+        let hetero = simulate(&model, &SystemPreset::Hetero.into(), STEPS).unwrap();
+        let cpu = simulate(&model, &SystemPreset::CpuOnly.into(), STEPS).unwrap();
         let gpu = simulate(&model, &SystemConfig::Gpu, STEPS).unwrap();
-        let progr = simulate(&model, &SystemConfig::ProgrPim, STEPS).unwrap();
+        let progr = simulate(&model, &SystemPreset::ProgrOnly.into(), STEPS).unwrap();
 
         let vs_cpu = cpu.dynamic_energy / hetero.dynamic_energy;
         assert!((3.0..=28.0).contains(&vs_cpu), "{kind}: vs CPU {vs_cpu:.1}");
@@ -118,7 +121,7 @@ fn neurocube_comparison_matches_figure_10() {
     for kind in ModelKind::CNNS {
         let model = Model::build(kind).unwrap();
         let nc = simulate_neurocube(&model, STEPS).unwrap();
-        let hetero = simulate(&model, &SystemConfig::hetero_pim(), STEPS).unwrap();
+        let hetero = simulate(&model, &SystemPreset::Hetero.into(), STEPS).unwrap();
         assert!(nc.makespan / hetero.makespan >= 3.0, "{kind} time");
         // Energy: >=3x everywhere except ResNet-50, whose huge batch keeps
         // Neurocube's memory-side energy competitive in our model (2.2x;
@@ -141,7 +144,7 @@ fn neurocube_comparison_matches_figure_10() {
 fn frequency_scaling_matches_figure_11() {
     for kind in [ModelKind::Vgg19, ModelKind::AlexNet] {
         let gpu = step_seconds(kind, &SystemConfig::Gpu);
-        let base = step_seconds(kind, &SystemConfig::hetero_pim());
+        let base = step_seconds(kind, &SystemPreset::Hetero.into());
         let x2 = step_seconds(kind, &SystemConfig::hetero_pim_at_frequency(2.0).unwrap());
         let x4 = step_seconds(kind, &SystemConfig::hetero_pim_at_frequency(4.0).unwrap());
         assert!(
