@@ -83,9 +83,11 @@ pub fn model_kind(name: &str) -> Result<ModelKind, JobError> {
 /// `bad_request` naming the accepted keys.
 pub fn preset(key: &str) -> Result<SystemPreset, JobError> {
     SystemPreset::from_key(key).ok_or_else(|| {
+        let keys = SystemPreset::ALL.map(SystemPreset::key);
+        let (last, rest) = keys.split_last().expect("presets exist");
         JobError::bad_request(format!(
-            "invalid argument in repro_fuzz: unknown preset `{key}` \
-             (expected cpu, progr, fixed, hetero, bare, or rc)"
+            "invalid argument in repro_fuzz: unknown preset `{key}` (expected {}, or {last})",
+            rest.join(", ")
         ))
     })
 }
