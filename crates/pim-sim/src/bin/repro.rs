@@ -1,30 +1,24 @@
-//! Regenerates the paper's tables and figures.
+//! Regenerates the paper's tables and figures, and runs the studies built
+//! on them: placement previews, Chrome-trace export, the fault, fuzz, ISA
+//! and search sweeps, the wall-clock bench, the serving daemon and its
+//! chaos harness. `repro --help` prints every subcommand and flag; the
+//! `USAGE` text below is the one copy. (fig8 covers fig9; fig11 covers
+//! fig17; fig13 covers fig14/fig15.)
 //!
-//! Usage: `repro [table1|fig2|fig8|fig10|fig11|fig12|fig13|fig16|ablations|config|csv|all]`,
-//! `repro schedule <model>` for a placement preview,
-//! `repro faults [--seed N] [--rate R] [--models a,b] [--steps N]` for the
-//! seeded fault-degradation sweep,
-//! `repro fuzz [--seeds N] [--seed N] [--models a,b] [--presets p,q] [--steps N]` for the
-//! order-invariance fuzz sweep (pass 5),
-//! `repro isa [--models a,b] [--steps N]` for the analytic-vs-interpreted
-//! ISA-backend delta table,
-//! `repro search [--beam N] [--rounds N] [--branch N] [--seed N]
-//! [--models a,b] [--steps N]` for the beam-search oracle-gap table,
-//! `repro --trace <path> [model]` to export a Chrome trace of one
-//! Hetero PIM run, `repro tracecheck <path>` to validate one,
-//! `repro bench [--json <path>]` for the wall-clock benchmark harness
-//! (see `run_bench_cli` for its flags), or
-//! `repro serve` for the multi-tenant simulation daemon (line-oriented
-//! JSON on stdin, `--tcp PORT`, a seeded closed-loop load run via
-//! `--load N --seed S`, or `--emit-trace N` to print the load trace).
-//! (fig8 covers fig9; fig11 covers fig17; fig13 covers fig14/fig15).
-//!
-//! Unknown sections, models, and malformed flags are usage errors: the
-//! binary prints a structured message plus the usage block to stderr and
-//! exits 2 (runtime failures exit 1).
+//! Every subcommand returns a [`CliResult`] and `main` alone turns it into
+//! an exit code: unknown sections, models and malformed flags are usage
+//! errors (a structured message plus the usage block to stderr, exit 2);
+//! runtime failures exit 1.
 #![forbid(unsafe_code)]
 
+use std::process::ExitCode;
+
+use pim_common::cli::{
+    exit_code, parse_pair, parse_value, require_in_range, verdict, ArgCursor, CliError, CliResult,
+    OrFail,
+};
 use pim_models::ModelKind;
+use pim_runtime::engine::SystemPreset;
 use pim_sim::configs::table_iv_rows;
 use pim_sim::experiments;
 
@@ -62,48 +56,52 @@ const USAGE: &str = "usage: repro [SECTION | all | config | csv]
 sections: table1 fig2 fig8 fig10 fig11 fig12 fig13 fig16 ablations
 models:   alex vgg dcgan resnet inception lstm w2v";
 
-/// Prints a structured usage error to stderr and exits 2.
-fn usage_error(msg: &str) -> ! {
-    pim_common::cli::usage_error("repro", msg, USAGE)
+/// Resolves a model name through the daemon's name table
+/// ([`pim_sim::serve::model_kind`]).
+fn model(name: &str) -> Result<ModelKind, String> {
+    pim_sim::serve::model_kind(name).map_err(|e| e.message)
 }
 
-/// Resolves a model flag through the daemon's name table
-/// ([`pim_sim::serve::model_kind`]); absent means AlexNet, unknown names
-/// are usage errors.
-fn model_arg(arg: Option<&str>) -> ModelKind {
-    arg.map_or(Ok(ModelKind::AlexNet), pim_sim::serve::model_kind)
-        .unwrap_or_else(|e| usage_error(&e.message))
+/// An optional model operand: absent means AlexNet.
+fn model_arg(arg: Option<&String>) -> CliResult<ModelKind> {
+    arg.map_or(Ok(ModelKind::AlexNet), |name| model(name))
+        .map_err(CliError::Usage)
 }
 
-fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match which.as_str() {
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (which, args) = argv
+        .split_first()
+        .map_or(("all", &[][..]), |(which, args)| (which.as_str(), args));
+    exit_code("repro", USAGE, run(which, args))
+}
+
+fn run(which: &str, args: &[String]) -> CliResult {
+    match which {
         "--help" | "-h" => println!("{USAGE}"),
-        "--trace" => run_trace_export(),
-        "tracecheck" => run_tracecheck(),
-        "bench" => run_bench_cli(),
-        "schedule" => run_schedule_preview(),
-        "faults" => run_faults_cli(),
-        "fuzz" => run_fuzz_cli(),
-        "isa" => run_isa_cli(),
-        "search" => run_search_cli(),
-        "serve" => run_serve_cli(),
-        "chaos" => run_chaos_cli(),
-        "csv" => match pim_sim::report::evaluation_grid(3) {
-            Ok(rows) => print!("{}", pim_sim::report::to_csv(&rows)),
-            Err(e) => {
-                eprintln!("csv failed: {e}");
-                std::process::exit(1);
-            }
-        },
+        "--trace" => return run_trace_export(args),
+        "tracecheck" => return run_tracecheck(args),
+        "bench" => return run_bench_cli(args),
+        "schedule" => return run_schedule_preview(args),
+        "faults" => return run_faults_cli(args),
+        "fuzz" => return run_fuzz_cli(args),
+        "isa" => return run_isa_cli(args),
+        "search" => return run_search_cli(args),
+        "serve" => return run_serve_cli(args),
+        "chaos" => return run_chaos_cli(args),
+        "csv" => {
+            let rows = pim_sim::report::evaluation_grid(3).or_fail("csv failed")?;
+            print!("{}", pim_sim::report::to_csv(&rows));
+        }
         "config" => print_config(),
         "all" => {
-            run_sections("all");
+            run_sections("all")?;
             print_config();
         }
-        name if SECTIONS.iter().any(|(n, _)| *n == name) => run_sections(name),
-        other => usage_error(&format!("unknown section `{other}`")),
+        name if SECTIONS.iter().any(|(n, _)| *n == name) => return run_sections(name),
+        other => return Err(CliError::Usage(format!("unknown section `{other}`"))),
     }
+    Ok(())
 }
 
 fn print_config() {
@@ -113,7 +111,7 @@ fn print_config() {
     }
 }
 
-fn run_sections(which: &str) {
+fn run_sections(which: &str) -> CliResult {
     let selected: Vec<_> = SECTIONS
         .iter()
         .filter(|(name, _)| which == *name || which == "all")
@@ -128,435 +126,230 @@ fn run_sections(which: &str) {
     order.sort_by_key(|&i| selected[i].0 != "fig16");
     let results = pim_runtime::par::par_map_claiming(&selected, &order, |(_, f)| f());
     for ((name, _), result) in selected.iter().zip(results) {
-        match result {
-            Ok(text) => println!("{text}"),
-            Err(e) => {
-                eprintln!("{name} failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        println!("{}", result.or_fail(format_args!("{name} failed"))?);
     }
+    Ok(())
 }
 
-/// Chrome-trace export: `repro --trace <path> [model]` (2 steps of the
-/// model at batch 2 on the full Hetero PIM).
-fn run_trace_export() {
-    use pim_runtime::engine::SystemPreset;
-    let path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| usage_error("--trace requires an output path"));
-    let kind = model_arg(std::env::args().nth(3).as_deref());
-    match pim_sim::chrome::chrome_trace(kind, 2, 2, SystemPreset::Hetero) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("trace export failed writing {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote Chrome trace for {kind} to {path}");
-        }
-        Err(e) => {
-            eprintln!("trace export failed: {e}");
-            std::process::exit(1);
-        }
-    }
+/// Chrome-trace export: 2 steps of the model at batch 2 on the full
+/// Hetero PIM, written to the path operand.
+fn run_trace_export(args: &[String]) -> CliResult {
+    let path = args
+        .first()
+        .ok_or_else(|| CliError::Usage("--trace requires an output path".into()))?;
+    let kind = model_arg(args.get(1))?;
+    let json = pim_sim::chrome::chrome_trace(kind, 2, 2, SystemPreset::Hetero)
+        .or_fail("trace export failed")?;
+    std::fs::write(path, json).or_fail(format_args!("trace export failed writing {path}"))?;
+    eprintln!("wrote Chrome trace for {kind} to {path}");
+    Ok(())
 }
 
-/// Structural validation of an exported trace: `repro tracecheck <path>`.
-fn run_tracecheck() {
-    let path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| usage_error("tracecheck requires a trace path"));
-    let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("tracecheck failed reading {path}: {e}");
-        std::process::exit(1);
-    });
+/// Structural validation of an exported trace.
+fn run_tracecheck(args: &[String]) -> CliResult {
+    let path = args
+        .first()
+        .ok_or_else(|| CliError::Usage("tracecheck requires a trace path".into()))?;
+    let json =
+        std::fs::read_to_string(path).or_fail(format_args!("tracecheck failed reading {path}"))?;
     let diags = pim_common::trace::validate_chrome_trace(&json);
-    if diags.is_clean() {
-        println!("{path}: valid Chrome trace");
-    } else {
-        eprintln!("{}", diags.render_text());
-        std::process::exit(1);
+    if !diags.is_clean() {
+        return Err(CliError::Failed(Some(diags.render_text())));
     }
+    println!("{path}: valid Chrome trace");
+    Ok(())
 }
 
-/// Placement preview for one model: `repro schedule [alex|vgg|...]`.
-fn run_schedule_preview() {
+/// Placement preview for one model on the full Hetero PIM.
+fn run_schedule_preview(args: &[String]) -> CliResult {
     use pim_models::Model;
-    use pim_runtime::engine::{Engine, EngineConfig, SystemPreset};
-    let kind = model_arg(std::env::args().nth(2).as_deref());
-    let model = match Model::build(kind) {
-        Ok(model) => model,
-        Err(e) => {
-            eprintln!("schedule failed building {kind}: {e}");
-            std::process::exit(1);
-        }
-    };
+    use pim_runtime::engine::{Engine, EngineConfig};
+    let kind = model_arg(args.first())?;
+    let model = Model::build(kind).or_fail(format_args!("schedule failed building {kind}"))?;
     let engine = Engine::new(EngineConfig::preset(SystemPreset::Hetero));
-    match engine.plan_preview(model.graph()) {
-        Ok(rows) => {
-            println!("placement preview for {kind} (uncontended):");
-            for r in rows {
-                println!(
-                    "  {:>6} {:28} {:9.6}s {} {}",
-                    r.op.to_string(),
-                    r.name,
-                    r.seconds,
-                    if r.candidate {
-                        "[candidate]"
-                    } else {
-                        "           "
-                    },
-                    r.placement,
-                );
-            }
-        }
-        Err(e) => {
-            eprintln!("schedule failed: {e}");
-            std::process::exit(1);
-        }
+    let rows = engine
+        .plan_preview(model.graph())
+        .or_fail("schedule failed")?;
+    println!("placement preview for {kind} (uncontended):");
+    for r in rows {
+        println!(
+            "  {:>6} {:28} {:9.6}s {} {}",
+            r.op.to_string(),
+            r.name,
+            r.seconds,
+            if r.candidate {
+                "[candidate]"
+            } else {
+                "           "
+            },
+            r.placement,
+        );
     }
+    Ok(())
 }
 
-/// The fault-degradation sweep:
-///
-/// ```text
-/// repro faults [--seed N] [--rate R] [--models alex,lstm,...] [--steps N]
-/// ```
-///
-/// Simulates the requested models under every engine preset with a
-/// seeded fault plan and prints the degradation table (makespan, energy,
-/// slowdown, and the fault counters per rate). Without `--rate` the
-/// default rate ladder is swept; the output is deterministic in
-/// `(seed, rate)`. Not part of `repro all` — fault runs never perturb
-/// the paper-figure output.
-fn run_faults_cli() {
+/// The fault-degradation sweep: simulates the requested models under
+/// every engine preset with a seeded fault plan and prints the
+/// degradation table (makespan, energy, slowdown, and the fault counters
+/// per rate). Without `--rate` the default rate ladder is swept; the
+/// output is deterministic in `(seed, rate)`. Not part of `repro all` —
+/// fault runs never perturb the paper-figure output.
+fn run_faults_cli(args: &[String]) -> CliResult {
     use pim_sim::faults;
 
-    let args: Vec<String> = std::env::args().skip(2).collect();
     let mut seed = 1u64;
     let mut rates: Vec<f64> = faults::DEFAULT_RATES.to_vec();
     let mut kinds: Vec<ModelKind> = faults::DEFAULT_MODELS.to_vec();
-    let mut steps = 2usize;
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).map(String::as_str);
-        match (args[i].as_str(), value) {
-            ("--seed", Some(v)) => {
-                seed = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid fault seed `{v}`")));
-            }
-            ("--rate", Some(v)) => {
-                let rate: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid fault rate `{v}`")));
-                if !(0.0..=1.0).contains(&rate) {
-                    usage_error(&format!("fault rate must be in [0, 1], got {rate}"));
-                }
+    let mut steps = 2;
+    let mut args = ArgCursor::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--seed" => seed = args.parse()?,
+            "--rate" => {
+                let rate = args.parse_with(|v| {
+                    require_in_range("--rate", parse_value("--rate", v)?, 0.0, 1.0)
+                })?;
                 rates = vec![rate];
             }
-            ("--models", Some(v)) => {
-                kinds = v.split(',').map(|m| model_arg(Some(m.trim()))).collect();
-            }
-            ("--steps", Some(v)) => {
-                steps = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid step count `{v}`")));
-                if steps == 0 {
-                    usage_error("--steps must be at least 1");
-                }
-            }
-            (flag, _) => usage_error(&format!("unknown or incomplete faults flag `{flag}`")),
-        }
-        i += 2;
-    }
-    match faults::degradation_table(&kinds, &rates, seed, steps) {
-        Ok(table) => print!("{table}"),
-        Err(e) => {
-            eprintln!("faults failed: {e}");
-            std::process::exit(1);
+            "--models" => kinds = args.list(model)?,
+            "--steps" => steps = args.count()?,
+            _ => return Err(args.unknown()),
         }
     }
+    let table = faults::degradation_table(&kinds, &rates, seed, steps).or_fail("faults failed")?;
+    print!("{table}");
+    Ok(())
 }
 
-/// The ISA-backend differential table (`repro isa`): every requested
-/// model simulated under the Hetero preset with the analytic and the
-/// interpreted `pim_isa` programmable-PIM backend, with relative
-/// makespan/energy deltas per model. Deterministic; byte-identical
-/// across runs and thread counts. Not part of `repro all` — the ISA
-/// backend never perturbs the paper-figure output.
-fn run_isa_cli() {
-    use pim_common::cli::parse_value;
+/// The ISA-backend differential table: every requested model simulated
+/// under the Hetero preset with the analytic and the interpreted
+/// `pim_isa` programmable-PIM backend, with relative makespan/energy
+/// deltas per model. Deterministic; byte-identical across runs and thread
+/// counts. Exits 1 when a delta is out of bound. Not part of `repro all`
+/// — the ISA backend never perturbs the paper-figure output.
+fn run_isa_cli(args: &[String]) -> CliResult {
     use pim_sim::isa;
 
-    let args: Vec<String> = std::env::args().skip(2).collect();
     let mut kinds: Vec<ModelKind> = isa::DEFAULT_MODELS.to_vec();
-    let mut steps = 2usize;
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).map(String::as_str);
-        match (args[i].as_str(), value) {
-            ("--models", Some(v)) => {
-                kinds = v.split(',').map(|m| model_arg(Some(m.trim()))).collect();
-            }
-            ("--steps", Some(v)) => {
-                steps = parse_value("--steps", v).unwrap_or_else(|e| usage_error(&e));
-                if steps == 0 {
-                    usage_error("--steps must be at least 1");
-                }
-            }
-            (flag, _) => usage_error(&format!("unknown or incomplete isa flag `{flag}`")),
-        }
-        i += 2;
-    }
-    match isa::isa_delta_table(&kinds, steps) {
-        Ok(table) => {
-            print!("{table}");
-            if table.contains("OUT OF BOUND") {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("isa failed: {e}");
-            std::process::exit(1);
+    let mut steps = 2;
+    let mut args = ArgCursor::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--models" => kinds = args.list(model)?,
+            "--steps" => steps = args.count()?,
+            _ => return Err(args.unknown()),
         }
     }
+    let table = isa::isa_delta_table(&kinds, steps).or_fail("isa failed")?;
+    print!("{table}");
+    verdict(!table.contains("OUT OF BOUND"))
 }
 
-/// The order-invariance fuzz sweep (pass 5 as an experiment):
-///
-/// ```text
-/// repro fuzz [--seeds N] [--seed N] [--models alex,lstm,...]
-///            [--presets cpu,progr,...] [--steps N]
-/// ```
-///
-/// Runs every requested model under every requested preset (all six
-/// when `--presets` is absent) once per seeded
-/// tie-break permutation and diffs each run against the stable order
-/// (report equality, legality replay, counter cross-check). Exits 1
-/// when any order diverges. Not part of `repro all`.
-fn run_fuzz_cli() {
-    use pim_common::cli::parse_value;
+/// The order-invariance fuzz sweep (pass 5 as an experiment): runs every
+/// requested model under every requested preset (all six when
+/// `--presets` is absent) once per seeded tie-break permutation and diffs
+/// each run against the stable order (report equality, legality replay,
+/// counter cross-check). Exits 1 when any order diverges. Not part of
+/// `repro all`.
+fn run_fuzz_cli(args: &[String]) -> CliResult {
     use pim_sim::orders;
 
-    let args: Vec<String> = std::env::args().skip(2).collect();
-    let mut seeds = 8usize;
+    let mut seeds = 8;
     let mut seed = 1u64;
     let mut kinds: Vec<ModelKind> = orders::DEFAULT_FUZZ_MODELS.to_vec();
-    let mut presets = pim_runtime::engine::SystemPreset::ALL.to_vec();
-    let mut steps = 2usize;
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).map(String::as_str);
-        match (args[i].as_str(), value) {
-            ("--seeds", Some(v)) => {
-                seeds = parse_value("--seeds", v).unwrap_or_else(|e| usage_error(&e));
-                if seeds == 0 {
-                    usage_error("--seeds must be at least 1");
-                }
+    let mut presets = SystemPreset::ALL.to_vec();
+    let mut steps = 2;
+    let mut args = ArgCursor::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--seeds" => seeds = args.count()?,
+            "--seed" => seed = args.parse()?,
+            "--models" => kinds = args.list(model)?,
+            "--presets" => {
+                presets = args.list(|p| pim_sim::serve::preset(p).map_err(|e| e.message))?;
             }
-            ("--seed", Some(v)) => {
-                seed = parse_value("--seed", v).unwrap_or_else(|e| usage_error(&e));
-            }
-            ("--models", Some(v)) => {
-                kinds = v.split(',').map(|m| model_arg(Some(m.trim()))).collect();
-            }
-            ("--presets", Some(v)) => {
-                presets = v
-                    .split(',')
-                    .map(|p| {
-                        pim_sim::serve::preset(p.trim()).unwrap_or_else(|e| usage_error(&e.message))
-                    })
-                    .collect();
-            }
-            ("--steps", Some(v)) => {
-                steps = parse_value("--steps", v).unwrap_or_else(|e| usage_error(&e));
-                if steps == 0 {
-                    usage_error("--steps must be at least 1");
-                }
-            }
-            (flag, _) => usage_error(&format!("unknown or incomplete fuzz flag `{flag}`")),
-        }
-        i += 2;
-    }
-    match orders::fuzz_table(&kinds, &presets, seeds, seed, steps) {
-        Ok(table) => {
-            print!("{table}");
-            if table.contains("order invariance: FAIL") {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("fuzz failed: {e}");
-            std::process::exit(1);
+            "--steps" => steps = args.count()?,
+            _ => return Err(args.unknown()),
         }
     }
+    let table = orders::fuzz_table(&kinds, &presets, seeds, seed, steps).or_fail("fuzz failed")?;
+    print!("{table}");
+    verdict(!table.contains("order invariance: FAIL"))
 }
 
-/// The beam-search oracle-gap table:
-///
-/// ```text
-/// repro search [--beam N] [--rounds N] [--branch N] [--seed N]
-///              [--models alex,dcgan,...] [--steps N]
-/// ```
-///
-/// Beam-searches the legal priority-order space per model on the full
-/// Hetero preset and prints the best-found makespan against the paper
-/// heuristic; every winner is legality-replayed. Exits 1 if a winner
-/// fails the replay. Not part of `repro all`.
-fn run_search_cli() {
-    use pim_common::cli::parse_value;
-    use pim_runtime::engine::SystemPreset;
+/// The beam-search oracle-gap table: beam-searches the legal
+/// priority-order space per model on the full Hetero preset and prints
+/// the best-found makespan against the paper heuristic; every winner is
+/// legality-replayed. Exits 1 if a winner fails the replay. Not part of
+/// `repro all`.
+fn run_search_cli(args: &[String]) -> CliResult {
     use pim_runtime::search::SearchConfig;
     use pim_sim::orders;
 
-    let args: Vec<String> = std::env::args().skip(2).collect();
     let mut cfg = SearchConfig::default();
     let mut kinds: Vec<ModelKind> = orders::DEFAULT_SEARCH_MODELS.to_vec();
-    let mut steps = 2usize;
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).map(String::as_str);
-        match (args[i].as_str(), value) {
-            ("--beam", Some(v)) => {
-                cfg.beam_width = parse_value("--beam", v).unwrap_or_else(|e| usage_error(&e));
-                if cfg.beam_width == 0 {
-                    usage_error("--beam must be at least 1");
-                }
-            }
-            ("--rounds", Some(v)) => {
-                cfg.rounds = parse_value("--rounds", v).unwrap_or_else(|e| usage_error(&e));
-            }
-            ("--branch", Some(v)) => {
-                cfg.branching = parse_value("--branch", v).unwrap_or_else(|e| usage_error(&e));
-                if cfg.branching == 0 {
-                    usage_error("--branch must be at least 1");
-                }
-            }
-            ("--seed", Some(v)) => {
-                cfg.seed = parse_value("--seed", v).unwrap_or_else(|e| usage_error(&e));
-            }
-            ("--models", Some(v)) => {
-                kinds = v.split(',').map(|m| model_arg(Some(m.trim()))).collect();
-            }
-            ("--steps", Some(v)) => {
-                steps = parse_value("--steps", v).unwrap_or_else(|e| usage_error(&e));
-                if steps == 0 {
-                    usage_error("--steps must be at least 1");
-                }
-            }
-            (flag, _) => usage_error(&format!("unknown or incomplete search flag `{flag}`")),
-        }
-        i += 2;
-    }
-    match orders::oracle_gap_table(&kinds, SystemPreset::Hetero, &cfg, steps) {
-        Ok(table) => {
-            print!("{table}");
-            if table.contains("ILLEGAL") {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("search failed: {e}");
-            std::process::exit(1);
+    let mut steps = 2;
+    let mut args = ArgCursor::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--beam" => cfg.beam_width = args.count()?,
+            "--rounds" => cfg.rounds = args.parse()?,
+            "--branch" => cfg.branching = args.count()?,
+            "--seed" => cfg.seed = args.parse()?,
+            "--models" => kinds = args.list(model)?,
+            "--steps" => steps = args.count()?,
+            _ => return Err(args.unknown()),
         }
     }
+    let table = orders::oracle_gap_table(&kinds, SystemPreset::Hetero, &cfg, steps)
+        .or_fail("search failed")?;
+    print!("{table}");
+    verdict(!table.contains("ILLEGAL"))
 }
 
-/// The multi-tenant simulation daemon:
-///
-/// ```text
-/// repro serve [--tcp PORT [--conns N]]
-/// repro serve --load N [--seed S] [--tenants T] [--sample K]
-/// repro serve --emit-trace N [--seed S] [--tenants T]
-/// ```
-///
-/// With no flags, serves line-oriented JSON requests on stdin and
-/// writes one response line per request to stdout (a stats summary goes
-/// to stderr at EOF) — the ci.sh byte-diff mode. `--tcp` serves the
-/// same protocol per connection on `127.0.0.1:PORT` (`--conns N` exits
-/// after N connections; otherwise forever). `--load` generates a
-/// seeded trace of N jobs across T tenants, drives it through the
-/// daemon, prints throughput, queue-latency percentiles, and the cache
-/// hit rate, then re-runs every K-th job directly through the engine
-/// and byte-compares the reports — any failed job, rejection, or
-/// divergence exits 1. `--emit-trace` prints the same generated trace
-/// for replaying by hand. Worker count follows `PIM_RUN_THREADS`.
-fn run_serve_cli() {
-    use pim_common::cli::parse_value;
+/// The multi-tenant simulation daemon. With no flags, serves
+/// line-oriented JSON requests on stdin and writes one response line per
+/// request to stdout (a stats summary goes to stderr at EOF) — the ci.sh
+/// byte-diff mode. `--tcp` serves the same protocol per connection on
+/// `127.0.0.1:PORT` (`--conns N` exits after N connections; otherwise
+/// forever). `--load` generates a seeded trace of N jobs across T
+/// tenants, drives it through the daemon, prints throughput,
+/// queue-latency percentiles, and the cache hit rate, then re-runs every
+/// K-th job directly through the engine and byte-compares the reports —
+/// any failed job, rejection, or divergence exits 1. `--emit-trace`
+/// prints the same generated trace for replaying by hand. Worker count
+/// follows `PIM_RUN_THREADS`.
+fn run_serve_cli(args: &[String]) -> CliResult {
     use pim_serve::{serve_lines, serve_tcp, ServeConfig, ServeControl};
     use pim_sim::cache::SharedStore;
     use pim_sim::serve::{verify_samples, SimRunner};
 
-    let args: Vec<String> = std::env::args().skip(2).collect();
-    let mut load: Option<usize> = None;
-    let mut emit: Option<usize> = None;
-    let mut tcp: Option<u16> = None;
-    let mut conns: Option<usize> = None;
+    let mut cfg = ServeConfig::default();
+    let (mut load, mut emit, mut tcp, mut conns) = (None, None, None, None);
     let mut seed = 1u64;
-    let mut tenants = 4usize;
-    let mut sample = 25usize;
-    let mut journal: Option<std::path::PathBuf> = None;
-    let mut max_line_bytes: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).map(String::as_str);
-        match (args[i].as_str(), value) {
-            ("--load", Some(v)) => {
-                load = Some(parse_value("--load", v).unwrap_or_else(|e| usage_error(&e)));
-            }
-            ("--emit-trace", Some(v)) => {
-                emit = Some(parse_value("--emit-trace", v).unwrap_or_else(|e| usage_error(&e)));
-            }
-            ("--tcp", Some(v)) => {
-                tcp = Some(parse_value("--tcp", v).unwrap_or_else(|e| usage_error(&e)));
-            }
-            ("--conns", Some(v)) => {
-                conns = Some(parse_value("--conns", v).unwrap_or_else(|e| usage_error(&e)));
-            }
-            ("--seed", Some(v)) => {
-                seed = parse_value("--seed", v).unwrap_or_else(|e| usage_error(&e));
-            }
-            ("--tenants", Some(v)) => {
-                tenants = parse_value("--tenants", v).unwrap_or_else(|e| usage_error(&e));
-                if tenants == 0 {
-                    usage_error("--tenants must be at least 1");
-                }
-            }
-            ("--sample", Some(v)) => {
-                sample = parse_value("--sample", v).unwrap_or_else(|e| usage_error(&e));
-                if sample == 0 {
-                    usage_error("--sample must be at least 1");
-                }
-            }
-            ("--journal", Some(v)) => {
-                journal = Some(std::path::PathBuf::from(v));
-            }
-            ("--max-line-bytes", Some(v)) => {
-                let n: usize =
-                    parse_value("--max-line-bytes", v).unwrap_or_else(|e| usage_error(&e));
-                if n == 0 {
-                    usage_error("--max-line-bytes must be at least 1");
-                }
-                max_line_bytes = Some(n);
-            }
-            (flag, _) => usage_error(&format!("unknown or incomplete serve flag `{flag}`")),
+    let mut tenants = 4;
+    let mut sample = 25;
+    let mut args = ArgCursor::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--load" => load = Some(args.parse()?),
+            "--emit-trace" => emit = Some(args.parse()?),
+            "--tcp" => tcp = Some(args.parse::<u16>()?),
+            "--conns" => conns = Some(args.parse()?),
+            "--seed" => seed = args.parse()?,
+            "--tenants" => tenants = args.count()?,
+            "--sample" => sample = args.count()?,
+            "--journal" => cfg.journal = Some(args.value()?.into()),
+            "--max-line-bytes" => cfg.max_line_bytes = args.count()?,
+            _ => return Err(args.unknown()),
         }
-        i += 2;
     }
 
-    let mut cfg = ServeConfig::default();
-    if let Some(n) = max_line_bytes {
-        cfg.max_line_bytes = n;
-    }
-    // The journal is a single-stream facility: it applies to the stdin
-    // daemon only (serve_tcp clears it per connection).
-    cfg.journal = journal;
     if let Some(jobs) = emit {
         for line in pim_serve::loadgen::generate(jobs, seed, tenants) {
             println!("{line}");
         }
-        return;
+        return Ok(());
     }
     if let Some(jobs) = load {
         let trace = pim_serve::loadgen::generate(jobs, seed, tenants);
@@ -564,10 +357,7 @@ fn run_serve_cli() {
         let mut out = Vec::new();
         let started = std::time::Instant::now();
         let stats = serve_lines(&cfg, &SimRunner, &SharedStore, input.as_bytes(), &mut out)
-            .unwrap_or_else(|e| {
-                eprintln!("serve load run failed: {e}");
-                std::process::exit(1);
-            });
+            .or_fail("serve load run failed")?;
         let elapsed = started.elapsed().as_secs_f64();
         let c = &stats.counters;
         let hit_rate = if c.ok == 0 {
@@ -591,93 +381,66 @@ fn run_serve_cli() {
         );
         println!("  cache hit rate {hit_rate:.1}%");
         if c.errors != 0 || c.rejected != 0 {
-            eprintln!(
+            return Err(CliError::Failed(Some(format!(
                 "serve load: {} failed and {} rejected jobs",
                 c.errors, c.rejected
-            );
-            std::process::exit(1);
+            ))));
         }
         let responses: Vec<String> = String::from_utf8(out)
             .expect("responses are utf8")
             .lines()
             .map(str::to_string)
             .collect();
-        match verify_samples(&trace, &responses, sample) {
-            Ok(checked) => println!("  verified {checked} sampled jobs against direct engine runs"),
-            Err(e) => {
-                eprintln!("serve load verification failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
+        let checked =
+            verify_samples(&trace, &responses, sample).or_fail("serve load verification failed")?;
+        println!("  verified {checked} sampled jobs against direct engine runs");
+        return Ok(());
     }
     if let Some(port) = tcp {
-        let listener = std::net::TcpListener::bind(("127.0.0.1", port)).unwrap_or_else(|e| {
-            eprintln!("serve: cannot bind 127.0.0.1:{port}: {e}");
-            std::process::exit(1);
-        });
+        let listener = std::net::TcpListener::bind(("127.0.0.1", port))
+            .or_fail(format_args!("serve: cannot bind 127.0.0.1:{port}"))?;
         let addr = listener
             .local_addr()
             .expect("bound listener has an address");
         eprintln!("serve: listening on {addr}");
-        if let Err(e) = serve_tcp(
+        return serve_tcp(
             &cfg,
             &SimRunner,
             &SharedStore,
             &listener,
             conns,
             &ServeControl::new(),
-        ) {
-            eprintln!("serve: accept failed: {e}");
-            std::process::exit(1);
-        }
-        return;
+        )
+        .or_fail("serve: accept failed");
     }
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    match serve_lines(&cfg, &SimRunner, &SharedStore, stdin.lock(), stdout.lock()) {
-        Ok(stats) => {
-            let c = &stats.counters;
-            eprintln!(
-                "serve: {} jobs, {} ok, {} errors, {} rejected, {} cache hits ({} cross-tenant), {} distinct cells",
-                c.jobs, c.ok, c.errors, c.rejected, c.cache_hits, c.cross_tenant_hits, c.distinct_cells
-            );
-        }
-        Err(e) => {
-            eprintln!("serve: I/O error: {e}");
-            std::process::exit(1);
-        }
-    }
+    let stats = serve_lines(&cfg, &SimRunner, &SharedStore, stdin.lock(), stdout.lock())
+        .or_fail("serve: I/O error")?;
+    let c = &stats.counters;
+    eprintln!(
+        "serve: {} jobs, {} ok, {} errors, {} rejected, {} cache hits ({} cross-tenant), {} distinct cells",
+        c.jobs, c.ok, c.errors, c.rejected, c.cache_hits, c.cross_tenant_hits, c.distinct_cells
+    );
+    Ok(())
 }
 
-/// Chaos/soak harness: `repro chaos [--seed S] [--ops N]` expands the
-/// seed into an adversarial request schedule (failing runs, duplicates,
-/// malformed/oversized/non-UTF-8 lines, kill-restart recovery cycles,
-/// mid-line disconnects) and checks the daemon's resilience invariants;
-/// any violation exits 1. The schedule injects worker panics by design,
-/// so the panic hook stays quiet for those.
-fn run_chaos_cli() {
-    use pim_common::cli::parse_value;
-
-    let args: Vec<String> = std::env::args().skip(2).collect();
+/// Chaos/soak harness: expands the seed into an adversarial request
+/// schedule (failing runs, duplicates, malformed/oversized/non-UTF-8
+/// lines, kill-restart recovery cycles, mid-line disconnects) and checks
+/// the daemon's resilience invariants; any violation exits 1. The
+/// schedule injects worker panics by design, so the panic hook stays
+/// quiet for those.
+fn run_chaos_cli(args: &[String]) -> CliResult {
     let mut seed = 1u64;
-    let mut ops = 500usize;
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).map(String::as_str);
-        match (args[i].as_str(), value) {
-            ("--seed", Some(v)) => {
-                seed = parse_value("--seed", v).unwrap_or_else(|e| usage_error(&e));
-            }
-            ("--ops", Some(v)) => {
-                ops = parse_value("--ops", v).unwrap_or_else(|e| usage_error(&e));
-                if ops == 0 {
-                    usage_error("--ops must be at least 1");
-                }
-            }
-            (flag, _) => usage_error(&format!("unknown or incomplete chaos flag `{flag}`")),
+    let mut ops = 500;
+    let mut args = ArgCursor::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--seed" => seed = args.parse()?,
+            "--ops" => ops = args.count()?,
+            _ => return Err(args.unknown()),
         }
-        i += 2;
     }
 
     let default_hook = std::panic::take_hook();
@@ -693,114 +456,74 @@ fn run_chaos_cli() {
         }
     }));
 
-    match pim_serve::chaos::run_chaos(seed, ops) {
-        Ok(summary) => println!("{summary}"),
-        Err(violation) => {
-            eprintln!("chaos: invariant violated: {violation}");
-            std::process::exit(1);
-        }
-    }
+    let summary = pim_serve::chaos::run_chaos(seed, ops).or_fail("chaos: invariant violated")?;
+    println!("{summary}");
+    Ok(())
 }
 
-/// The wall-clock benchmark harness:
-///
-/// ```text
-/// repro bench [--json <path>] [--models alex,vgg,...] [--iters N]
-///             [--steps N] [--repro-all <runs> --baseline <median_ms>,<min_ms>]
-/// repro bench --compare <a.json> <b.json>
-/// ```
-///
-/// Times every requested model against all six `SystemPreset`s and
-/// emits a `hetero-pim-bench-v1` document — to `<path>` with `--json`
-/// (a one-line summary goes to stderr), to stdout otherwise. `--repro-all`
-/// additionally times N cold `repro all` subprocesses and records the
-/// speedup against the externally measured pre-change `--baseline`.
-/// `--compare` skips measuring entirely and diffs two previously written
-/// bench documents: per-cell median deltas plus the geometric-mean
-/// speedup over the matched cells.
-fn run_bench_cli() {
+/// The wall-clock benchmark harness: times every requested model against
+/// all six `SystemPreset`s and emits a `hetero-pim-bench-v1` document — to
+/// the `--json` path (a one-line summary goes to stderr), to stdout
+/// otherwise. `--repro-all` additionally times N cold `repro all`
+/// subprocesses and records the speedup against the externally measured
+/// pre-change `--baseline`; each of the two needs the other. `--compare`
+/// skips measuring entirely and diffs two previously written bench
+/// documents: per-cell median deltas plus the geometric-mean speedup over
+/// the matched cells.
+fn run_bench_cli(args: &[String]) -> CliResult {
     use pim_sim::bench;
 
-    let args: Vec<String> = std::env::args().skip(2).collect();
     if args.first().map(String::as_str) == Some("--compare") {
-        let (Some(a), Some(b), 3) = (args.get(1), args.get(2), args.len()) else {
-            usage_error("--compare expects exactly two bench JSON paths")
+        let [_, a, b] = args else {
+            return Err(CliError::Usage(
+                "--compare expects exactly two bench JSON paths".into(),
+            ));
         };
         let read = |path: &str| {
-            std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("bench compare failed reading {path}: {e}");
-                std::process::exit(1);
-            })
+            std::fs::read_to_string(path)
+                .or_fail(format_args!("bench compare failed reading {path}"))
         };
-        match bench::compare_bench_json(&read(a), &read(b)) {
-            Ok(table) => print!("{table}"),
-            Err(e) => {
-                eprintln!("bench compare failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
+        let table =
+            bench::compare_bench_json(&read(a)?, &read(b)?).or_fail("bench compare failed")?;
+        print!("{table}");
+        return Ok(());
     }
-    let mut json_path: Option<String> = None;
+    let mut json_path = None;
     let mut kinds: Vec<ModelKind> = ModelKind::ALL.to_vec();
-    let mut iters = 3usize;
-    let mut steps = 3usize;
-    let mut repro_runs = 0usize;
-    let mut baseline: Option<(f64, f64)> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1);
-        match (args[i].as_str(), value) {
-            ("--json", Some(v)) => json_path = Some(v.clone()),
-            ("--models", Some(v)) => {
-                kinds = v.split(',').map(|m| model_arg(Some(m.trim()))).collect();
+    let mut iters = 3;
+    let mut steps = 3;
+    let mut repro_runs = None;
+    let mut baseline = None;
+    let mut args = ArgCursor::new(args);
+    while let Some(flag) = args.next_flag() {
+        match flag {
+            "--json" => json_path = Some(args.value()?),
+            "--models" => kinds = args.list(model)?,
+            "--iters" => iters = args.count()?,
+            "--steps" => steps = args.count()?,
+            "--repro-all" => repro_runs = Some(args.count()?),
+            "--baseline" => {
+                baseline = Some(args.parse_with(|v| {
+                    parse_pair::<f64, f64>("--baseline", "<median_ms>,<min_ms>", v)
+                })?);
             }
-            ("--iters", Some(v)) => {
-                iters = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid iteration count `{v}`")));
-            }
-            ("--steps", Some(v)) => {
-                steps = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid step count `{v}`")));
-            }
-            ("--repro-all", Some(v)) => {
-                repro_runs = v
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("invalid repro-all run count `{v}`")));
-            }
-            ("--baseline", Some(v)) => {
-                let parsed = v
-                    .split_once(',')
-                    .and_then(|(median, min)| Some((median.parse().ok()?, min.parse().ok()?)));
-                baseline = Some(parsed.unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "--baseline expects <median_ms>,<min_ms>, got `{v}`"
-                    ))
-                }));
-            }
-            (flag, _) => usage_error(&format!("unknown or incomplete bench flag `{flag}`")),
+            _ => return Err(args.unknown()),
         }
-        i += 2;
+    }
+    if repro_runs.is_some() != baseline.is_some() {
+        return Err(CliError::Usage(
+            "--repro-all <runs> and --baseline <median_ms>,<min_ms> go together".into(),
+        ));
     }
 
-    use pim_runtime::engine::SystemPreset;
-    let cells = bench::bench_cells(&kinds, &SystemPreset::ALL, steps, iters).unwrap_or_else(|e| {
-        eprintln!("bench failed: {e}");
-        std::process::exit(1);
-    });
-    let repro_all = if repro_runs > 0 {
-        let (pre_median, pre_min) = baseline.unwrap_or_else(|| {
-            usage_error("--repro-all needs --baseline <median_ms>,<min_ms> to compare against")
-        });
-        let post = bench::time_repro_all(repro_runs).unwrap_or_else(|e| {
-            eprintln!("bench failed timing repro all: {e}");
-            std::process::exit(1);
-        });
-        Some(bench::repro_all_timing(pre_median, pre_min, &post))
-    } else {
-        None
+    let cells =
+        bench::bench_cells(&kinds, &SystemPreset::ALL, steps, iters).or_fail("bench failed")?;
+    let repro_all = match repro_runs.zip(baseline) {
+        Some((runs, (pre_median, pre_min))) => {
+            let post = bench::time_repro_all(runs).or_fail("bench failed timing repro all")?;
+            Some(bench::repro_all_timing(pre_median, pre_min, &post))
+        }
+        None => None,
     };
     let file = bench::BenchFile {
         commit: bench::current_commit(),
@@ -810,32 +533,26 @@ fn run_bench_cli() {
         repro_all,
     };
     let json = bench::to_json(&file);
-    if let Err(e) = bench::validate_bench_json(&json) {
-        eprintln!("bench produced an invalid document: {e}");
-        std::process::exit(1);
+    bench::validate_bench_json(&json).or_fail("bench produced an invalid document")?;
+    let Some(path) = json_path else {
+        print!("{json}");
+        return Ok(());
+    };
+    std::fs::write(path, &json).or_fail(format_args!("bench failed writing {path}"))?;
+    eprintln!(
+        "wrote {} cells ({} models x {} presets, commit {}) to {path}",
+        file.cells.len(),
+        kinds.len(),
+        SystemPreset::ALL.len(),
+        file.commit,
+    );
+    if let Some(r) = &file.repro_all {
+        eprintln!(
+            "repro all: {:.0} ms -> {:.0} ms median ({:.2}x)",
+            r.pre_median_ms,
+            r.post_median_ms,
+            r.speedup(),
+        );
     }
-    match json_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("bench failed writing {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!(
-                "wrote {} cells ({} models x {} presets, commit {}) to {path}",
-                file.cells.len(),
-                kinds.len(),
-                SystemPreset::ALL.len(),
-                file.commit,
-            );
-            if let Some(r) = &file.repro_all {
-                eprintln!(
-                    "repro all: {:.0} ms -> {:.0} ms median ({:.2}x)",
-                    r.pre_median_ms,
-                    r.post_median_ms,
-                    r.speedup(),
-                );
-            }
-        }
-        None => print!("{json}"),
-    }
+    Ok(())
 }

@@ -86,7 +86,7 @@ pub fn preset(key: &str) -> Result<SystemPreset, JobError> {
         let keys = SystemPreset::ALL.map(SystemPreset::key);
         let (last, rest) = keys.split_last().expect("presets exist");
         JobError::bad_request(format!(
-            "invalid argument in repro_fuzz: unknown preset `{key}` (expected {}, or {last})",
+            "unknown preset `{key}` (expected {}, or {last})",
             rest.join(", ")
         ))
     })
@@ -383,8 +383,7 @@ mod tests {
         }
         assert_eq!(
             preset("gpu").unwrap_err().message,
-            "invalid argument in repro_fuzz: unknown preset `gpu` \
-             (expected cpu, progr, fixed, hetero, bare, or rc)"
+            "unknown preset `gpu` (expected cpu, progr, fixed, hetero, bare, or rc)"
         );
     }
 

@@ -58,9 +58,35 @@ fn malformed_bench_flags_are_usage_errors() {
         &["bench", "--iters", "abc"][..],
         &["bench", "--baseline", "12"][..],
         &["bench", "--frobnicate"][..],
+        &["bench", "--steps", "0"][..],
+        &["bench", "--iters", "0"][..],
+        &["bench", "--baseline", "1200,1100"][..],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn fuzz_search_serve_and_chaos_reject_bad_flags_before_running() {
+    for sub in ["fuzz", "search", "serve", "chaos"] {
+        let zero_count = match sub {
+            "fuzz" => "--seeds",
+            "search" => "--beam",
+            "serve" => "--tenants",
+            _ => "--ops",
+        };
+        for args in [
+            &[sub, "--frobnicate"][..],
+            &[sub, "--seed"][..],
+            &[sub, zero_count, "0"][..],
+        ] {
+            let out = repro(args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+            assert!(err.contains("usage:"), "{args:?}: {err}");
+            assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+        }
     }
 }
 

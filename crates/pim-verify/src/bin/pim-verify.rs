@@ -21,7 +21,7 @@
 
 use std::process::ExitCode;
 
-use pim_common::cli::{parse_pair, parse_value, require_in_range, usage_error};
+use pim_common::cli::{exit_code, parse_pair, require_in_range, verdict, ArgCursor, CliResult};
 use pim_models::ModelKind;
 use pim_verify::{verify_model, verify_model_faults, verify_model_isa, verify_model_orders};
 
@@ -83,69 +83,60 @@ fn parse_model(name: &str) -> Option<ModelKind> {
         .find(|kind| kind.name().to_ascii_lowercase().replace(['-', '_'], "") == wanted)
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+fn parse_format(value: &str) -> Result<Format, String> {
+    match value {
+        "text" => Ok(Format::Text),
+        "json" => Ok(Format::Json),
+        other => Err(format!("unknown format `{other}`")),
+    }
+}
+
+/// The parsed command line, or `None` when it asks for `--help`.
+fn parse_args(argv: &[String]) -> CliResult<Option<Args>> {
     let mut models: Option<Vec<ModelKind>> = None;
-    let mut steps = 2usize;
-    let mut faults: Option<(u64, f64)> = None;
-    let mut orders: Option<(usize, u64)> = None;
+    let mut steps = 2;
+    let mut faults = None;
+    let mut orders = None;
     let mut isa = false;
     let mut format = Format::Text;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut args = ArgCursor::new(argv);
+    while let Some(flag) = args.next_flag() {
+        match flag {
             "--all-models" => models = Some(ModelKind::ALL.to_vec()),
             "--model" => {
-                let name = it.next().ok_or("--model requires a name")?;
-                let kind = parse_model(name).ok_or_else(|| format!("unknown model `{name}`"))?;
+                let kind = args.parse_with(|name| {
+                    parse_model(name).ok_or_else(|| format!("unknown model `{name}`"))
+                })?;
                 models.get_or_insert_with(Vec::new).push(kind);
             }
-            "--steps" => {
-                let n = it.next().ok_or("--steps requires a count")?;
-                steps = parse_value("--steps", n)?;
-                if steps == 0 {
-                    return Err("--steps must be at least 1".into());
-                }
-            }
-            "--faults" => {
-                let value = it.next().ok_or("--faults requires SEED,RATE")?;
-                faults = Some(parse_faults(value)?);
-            }
-            "--orders" => {
-                let value = it.next().ok_or("--orders requires N,SEED")?;
-                orders = Some(parse_orders(value)?);
-            }
+            "--steps" => steps = args.count()?,
+            "--faults" => faults = Some(args.parse_with(parse_faults)?),
+            "--orders" => orders = Some(args.parse_with(parse_orders)?),
             "--isa" => isa = true,
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some(other) => return Err(format!("unknown format `{other}`")),
-                None => return Err("--format requires text or json".into()),
-            },
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown argument `{other}`")),
+            "--format" => format = args.parse_with(parse_format)?,
+            "--help" | "-h" => return Ok(None),
+            _ => return Err(args.unknown()),
         }
     }
-    Ok(Args {
+    Ok(Some(Args {
         models: models.unwrap_or_else(|| ModelKind::ALL.to_vec()),
         steps,
         faults,
         orders,
         isa,
         format,
-    })
+    }))
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            usage_error("pim-verify", &msg, USAGE);
-        }
+    exit_code("pim-verify", USAGE, run(&argv))
+}
+
+fn run(argv: &[String]) -> CliResult {
+    let Some(args) = parse_args(argv)? else {
+        println!("{USAGE}");
+        return Ok(());
     };
 
     let mut diags = pim_common::Diagnostics::new();
@@ -201,9 +192,5 @@ fn main() -> ExitCode {
         Format::Text => print!("{}", diags.render_text()),
         Format::Json => println!("{}", diags.to_json()),
     }
-    if diags.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    verdict(diags.is_clean())
 }

@@ -52,7 +52,7 @@ pub mod schedule;
 use pim_common::{Diagnostics, Result};
 use pim_hw::gpu::GpuDevice;
 use pim_models::{Model, ModelKind};
-use pim_runtime::engine::{Engine, RunRequest, WorkloadSpec};
+use pim_runtime::engine::{Engine, EngineConfig, RunRequest, SystemPreset, WorkloadSpec};
 use pim_sim::baselines::simulate_neurocube;
 use pim_sim::gpu::simulate_gpu;
 
@@ -61,7 +61,7 @@ pub use isa::{verify_isa, verify_program, verify_program_tallies};
 pub use kir::{verify_binaries, verify_kernel_source};
 pub use orders::verify_orders;
 pub use report::verify_report;
-pub use schedule::{engine_configs, verify_faulted_schedule, verify_schedule};
+pub use schedule::{verify_faulted_schedule, verify_schedule};
 
 /// Runs every pass over one model: graph and KIR on its training-step
 /// graph, then schedule + report under each engine configuration, and
@@ -78,7 +78,7 @@ pub fn verify_model(kind: ModelKind, batch: usize, steps: usize) -> Result<Diagn
     let mut diags = Diagnostics::new();
     diags.extend(verify_graph(name, model.graph()));
     diags.extend(verify_binaries(name, model.graph()));
-    for cfg in engine_configs() {
+    for cfg in SystemPreset::ALL.map(EngineConfig::preset) {
         diags.extend(verify_schedule(name, model.graph(), &cfg, steps));
         let engine = Engine::new(cfg);
         match engine.execute(&RunRequest::new(&[WorkloadSpec {
@@ -134,7 +134,7 @@ pub fn verify_model_faults(
     let model = Model::build_with_batch(kind, batch)?;
     let name = kind.name();
     let mut diags = Diagnostics::new();
-    for cfg in engine_configs() {
+    for cfg in SystemPreset::ALL.map(EngineConfig::preset) {
         diags.extend(verify_faulted_schedule(
             name,
             model.graph(),
@@ -165,7 +165,7 @@ pub fn verify_model_orders(
     let model = Model::build_with_batch(kind, batch)?;
     let name = kind.name();
     let mut diags = Diagnostics::new();
-    for cfg in engine_configs() {
+    for cfg in SystemPreset::ALL.map(EngineConfig::preset) {
         diags.extend(verify_orders(
             name,
             model.graph(),

@@ -10,26 +10,11 @@
 use pim_common::Diagnostics;
 use pim_graph::Graph;
 use pim_hw::faults::FaultPlan;
-use pim_runtime::engine::{
-    Engine, EngineConfig, RunOptions, RunRequest, SystemPreset, WorkloadSpec,
-};
+use pim_runtime::engine::{Engine, EngineConfig, RunOptions, RunRequest, WorkloadSpec};
 
 /// The pass name stamped on every diagnostic this module emits (matches
 /// [`pim_runtime::verify::PASS`] — the replay checker lives there).
 pub const PASS: &str = pim_runtime::verify::PASS;
-
-/// The engine configurations the checker replays: the paper's four
-/// engine-backed systems plus the two Fig. 13 ablations.
-pub fn engine_configs() -> Vec<EngineConfig> {
-    vec![
-        EngineConfig::preset(SystemPreset::CpuOnly),
-        EngineConfig::preset(SystemPreset::ProgrOnly),
-        EngineConfig::preset(SystemPreset::FixedHost),
-        EngineConfig::preset(SystemPreset::HeteroBare),
-        EngineConfig::preset(SystemPreset::HeteroRc),
-        EngineConfig::preset(SystemPreset::Hetero),
-    ]
-}
 
 /// Simulates `steps` steps of `graph` under `cfg` and verifies the
 /// recorded timeline. Engine failures become error diagnostics rather

@@ -15,8 +15,7 @@ use pim_tensor::ops::activation::Activation;
 use pim_tensor::ops::elementwise::BinaryOp;
 use pim_tensor::Shape;
 use pim_verify::{
-    engine_configs, verify_binaries, verify_faulted_schedule, verify_graph, verify_kernel_source,
-    verify_schedule,
+    verify_binaries, verify_faulted_schedule, verify_graph, verify_kernel_source, verify_schedule,
 };
 
 /// Small batches keep the debug-profile engine replays fast; the graph
@@ -56,7 +55,7 @@ fn all_models_pass_graph_and_kir_clean() {
 fn all_models_schedule_clean_under_every_config() {
     for kind in ModelKind::ALL {
         let model = Model::build_with_batch(kind, TEST_BATCH).unwrap();
-        for cfg in engine_configs() {
+        for cfg in SystemPreset::ALL.map(EngineConfig::preset) {
             let diags = verify_schedule(kind.name(), model.graph(), &cfg, 2);
             assert!(
                 diags.is_empty(),
@@ -75,7 +74,7 @@ fn faulted_schedules_verify_clean_under_every_config() {
     // seeds vary which recovery paths (retry, re-dispatch, kill) fire.
     for kind in [ModelKind::AlexNet, ModelKind::Lstm, ModelKind::Dcgan] {
         let model = Model::build_with_batch(kind, TEST_BATCH).unwrap();
-        for cfg in engine_configs() {
+        for cfg in SystemPreset::ALL.map(EngineConfig::preset) {
             for seed in [1, 9] {
                 let diags =
                     verify_faulted_schedule(kind.name(), model.graph(), &cfg, 2, seed, 0.15);
