@@ -16,7 +16,7 @@ use std::str::FromStr;
 pub const USAGE_EXIT: u8 = 2;
 
 /// Why a command could not finish.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum CliError {
     /// A malformed command line: exits [`USAGE_EXIT`] after the message
     /// and the usage block.
@@ -92,7 +92,7 @@ impl<T, E: Display> OrFail<T> for Result<T, E> {
 /// );
 /// assert_eq!(args.next_flag(), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ArgCursor<'a> {
     args: std::slice::Iter<'a, String>,
     flag: &'a str,

@@ -335,7 +335,7 @@ fn run_serve_cli(args: &[String]) -> CliResult {
             "--load" => load = Some(args.parse()?),
             "--emit-trace" => emit = Some(args.parse()?),
             "--tcp" => tcp = Some(args.parse::<u16>()?),
-            "--conns" => conns = Some(args.parse()?),
+            "--conns" => conns = Some(args.count()?),
             "--seed" => seed = args.parse()?,
             "--tenants" => tenants = args.count()?,
             "--sample" => sample = args.count()?,

@@ -69,13 +69,13 @@ fn malformed_bench_flags_are_usage_errors() {
 
 #[test]
 fn fuzz_search_serve_and_chaos_reject_bad_flags_before_running() {
-    for sub in ["fuzz", "search", "serve", "chaos"] {
-        let zero_count = match sub {
-            "fuzz" => "--seeds",
-            "search" => "--beam",
-            "serve" => "--tenants",
-            _ => "--ops",
-        };
+    for (sub, zero_count) in [
+        ("fuzz", "--seeds"),
+        ("search", "--beam"),
+        ("serve", "--tenants"),
+        ("serve", "--conns"),
+        ("chaos", "--ops"),
+    ] {
         for args in [
             &[sub, "--frobnicate"][..],
             &[sub, "--seed"][..],

@@ -1,22 +1,12 @@
 //! `pim-verify` — run the static checker over model graphs and schedules.
 //!
-//! ```text
-//! pim-verify [--all-models | --model NAME] [--steps N] [--faults SEED,RATE]
-//!            [--orders N,SEED] [--isa] [--format text|json]
-//! ```
-//!
-//! Runs the graph, KIR, schedule, and report passes and prints every
-//! finding. With `--faults`, additionally replays each configuration
-//! under a seeded fault plan through the fault-aware schedule checker.
-//! With `--orders`, additionally runs the pass-5 order-invariance fuzz:
-//! N seeded tie-break permutations per configuration, each compared
-//! against the stable order. With `--isa`, additionally lowers every
-//! kernel to a `pim_isa` program, validates and interprets it, and
-//! matches the exact tallies against the Fig. 4 extraction (pass 6).
-//! Exits 2 when the arguments are invalid
-//! (the [`pim_common::cli`] contract shared with `repro`), 1 when any
-//! finding has error severity, 0 otherwise — warnings do not fail the
-//! run.
+//! Runs the graph, KIR, schedule, and report passes, plus the opt-in
+//! fault replay, order-invariance fuzz (pass 5) and ISA ground truth
+//! (pass 6), and prints every finding. `pim-verify --help` lists the
+//! flags; the `USAGE` text below is the one copy. Exits 2 when the
+//! arguments are invalid (the [`pim_common::cli`] contract shared with
+//! `repro`), 1 when any finding has error severity, 0 otherwise —
+//! warnings do not fail the run.
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;

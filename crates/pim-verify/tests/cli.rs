@@ -94,3 +94,12 @@ fn isa_pass_on_one_model_is_clean_and_stable() {
     let b = pim_verify(args);
     assert_eq!(a.stdout, b.stdout, "isa pass output must be stable");
 }
+
+#[test]
+fn nan_fault_rate_is_outside_the_range() {
+    let out = pim_verify(&["--faults", "1,NaN"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("must be in [0, 1], got NaN"), "{err}");
+    assert!(out.stdout.is_empty());
+}
